@@ -6,10 +6,23 @@ direction per element; boundary forms (boundary mass, normal-derivative
 Gram and couplings, normal-data right-hand sides) integrate face-wise with
 the surface Jacobian from Nanson's formula.  Second derivatives are pulled
 back through the geometry map with the full Hessian correction.
+
+Every form runs one batched kernel over chunks of elements.  A face of
+(0,1)^d is the element grid whose fixed axis has a single element with one
+point of weight 1, so volume and face elements share one tabulation.  Per
+chunk it evaluates the geometry Jacobian (and the Hessian when a form needs
+it) with one `GeometryMap` call over all the chunk's points, builds the
+tensor-product basis tables from per-element 1D tables, and computes the
+global active indices.  The element blocks of all chunks are summed by one
+COO scatter.  The number of elements in a chunk follows from a byte budget
+on one (elements x points x basis functions) table, so the working memory of
+the kernel stays flat as the mesh grows.
 """
 
 from __future__ import annotations
 
+import math
+from functools import cached_property
 from typing import Callable
 
 import numpy as np
@@ -17,6 +30,9 @@ import scipy.sparse
 
 from .sparselin import SparseSymMatrix
 from .splines import GeometryMap, QuadratureRule1D, SplineSpace1D, TensorSpace
+
+# Bytes of one chunk-sized basis table; a chunk holds a few such arrays.
+_CHUNK_BYTES = 16 * 2**20
 
 
 class DegenerateGeometry(Exception):
@@ -31,114 +47,227 @@ def _check_compatible(row_space: TensorSpace, col_space: TensorSpace) -> None:
             raise ValueError("spaces must share the same element partition")
 
 
+def _default_q(space: TensorSpace) -> int:
+    return max(f.degree for f in space.factors) + 1
+
+
 def _combine(tabs: list[np.ndarray], orders: tuple[int, ...]) -> np.ndarray:
-    """Tensor-product combination of 1D tables; returns (nq, nb)."""
-    t = tabs[0][:, orders[0], :]
+    """Tensor-product combination of batched 1D tables; returns (n, nq, nb)."""
+    t = tabs[0][:, :, orders[0], :]
     for ax in range(1, len(tabs)):
-        u = tabs[ax][:, orders[ax], :]
-        q0, m0 = t.shape
-        q1, m1 = u.shape
-        t = (t[:, None, :, None] * u[None, :, None, :]).reshape(q0 * q1, m0 * m1)
+        u = tabs[ax][:, :, orders[ax], :]
+        n, q0, m0 = t.shape
+        _, q1, m1 = u.shape
+        t = (t[:, :, None, :, None] * u[:, None, :, None, :]).reshape(n, q0 * q1, m0 * m1)
     return t
 
 
-class _ElementData:
-    """Per-element basis/geometry data shared by all integrands."""
+def _axis_tables(f: SplineSpace1D, elements, points: np.ndarray, max_deriv: int):
+    """First active indices (n_el,) and basis tables (n_el, q, max_deriv+1, p+1)."""
+    firsts, tabs = zip(*(f.tabulate(e, x, max_deriv) for e, x in zip(elements, points)))
+    return np.array(firsts), np.stack(tabs)
 
-    def __init__(
-        self,
-        spaces: list[TensorSpace],
-        geo: GeometryMap,
-        q: int,
-        max_deriv: int,
-    ):
-        self.spaces = spaces
-        self.geo = geo
-        self.d = spaces[0].d
-        self.max_deriv = max_deriv
-        self.rules = [
-            QuadratureRule1D.for_space(spaces[0].factors[j], q) for j in range(self.d)
-        ]
-        self.n_el = [spaces[0].factors[j].num_elements for j in range(self.d)]
-        # per space, per axis, per element: (first_index, table)
-        self.tabs = [
-            [
-                [sp.factors[j].tabulate(e, self.rules[j].points[e], max_deriv) for e in range(self.n_el[j])]
-                for j in range(self.d)
-            ]
+
+class _Tabulation:
+    """Quadrature rules and 1D basis tables on a tensor grid of elements.
+
+    `rules[j]` holds the per-element points and weights of axis j.  For each
+    space s, `tables[s][j]` is the pair (first active index, basis table) of
+    axis j and `dims[s]` flattens its multi-indices.  `face` is the
+    (axis, side) of a boundary face, or None for the volume.
+    """
+
+    def __init__(self, rules, tables, dims, face=None):
+        self.rules = rules
+        self.tables = tables
+        self.dims = dims
+        self.face = face
+
+    @classmethod
+    def volume(cls, spaces: list[TensorSpace], q: int, max_deriv: int) -> "_Tabulation":
+        rules = [QuadratureRule1D.for_space(f, q) for f in spaces[0].factors]
+        tables = [
+            [_axis_tables(f, range(f.num_elements), r.points, max_deriv) for f, r in zip(sp.factors, rules)]
             for sp in spaces
         ]
+        return cls(rules, tables, [sp.dims for sp in spaces])
 
-    def elements(self):
-        return np.ndindex(*self.n_el)
+    @classmethod
+    def face_of(cls, space: TensorSpace, axis: int, side: int, q: int, max_deriv: int) -> "_Tabulation":
+        """Face `side` of `axis`: space 0 is `space`, space 1 its trace space on the face."""
+        rules, vol, trace = [], [], []
+        for j, f in enumerate(space.factors):
+            if j == axis:
+                rule = QuadratureRule1D(points=np.array([[float(side)]]), weights=np.ones((1, 1)))
+                elements = [side * (f.num_elements - 1)]
+            else:
+                rule = QuadratureRule1D.for_space(f, q)
+                elements = range(f.num_elements)
+            tab = _axis_tables(f, elements, rule.points, max_deriv)
+            rules.append(rule)
+            vol.append(tab)
+            trace.append((np.zeros(1, dtype=np.int64), np.ones((1, 1, 1, 1))) if j == axis else tab)
+        trace_dims = tuple(1 if j == axis else m for j, m in enumerate(space.dims))
+        return cls(rules, [vol, trace], [space.dims, trace_dims], face=(axis, side))
 
-    def quad_points(self, el: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
-        axes_pts = [self.rules[j].points[el[j]] for j in range(self.d)]
-        axes_w = [self.rules[j].weights[el[j]] for j in range(self.d)]
-        grids = np.meshgrid(*axes_pts, indexing="ij")
-        pts = np.stack([g.ravel() for g in grids], axis=1)
-        w = axes_w[0]
-        for j in range(1, self.d):
-            w = np.multiply.outer(w, axes_w[j])
-        return pts, w.ravel()
+    def chunks(self, geo: GeometryMap):
+        """Yield `_Chunk`s covering the element grid in C order."""
+        shape = [len(r.points) for r in self.rules]
+        nq = math.prod(r.points.shape[1] for r in self.rules)
+        nb = max(math.prod(t.shape[-1] for _, t in tabs) for tabs in self.tables)
+        step = max(1, _CHUNK_BYTES // (8 * nq * nb))
+        total = math.prod(shape)
+        for start in range(0, total, step):
+            el = np.unravel_index(np.arange(start, min(start + step, total)), shape)
+            yield _Chunk(self, el, geo)
 
-    def basis(self, s: int, el: tuple[int, ...], orders: tuple[int, ...]) -> np.ndarray:
-        tabs = [self.tabs[s][j][el[j]][1] for j in range(self.d)]
-        return _combine(tabs, orders)
 
-    def active(self, s: int, el: tuple[int, ...]) -> np.ndarray:
-        firsts = [self.tabs[s][j][el[j]][0] for j in range(self.d)]
-        widths = [self.spaces[s].factors[j].degree + 1 for j in range(self.d)]
-        grids = np.meshgrid(
-            *[np.arange(f, f + m) for f, m in zip(firsts, widths)], indexing="ij"
-        )
-        return np.ravel_multi_index([g.ravel() for g in grids], self.spaces[s].dims)
+class _Chunk:
+    """Quadrature, geometry and basis data on a chunk of n elements.
 
-    def ref_gradient(self, s: int, el: tuple[int, ...]) -> np.ndarray:
-        cols = []
-        for j in range(self.d):
-            orders = tuple(1 if a == j else 0 for a in range(self.d))
-            cols.append(self.basis(s, el, orders))
-        return np.stack(cols, axis=2)  # (nq, nb, d)
+    `points` is (n * nq, d), element-major; per-point arrays are (n, nq, ...).
+    `dx` is the quadrature weight times |det J| in the volume and times the
+    surface Jacobian on a face, where `normal` is the outward unit normal.
+    """
 
-    def ref_hessian(self, s: int, el: tuple[int, ...]) -> np.ndarray:
-        nq, nb = self.basis(s, el, tuple([0] * self.d)).shape
-        out = np.empty((nq, nb, self.d, self.d))
+    def __init__(self, tab: _Tabulation, el: tuple[np.ndarray, ...], geo: GeometryMap):
+        n, d = len(el[0]), len(el)
+        self.geo, self.d, self.dims = geo, d, tab.dims
+        # per space, per axis: (first active index (n,), basis table (n, q, nd, m))
+        self.tables = [[(first[e], t[e]) for (first, t), e in zip(tables, el)] for tables in tab.tables]
+        grid = (n,) + tuple(r.points.shape[1] for r in tab.rules)
+
+        def spread(j: int, a: np.ndarray) -> np.ndarray:
+            return a.reshape((n,) + tuple(grid[1 + j] if i == j else 1 for i in range(d)))
+
+        w = spread(0, tab.rules[0].weights[el[0]])
+        for j in range(1, d):
+            w = w * spread(j, tab.rules[j].weights[el[j]])
+        w = w.reshape(n, -1)
+        self.points = np.stack(
+            [np.broadcast_to(spread(j, r.points[e]), grid) for j, (r, e) in enumerate(zip(tab.rules, el))],
+            axis=-1,
+        ).reshape(-1, d)
+
+        jac = geo.jacobian(self.points).reshape(n, -1, d, d)
+        det = np.linalg.det(jac)
+        if np.any(det <= 0):
+            raise DegenerateGeometry("non-positive Jacobian determinant")
+        self.jinv = np.linalg.inv(jac)
+        if tab.face is None:
+            self.dx = w * det
+        else:
+            # Nanson: a = J^{-T} e_axis;  ds = |det J| ||a||;  n = sign a / ||a||
+            axis, side = tab.face
+            a = self.jinv[:, :, axis, :]
+            anorm = np.linalg.norm(a, axis=-1)
+            if np.any(anorm <= 0):
+                raise DegenerateGeometry("degenerate surface normal")
+            self.dx = w * (det * anorm)
+            self.normal = (1.0 if side else -1.0) * a / anorm[..., None]
+
+    @cached_property
+    def hess(self) -> np.ndarray:
+        """Component Hessians of the geometry map, (n, nq, d, d, d)."""
+        d = self.d
+        return self.geo.hessians(self.points).reshape(*self.dx.shape, d, d, d)
+
+    def _orders(self, *axes: int) -> tuple[int, ...]:
+        """Derivative orders of the reference derivative along `axes`."""
+        return tuple(axes.count(a) for a in range(self.d))
+
+    def basis(self, s: int, orders: tuple[int, ...] | None = None) -> np.ndarray:
+        """Basis values (or reference derivatives of `orders`) of space s, (n, nq, nb)."""
+        return _combine([t for _, t in self.tables[s]], orders or self._orders())
+
+    def active(self, s: int) -> np.ndarray:
+        """Global indices of the active basis functions of space s, (n, nb)."""
+        n = len(self.dx)
+        idx = np.zeros((n, 1), dtype=np.int64)
+        for (first, t), dim in zip(self.tables[s], self.dims[s]):
+            axis_idx = first[:, None] + np.arange(t.shape[-1])
+            idx = (idx[:, :, None] * dim + axis_idx[:, None, :]).reshape(n, -1)
+        return idx
+
+    def gradient(self, s: int) -> np.ndarray:
+        """Physical gradients J^{-T} grad_ref of space s, (n, nq, nb, d)."""
+        gref = np.stack([self.basis(s, self._orders(j)) for j in range(self.d)], axis=-1)
+        return gref @ self.jinv
+
+    def laplacian(self, s: int) -> np.ndarray:
+        """Physical Laplacian of each basis function of space s, (n, nq, nb).
+
+        Lap phi = sum_rs G_rs (H_ref - sum_k (grad phi)_k H_k)_rs with the
+        metric G = J^{-1} J^{-T} and the map's component Hessians H_k.  The
+        correction is folded into the vector v = J^{-1} (G : H_k)_k, which
+        multiplies the reference gradient, so only (n, nq, nb) tables form.
+        """
+        g = self.jinv @ np.swapaxes(self.jinv, -1, -2)
+        v = np.einsum("nqjk,nqk->nqj", self.jinv, np.einsum("nqkrs,nqrs->nqk", self.hess, g))
+        lap = 0.0
         for i in range(self.d):
             for j in range(i, self.d):
-                orders = tuple(
-                    (2 if a == i else 0) if i == j else (1 if a in (i, j) else 0)
-                    for a in range(self.d)
-                )
-                v = self.basis(s, el, orders)
-                out[:, :, i, j] = v
-                out[:, :, j, i] = v
-        return out
+                c = g[..., i, j] if i == j else 2.0 * g[..., i, j]
+                lap = lap + c[..., None] * self.basis(s, self._orders(i, j))
+            lap = lap - v[..., i, None] * self.basis(s, self._orders(i))
+        return lap
+
+    def normal_derivative(self, s: int) -> np.ndarray:
+        """Outward normal derivative of each basis function of space s on a face."""
+        v = np.einsum("nqji,nqi->nqj", self.jinv, self.normal)
+        return sum(v[..., j, None] * self.basis(s, self._orders(j)) for j in range(self.d))
+
+    def integrate(self, r: np.ndarray, c: np.ndarray) -> np.ndarray:
+        """Element blocks sum_q dx_q r_qa c_qb of (n, nq, a) and (n, nq, b) tables."""
+        return np.swapaxes(r * self.dx[..., None], 1, 2) @ c
+
+    def gram(self, vals: np.ndarray, s: int, offset: int = 0):
+        """Scatter block of the Gram matrix of `vals` over the active set of space s."""
+        idx = offset + self.active(s)
+        return idx, idx, self.integrate(vals, vals)
 
 
-def _geometry_at(geo: GeometryMap, pts: np.ndarray, need_hessian: bool):
-    jac = geo.jacobian(pts)
-    det = np.linalg.det(jac)
-    if np.any(det <= 0):
-        raise DegenerateGeometry("non-positive Jacobian determinant")
-    jinv = np.linalg.inv(jac)
-    hess = geo.hessians(pts) if need_hessian else None
-    return jac, det, jinv, hess
+def _face_chunks(space: TensorSpace, geo: GeometryMap, q: int, max_deriv: int):
+    """Yield (face index, chunk) over the faces of `space`, in `TraceSpace` order."""
+    for fi, (axis, side) in enumerate(TraceSpace(space).faces):
+        for ch in _Tabulation.face_of(space, axis, side, q, max_deriv).chunks(geo):
+            yield fi, ch
 
 
-def _physical_laplacian(
-    data: _ElementData, s: int, el, jinv: np.ndarray, hess: np.ndarray
-) -> np.ndarray:
-    """trace of the pulled-back Hessian of each basis function, (nq, nb)."""
-    gref = data.ref_gradient(s, el)
-    href = data.ref_hessian(s, el)
-    gphys = np.einsum("qji,qbj->qbi", jinv, gref)
-    corr = href - np.einsum("qbk,qkij->qbij", gphys, hess)
-    jjt = np.einsum("qri,qsi->qrs", jinv, jinv)
-    return np.einsum("qrs,qbrs->qb", jjt, corr)
+def _scatter(shape: tuple[int, int], blocks) -> scipy.sparse.csr_matrix:
+    """Sum element blocks into a CSR matrix of `shape`.
+
+    Each block is (row indices (n, a), column indices (n, b), values
+    (n, a, b)); entries that land on the same position are added.
+    """
+    rows, cols, vals = [], [], []
+    for r, c, v in blocks:
+        rows.append(np.broadcast_to(r[:, :, None], v.shape).ravel())
+        cols.append(np.broadcast_to(c[:, None, :], v.shape).ravel())
+        vals.append(v.ravel())
+    mat = scipy.sparse.coo_matrix(
+        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))), shape=shape
+    )
+    return mat.tocsr()
+
+
+def _scatter_vector(dim: int, blocks) -> np.ndarray:
+    """`_scatter` of (indices (n, a), values (n, a, 1)) blocks into a vector."""
+    return _scatter((dim, 1), ((idx, np.zeros_like(idx[:, :1]), v) for idx, v in blocks)).toarray().ravel()
+
+
+def _symmetric(m: scipy.sparse.csr_matrix) -> SparseSymMatrix:
+    return SparseSymMatrix(scipy.sparse.triu(((m + m.T) * 0.5).tocsr()))
 
 
 _KINDS = ("value", "laplacian", "neg_laplacian")
+
+
+def _integrand(ch: _Chunk, s: int, kind: str) -> np.ndarray:
+    if kind == "value":
+        return ch.basis(s)
+    lap = ch.laplacian(s)
+    return -lap if kind == "neg_laplacian" else lap
 
 
 def assemble_volume(
@@ -158,47 +287,25 @@ def assemble_volume(
         if kind not in _KINDS:
             raise ValueError(f"unknown integrand kind {kind!r}")
     _check_compatible(row_space, col_space)
-    same = row_space is col_space and row_kind == col_kind
     need_lap = row_kind != "value" or col_kind != "value"
     if q is None:
-        q = max(f.degree for f in row_space.factors + col_space.factors) + 1
-    spaces = [row_space] if same else [row_space, col_space]
-    data = _ElementData(spaces, geo, q, max_deriv=2 if need_lap else 0)
-    ci = 0 if same else 1
+        q = max(_default_q(row_space), _default_q(col_space))
+    spaces = [row_space] if row_space is col_space else [row_space, col_space]
+    ci = len(spaces) - 1
+    tab = _Tabulation.volume(spaces, q, 2 if need_lap else 0)
 
-    rows, cols, vals = [], [], []
-    for el in data.elements():
-        pts, w = data.quad_points(el)
-        _, det, jinv, hess = _geometry_at(geo, pts, need_lap)
-        wd = w * det
+    def blocks():
+        for ch in tab.chunks(geo):
+            r = _integrand(ch, 0, row_kind)
+            c = r if ci == 0 and row_kind == col_kind else _integrand(ch, ci, col_kind)
+            yield ch.active(0), ch.active(ci), ch.integrate(r, c)
 
-        def side(s: int, kind: str) -> np.ndarray:
-            if kind == "value":
-                return data.basis(s, el, tuple([0] * data.d))
-            lap = _physical_laplacian(data, s, el, jinv, hess)
-            return -lap if kind == "neg_laplacian" else lap
-
-        rrow = side(0, row_kind)
-        ccol = rrow if same else side(ci, col_kind)
-        a_el = np.einsum("q,qa,qb->ab", wd, rrow, ccol)
-        ridx = data.active(0, el)
-        cidx = ridx if same else data.active(ci, el)
-        rr, cc = np.meshgrid(ridx, cidx, indexing="ij")
-        rows.append(rr.ravel())
-        cols.append(cc.ravel())
-        vals.append(a_el.ravel())
-
-    mat = scipy.sparse.coo_matrix(
-        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-        shape=(row_space.dim, col_space.dim),
-    )
-    return mat.tocsr()
+    return _scatter((row_space.dim, col_space.dim), blocks())
 
 
 def assemble_mass(space: TensorSpace, geo: GeometryMap, q: int | None = None) -> SparseSymMatrix:
     """L2 mass matrix on the full space."""
-    m = assemble_volume(space, space, geo, "value", "value", q)
-    return SparseSymMatrix(scipy.sparse.triu(_symmetrize(m)))
+    return _symmetric(assemble_volume(space, space, geo, "value", "value", q))
 
 
 def assemble_laplacian_strong(
@@ -210,37 +317,20 @@ def assemble_laplacian_strong(
 
 def assemble_biharmonic(space_u: TensorSpace, geo: GeometryMap, q: int | None = None) -> SparseSymMatrix:
     """B[i, j] = int Lap phi_i Lap phi_j |det J| dxi on the full space."""
-    b = assemble_volume(space_u, space_u, geo, "laplacian", "laplacian", q)
-    return SparseSymMatrix(scipy.sparse.triu(_symmetrize(b)))
+    return _symmetric(assemble_volume(space_u, space_u, geo, "laplacian", "laplacian", q))
 
 
 def assemble_stiffness(space: TensorSpace, geo: GeometryMap, q: int | None = None) -> SparseSymMatrix:
     """Gradient-gradient Gram matrix (test oracle for integration by parts)."""
-    d = space.d
-    if q is None:
-        q = max(f.degree for f in space.factors) + 1
-    data = _ElementData([space], geo, q, max_deriv=1)
-    rows, cols, vals = [], [], []
-    for el in data.elements():
-        pts, w = data.quad_points(el)
-        _, det, jinv, _ = _geometry_at(geo, pts, False)
-        gref = data.ref_gradient(0, el)
-        gphys = np.einsum("qji,qbj->qbi", jinv, gref)
-        a_el = np.einsum("q,qai,qbi->ab", w * det, gphys, gphys)
-        idx = data.active(0, el)
-        rr, cc = np.meshgrid(idx, idx, indexing="ij")
-        rows.append(rr.ravel())
-        cols.append(cc.ravel())
-        vals.append(a_el.ravel())
-    m = scipy.sparse.coo_matrix(
-        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-        shape=(space.dim, space.dim),
-    ).tocsr()
-    return SparseSymMatrix(scipy.sparse.triu(_symmetrize(m)))
+    tab = _Tabulation.volume([space], q or _default_q(space), 1)
 
+    def blocks():
+        for ch in tab.chunks(geo):
+            g = ch.gradient(0)
+            idx = ch.active(0)
+            yield idx, idx, sum(ch.integrate(g[..., i], g[..., i]) for i in range(space.d))
 
-def _symmetrize(m: scipy.sparse.csr_matrix) -> scipy.sparse.csr_matrix:
-    return ((m + m.T) * 0.5).tocsr()
+    return _symmetric(_scatter((space.dim, space.dim), blocks()))
 
 
 # ---------------------------------------------------------------------------
@@ -268,122 +358,6 @@ class TraceSpace:
         self.dim = int(self.offsets[-1])
 
 
-def _faces(d: int):
-    return [(axis, side) for axis in range(d) for side in (0, 1)]
-
-
-class _FaceLoop:
-    """Iterates boundary elements of one face, yielding basis/geometry data."""
-
-    def __init__(self, space: TensorSpace, geo: GeometryMap, axis: int, side: int, q: int, max_deriv: int):
-        self.space = space
-        self.geo = geo
-        self.axis = axis
-        self.side = side
-        self.d = space.d
-        self.free = [j for j in range(self.d) if j != axis]
-        self.rules = {j: QuadratureRule1D.for_space(space.factors[j], q) for j in self.free}
-        xfix = 0.0 if side == 0 else 1.0
-        first, ders = space.factors[axis].eval_basis(xfix, max_deriv)
-        self.fixed_first = first
-        self.fixed_tab = ders[None, :, :]  # (1, nd+1, p+1)
-        self.xfix = xfix
-        self.max_deriv = max_deriv
-        self.free_tabs = {
-            j: [
-                space.factors[j].tabulate(e, self.rules[j].points[e], max_deriv)
-                for e in range(space.factors[j].num_elements)
-            ]
-            for j in self.free
-        }
-
-    def elements(self):
-        return np.ndindex(*[self.space.factors[j].num_elements for j in self.free])
-
-    def _axis_tabs(self, el) -> list[tuple[int, np.ndarray]]:
-        tabs = []
-        it = iter(el)
-        for j in range(self.d):
-            if j == self.axis:
-                tabs.append((self.fixed_first, self.fixed_tab))
-            else:
-                e = next(it)
-                tabs.append(self.free_tabs[j][e])
-        return tabs
-
-    def quad(self, el) -> tuple[np.ndarray, np.ndarray]:
-        axis_pts = []
-        it = iter(el)
-        w = None
-        for j in range(self.d):
-            if j == self.axis:
-                axis_pts.append(np.array([self.xfix]))
-            else:
-                e = next(it)
-                axis_pts.append(self.rules[j].points[e])
-                wj = self.rules[j].weights[e]
-                w = wj if w is None else np.multiply.outer(w, wj)
-        grids = np.meshgrid(*axis_pts, indexing="ij")
-        pts = np.stack([g.ravel() for g in grids], axis=1)
-        return pts, np.atleast_1d(w).ravel()
-
-    def basis(self, el, orders) -> np.ndarray:
-        tabs = [t for _, t in self._axis_tabs(el)]
-        return _combine(tabs, orders)
-
-    def active(self, el) -> np.ndarray:
-        tabs = self._axis_tabs(el)
-        grids = np.meshgrid(
-            *[
-                np.arange(f, f + t.shape[2])
-                for f, t in tabs
-            ],
-            indexing="ij",
-        )
-        return np.ravel_multi_index([g.ravel() for g in grids], self.space.dims)
-
-    def free_active(self, el) -> np.ndarray:
-        """Flat indices into the face trace space (free axes only)."""
-        tabs = self._axis_tabs(el)
-        free_dims = [self.space.dims[j] for j in self.free]
-        grids = np.meshgrid(
-            *[np.arange(tabs[j][0], tabs[j][0] + tabs[j][1].shape[2]) for j in self.free],
-            indexing="ij",
-        )
-        return np.ravel_multi_index([g.ravel() for g in grids], free_dims)
-
-    def free_basis(self, el) -> np.ndarray:
-        """Trace-space basis values (free-axis tensor product), (nq, nb_face)."""
-        tabs = [self.free_tabs[j][e][1] for j, e in zip(self.free, el)]
-        return _combine(tabs, tuple([0] * len(self.free)))
-
-    def surface(self, pts) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Surface Jacobian, outward unit normal, and inverse Jacobian."""
-        jac = self.geo.jacobian(pts)
-        det = np.linalg.det(jac)
-        if np.any(det <= 0):
-            raise DegenerateGeometry("non-positive Jacobian determinant on face")
-        jinv = np.linalg.inv(jac)
-        # Nanson: a = J^{-T} e_axis;  ds = |det J| ||a||;  n = sign a / ||a||
-        a = jinv[:, self.axis, :]
-        anorm = np.linalg.norm(a, axis=1)
-        if np.any(anorm <= 0):
-            raise DegenerateGeometry("degenerate surface normal")
-        sj = det * anorm
-        sign = -1.0 if self.side == 0 else 1.0
-        normal = sign * a / anorm[:, None]
-        return sj, normal, jinv
-
-    def normal_derivative(self, el, jinv, normal) -> np.ndarray:
-        cols = []
-        for j in range(self.d):
-            orders = tuple(1 if a == j else 0 for a in range(self.d))
-            cols.append(self.basis(el, orders))
-        gref = np.stack(cols, axis=2)
-        gphys = np.einsum("qji,qbj->qbi", jinv, gref)
-        return np.einsum("qbi,qi->qb", gphys, normal)
-
-
 def _boundary_points_1d(space: TensorSpace, geo: GeometryMap):
     """The two boundary points of a 1D domain with outward normal signs."""
     for x, sign in ((0.0, -1.0), (1.0, 1.0)):
@@ -396,8 +370,6 @@ def _boundary_points_1d(space: TensorSpace, geo: GeometryMap):
 
 def assemble_boundary_mass(space: TensorSpace, geo: GeometryMap, q: int | None = None) -> SparseSymMatrix:
     """Boundary mass M_d[i, j] = surface integral of phi_i phi_j over the boundary."""
-    if q is None:
-        q = max(f.degree for f in space.factors) + 1
     dim = space.dim
     if space.d == 1:
         m = np.zeros((dim, dim))
@@ -407,30 +379,12 @@ def assemble_boundary_mass(space: TensorSpace, geo: GeometryMap, q: int | None =
             v[first : first + len(ders[0])] = ders[0]
             m += np.outer(v, v)
         return SparseSymMatrix.from_dense(m)
-    rows, cols, vals = [], [], []
-    for axis, side in _faces(space.d):
-        loop = _FaceLoop(space, geo, axis, side, q, 0)
-        for el in loop.elements():
-            pts, w = loop.quad(el)
-            sj, _, _ = loop.surface(pts)
-            nvals = loop.basis(el, tuple([0] * space.d))
-            a_el = np.einsum("q,qa,qb->ab", w * sj, nvals, nvals)
-            idx = loop.active(el)
-            rr, cc = np.meshgrid(idx, idx, indexing="ij")
-            rows.append(rr.ravel())
-            cols.append(cc.ravel())
-            vals.append(a_el.ravel())
-    m = scipy.sparse.coo_matrix(
-        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-        shape=(dim, dim),
-    ).tocsr()
-    return SparseSymMatrix(scipy.sparse.triu(_symmetrize(m)))
+    chunks = _face_chunks(space, geo, q or _default_q(space), 0)
+    return _symmetric(_scatter((dim, dim), (ch.gram(ch.basis(0), 0) for _, ch in chunks)))
 
 
 def assemble_normal_gram(space: TensorSpace, geo: GeometryMap, q: int | None = None) -> SparseSymMatrix:
     """K_d[i, j] = surface integral of dn(phi_i) dn(phi_j) over the boundary."""
-    if q is None:
-        q = max(f.degree for f in space.factors) + 1
     dim = space.dim
     if space.d == 1:
         m = np.zeros((dim, dim))
@@ -440,50 +394,15 @@ def assemble_normal_gram(space: TensorSpace, geo: GeometryMap, q: int | None = N
             v[first : first + len(ders[1])] = sign * ders[1] / jac
             m += np.outer(v, v)
         return SparseSymMatrix.from_dense(m)
-    rows, cols, vals = [], [], []
-    for axis, side in _faces(space.d):
-        loop = _FaceLoop(space, geo, axis, side, q, 1)
-        for el in loop.elements():
-            pts, w = loop.quad(el)
-            sj, normal, jinv = loop.surface(pts)
-            dn = loop.normal_derivative(el, jinv, normal)
-            a_el = np.einsum("q,qa,qb->ab", w * sj, dn, dn)
-            idx = loop.active(el)
-            rr, cc = np.meshgrid(idx, idx, indexing="ij")
-            rows.append(rr.ravel())
-            cols.append(cc.ravel())
-            vals.append(a_el.ravel())
-    m = scipy.sparse.coo_matrix(
-        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-        shape=(dim, dim),
-    ).tocsr()
-    return SparseSymMatrix(scipy.sparse.triu(_symmetrize(m)))
+    chunks = _face_chunks(space, geo, q or _default_q(space), 1)
+    return _symmetric(_scatter((dim, dim), (ch.gram(ch.normal_derivative(0), 0) for _, ch in chunks)))
 
 
 def assemble_trace_mass(trace: TraceSpace, geo: GeometryMap, q: int | None = None) -> SparseSymMatrix:
     """L2 Gram matrix of the per-face trace space on the mapped boundary."""
-    space = trace.volume_space
-    if q is None:
-        q = max(f.degree for f in space.factors) + 1
-    rows, cols, vals = [], [], []
-    for fi, (axis, side) in enumerate(trace.faces):
-        loop = _FaceLoop(space, geo, axis, side, q, 0)
-        off = trace.offsets[fi]
-        for el in loop.elements():
-            pts, w = loop.quad(el)
-            sj, _, _ = loop.surface(pts)
-            fvals = loop.free_basis(el)
-            a_el = np.einsum("q,qa,qb->ab", w * sj, fvals, fvals)
-            idx = off + loop.free_active(el)
-            rr, cc = np.meshgrid(idx, idx, indexing="ij")
-            rows.append(rr.ravel())
-            cols.append(cc.ravel())
-            vals.append(a_el.ravel())
-    m = scipy.sparse.coo_matrix(
-        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-        shape=(trace.dim, trace.dim),
-    ).tocsr()
-    return SparseSymMatrix(scipy.sparse.triu(_symmetrize(m)))
+    chunks = _face_chunks(trace.volume_space, geo, q or _default_q(trace.volume_space), 0)
+    blocks = (ch.gram(ch.basis(1), 1, trace.offsets[fi]) for fi, ch in chunks)
+    return _symmetric(_scatter((trace.dim, trace.dim), blocks))
 
 
 def assemble_normal_coupling(
@@ -492,28 +411,12 @@ def assemble_normal_coupling(
     """N[f, i] = surface integral of dn(phi_i) times a trace basis function."""
     if space is not trace.volume_space:
         _check_compatible(space, trace.volume_space)
-    if q is None:
-        q = max(f.degree for f in space.factors) + 1
-    rows, cols, vals = [], [], []
-    for fi, (axis, side) in enumerate(trace.faces):
-        loop = _FaceLoop(space, geo, axis, side, q, 1)
-        off = trace.offsets[fi]
-        for el in loop.elements():
-            pts, w = loop.quad(el)
-            sj, normal, jinv = loop.surface(pts)
-            dn = loop.normal_derivative(el, jinv, normal)
-            fvals = loop.free_basis(el)
-            a_el = np.einsum("q,qa,qb->ab", w * sj, fvals, dn)
-            fidx = off + loop.free_active(el)
-            vidx = loop.active(el)
-            rr, cc = np.meshgrid(fidx, vidx, indexing="ij")
-            rows.append(rr.ravel())
-            cols.append(cc.ravel())
-            vals.append(a_el.ravel())
-    return scipy.sparse.coo_matrix(
-        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-        shape=(trace.dim, space.dim),
-    ).tocsr()
+    chunks = _face_chunks(space, geo, q or _default_q(space), 1)
+    blocks = (
+        (trace.offsets[fi] + ch.active(1), ch.active(0), ch.integrate(ch.basis(1), ch.normal_derivative(0)))
+        for fi, ch in chunks
+    )
+    return _scatter((trace.dim, space.dim), blocks)
 
 
 def assemble_rhs_normal_data(
@@ -527,27 +430,22 @@ def assemble_rhs_normal_data(
     `data_gradient` maps physical points (npts, d) to gradients (npts, d) of
     the underlying scalar field whose normal derivative is the data.
     """
-    if q is None:
-        q = max(f.degree for f in space.factors) + 1
-    out = np.zeros(space.dim)
     if space.d == 1:
+        out = np.zeros(space.dim)
         for x, sign, jac, pts in _boundary_points_1d(space, geo):
             xphys = geo.value(pts)
             dval = sign * data_gradient(xphys)[0, 0]
             first, ders = space.factors[0].eval_basis(x, 1)
             out[first : first + len(ders[1])] += sign * ders[1] / jac * dval
         return out
-    for axis, side in _faces(space.d):
-        loop = _FaceLoop(space, geo, axis, side, q, 1)
-        for el in loop.elements():
-            pts, w = loop.quad(el)
-            sj, normal, jinv = loop.surface(pts)
-            dn = loop.normal_derivative(el, jinv, normal)
-            xphys = geo.value(pts)
-            dvals = np.einsum("qi,qi->q", data_gradient(xphys), normal)
-            contrib = np.einsum("q,qb->b", w * sj * dvals, dn)
-            np.add.at(out, loop.active(el), contrib)
-    return out
+
+    def blocks():
+        for _, ch in _face_chunks(space, geo, q or _default_q(space), 1):
+            grad = data_gradient(geo.value(ch.points)).reshape(ch.normal.shape)
+            dvals = np.einsum("nqi,nqi->nq", grad, ch.normal)
+            yield ch.active(0), ch.integrate(ch.normal_derivative(0), dvals[..., None])
+
+    return _scatter_vector(space.dim, blocks())
 
 
 def assemble_rhs_l2(
@@ -557,40 +455,22 @@ def assemble_rhs_l2(
     q: int | None = None,
 ) -> np.ndarray:
     """rhs[i] = volume integral of phi_i f(x) |det J|."""
-    if q is None:
-        q = max(f.degree for f in space.factors) + 1
-    data = _ElementData([space], geo, q, 0)
-    out = np.zeros(space.dim)
-    for el in data.elements():
-        pts, w = data.quad_points(el)
-        _, det, _, _ = _geometry_at(geo, pts, False)
-        nvals = data.basis(0, el, tuple([0] * space.d))
-        fvals = fn(geo.value(pts))
-        contrib = np.einsum("q,qb->b", w * det * fvals, nvals)
-        np.add.at(out, data.active(0, el), contrib)
-    return out
+
+    def blocks():
+        for ch in _Tabulation.volume([space], q or _default_q(space), 0).chunks(geo):
+            fvals = fn(geo.value(ch.points)).reshape(ch.dx.shape)
+            yield ch.active(0), ch.integrate(ch.basis(0), fvals[..., None])
+
+    return _scatter_vector(space.dim, blocks())
 
 
 def boundary_measure(space: TensorSpace, geo: GeometryMap, q: int = 8) -> float:
     """Total surface measure of the mapped boundary (quadrature oracle)."""
-    total = 0.0
     if space.d == 1:
         return 2.0
-    for axis, side in _faces(space.d):
-        loop = _FaceLoop(space, geo, axis, side, q, 0)
-        for el in loop.elements():
-            pts, w = loop.quad(el)
-            sj, _, _ = loop.surface(pts)
-            total += float(np.sum(w * sj))
-    return total
+    return float(sum(np.sum(ch.dx) for _, ch in _face_chunks(space, geo, q, 0)))
 
 
 def domain_measure(space: TensorSpace, geo: GeometryMap, q: int = 8) -> float:
     """Volume of the mapped domain (quadrature oracle)."""
-    data = _ElementData([space], geo, q, 0)
-    total = 0.0
-    for el in data.elements():
-        pts, w = data.quad_points(el)
-        _, det, _, _ = _geometry_at(geo, pts, False)
-        total += float(np.sum(w * det))
-    return total
+    return float(sum(np.sum(ch.dx) for ch in _Tabulation.volume([space], q, 0).chunks(geo)))

@@ -146,12 +146,7 @@ def solve_chol(f: CholeskyFactor, b: np.ndarray) -> np.ndarray:
         raise ValueError(f"rhs has dim {b.shape[0]}, factor has dim {f.dim}")
     pb = b[f.perm]
     if f.mode == "banded":
-        if pb.ndim == 1:
-            px = scipy.linalg.cho_solve_banded((f.data, False), pb)
-        else:
-            px = np.column_stack(
-                [scipy.linalg.cho_solve_banded((f.data, False), pb[:, j]) for j in range(pb.shape[1])]
-            )
+        px = scipy.linalg.cho_solve_banded((f.data, False), pb)
     else:
         px = scipy.linalg.cho_solve(f.data, pb)
     x = np.empty_like(px)

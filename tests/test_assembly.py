@@ -173,6 +173,65 @@ class TestBoundaryForms:
         with pytest.raises(asm.DegenerateGeometry):
             asm.assemble_mass(ts, geo)
 
+    @pytest.mark.parametrize("chunk_bytes", [1, 2**62])
+    @pytest.mark.parametrize("form", ["mass", "normal_gram", "trace_mass"])
+    def test_partial_fold_detected(self, monkeypatch, chunk_bytes, form):
+        # x = xi1 - 2 xi1^2 folds only for xi1 > 1/4: with one element per
+        # chunk the first chunks are regular and the fold comes later
+        monkeypatch.setattr(asm, "_CHUNK_BYTES", chunk_bytes)
+        comp_x = np.array([[0.0], [1.0], [-2.0]])
+        comp_y = np.array([[0.0, 1.0]])
+        geo = sp.GeometryMap([comp_x, comp_y])
+        ts = sp.tensor_space(2, 2, 2)
+        assemble = {
+            "mass": lambda: asm.assemble_mass(ts, geo),
+            "normal_gram": lambda: asm.assemble_normal_gram(ts, geo),
+            "trace_mass": lambda: asm.assemble_trace_mass(asm.TraceSpace(ts), geo),
+        }[form]
+        with pytest.raises(asm.DegenerateGeometry):
+            assemble()
+
+
+def _dense(m):
+    if isinstance(m, np.ndarray):
+        return m
+    return m.to_dense() if hasattr(m, "to_dense") else m.toarray()
+
+
+def _all_forms(ts, geo):
+    """Every public assembler on one space, as dense arrays."""
+    tr = asm.TraceSpace(ts)
+    out = {
+        "mass": asm.assemble_mass(ts, geo),
+        "laplacian": asm.assemble_laplacian_strong(ts, ts, geo),
+        "biharmonic": asm.assemble_biharmonic(ts, geo),
+        "stiffness": asm.assemble_stiffness(ts, geo),
+        "boundary_mass": asm.assemble_boundary_mass(ts, geo),
+        "normal_gram": asm.assemble_normal_gram(ts, geo),
+        "trace_mass": asm.assemble_trace_mass(tr, geo),
+        "normal_coupling": asm.assemble_normal_coupling(tr, ts, geo),
+        "rhs_normal_data": asm.assemble_rhs_normal_data(ts, geo, lambda x: np.cos(x) + x[:, ::-1] ** 2),
+        "rhs_l2": asm.assemble_rhs_l2(ts, geo, lambda x: np.sin(3 * x[:, 0]) + x[:, -1]),
+    }
+    return {name: _dense(m) for name, m in out.items()}
+
+
+class TestChunking:
+    @pytest.mark.parametrize("d,p,level,geo_name", [(2, 2, 2, "annulus_2d"), (3, 3, 1, "twisted_3d")])
+    def test_chunk_invariance(self, monkeypatch, d, p, level, geo_name):
+        # one element per chunk, three volume elements per chunk (a partial
+        # last chunk) and the whole mesh as one chunk all agree
+        ts = sp.tensor_space(d, p, level)
+        geo = sp.GEOMETRIES[geo_name](d)
+        monkeypatch.setattr(asm, "_CHUNK_BYTES", 2**62)
+        whole = _all_forms(ts, geo)
+        for budget in (1, 3 * 8 * (p + 1) ** (2 * d)):
+            monkeypatch.setattr(asm, "_CHUNK_BYTES", budget)
+            chunked = _all_forms(ts, geo)
+            for name, ref in whole.items():
+                rel = np.max(np.abs(chunked[name] - ref)) / np.max(np.abs(ref))
+                assert rel < 1e-13, (budget, name)
+
 
 class TestSpaceCompatibility:
     def test_mismatched_dimensions_rejected(self):

@@ -83,6 +83,21 @@ class TestCholesky:
         x = rng.standard_normal(n)
         assert np.allclose(sl.solve_chol(f, a @ x), x, atol=1e-8)
 
+    def test_banded_matrix_rhs(self):
+        # one banded solve on a block of right-hand sides equals the
+        # column-by-column solves and a dense solve
+        n = 200
+        main = np.full(n, 2.5)
+        off = np.full(n - 1, -1.0)
+        a = scipy.sparse.diags([off, main, off], [-1, 0, 1]).tocsr()
+        f = sl.cholesky(sl.SparseSymMatrix(scipy.sparse.triu(a)))
+        assert f.mode == "banded"
+        b = np.random.default_rng(3).standard_normal((n, 5))
+        x = sl.solve_chol(f, b)
+        by_column = np.column_stack([sl.solve_chol(f, b[:, j]) for j in range(b.shape[1])])
+        assert np.array_equal(x, by_column)
+        assert np.allclose(x, np.linalg.solve(a.toarray(), b), rtol=1e-12, atol=1e-12)
+
     def test_indefinite_raises(self):
         with pytest.raises(sl.NotPositiveDefinite):
             sl.cholesky(sl.SparseSymMatrix.from_dense(np.diag([1.0, -1.0])))
