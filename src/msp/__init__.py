@@ -43,7 +43,7 @@ from .problems import (
     exact_schur_precond,
     make_preconditioner,
 )
-from .run import run_table, solve_problem, problem_spectrum
+from .run import run_table, solve_problem
 
 __all__ = [
     "BoundSet",
@@ -77,5 +77,4 @@ __all__ = [
     "make_preconditioner",
     "run_table",
     "solve_problem",
-    "problem_spectrum",
 ]

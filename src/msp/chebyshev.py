@@ -75,25 +75,6 @@ def pbar_coefficients(j: int) -> np.ndarray:
     return out
 
 
-@dataclass(frozen=True)
-class PolyRecurrence:
-    """A member of the recurrence family in monomial form."""
-
-    degree: int
-    coefficients: np.ndarray  # ascending degree
-
-    @classmethod
-    def p(cls, j: int) -> "PolyRecurrence":
-        return cls(j, p_coefficients(j))
-
-    @classmethod
-    def pbar(cls, j: int) -> "PolyRecurrence":
-        return cls(j, pbar_coefficients(j))
-
-    def __call__(self, x: float) -> float:
-        return float(np.polynomial.polynomial.polyval(x, self.coefficients))
-
-
 def pbar_roots(j: int) -> np.ndarray:
     """All j roots of Pbar_j in descending order, from the closed form.
 
@@ -176,3 +157,29 @@ def q_matrix_norm(j: int) -> float:
     """Spectral norm of Q_j, computed as 1/min|eig| of its explicit inverse."""
     ev = np.linalg.eigvalsh(q_inverse_matrix(j))
     return 1.0 / np.min(np.abs(ev))
+
+
+CLOSED_FORM_TOL = 1e-12
+
+
+def closed_form_deviations() -> tuple[list[float], float]:
+    """Deviations of the computed quantities from their closed forms.
+
+    Returns the deviation of ||Q_j|| from 1 / (2 sin(pi / (2(2j+1)))) for
+    j = 1..10, and the largest violation of the epsilon-chain identities
+    and of eps_i >= 1 over n = 2..8.
+    """
+    q_devs = [
+        abs(q_matrix_norm(j) - 1.0 / (2.0 * np.sin(np.pi / (2.0 * (2 * j + 1)))))
+        for j in range(1, 11)
+    ]
+    eps_dev = 0.0
+    for n in range(2, 9):
+        eps = epsilon_sequence(n)
+        top = 2.0 * np.cos(np.pi / (2 * n + 1))
+        eps_dev = max(eps_dev, abs(1.0 + 1.0 / eps[0] - top))
+        for i in range(1, n - 1):
+            eps_dev = max(eps_dev, abs(eps[i - 1] + 1.0 / eps[i] - top))
+        if min(eps) < 1.0 - CLOSED_FORM_TOL:
+            eps_dev = max(eps_dev, 1.0 - min(eps))
+    return q_devs, eps_dev

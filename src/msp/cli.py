@@ -20,7 +20,7 @@ from .problems import (
     build_problem,
     make_preconditioner,
 )
-from .run import format_table, run_table, solve_problem
+from .run import format_table, run_table
 from .saddle import DENSE_MODE_LIMIT, spectrum, verify_sharpness
 from .sparselin import NotPositiveDefinite, write_matrix_market
 from .krylov import lanczos_extremes
@@ -43,26 +43,16 @@ def _parse_n_range(text: str) -> list[int]:
 
 def cmd_verify(args: argparse.Namespace) -> int:
     """Randomized sharpness/bound suites plus the closed-form polynomial checks."""
+    q_devs, eps_dev = chebyshev.closed_form_deviations()
     failed = False
-    for j in range(1, 11):
-        want = 1.0 / (2.0 * np.sin(np.pi / (2.0 * (2 * j + 1))))
-        dev = abs(chebyshev.q_matrix_norm(j) - want)
-        if dev > 1e-12:
+    for j, dev in enumerate(q_devs, start=1):
+        if dev > chebyshev.CLOSED_FORM_TOL:
             failed = True
             print(f"Q_{j} norm closed form: FAIL (dev {dev:.2e})")
     print("Q_j norms j=1..10: " + ("FAIL" if failed else "PASS (1e-12)"))
-    eps_bad = 0.0
-    for n in range(2, 9):
-        eps = chebyshev.epsilon_sequence(n)
-        top = 2.0 * np.cos(np.pi / (2 * n + 1))
-        eps_bad = max(eps_bad, abs(1.0 + 1.0 / eps[0] - top))
-        for i in range(1, n - 1):
-            eps_bad = max(eps_bad, abs(eps[i - 1] + 1.0 / eps[i] - top))
-        if min(eps) < 1.0 - 1e-12:
-            eps_bad = max(eps_bad, 1.0 - min(eps))
-    ok = eps_bad <= 1e-12
+    ok = eps_dev <= chebyshev.CLOSED_FORM_TOL
     failed = failed or not ok
-    print(f"epsilon-sequence identities n=2..8: {'PASS' if ok else 'FAIL'} (max dev {eps_bad:.2e})")
+    print(f"epsilon-sequence identities n=2..8: {'PASS' if ok else 'FAIL'} (max dev {eps_dev:.2e})")
 
     for n in args.n:
         rep = verify_sharpness(n, args.trials, args.seed)
@@ -79,16 +69,13 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 
 def _problem_config(args: argparse.Namespace, level: int, alpha: float) -> ProblemConfig:
-    geometry = args.geometry
-    if geometry is None:
-        geometry = "annulus_2d" if args.dim == 2 else "twisted_3d"
     return ProblemConfig(
         problem=args.problem,
         d=args.dim,
         p=args.degree,
         level=level,
         alpha=alpha,
-        geometry=geometry,
+        geometry=args.geometry,
     )
 
 
@@ -112,7 +99,6 @@ def cmd_table(args: argparse.Namespace) -> int:
     alphas = args.alphas or list(DEFAULT_ALPHAS)
     _check_scale(args, levels)
     variant = "exact_schur" if args.precond == "exact" else args.precond
-    geometry = args.geometry or ("annulus_2d" if args.dim == 2 else "twisted_3d")
     cells = run_table(
         args.problem,
         args.dim,
@@ -120,21 +106,18 @@ def cmd_table(args: argparse.Namespace) -> int:
         levels,
         alphas,
         variant,
-        geometry,
+        args.geometry,
         tol=args.tol,
         maxit=args.maxit,
     )
     if args.dump_residuals:
         os.makedirs(args.dump_residuals, exist_ok=True)
-        for level in levels:
-            for alpha in alphas:
-                prob = build_problem(_problem_config(args, level, alpha))
-                res = solve_problem(prob, make_preconditioner(prob, variant), tol=args.tol, maxit=args.maxit)
-                path = os.path.join(args.dump_residuals, f"residuals_l{level}_a{alpha:g}.csv")
-                with open(path, "w") as fh:
-                    fh.write("iteration,residual\n")
-                    for k, r in enumerate(res.residual_history):
-                        fh.write(f"{k},{r:.16e}\n")
+        for c in cells:
+            path = os.path.join(args.dump_residuals, f"residuals_l{c.level}_a{c.alpha:g}.csv")
+            with open(path, "w") as fh:
+                fh.write("iteration,residual\n")
+                for k, r in enumerate(c.residual_history):
+                    fh.write(f"{k},{r:.16e}\n")
     text = format_table(cells, "csv" if args.format == "csv" else "markdown")
     if args.out:
         with open(args.out, "w") as fh:
@@ -173,7 +156,7 @@ def cmd_spectrum(args: argparse.Namespace) -> int:
         )
         print(f"Ritz extremes: [{lo:.6f}, {hi:.6f}] (Lanczos estimate)")
         return EXIT_OK
-    rep = spectrum(prob.system, precond, dense_limit=DENSE_MODE_LIMIT)
+    rep = spectrum(prob.system, precond)
     print(f"problem={args.problem} level={level} alpha={alpha:g} precond={variant}")
     print(
         f"lambda in [{rep.eigenvalues.min():.6f}, {rep.eigenvalues.max():.6f}], "

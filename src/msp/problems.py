@@ -17,8 +17,8 @@ import numpy as np
 import scipy.sparse
 
 from . import assembly
-from .saddle import BlockTridiagSystem, SchurPreconditioner
-from .sparselin import SparseSymMatrix, cholesky, solve_chol
+from .saddle import BlockTridiagSystem, SchurPreconditioner, exact_schur
+from .sparselin import SparseSymMatrix
 from .splines import GEOMETRIES, GeometryMap, TensorSpace, tensor_space
 
 PROBLEM_IDS = (
@@ -29,6 +29,9 @@ PROBLEM_IDS = (
 )
 
 DEFAULT_ALPHAS = (1.0, 0.1, 0.01, 1e-3, 1e-5, 1e-7)
+
+# geometry used when a configuration names none, per dimension
+DEFAULT_GEOMETRY = {1: "identity", 2: "annulus_2d", 3: "twisted_3d"}
 
 _FREQS = (2.0 * np.pi, 4.0 * np.pi, 6.0 * np.pi)
 
@@ -70,13 +73,15 @@ class ProblemConfig:
     p: int = 2
     level: int = 3
     alpha: float = 1.0
-    geometry: str = "annulus_2d"
+    geometry: str | None = None  # None: DEFAULT_GEOMETRY[d]
 
     def __post_init__(self):
         if self.problem not in PROBLEM_IDS:
             raise ValueError(f"unknown problem {self.problem!r}")
         if self.d not in (1, 2, 3):
             raise ValueError("dimension must be 1, 2, or 3")
+        if self.geometry is None:
+            object.__setattr__(self, "geometry", DEFAULT_GEOMETRY[self.d])
         if self.alpha <= 0:
             raise ValueError("alpha must be positive")
         if self.problem == "boundary_control" and self.d != 2:
@@ -311,8 +316,9 @@ def exact_schur_precond(prob: AssembledProblem) -> SchurPreconditioner:
     """Exact Schur-complement preconditioner with a densified last block.
 
     The leading blocks of the practical preconditioner already equal the
-    exact Schur complements for all four problems; only the last block
-    S_n = A_n + B_{n-1} S_{n-1}^{-1} B_{n-1}' must be formed densely.
+    exact Schur complements for all four problems, so they and their factors
+    are reused; only the last block S_n = A_n + B_{n-1} S_{n-1}^{-1} B_{n-1}'
+    is formed densely.
     """
     cfg = prob.config
     cap = EXACT_SCHUR_DENSE_CAP.get(cfg.d, 0)
@@ -321,27 +327,8 @@ def exact_schur_precond(prob: AssembledProblem) -> SchurPreconditioner:
             f"level {cfg.level} exceeds the dense cap {cap} for d={cfg.d}; "
             "use the practical preconditioner"
         )
-    sys = prob.system
-    b_last = sys.B[-1].toarray()
-    # split columns of B_{n-1} over the preceding preconditioner blocks
-    x = np.empty_like(b_last.T)
-    prev = _prev_schur_blocks(prob)
-    off = 0
-    for blk in prev:
-        f = cholesky(blk)
-        x[off : off + blk.dim] = solve_chol(f, b_last.T[off : off + blk.dim])
-        off += blk.dim
-    last = sys.A[-1].to_dense() + b_last @ x
-    blocks = prob.practical.blocks[:-1] + [SparseSymMatrix.from_dense(0.5 * (last + last.T))]
-    return SchurPreconditioner(blocks)
-
-
-def _prev_schur_blocks(prob: AssembledProblem) -> list[SparseSymMatrix]:
-    """Preconditioner blocks spanning system block n-1 (one block for n = 3,
-    the combined pair for the n = 2 problems)."""
-    if prob.system.n == 3:
-        return [prob.practical.blocks[1]]
-    return prob.practical.blocks[:2]
+    lead = prob.practical
+    return exact_schur(prob.system, SchurPreconditioner(lead.blocks[:-1], lead.factors[:-1]))
 
 
 def make_preconditioner(prob: AssembledProblem, variant: str) -> SchurPreconditioner:

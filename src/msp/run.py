@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 from .krylov import SolveResult, minres_solve
 from .problems import AssembledProblem, ProblemConfig, build_problem, make_preconditioner
-from .saddle import SchurPreconditioner, SpectrumReport, assemble_full, spectrum
+from .saddle import SchurPreconditioner, assemble_full
 
 
 def solve_problem(
@@ -33,13 +33,6 @@ def solve_problem(
     )
 
 
-def problem_spectrum(
-    prob: AssembledProblem, precond: SchurPreconditioner, dense_limit: int = 4000
-) -> SpectrumReport:
-    """Dense generalized spectrum of the preconditioned optimality system."""
-    return spectrum(prob.system, precond, dense_limit=dense_limit)
-
-
 @dataclass
 class TableCell:
     level: int
@@ -47,6 +40,7 @@ class TableCell:
     dof: int
     iterations: int
     converged: bool
+    residual_history: list[float]
 
 
 def run_table(
@@ -56,7 +50,7 @@ def run_table(
     levels: list[int],
     alphas: list[float],
     precond_variant: str,
-    geometry: str,
+    geometry: str | None,
     tol: float = 1e-8,
     maxit: int = 500,
 ) -> list[TableCell]:
@@ -77,6 +71,7 @@ def run_table(
                     dof=prob.total_dim,
                     iterations=res.iterations,
                     converged=res.converged,
+                    residual_history=res.residual_history,
                 )
             )
     return cells

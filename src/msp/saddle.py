@@ -74,23 +74,27 @@ def assemble_full(sys: BlockTridiagSystem) -> SparseSymMatrix:
 
 
 class SchurPreconditioner:
-    """Block-diagonal SPD preconditioner with per-block Cholesky factors."""
+    """Block-diagonal SPD preconditioner with per-block Cholesky factors.
 
-    def __init__(self, blocks: list[SparseSymMatrix]):
+    Factors the caller already holds are passed in `factors` (one per block)
+    and used as they are; without them every block is factored here.
+    """
+
+    def __init__(
+        self, blocks: list[SparseSymMatrix], factors: list[CholeskyFactor] | None = None
+    ):
         self.blocks = blocks
-        self.factors: list[CholeskyFactor] = []
-        for i, blk in enumerate(blocks):
-            try:
-                self.factors.append(cholesky(blk))
-            except NotPositiveDefinite as exc:
-                raise NotPositiveDefinite(f"block {i + 1} is not SPD: {exc}") from exc
+        if factors is None:
+            factors = []
+            for i, blk in enumerate(blocks):
+                try:
+                    factors.append(cholesky(blk))
+                except NotPositiveDefinite as exc:
+                    raise NotPositiveDefinite(f"block {i + 1} is not SPD: {exc}") from exc
+        self.factors = factors
         self.block_dims = [b.dim for b in blocks]
         offs = np.concatenate([[0], np.cumsum(self.block_dims)])
         self._slices = [slice(int(offs[i]), int(offs[i + 1])) for i in range(len(blocks))]
-
-    @property
-    def total_dim(self) -> int:
-        return sum(self.block_dims)
 
     def apply(self, x: np.ndarray) -> np.ndarray:
         out = np.empty_like(x)
@@ -104,13 +108,6 @@ class SchurPreconditioner:
             out[s] = solve_chol(f, r[s])
         return out
 
-    def to_dense(self) -> np.ndarray:
-        return _block_diag_dense(self.blocks)
-
-    def to_sparse_sym(self) -> SparseSymMatrix:
-        full = scipy.sparse.block_diag([b.to_csr() for b in self.blocks], format="csr")
-        return SparseSymMatrix(scipy.sparse.triu(full))
-
 
 def _block_diag_dense(blocks: list[SparseSymMatrix]) -> np.ndarray:
     import scipy.linalg
@@ -118,15 +115,32 @@ def _block_diag_dense(blocks: list[SparseSymMatrix]) -> np.ndarray:
     return scipy.linalg.block_diag(*[b.to_dense() for b in blocks])
 
 
-def exact_schur(sys: BlockTridiagSystem) -> SchurPreconditioner:
+def exact_schur(
+    sys: BlockTridiagSystem, known: SchurPreconditioner | None = None
+) -> SchurPreconditioner:
     """Build the exact Schur-complement preconditioner by the dense recursion.
 
-    S_1 = A_1, S_{i+1} = A_{i+1} + B_i S_i^{-1} B_i'.  Any stage that fails
-    to be SPD raises NotPositiveDefinite naming the failing index.
+    S_1 = A_1, S_{i+1} = A_{i+1} + B_i S_i^{-1} B_i'.  `known` holds
+    S_1..S_k with their factors, which are reused as they are; its blocks
+    may split a system block (S_k^{-1} then acts block by block) but must
+    end on a system-block boundary.  The recursion continues densely from
+    S_{k+1}.  Any stage that fails to be SPD raises NotPositiveDefinite
+    naming the failing index.
     """
-    blocks: list[SparseSymMatrix] = []
-    s_dense = sys.A[0].to_dense()
-    for i in range(sys.n):
+    blocks = list(known.blocks) if known is not None else []
+    factors = list(known.factors) if known is not None else []
+    edges = [0, *np.cumsum([b.dim for b in blocks]).tolist()]
+    sys_edges = [0, *np.cumsum(sys.block_dims).tolist()]
+    k = sys_edges.index(edges[-1]) if edges[-1] in sys_edges else -1
+    if k < 0 or sys_edges[max(k - 1, 0)] not in edges:
+        raise ValueError("known Schur blocks must end on system-block boundaries")
+    for i in range(k, sys.n):
+        s_dense = sys.A[i].to_dense()
+        if i > 0:
+            b = sys.B[i - 1].toarray()
+            first = edges.index(sys_edges[i - 1])
+            s_inv = SchurPreconditioner(blocks[first:], factors[first:])
+            s_dense = s_dense + b @ s_inv.apply_inverse(b.T)
         s_dense = 0.5 * (s_dense + s_dense.T)
         blk = SparseSymMatrix.from_dense(s_dense)
         try:
@@ -134,10 +148,9 @@ def exact_schur(sys: BlockTridiagSystem) -> SchurPreconditioner:
         except NotPositiveDefinite as exc:
             raise NotPositiveDefinite(f"Schur complement S_{i + 1} is not SPD: {exc}") from exc
         blocks.append(blk)
-        if i < sys.n - 1:
-            b = sys.B[i].toarray()
-            s_dense = sys.A[i + 1].to_dense() + b @ solve_chol(f, b.T)
-    return SchurPreconditioner(blocks)
+        factors.append(f)
+        edges.append(edges[-1] + blk.dim)
+    return SchurPreconditioner(blocks, factors)
 
 
 @dataclass

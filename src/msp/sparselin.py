@@ -91,9 +91,6 @@ class CholeskyFactor:
     mode: str  # "banded" or "dense"
     data: object  # banded factor array or (dense factor, lower) pair
 
-    def solve(self, b: np.ndarray) -> np.ndarray:
-        return solve_chol(self, b)
-
 
 _PIVOT_RTOL = 1e-14
 

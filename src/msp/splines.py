@@ -98,7 +98,6 @@ class SplineSpace1D:
     def find_span(self, x: float) -> int:
         if not 0.0 <= x <= 1.0:
             raise ValueError("x must lie in [0, 1]")
-        p = self.degree
         if x >= self.knots[self.dim]:
             return self.dim - 1
         return int(np.searchsorted(self.knots, x, side="right")) - 1
@@ -166,9 +165,6 @@ class TensorSpace:
         self.d = len(factors)
         self.dims = tuple(f.dim for f in factors)
         self.dim = int(np.prod(self.dims))
-
-    def flat_index(self, multi: tuple[int, ...]) -> int:
-        return int(np.ravel_multi_index(multi, self.dims))
 
     def interior_indices(self) -> np.ndarray:
         """Indices of basis functions vanishing on the boundary.

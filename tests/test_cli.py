@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from msp.cli import EXIT_CONFIG, EXIT_OK, EXIT_VIOLATION, main
+from msp.krylov import minres_solve
 
 
 def run_cli(capsys, *argv):
@@ -62,7 +63,16 @@ class TestTable:
         assert dest.read_text().strip()
         assert out == ""
 
-    def test_dump_residuals(self, capsys, tmp_path):
+    def test_dump_residuals(self, capsys, tmp_path, monkeypatch):
+        import msp.run
+
+        calls = []
+
+        def counting_minres(*args, **kwargs):
+            calls.append(1)
+            return minres_solve(*args, **kwargs)
+
+        monkeypatch.setattr(msp.run, "minres_solve", counting_minres)
         dest = tmp_path / "hist"
         code, _, _ = run_cli(
             capsys,
@@ -70,12 +80,22 @@ class TestTable:
             "--dump-residuals", str(dest),
         )
         assert code == EXIT_OK
+        assert len(calls) == 1  # one solve per table cell
         files = os.listdir(dest)
         assert len(files) == 1
         lines = (dest / files[0]).read_text().splitlines()
         assert lines[0] == "iteration,residual"
         vals = [float(r.split(",")[1]) for r in lines[1:]]
         assert vals[-1] < vals[0]
+
+    def test_one_dimensional_default_geometry(self, capsys):
+        code, out, err = run_cli(
+            capsys,
+            "table", "--problem", "distributed_very_weak",
+            "--dim", "1", "--levels", "3", "--alphas", "1.0",
+        )
+        assert code == EXIT_OK, err
+        assert out.splitlines()[-1].split("|")[-2].strip() == "9"
 
     def test_large_gate(self, capsys):
         code, _, err = run_cli(

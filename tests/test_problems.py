@@ -2,11 +2,12 @@
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from msp import problems as pb
 from msp import run
 from msp.chebyshev import bounds
-from msp.saddle import spectrum
+from msp.saddle import exact_schur, spectrum
 from msp.sparselin import cholesky
 
 
@@ -32,6 +33,13 @@ class TestConfig:
     def test_boundary_control_is_2d_only(self):
         with pytest.raises(ValueError):
             pb.ProblemConfig(problem="boundary_control", d=3)
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_default_geometry_matches_dimension(self, d):
+        cfg = pb.ProblemConfig("boundary_observation", d=d, level=1)
+        assert cfg.geometry == pb.DEFAULT_GEOMETRY[d]
+        prob = pb.build_problem(cfg)
+        assert prob.ops.geo.d == d
 
     def test_all_ids_build(self):
         for pid in pb.PROBLEM_IDS:
@@ -72,7 +80,7 @@ class TestExactSchurSpectrum:
     def test_condition_within_bound(self, pid, alpha):
         prob = build(pid, d=2, p=2, level=3, alpha=alpha)
         precond = pb.exact_schur_precond(prob)
-        rep = run.problem_spectrum(prob, precond)
+        rep = spectrum(prob.system, precond)
         n = prob.system.n
         assert rep.within_bounds
         assert rep.cond <= bounds(n).cond_bound * (1 + 1e-8)
@@ -80,8 +88,27 @@ class TestExactSchurSpectrum:
     def test_two_block_condition_is_sharp_at_golden_bound(self):
         # the very-weak formulation attains the two-block bound (3+sqrt 5)/2
         prob = build("distributed_very_weak", d=2, p=2, level=3)
-        rep = run.problem_spectrum(prob, pb.exact_schur_precond(prob))
+        rep = spectrum(prob.system, pb.exact_schur_precond(prob))
         assert rep.cond == pytest.approx(bounds(2).cond_bound, rel=1e-6)
+
+    @pytest.mark.parametrize("pid", pb.PROBLEM_IDS)
+    @pytest.mark.parametrize("level", [2, 3])
+    @pytest.mark.parametrize("alpha", [1.0, 1e-2, 1e-5])
+    def test_matches_recursion_from_scratch(self, pid, level, alpha):
+        # the practical leading blocks are the exact Schur complements, so
+        # reusing them changes nothing against the dense recursion from S_1
+        prob = build(pid, d=2, p=2, level=level, alpha=alpha)
+        merged = pb.exact_schur_precond(prob)
+        scratch = exact_schur(prob.system)
+        got = scipy.linalg.block_diag(*[b.to_dense() for b in merged.blocks])
+        want = scipy.linalg.block_diag(*[b.to_dense() for b in scratch.blocks])
+        for s in prob.system.block_slices():
+            ref = np.max(np.abs(want[s, s]))
+            assert np.max(np.abs(got[s, s] - want[s, s])) <= 1e-12 * ref
+        n_lead = len(prob.practical.blocks) - 1
+        for i in range(n_lead):
+            assert merged.blocks[i] is prob.practical.blocks[i]
+            assert merged.factors[i] is prob.practical.factors[i]
 
     def test_level_cap_enforced(self):
         prob = build("distributed_very_weak", d=2, p=2, level=6)

@@ -121,7 +121,7 @@ class TestGeometry:
     def test_identity(self):
         for d in (1, 2, 3):
             geo = sp.identity_geometry(d)
-            assert geo.is_identity
+            assert geo.is_identity()
             pts = np.random.default_rng(0).uniform(0, 1, (5, d))
             assert np.allclose(geo.value(pts), pts)
             jac = geo.jacobian(pts)
@@ -180,4 +180,8 @@ class TestGeometry:
     def test_geometry_registry(self):
         assert set(sp.GEOMETRIES) >= {"identity", "annulus_2d", "twisted_3d"}
         geo = sp.GEOMETRIES["identity"](2)
-        assert geo.is_identity
+        assert geo.is_identity()
+
+    def test_mapped_geometries_are_not_identity(self):
+        assert not sp.annulus_2d().is_identity()
+        assert not sp.twisted_3d().is_identity()
