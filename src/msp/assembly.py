@@ -342,12 +342,11 @@ class TraceSpace:
 
     Each face of (0,1)^d carries the tensor product of the free-axis factor
     spaces; faces are independent (no continuity across edges), which is the
-    right discretization of L2 on the boundary.
+    right discretization of L2 on the boundary.  In 1D each face is a point
+    carrying one trace function.
     """
 
     def __init__(self, space: TensorSpace):
-        if space.d < 2:
-            raise ValueError("trace spaces need d >= 2")
         self.volume_space = space
         self.faces = [(axis, side) for axis in range(space.d) for side in (0, 1)]
         self.face_dims = []
@@ -358,27 +357,9 @@ class TraceSpace:
         self.dim = int(self.offsets[-1])
 
 
-def _boundary_points_1d(space: TensorSpace, geo: GeometryMap):
-    """The two boundary points of a 1D domain with outward normal signs."""
-    for x, sign in ((0.0, -1.0), (1.0, 1.0)):
-        pts = np.array([[x]])
-        jac = geo.jacobian(pts)[0, 0, 0]
-        if jac <= 0:
-            raise DegenerateGeometry("non-positive Jacobian in 1D")
-        yield x, sign, jac, pts
-
-
 def assemble_boundary_mass(space: TensorSpace, geo: GeometryMap, q: int | None = None) -> SparseSymMatrix:
     """Boundary mass M_d[i, j] = surface integral of phi_i phi_j over the boundary."""
     dim = space.dim
-    if space.d == 1:
-        m = np.zeros((dim, dim))
-        for x, _sign, _jac, _pts in _boundary_points_1d(space, geo):
-            first, ders = space.factors[0].eval_basis(x, 0)
-            v = np.zeros(dim)
-            v[first : first + len(ders[0])] = ders[0]
-            m += np.outer(v, v)
-        return SparseSymMatrix.from_dense(m)
     chunks = _face_chunks(space, geo, q or _default_q(space), 0)
     return _symmetric(_scatter((dim, dim), (ch.gram(ch.basis(0), 0) for _, ch in chunks)))
 
@@ -386,14 +367,6 @@ def assemble_boundary_mass(space: TensorSpace, geo: GeometryMap, q: int | None =
 def assemble_normal_gram(space: TensorSpace, geo: GeometryMap, q: int | None = None) -> SparseSymMatrix:
     """K_d[i, j] = surface integral of dn(phi_i) dn(phi_j) over the boundary."""
     dim = space.dim
-    if space.d == 1:
-        m = np.zeros((dim, dim))
-        for x, sign, jac, _pts in _boundary_points_1d(space, geo):
-            first, ders = space.factors[0].eval_basis(x, 1)
-            v = np.zeros(dim)
-            v[first : first + len(ders[1])] = sign * ders[1] / jac
-            m += np.outer(v, v)
-        return SparseSymMatrix.from_dense(m)
     chunks = _face_chunks(space, geo, q or _default_q(space), 1)
     return _symmetric(_scatter((dim, dim), (ch.gram(ch.normal_derivative(0), 0) for _, ch in chunks)))
 
@@ -430,14 +403,6 @@ def assemble_rhs_normal_data(
     `data_gradient` maps physical points (npts, d) to gradients (npts, d) of
     the underlying scalar field whose normal derivative is the data.
     """
-    if space.d == 1:
-        out = np.zeros(space.dim)
-        for x, sign, jac, pts in _boundary_points_1d(space, geo):
-            xphys = geo.value(pts)
-            dval = sign * data_gradient(xphys)[0, 0]
-            first, ders = space.factors[0].eval_basis(x, 1)
-            out[first : first + len(ders[1])] += sign * ders[1] / jac * dval
-        return out
 
     def blocks():
         for _, ch in _face_chunks(space, geo, q or _default_q(space), 1):
@@ -466,8 +431,6 @@ def assemble_rhs_l2(
 
 def boundary_measure(space: TensorSpace, geo: GeometryMap, q: int = 8) -> float:
     """Total surface measure of the mapped boundary (quadrature oracle)."""
-    if space.d == 1:
-        return 2.0
     return float(sum(np.sum(ch.dx) for _, ch in _face_chunks(space, geo, q, 0)))
 
 

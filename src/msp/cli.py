@@ -30,8 +30,9 @@ EXIT_VIOLATION = 1
 EXIT_CONFIG = 2
 EXIT_SOLVER = 3
 
-_LARGE_2D_LEVEL = 6
-_LARGE_3D_LEVEL = 4
+# Meshes of this many elements or more (2D level 6, 3D level 4, 1D level 12)
+# are beyond desk scale and need --large.
+_LARGE_ELEMENTS = 4096
 
 
 def _parse_n_range(text: str) -> list[int]:
@@ -80,18 +81,13 @@ def _problem_config(args: argparse.Namespace, level: int, alpha: float) -> Probl
 
 
 def _check_scale(args: argparse.Namespace, levels: list[int]) -> None:
-    cap = _LARGE_2D_LEVEL if args.dim == 2 else _LARGE_3D_LEVEL
-    big = [l for l in levels if l >= cap]
+    big = [l for l in levels if 2 ** (args.dim * l) >= _LARGE_ELEMENTS]
     if big and not args.large:
-        raise SystemExit2(
+        raise ValueError(
             f"levels {big} exceed the desk-scale defaults for d={args.dim}; rerun with --large"
         )
     if big and args.precond != "practical":
-        raise SystemExit2("--large runs support only the practical preconditioner")
-
-
-class SystemExit2(Exception):
-    """Configuration error surfaced as exit code 2."""
+        raise ValueError("--large runs support only the practical preconditioner")
 
 
 def cmd_table(args: argparse.Namespace) -> int:
@@ -134,7 +130,6 @@ def cmd_spectrum(args: argparse.Namespace) -> int:
     alpha = args.alphas[0] if args.alphas else 1.0
     prob = build_problem(_problem_config(args, level, alpha))
     variant = "exact_schur" if args.precond == "exact" else args.precond
-    precond = make_preconditioner(prob, variant)
     n = prob.system.n
     bound = chebyshev.bounds(n).cond_bound
     if prob.system.total_dim > DENSE_MODE_LIMIT and not args.lanczos:
@@ -143,6 +138,7 @@ def cmd_spectrum(args: argparse.Namespace) -> int:
             f"{DENSE_MODE_LIMIT}; rerun with --lanczos"
         )
         return EXIT_CONFIG
+    precond = make_preconditioner(prob, variant)
     if prob.system.total_dim > DENSE_MODE_LIMIT:
         from .saddle import assemble_full
 
@@ -232,7 +228,7 @@ def main(argv: list[str] | None = None) -> int:
     args = ap.parse_args(argv)
     try:
         return args.func(args)
-    except (SystemExit2, ValueError) as exc:
+    except ValueError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except NotPositiveDefinite as exc:

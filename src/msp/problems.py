@@ -221,22 +221,20 @@ def build_boundary_observation(cfg: ProblemConfig) -> AssembledProblem:
     return AssembledProblem(cfg, system, rhs, practical, ("f", "w", "u"), ops)
 
 
-def build_distributed(cfg: ProblemConfig, formulation: str | None = None) -> AssembledProblem:
+def build_distributed(cfg: ProblemConfig) -> AssembledProblem:
     """Distributed observation and control with the very-weak or strong state equation.
 
-    very_weak: n = 2 with the combined first block (u, f) and the smooth
-    zero-trace multiplier block; strong_reordered: n = 3 with unknowns
-    (f, w, u) and the state in the zero-trace space.
+    distributed_very_weak: n = 2 with the combined first block (u, f) and
+    the smooth zero-trace multiplier block; distributed_strong: n = 3 with
+    unknowns (f, w, u) and the state in the zero-trace space.
     """
-    if formulation is None:
-        formulation = "very_weak" if cfg.problem == "distributed_very_weak" else "strong_reordered"
     ops = get_operators(cfg.d, cfg.p, cfg.level, cfg.geometry)
     a = cfg.alpha
     m = ops.mass
     nw = m.dim
     nz = len(ops.interior)
     k_vw = ops.laplacian_int.T.tocsr()  # (dim Z, dim W): very-weak Laplacian rows
-    if formulation == "very_weak":
+    if cfg.problem == "distributed_very_weak":
         a1 = SparseSymMatrix(
             scipy.sparse.triu(
                 scipy.sparse.block_diag([m.to_csr(), a * m.to_csr()], format="csr")
@@ -250,7 +248,7 @@ def build_distributed(cfg: ProblemConfig, formulation: str | None = None) -> Ass
             [m, m.scaled(a), ops.mass_int.scaled(1.0 / a).add(ops.biharmonic_int)]
         )
         labels = ("u", "f", "w")
-    elif formulation == "strong_reordered":
+    else:
         k = ops.laplacian_int
         system = BlockTridiagSystem(
             A=[m.scaled(a), _zero_block(nw), ops.mass_int],
@@ -261,8 +259,6 @@ def build_distributed(cfg: ProblemConfig, formulation: str | None = None) -> Ass
             [m.scaled(a), m.scaled(1.0 / a), ops.mass_int.add(ops.biharmonic_int, a)]
         )
         labels = ("f", "w", "u")
-    else:
-        raise ValueError(f"unknown formulation {formulation!r}")
     return AssembledProblem(cfg, system, rhs, practical, labels, ops)
 
 
@@ -309,24 +305,14 @@ def build_problem(cfg: ProblemConfig) -> AssembledProblem:
     return build_distributed(cfg)
 
 
-EXACT_SCHUR_DENSE_CAP = {2: 5, 3: 3}  # max level per dimension
-
-
 def exact_schur_precond(prob: AssembledProblem) -> SchurPreconditioner:
     """Exact Schur-complement preconditioner with a densified last block.
 
     The leading blocks of the practical preconditioner already equal the
     exact Schur complements for all four problems, so they and their factors
     are reused; only the last block S_n = A_n + B_{n-1} S_{n-1}^{-1} B_{n-1}'
-    is formed densely.
+    is formed densely, and `exact_schur` refuses it above its dense limit.
     """
-    cfg = prob.config
-    cap = EXACT_SCHUR_DENSE_CAP.get(cfg.d, 0)
-    if cfg.level > cap:
-        raise ValueError(
-            f"level {cfg.level} exceeds the dense cap {cap} for d={cfg.d}; "
-            "use the practical preconditioner"
-        )
     lead = prob.practical
     return exact_schur(prob.system, SchurPreconditioner(lead.blocks[:-1], lead.factors[:-1]))
 

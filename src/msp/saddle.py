@@ -26,6 +26,9 @@ from .sparselin import (
     solve_chol,
 )
 
+# Largest order of a dense matrix: a densified Schur stage or a dense spectrum.
+DENSE_MODE_LIMIT = 2000
+
 
 class BlockTridiagSystem:
     """The n-block operator: diagonal blocks A_i (unsigned), couplings B_i.
@@ -124,8 +127,9 @@ def exact_schur(
     S_1..S_k with their factors, which are reused as they are; its blocks
     may split a system block (S_k^{-1} then acts block by block) but must
     end on a system-block boundary.  The recursion continues densely from
-    S_{k+1}.  Any stage that fails to be SPD raises NotPositiveDefinite
-    naming the failing index.
+    S_{k+1}.  A stage of order above DENSE_MODE_LIMIT raises ValueError
+    before it is densified; any stage that fails to be SPD raises
+    NotPositiveDefinite naming the failing index.
     """
     blocks = list(known.blocks) if known is not None else []
     factors = list(known.factors) if known is not None else []
@@ -135,6 +139,11 @@ def exact_schur(
     if k < 0 or sys_edges[max(k - 1, 0)] not in edges:
         raise ValueError("known Schur blocks must end on system-block boundaries")
     for i in range(k, sys.n):
+        if sys.block_dims[i] > DENSE_MODE_LIMIT:
+            raise ValueError(
+                f"Schur complement S_{i + 1} has order {sys.block_dims[i]}, above the dense "
+                f"limit {DENSE_MODE_LIMIT}; use the practical preconditioner"
+            )
         s_dense = sys.A[i].to_dense()
         if i > 0:
             b = sys.B[i - 1].toarray()
@@ -182,8 +191,6 @@ class SpectrumReport:
             indent=2,
         )
 
-
-DENSE_MODE_LIMIT = 2000
 
 _BOUND_SLACK = 1e-10
 

@@ -51,11 +51,8 @@ class SparseSymMatrix:
         return cls(upper)
 
     @classmethod
-    def from_dense(cls, a: np.ndarray, tol: float = 0.0) -> "SparseSymMatrix":
-        a = np.asarray(a, dtype=np.float64)
-        if tol:
-            a = np.where(np.abs(a) > tol, a, 0.0)
-        return cls(scipy.sparse.csr_matrix(np.triu(a)))
+    def from_dense(cls, a: np.ndarray) -> "SparseSymMatrix":
+        return cls(scipy.sparse.csr_matrix(np.triu(np.asarray(a, dtype=np.float64))))
 
     @property
     def dim(self) -> int:
@@ -95,7 +92,7 @@ class CholeskyFactor:
 _PIVOT_RTOL = 1e-14
 
 
-def cholesky(m: SparseSymMatrix, rcm: bool = True) -> CholeskyFactor:
+def cholesky(m: SparseSymMatrix) -> CholeskyFactor:
     """Factor an SPD matrix; raises NotPositiveDefinite on pivot failure.
 
     A pivot is rejected when it is below 1e-14 times the largest initial
@@ -106,10 +103,7 @@ def cholesky(m: SparseSymMatrix, rcm: bool = True) -> CholeskyFactor:
     n = m.dim
     if n == 0:
         return CholeskyFactor(0, np.arange(0), "dense", (np.zeros((0, 0)), True))
-    if rcm:
-        perm = np.asarray(reverse_cuthill_mckee(full, symmetric_mode=True))
-    else:
-        perm = np.arange(n)
+    perm = np.asarray(reverse_cuthill_mckee(full, symmetric_mode=True))
     pm = full[perm][:, perm].tocoo()
     bw = int(np.max(np.abs(pm.row - pm.col))) if pm.nnz else 0
     diag_max = float(np.max(np.abs(full.diagonal()))) if n else 0.0

@@ -110,6 +110,8 @@ class TestBoundaryForms:
         assert asm.boundary_measure(sq, sp.identity_geometry(2)) == pytest.approx(4.0, abs=1e-12)
         cube = sp.tensor_space(3, 2, 1)
         assert asm.boundary_measure(cube, sp.identity_geometry(3)) == pytest.approx(6.0, abs=1e-12)
+        line = sp.tensor_space(1, 2, 2)
+        assert asm.boundary_measure(line, sp.identity_geometry(1)) == pytest.approx(2.0, abs=1e-12)
 
     def test_domain_measures(self):
         sq = sp.tensor_space(2, 2, 2)
@@ -173,6 +175,26 @@ class TestBoundaryForms:
         with pytest.raises(asm.DegenerateGeometry):
             asm.assemble_mass(ts, geo)
 
+    @pytest.mark.parametrize("p", [1, 2, 3, 4])
+    @pytest.mark.parametrize("level", range(6))
+    def test_1d_boundary_forms(self, p, level):
+        # on (0,1) the boundary is two points with outward normals -1 and +1;
+        # the end basis functions have slopes -+s there, s = p / h
+        ts = space_1d(p, level)
+        geo = sp.identity_geometry(1)
+        s = p * 2.0**level
+        v_l, v_r, e_0, e_n = (np.zeros(ts.dim) for _ in range(4))
+        v_l[:2] = s, -s
+        v_r[-2:] = -s, s
+        e_0[0] = e_n[-1] = 1.0
+        kd = asm.assemble_normal_gram(ts, geo).to_dense()
+        assert np.max(np.abs(kd - np.outer(v_l, v_l) - np.outer(v_r, v_r))) <= 1e-13 * s**2
+        mb = asm.assemble_boundary_mass(ts, geo).to_dense()
+        assert np.max(np.abs(mb - np.outer(e_0, e_0) - np.outer(e_n, e_n))) <= 1e-13
+        # g = 3x: the normal data is -3 at x = 0 and +3 at x = 1
+        rhs = asm.assemble_rhs_normal_data(ts, geo, lambda x: np.full_like(x, 3.0))
+        assert np.max(np.abs(rhs - (3 * v_r - 3 * v_l))) <= 1e-13 * s
+
     @pytest.mark.parametrize("chunk_bytes", [1, 2**62])
     @pytest.mark.parametrize("form", ["mass", "normal_gram", "trace_mass"])
     def test_partial_fold_detected(self, monkeypatch, chunk_bytes, form):
@@ -217,7 +239,10 @@ def _all_forms(ts, geo):
 
 
 class TestChunking:
-    @pytest.mark.parametrize("d,p,level,geo_name", [(2, 2, 2, "annulus_2d"), (3, 3, 1, "twisted_3d")])
+    @pytest.mark.parametrize(
+        "d,p,level,geo_name",
+        [(1, 3, 3, "identity"), (2, 2, 2, "annulus_2d"), (3, 3, 1, "twisted_3d")],
+    )
     def test_chunk_invariance(self, monkeypatch, d, p, level, geo_name):
         # one element per chunk, three volume elements per chunk (a partial
         # last chunk) and the whole mesh as one chunk all agree

@@ -1,12 +1,14 @@
 """Command-line interface: exit codes, output formats, file artifacts."""
 
 import os
+import re
 
 import numpy as np
 import pytest
 
 from msp.cli import EXIT_CONFIG, EXIT_OK, EXIT_VIOLATION, main
 from msp.krylov import minres_solve
+from msp.problems import make_preconditioner
 
 
 def run_cli(capsys, *argv):
@@ -106,6 +108,25 @@ class TestTable:
         assert code == EXIT_CONFIG
         assert "--large" in err
 
+    def test_one_dimensional_desk_scale(self, capsys):
+        # 1D level 4 has 16 elements, far below the --large threshold
+        code, _, err = run_cli(
+            capsys,
+            "table", "--problem", "distributed_very_weak",
+            "--dim", "1", "--levels", "4", "--alphas", "1.0",
+        )
+        assert code == EXIT_OK, err
+
+    @pytest.mark.parametrize("dim,level", [(1, 12), (3, 4)])
+    def test_large_gate_counts_elements(self, capsys, dim, level):
+        code, _, err = run_cli(
+            capsys,
+            "table", "--problem", "distributed_very_weak",
+            "--dim", str(dim), "--levels", str(level), "--alphas", "1.0",
+        )
+        assert code == EXIT_CONFIG
+        assert "--large" in err
+
     def test_exact_precond_beyond_dense_cap(self, capsys):
         code, _, err = run_cli(
             capsys,
@@ -145,6 +166,38 @@ class TestSpectrum:
         )
         assert code == EXIT_CONFIG
         assert "--lanczos" in out
+
+    def test_dense_cap_checked_before_preconditioner(self, capsys, monkeypatch):
+        import msp.cli
+
+        calls = []
+
+        def counting_make_preconditioner(*args, **kwargs):
+            calls.append(1)
+            return make_preconditioner(*args, **kwargs)
+
+        monkeypatch.setattr(msp.cli, "make_preconditioner", counting_make_preconditioner)
+        code, out, _ = run_cli(
+            capsys,
+            "spectrum", "--problem", "distributed_strong",
+            "--levels", "5", "--precond", "exact",
+        )
+        assert code == EXIT_CONFIG
+        assert "--lanczos" in out
+        assert calls == []
+
+    @pytest.mark.parametrize(
+        "problem", ["distributed_very_weak", "distributed_strong", "boundary_observation"]
+    )
+    def test_one_dimensional_exact_within_bound(self, capsys, problem):
+        code, out, err = run_cli(
+            capsys,
+            "spectrum", "--problem", problem,
+            "--dim", "1", "--levels", "3", "--precond", "exact",
+        )
+        assert code == EXIT_OK, err
+        kappa, bound = re.search(r"kappa = (\S+)  \(bound for n=\d: (\S+)\)", out).groups()
+        assert float(kappa) <= float(bound)
 
     def test_lanczos_path(self, capsys):
         code, out, _ = run_cli(

@@ -107,6 +107,26 @@ class TestSchurRecursion:
         with pytest.raises(ValueError):
             sd.exact_schur(sys, known)
 
+    def test_dense_limit_refused_before_densifying(self, monkeypatch):
+        # S_2 of order DENSE_MODE_LIMIT + 1 is refused; S_1 alone is densified
+        big = sd.DENSE_MODE_LIMIT + 1
+        sys = sd.BlockTridiagSystem(
+            [SparseSymMatrix(scipy.sparse.identity(2, format="csr")),
+             SparseSymMatrix(scipy.sparse.csr_matrix((big, big)))],
+            [scipy.sparse.csr_matrix((big, 2))],
+        )
+        densified = []
+        to_dense = SparseSymMatrix.to_dense
+
+        def counting_to_dense(m):
+            densified.append(m.dim)
+            return to_dense(m)
+
+        monkeypatch.setattr(SparseSymMatrix, "to_dense", counting_to_dense)
+        with pytest.raises(ValueError, match=rf"S_2 has order {big}.*practical"):
+            sd.exact_schur(sys)
+        assert densified == [2]
+
     def test_singular_first_block_reported(self):
         sys = dense_system([np.zeros((2, 2)), np.eye(2)], [np.eye(2)])
         with pytest.raises(NotPositiveDefinite):
