@@ -257,7 +257,7 @@ def _scatter_vector(dim: int, blocks) -> np.ndarray:
 
 
 def _symmetric(m: scipy.sparse.csr_matrix) -> SparseSymMatrix:
-    return SparseSymMatrix(scipy.sparse.triu(((m + m.T) * 0.5).tocsr()))
+    return SparseSymMatrix((m + m.T) * 0.5)
 
 
 _KINDS = ("value", "laplacian", "neg_laplacian")

@@ -144,8 +144,7 @@ class DiscreteOperators:
     # restricted operators (zero-trace state space)
 
     def restrict_sym(self, m: SparseSymMatrix) -> SparseSymMatrix:
-        sub = m.to_csr()[self.interior][:, self.interior]
-        return SparseSymMatrix(scipy.sparse.triu(sub))
+        return SparseSymMatrix(m.to_csr()[self.interior][:, self.interior])
 
     @cached_property
     def laplacian_int(self) -> scipy.sparse.csr_matrix:
@@ -235,11 +234,7 @@ def build_distributed(cfg: ProblemConfig) -> AssembledProblem:
     nz = len(ops.interior)
     k_vw = ops.laplacian_int.T.tocsr()  # (dim Z, dim W): very-weak Laplacian rows
     if cfg.problem == "distributed_very_weak":
-        a1 = SparseSymMatrix(
-            scipy.sparse.triu(
-                scipy.sparse.block_diag([m.to_csr(), a * m.to_csr()], format="csr")
-            )
-        )
+        a1 = SparseSymMatrix(scipy.sparse.block_diag([m.to_csr(), a * m.to_csr()]))
         m_c = m.to_csr()[ops.interior, :]
         b1 = scipy.sparse.hstack([k_vw, m_c], format="csr")
         system = BlockTridiagSystem(A=[a1, _zero_block(nz)], B=[b1])
@@ -277,13 +272,7 @@ def build_boundary_control(cfg: ProblemConfig) -> AssembledProblem:
     nz = len(ops.interior)
     k_vw = ops.laplacian_int.T.tocsr()
     n_t = ops.normal_coupling[:, ops.interior].T.tocsr()  # (dim Z, dim F)
-    a1 = SparseSymMatrix(
-        scipy.sparse.triu(
-            scipy.sparse.block_diag(
-                [m.to_csr(), a * ops.trace_mass.to_csr()], format="csr"
-            )
-        )
-    )
+    a1 = SparseSymMatrix(scipy.sparse.block_diag([m.to_csr(), a * ops.trace_mass.to_csr()]))
     b1 = scipy.sparse.hstack([k_vw, n_t], format="csr")
     system = BlockTridiagSystem(A=[a1, _zero_block(nz)], B=[b1])
     rhs = np.concatenate([ops.rhs_l2_data, np.zeros(ops.trace_space.dim + nz)])

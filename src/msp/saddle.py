@@ -14,6 +14,7 @@ import json
 from dataclasses import dataclass, field
 
 import numpy as np
+import scipy.linalg
 import scipy.sparse
 
 from .chebyshev import BoundSet, bounds, pbar_roots, smallest_abs_root
@@ -72,8 +73,7 @@ def assemble_full(sys: BlockTridiagSystem) -> SparseSymMatrix:
     for i, b in enumerate(sys.B):
         grid[i + 1][i] = b
         grid[i][i + 1] = b.T
-    full = scipy.sparse.bmat(grid, format="csr")
-    return SparseSymMatrix(scipy.sparse.triu(full))
+    return SparseSymMatrix(scipy.sparse.bmat(grid, format="csr"))
 
 
 class SchurPreconditioner:
@@ -113,8 +113,6 @@ class SchurPreconditioner:
 
 
 def _block_diag_dense(blocks: list[SparseSymMatrix]) -> np.ndarray:
-    import scipy.linalg
-
     return scipy.linalg.block_diag(*[b.to_dense() for b in blocks])
 
 
@@ -192,7 +190,8 @@ class SpectrumReport:
         )
 
 
-_BOUND_SLACK = 1e-10
+# Relative slack on the closed-form bounds when a computed spectrum is judged.
+BOUND_SLACK = 1e-10
 
 
 def spectrum(
@@ -203,16 +202,11 @@ def spectrum(
     """Dense generalized eigenvalues of the preconditioned operator."""
     if sys.total_dim > dense_limit:
         raise ValueError(f"total dim {sys.total_dim} exceeds dense-mode limit {dense_limit}")
-    ev = gen_sym_eig(assemble_full(sys).to_dense(), _block_diag_dense(precond.blocks))
-    return spectrum_report_from_eigenvalues(ev, sys.n)
-
-
-def spectrum_report_from_eigenvalues(ev: np.ndarray, n: int) -> SpectrumReport:
-    ev = np.sort(np.asarray(ev))
+    ev = np.sort(gen_sym_eig(assemble_full(sys).to_dense(), _block_diag_dense(precond.blocks)))
     nrm = float(np.max(np.abs(ev)))
     inv = float(1.0 / np.min(np.abs(ev)))
-    bs = bounds(n)
-    within = nrm <= bs.norm_bound * (1 + _BOUND_SLACK) and inv <= bs.inv_norm_bound * (1 + _BOUND_SLACK)
+    bs = bounds(sys.n)
+    within = nrm <= bs.norm_bound * (1 + BOUND_SLACK) and inv <= bs.inv_norm_bound * (1 + BOUND_SLACK)
     return SpectrumReport(
         eigenvalues=ev,
         norm=nrm,

@@ -1,9 +1,11 @@
 """Symmetric sparse storage, Cholesky solves, and dense symmetric eigensolvers.
 
-Thin, contract-carrying layer over scipy/LAPACK.  Matrices assembled by the
-FEM layer are stored upper-triangle only; factorization permutes with
-reverse Cuthill-McKee and runs a banded Cholesky when the band is narrow,
-falling back to a dense factorization otherwise.
+Thin, contract-carrying layer over scipy/LAPACK.  A symmetric matrix is
+stored as its full CSR in canonical form (duplicates summed, column indices
+sorted, no explicit zeros); producers hand over the full matrix and the
+constructor checks that it is exactly symmetric.  Factorization permutes
+with reverse Cuthill-McKee and runs a banded Cholesky when the band is
+narrow, falling back to a dense factorization otherwise.
 """
 
 from __future__ import annotations
@@ -22,25 +24,25 @@ class NotPositiveDefinite(Exception):
 
 
 class SparseSymMatrix:
-    """Sparse symmetric matrix storing only the upper triangle in CSR form."""
+    """Sparse symmetric matrix stored as its full canonical CSR."""
 
-    def __init__(self, upper: scipy.sparse.csr_matrix):
-        upper = scipy.sparse.csr_matrix(upper)
-        if upper.shape[0] != upper.shape[1]:
+    def __init__(self, a):
+        """Store a copy of the full matrix `a`; ValueError unless square and exactly symmetric."""
+        full = scipy.sparse.csr_matrix(a, copy=True)
+        if full.shape[0] != full.shape[1]:
             raise ValueError("matrix must be square")
-        if scipy.sparse.tril(upper, k=-1).nnz:
-            raise ValueError("input must be upper triangular")
-        upper.sum_duplicates()
-        self.upper = upper
-        strict = scipy.sparse.triu(upper, k=1)
-        self._full = (upper + strict.T).tocsr()
+        full.sum_duplicates()
+        full.eliminate_zeros()
+        if (full != full.T).nnz:
+            raise ValueError("matrix must be symmetric")
+        self._full = full
 
     @classmethod
     def from_triplets(cls, dim: int, rows, cols, vals) -> "SparseSymMatrix":
         """Assemble from coordinate triplets; duplicates are summed.
 
-        Entries may be given in either triangle (symmetrically redundant
-        lower-triangle entries are folded onto the upper triangle).
+        Entries may be given in either triangle: each off-diagonal entry
+        (i, j, v) adds v at both (i, j) and (j, i).
         """
         rows = np.asarray(rows, dtype=np.int64)
         cols = np.asarray(cols, dtype=np.int64)
@@ -48,35 +50,33 @@ class SparseSymMatrix:
         r = np.minimum(rows, cols)
         c = np.maximum(rows, cols)
         upper = scipy.sparse.coo_matrix((vals, (r, c)), shape=(dim, dim)).tocsr()
-        return cls(upper)
+        return cls(upper + scipy.sparse.triu(upper, k=1).T)
 
     @classmethod
     def from_dense(cls, a: np.ndarray) -> "SparseSymMatrix":
-        return cls(scipy.sparse.csr_matrix(np.triu(np.asarray(a, dtype=np.float64))))
+        """The symmetric matrix with the upper triangle of the array `a` (its lower one is ignored)."""
+        a = np.asarray(a, dtype=np.float64)
+        return cls(scipy.sparse.csr_matrix(np.triu(a) + np.triu(a, k=1).T))
 
     @property
     def dim(self) -> int:
-        return self.upper.shape[0]
-
-    @property
-    def nnz(self) -> int:
-        return self.upper.nnz
+        return self._full.shape[0]
 
     def matvec(self, x: np.ndarray) -> np.ndarray:
         return self._full @ x
 
     def to_csr(self) -> scipy.sparse.csr_matrix:
-        """Full (symmetrized) CSR representation."""
+        """The stored full canonical CSR (shared, not copied)."""
         return self._full
 
     def to_dense(self) -> np.ndarray:
         return self._full.toarray()
 
     def scaled(self, alpha: float) -> "SparseSymMatrix":
-        return SparseSymMatrix(self.upper * alpha)
+        return SparseSymMatrix(self._full * alpha)
 
     def add(self, other: "SparseSymMatrix", beta: float = 1.0) -> "SparseSymMatrix":
-        return SparseSymMatrix(self.upper + beta * other.upper)
+        return SparseSymMatrix(self._full + beta * other._full)
 
 
 @dataclass
@@ -178,5 +178,5 @@ def write_matrix_market(m: SparseSymMatrix, path) -> None:
 
 
 def read_matrix_market(path) -> SparseSymMatrix:
-    full = scipy.sparse.csr_matrix(scipy.io.mmread(path))
-    return SparseSymMatrix(scipy.sparse.triu(full))
+    """Import a Matrix Market file; raises ValueError unless it is symmetric."""
+    return SparseSymMatrix(scipy.io.mmread(path))

@@ -7,7 +7,7 @@ import scipy.linalg
 from msp import problems as pb
 from msp import run
 from msp.chebyshev import bounds
-from msp.saddle import exact_schur, spectrum
+from msp.saddle import assemble_full, exact_schur, spectrum
 from msp.sparselin import cholesky
 
 
@@ -72,6 +72,20 @@ class TestDimensions:
             assert prob.system.n == 3
             n_int = len(prob.ops.interior)
             assert prob.system.A[2].dim == n_int
+
+
+class TestSymmetricStorage:
+    # RCM ordering and the band width read the stored CSR structure, so every
+    # symmetric operator is kept canonical, zero-free and exactly symmetric
+    @pytest.mark.parametrize("pid", pb.PROBLEM_IDS)
+    def test_blocks_are_canonical_and_symmetric(self, pid):
+        prob = build(pid, d=2, p=2, level=2, alpha=1e-3)
+        mats = [*prob.system.A, *prob.practical.blocks, assemble_full(prob.system)]
+        for m in mats:
+            c = m.to_csr()
+            assert c.has_canonical_format
+            assert np.all(c.data != 0)
+            assert (c != c.T).nnz == 0
 
 
 class TestExactSchurSpectrum:

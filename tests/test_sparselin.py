@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+import scipy.io
 import scipy.sparse
 
 from msp import sparselin as sl
@@ -55,6 +56,42 @@ class TestSparseSymMatrix:
         assert np.allclose(ma.scaled(2.5).to_dense(), 2.5 * a)
         assert np.allclose(ma.add(mb, 0.75).to_dense(), a + 0.75 * b)
 
+    def test_non_square_rejected(self):
+        with pytest.raises(ValueError, match="square"):
+            sl.SparseSymMatrix(scipy.sparse.csr_matrix(np.ones((2, 3))))
+
+    @pytest.mark.parametrize(
+        "a",
+        [
+            [[1.0, 2.0], [0.0, 1.0]],  # an upper triangle alone is not the matrix
+            [[1.0, 2.0], [2.0 + 1e-15, 1.0]],  # symmetry is checked exactly
+        ],
+    )
+    def test_non_symmetric_rejected(self, a):
+        with pytest.raises(ValueError, match="symmetric"):
+            sl.SparseSymMatrix(scipy.sparse.csr_matrix(np.array(a)))
+
+    def test_canonical_storage_leaves_input_untouched(self):
+        # row 0 holds (0, 1) twice and an explicit zero at (0, 0), unsorted
+        data = np.array([1.0, 0.0, 2.0, 3.0, 5.0])
+        indices = np.array([1, 0, 1, 0, 1], dtype=np.int32)
+        indptr = np.array([0, 3, 5], dtype=np.int32)
+        a = scipy.sparse.csr_matrix((data, indices, indptr), shape=(2, 2))
+        before = [arr.copy() for arr in (a.data, a.indices, a.indptr)]
+        full = sl.SparseSymMatrix(a).to_csr()
+        assert full.data.tolist() == [3.0, 3.0, 5.0]
+        assert full.indices.tolist() == [1, 0, 1]
+        assert full.indptr.tolist() == [0, 1, 3]
+        for arr, old in zip((a.data, a.indices, a.indptr), before):
+            assert np.array_equal(arr, old)
+
+    def test_scaled_and_add_exactly_symmetric(self):
+        ma = sl.SparseSymMatrix.from_dense(random_spd(6, seed=5))
+        mb = sl.SparseSymMatrix.from_dense(random_spd(6, seed=6))
+        for m in (ma.scaled(1.0 / 3.0), ma.add(mb, 0.7)):
+            c = m.to_csr()
+            assert (c != c.T).nnz == 0
+
 
 class TestCholesky:
     @pytest.mark.parametrize("n", [1, 5, 40])
@@ -77,7 +114,7 @@ class TestCholesky:
         main = np.full(n, 2.0)
         off = np.full(n - 1, -1.0)
         a = scipy.sparse.diags([off, main, off], [-1, 0, 1]).tocsr()
-        m = sl.SparseSymMatrix(scipy.sparse.triu(a))
+        m = sl.SparseSymMatrix(a)
         f = sl.cholesky(m)
         rng = np.random.default_rng(0)
         x = rng.standard_normal(n)
@@ -90,7 +127,7 @@ class TestCholesky:
         main = np.full(n, 2.5)
         off = np.full(n - 1, -1.0)
         a = scipy.sparse.diags([off, main, off], [-1, 0, 1]).tocsr()
-        f = sl.cholesky(sl.SparseSymMatrix(scipy.sparse.triu(a)))
+        f = sl.cholesky(sl.SparseSymMatrix(a))
         assert f.mode == "banded"
         b = np.random.default_rng(3).standard_normal((n, 5))
         x = sl.solve_chol(f, b)
@@ -139,3 +176,10 @@ class TestMatrixMarket:
         sl.write_matrix_market(m, path)
         back = sl.read_matrix_market(path)
         assert np.allclose(back.to_dense(), a, atol=1e-12)
+
+    def test_general_file_rejected(self, tmp_path):
+        path = tmp_path / "g.mtx"
+        scipy.io.mmwrite(path, scipy.sparse.coo_matrix(np.array([[2.0, 1.0], [0.0, 3.0]])))
+        assert "general" in path.read_text().splitlines()[0]
+        with pytest.raises(ValueError, match="symmetric"):
+            sl.read_matrix_market(path)
