@@ -34,7 +34,6 @@ from .sparselin import (
     cholesky,
     gen_sym_eig,
     solve_chol,
-    sym_eig_dense,
 )
 from .problems import (
     AssembledProblem,
@@ -69,7 +68,6 @@ __all__ = [
     "cholesky",
     "gen_sym_eig",
     "solve_chol",
-    "sym_eig_dense",
     "AssembledProblem",
     "ProblemConfig",
     "build_problem",

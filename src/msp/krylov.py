@@ -41,7 +41,8 @@ def minres_solve(
     `apply_a` must be symmetric and `apply_prec_inv` the application of the
     inverse of an SPD matrix.  A Lanczos beta underflow terminates the
     iteration early (exact convergence or a lucky breakdown) and is reported
-    through `breakdown_at`.
+    through `breakdown_at`.  A right-hand side holding a NaN or an inf
+    raises ValueError.
 
     `stop` selects the convergence test: "energy" (default) stops when the
     monitored norm sqrt(r_k' P^{-1} r_k) drops below tol times its initial
@@ -54,6 +55,8 @@ def minres_solve(
     if stop not in ("energy", "euclidean"):
         raise ValueError("stop must be 'energy' or 'euclidean'")
     b = np.asarray(b, dtype=np.float64)
+    if not np.all(np.isfinite(b)):
+        raise ValueError("right-hand side holds a NaN or an inf")
     n = b.shape[0]
     x = np.zeros(n)
 

@@ -39,6 +39,10 @@ class TestBasics:
         with pytest.raises(ValueError):
             minres_solve(identity, identity, np.ones(2), tol=2.0)
 
+    def test_non_finite_rhs_rejected(self):
+        with pytest.raises(ValueError, match="NaN"):
+            minres_solve(identity, identity, np.array([1.0, np.nan, 2.0]))
+
     def test_unknown_stop_mode_rejected(self):
         with pytest.raises(ValueError):
             minres_solve(identity, identity, np.ones(2), stop="nonsense")
