@@ -140,11 +140,8 @@ def cmd_spectrum(args: argparse.Namespace) -> int:
         return EXIT_CONFIG
     precond = make_preconditioner(prob, variant)
     if prob.system.total_dim > DENSE_MODE_LIMIT:
-        from .saddle import assemble_full
-
-        full = assemble_full(prob.system).to_csr()
         lo, hi = lanczos_extremes(
-            lambda v: precond.apply_inverse(full @ v),
+            lambda v: precond.apply_inverse(prob.system.apply(v)),
             lambda u, v: float(u @ precond.apply(v)),
             prob.system.total_dim,
             steps=min(200, prob.system.total_dim),

@@ -16,7 +16,8 @@ import numpy as np
 
 Operator = Callable[[np.ndarray], np.ndarray]
 
-_BREAKDOWN_TOL = 1e-30
+_BREAKDOWN_TOL = 1e-30  # Lanczos extremes: the basis is normalized
+_BREAKDOWN_RTOL = 10 * np.finfo(float).eps  # MINRES: relative to the Lanczos norm estimate
 
 
 @dataclass
@@ -39,15 +40,23 @@ def minres_solve(
     """Solve A x = b with MINRES preconditioned by an SPD operator inverse.
 
     `apply_a` must be symmetric and `apply_prec_inv` the application of the
-    inverse of an SPD matrix.  A Lanczos beta underflow terminates the
-    iteration early (exact convergence or a lucky breakdown) and is reported
-    through `breakdown_at`.  A right-hand side holding a NaN or an inf
-    raises ValueError.
+    inverse of an SPD matrix.  A Lanczos beta below 10 eps times the largest
+    Lanczos coefficient seen so far (an estimate of the preconditioned
+    operator's norm, so the test does not depend on the scale of b or of
+    the operator) terminates the iteration early (exact convergence or a
+    lucky breakdown) and is reported through `breakdown_at`.  A right-hand
+    side holding a NaN or an inf raises ValueError.
 
     `stop` selects the convergence test: "energy" (default) stops when the
     monitored norm sqrt(r_k' P^{-1} r_k) drops below tol times its initial
     value; "euclidean" stops on the plain residual norm ||b - A x_k|| <=
-    tol ||b||, at the cost of one extra operator application per iteration.
+    tol ||b||.  The Euclidean residual is updated by the recurrence
+    r_k = r_{k-1} - phi_k A w_k, where A w_k follows the same three-term
+    recurrence as w_k from the A v_k the Lanczos step computes anyway, so
+    each iteration applies the operator once.  When the updated residual
+    passes the test, one true residual b - A x_k confirms it (Greenbaum,
+    SIAM J. Matrix Anal. Appl. 18(3), 1997); if the confirmation fails,
+    the true residual replaces the updated one and the iteration goes on.
     The reported residual_history always holds the energy-norm values.
     """
     if not 0.0 < tol < 1.0:
@@ -71,6 +80,7 @@ def minres_solve(
     if beta1 == 0.0:
         return SolveResult(x, 0, [0.0], True)
 
+    euclidean = stop == "euclidean"
     oldb = 0.0
     beta = beta1
     dbar = 0.0
@@ -78,8 +88,13 @@ def minres_solve(
     phibar = beta1
     cs = -1.0
     sn = 0.0
+    anorm = 0.0
     w = np.zeros(n)
     w2 = np.zeros(n)
+    if euclidean:
+        r = b
+        aw = np.zeros(n)
+        aw2 = np.zeros(n)
     r2 = r1
     converged = False
     breakdown_at = None
@@ -89,9 +104,8 @@ def minres_solve(
         itn += 1
         s = 1.0 / beta
         v = s * y
-        y = apply_a(v)
-        if itn >= 2:
-            y = y - (beta / oldb) * r1
+        av = apply_a(v)
+        y = av - (beta / oldb) * r1 if itn >= 2 else av
         alfa = float(v @ y)
         y = y - (alfa / beta) * r2
         r1 = r2
@@ -102,6 +116,7 @@ def minres_solve(
         if beta_sq < 0:
             raise ValueError("preconditioner is not positive definite")
         beta = np.sqrt(beta_sq)
+        anorm = max(anorm, abs(alfa), beta)
 
         # previous rotation, then the new one
         oldeps = epsln
@@ -110,7 +125,8 @@ def minres_solve(
         epsln = sn * beta
         dbar = -cs * beta
         gamma = np.sqrt(gbar * gbar + beta * beta)
-        gamma = max(gamma, np.finfo(float).eps)
+        # a floor relative to the operator's scale, like the breakdown test
+        gamma = max(gamma, np.finfo(float).eps * anorm, np.finfo(float).tiny)
         cs = gbar / gamma
         sn = beta / gamma
         phi = cs * phibar
@@ -122,13 +138,19 @@ def minres_solve(
         x = x + phi * w
 
         history.append(abs(phibar))
-        if stop == "energy":
-            converged = abs(phibar) <= tol * beta1
+        if euclidean:
+            aw1 = aw2
+            aw2 = aw
+            aw = (av - oldeps * aw1 - delta * aw2) / gamma
+            r = r - phi * aw
+            if np.linalg.norm(r) <= tol * bnorm0:
+                r = b - apply_a(x)
+                converged = np.linalg.norm(r) <= tol * bnorm0
         else:
-            converged = np.linalg.norm(b - apply_a(x)) <= tol * bnorm0
+            converged = abs(phibar) <= tol * beta1
         if converged:
             break
-        if beta <= _BREAKDOWN_TOL:
+        if beta <= _BREAKDOWN_RTOL * anorm:
             breakdown_at = itn
             break
 

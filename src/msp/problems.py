@@ -18,7 +18,7 @@ import scipy.sparse
 
 from . import assembly
 from .saddle import BlockTridiagSystem, SchurPreconditioner, exact_schur
-from .sparselin import SparseSymMatrix
+from .sparselin import CholeskyFactor, SparseSymMatrix, cholesky
 from .splines import GEOMETRIES, GeometryMap, TensorSpace, tensor_space
 
 PROBLEM_IDS = (
@@ -117,6 +117,11 @@ class DiscreteOperators:
         return assembly.assemble_mass(self.space, self.geo)
 
     @cached_property
+    def mass_factor(self) -> CholeskyFactor:
+        """Factor of M; the blocks alpha M and M / alpha use it scaled."""
+        return cholesky(self.mass)
+
+    @cached_property
     def laplacian(self) -> scipy.sparse.csr_matrix:
         """K[j, i] = int psi_j (-Lap phi_i), full space in both slots."""
         return assembly.assemble_laplacian_strong(self.space, self.space, self.geo)
@@ -209,13 +214,15 @@ def build_boundary_observation(cfg: ProblemConfig) -> AssembledProblem:
     m = ops.mass
     k = ops.laplacian_int
     nw = m.dim
+    am = m.scaled(a)
     system = BlockTridiagSystem(
-        A=[m.scaled(a), _zero_block(nw), ops.normal_gram_int],
+        A=[am, _zero_block(nw), ops.normal_gram_int],
         B=[m.to_csr(), k.T.tocsr()],
     )
     rhs = np.concatenate([np.zeros(2 * nw), ops.rhs_normal_data])
     practical = SchurPreconditioner(
-        [m.scaled(a), m.scaled(1.0 / a), ops.normal_gram_int.add(ops.biharmonic_int, a)]
+        [am, m.scaled(1.0 / a), ops.normal_gram_int.add(ops.biharmonic_int, a)],
+        [ops.mass_factor.scaled(a), ops.mass_factor.scaled(1.0 / a), None],
     )
     return AssembledProblem(cfg, system, rhs, practical, ("f", "w", "u"), ops)
 
@@ -240,18 +247,21 @@ def build_distributed(cfg: ProblemConfig) -> AssembledProblem:
         system = BlockTridiagSystem(A=[a1, _zero_block(nz)], B=[b1])
         rhs = np.concatenate([ops.rhs_l2_data, np.zeros(nw + nz)])
         practical = SchurPreconditioner(
-            [m, m.scaled(a), ops.mass_int.scaled(1.0 / a).add(ops.biharmonic_int)]
+            [m, m.scaled(a), ops.mass_int.scaled(1.0 / a).add(ops.biharmonic_int)],
+            [ops.mass_factor, ops.mass_factor.scaled(a), None],
         )
         labels = ("u", "f", "w")
     else:
         k = ops.laplacian_int
+        am = m.scaled(a)
         system = BlockTridiagSystem(
-            A=[m.scaled(a), _zero_block(nw), ops.mass_int],
+            A=[am, _zero_block(nw), ops.mass_int],
             B=[m.to_csr(), k.T.tocsr()],
         )
         rhs = np.concatenate([np.zeros(2 * nw), ops.rhs_l2_data[ops.interior]])
         practical = SchurPreconditioner(
-            [m.scaled(a), m.scaled(1.0 / a), ops.mass_int.add(ops.biharmonic_int, a)]
+            [am, m.scaled(1.0 / a), ops.mass_int.add(ops.biharmonic_int, a)],
+            [ops.mass_factor.scaled(a), ops.mass_factor.scaled(1.0 / a), None],
         )
         labels = ("f", "w", "u")
     return AssembledProblem(cfg, system, rhs, practical, labels, ops)
@@ -281,7 +291,8 @@ def build_boundary_control(cfg: ProblemConfig) -> AssembledProblem:
             m,
             ops.trace_mass.scaled(a),
             ops.normal_gram_int.scaled(1.0 / a).add(ops.biharmonic_int),
-        ]
+        ],
+        [ops.mass_factor, None, None],
     )
     return AssembledProblem(cfg, system, rhs, practical, ("u", "f", "w"), ops)
 

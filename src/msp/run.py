@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 from .krylov import SolveResult, minres_solve
 from .problems import AssembledProblem, ProblemConfig, build_problem, make_preconditioner
-from .saddle import SchurPreconditioner, assemble_full
+from .saddle import SchurPreconditioner
 
 
 def solve_problem(
@@ -22,9 +22,8 @@ def solve_problem(
     optimality systems are reported; the energy-norm history is still
     available on the returned SolveResult.
     """
-    full = assemble_full(prob.system).to_csr()
     return minres_solve(
-        lambda x: full @ x,
+        prob.system.apply,
         precond.apply_inverse,
         prob.rhs,
         tol=tol,

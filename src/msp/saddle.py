@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 import scipy.linalg
@@ -50,6 +51,7 @@ class BlockTridiagSystem:
                     f"B_{i + 1} has shape {b.shape}, expected "
                     f"({self.block_dims[i + 1]}, {self.block_dims[i]})"
                 )
+        self._slices = _slices(self.block_dims)
 
     @property
     def n(self) -> int:
@@ -60,12 +62,39 @@ class BlockTridiagSystem:
         return sum(self.block_dims)
 
     def block_slices(self) -> list[slice]:
-        offs = np.concatenate([[0], np.cumsum(self.block_dims)])
-        return [slice(int(offs[i]), int(offs[i + 1])) for i in range(self.n)]
+        return list(self._slices)
+
+    @cached_property
+    def _bt(self) -> list[scipy.sparse.csr_matrix]:
+        """B_i' as CSR, built on the first apply: faster than a transposed view per call."""
+        return [b.T.tocsr() for b in self.B]
+
+    def apply(self, x: np.ndarray) -> np.ndarray:
+        """The operator times x, block by block: (-1)^i A_i x_i + B_{i-1} x_{i-1} + B_i' x_{i+1}."""
+        xs = [x[s] for s in self._slices]
+        y = np.empty(self.total_dim)
+        for i, s in enumerate(self._slices):
+            yi = self.A[i].matvec(xs[i])
+            if i % 2:
+                np.negative(yi, out=yi)
+            if i > 0:
+                yi += self.B[i - 1] @ xs[i - 1]
+            if i < self.n - 1:
+                yi += self._bt[i] @ xs[i + 1]
+            y[s] = yi
+        return y
+
+
+def _slices(dims: list[int]) -> list[slice]:
+    offs = np.concatenate([[0], np.cumsum(dims)])
+    return [slice(int(offs[i]), int(offs[i + 1])) for i in range(len(dims))]
 
 
 def assemble_full(sys: BlockTridiagSystem) -> SparseSymMatrix:
-    """Assemble the full operator with the alternating-sign diagonal."""
+    """Assemble the full operator with the alternating-sign diagonal.
+
+    Only dense spectra need it; iterative callers use `sys.apply`.
+    """
     n = sys.n
     grid: list[list] = [[None] * n for _ in range(n)]
     for i in range(n):
@@ -79,25 +108,26 @@ def assemble_full(sys: BlockTridiagSystem) -> SparseSymMatrix:
 class SchurPreconditioner:
     """Block-diagonal SPD preconditioner with per-block Cholesky factors.
 
-    Factors the caller already holds are passed in `factors` (one per block)
-    and used as they are; without them every block is factored here.
+    Factors the caller already holds are passed in `factors` (one entry per
+    block) and used as they are; a block whose entry is None, or every block
+    when `factors` is None, is factored here.
     """
 
     def __init__(
-        self, blocks: list[SparseSymMatrix], factors: list[CholeskyFactor] | None = None
+        self,
+        blocks: list[SparseSymMatrix],
+        factors: list[CholeskyFactor | None] | None = None,
     ):
         self.blocks = blocks
-        if factors is None:
-            factors = []
-            for i, blk in enumerate(blocks):
+        self.factors = list(factors) if factors is not None else [None] * len(blocks)
+        for i, blk in enumerate(blocks):
+            if self.factors[i] is None:
                 try:
-                    factors.append(cholesky(blk))
+                    self.factors[i] = cholesky(blk)
                 except NotPositiveDefinite as exc:
                     raise NotPositiveDefinite(f"block {i + 1} is not SPD: {exc}") from exc
-        self.factors = factors
         self.block_dims = [b.dim for b in blocks]
-        offs = np.concatenate([[0], np.cumsum(self.block_dims)])
-        self._slices = [slice(int(offs[i]), int(offs[i + 1])) for i in range(len(blocks))]
+        self._slices = _slices(self.block_dims)
 
     def apply(self, x: np.ndarray) -> np.ndarray:
         out = np.empty_like(x)

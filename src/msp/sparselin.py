@@ -57,7 +57,15 @@ class SparseSymMatrix:
         return self._full.toarray()
 
     def scaled(self, alpha: float) -> "SparseSymMatrix":
-        return SparseSymMatrix(self._full * alpha)
+        """alpha times this matrix, built from the stored CSR without re-validation.
+
+        Scaling an exactly symmetric matrix entry by entry keeps it exactly
+        symmetric and keeps its index order; only underflowed zeros go.
+        """
+        out = SparseSymMatrix.__new__(SparseSymMatrix)
+        out._full = self._full * alpha
+        out._full.eliminate_zeros()
+        return out
 
     def add(self, other: "SparseSymMatrix", beta: float = 1.0) -> "SparseSymMatrix":
         return SparseSymMatrix(self._full + beta * other._full)
@@ -70,6 +78,16 @@ class CholeskyFactor:
     dim: int
     mode: str  # "banded" or "dense"
     data: object  # banded factor array or (dense factor, lower) pair
+
+    def scaled(self, c: float) -> "CholeskyFactor":
+        """The factor of c times the factored matrix (c > 0): the factor times sqrt(c)."""
+        if not c > 0:
+            raise ValueError("scale must be positive")
+        s = np.sqrt(c)
+        if self.mode == "banded":
+            return CholeskyFactor(self.dim, self.mode, self.data * s)
+        dense, low = self.data
+        return CholeskyFactor(self.dim, self.mode, (dense * s, low))
 
 
 _PIVOT_RTOL = 1e-14

@@ -2,7 +2,11 @@
 
 import numpy as np
 import pytest
+import scipy.sparse.linalg
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from msp import problems as pb
 from msp import saddle as sd
 from msp.krylov import lanczos_extremes, minres_solve
 
@@ -96,6 +100,120 @@ class TestConvergence:
         res = minres_solve(lambda v: a @ v, identity, b, tol=1e-8, stop="euclidean")
         assert res.converged
         assert np.linalg.norm(b - a @ res.solution) <= 1e-8 * np.linalg.norm(b)
+
+
+class CountingOperator:
+    def __init__(self, a):
+        self.a = a
+        self.calls = 0
+
+    def __call__(self, v):
+        self.calls += 1
+        return self.a @ v
+
+
+class TestEuclideanStop:
+    @pytest.mark.parametrize("seed", range(5))
+    def test_one_operator_apply_per_iteration(self, seed):
+        # the Lanczos step's A v carries the residual; only a true residual
+        # confirming the stop applies the operator again
+        rng = np.random.default_rng(seed)
+        g = rng.standard_normal((40, 40))
+        a = g + g.T + np.eye(40)
+        b = rng.standard_normal(40)
+        op = CountingOperator(a)
+        res = minres_solve(op, identity, b, tol=1e-8, maxit=400, stop="euclidean")
+        assert res.converged
+        assert res.iterations + 1 <= op.calls < 2 * res.iterations
+        assert np.linalg.norm(b - a @ res.solution) <= 1e-8 * np.linalg.norm(b)
+
+    @pytest.mark.parametrize("pid", ["distributed_very_weak", "boundary_observation"])
+    def test_true_residual_meets_tolerance_on_a_control_problem(self, pid):
+        prob = pb.build_problem(pb.ProblemConfig(pid, d=2, p=2, level=3, alpha=1e-5))
+        full = sd.assemble_full(prob.system).to_csr()
+        op = CountingOperator(full)
+        tol = 1e-8
+        res = minres_solve(op, prob.practical.apply_inverse, prob.rhs, tol=tol, stop="euclidean")
+        assert res.converged
+        assert op.calls == res.iterations + 1
+        r = prob.rhs - full @ res.solution
+        assert np.linalg.norm(r) <= tol * np.linalg.norm(prob.rhs)
+
+    def test_failed_confirmation_is_not_convergence(self):
+        # a first operator apply off by a relative 1e-6 breaks the Lanczos
+        # relation: the updated residual falls below tol while the true one
+        # stalls near 1e-6.  The one confirmation fails, the true residual
+        # replaces the updated one, and the solve goes on and reports no
+        # convergence.
+        rng = np.random.default_rng(8)
+        g = rng.standard_normal((30, 30))
+        a = g + g.T + np.eye(30)
+        b = rng.standard_normal(30)
+        calls = [0]
+
+        def perturbed(v):
+            calls[0] += 1
+            out = a @ v
+            return out * (1 + 1e-6) if calls[0] == 1 else out
+
+        res = minres_solve(perturbed, identity, b, tol=1e-8, maxit=100, stop="euclidean")
+        assert not res.converged
+        assert res.iterations == 100
+        assert calls[0] == res.iterations + 1
+        assert np.linalg.norm(b - a @ res.solution) > 1e-8 * np.linalg.norm(b)
+
+
+class TestScaleInvariance:
+    @staticmethod
+    def _cases():
+        rng = np.random.default_rng(12)
+        g = rng.standard_normal((20, 20))
+        regular = (g + g.T, rng.standard_normal(20))
+        # singular and inconsistent: neither test converges, the Krylov space
+        # is exhausted after 4 steps and the Lanczos beta breaks down
+        singular = (np.diag([1.0, -2.0, 3.0, 0.0, 0.0]), np.ones(5))
+        return [regular, singular]
+
+    @pytest.mark.parametrize("stop", ["energy", "euclidean"])
+    def test_rhs_and_operator_scale_leave_the_run_unchanged(self, stop):
+        for a, b in self._cases():
+            ref = minres_solve(lambda v: a @ v, identity, b, tol=1e-8, maxit=100, stop=stop)
+            key = (ref.iterations, ref.converged, ref.breakdown_at)
+            for c in (1e20, 1e-20):
+                scaled_b = minres_solve(lambda v: a @ v, identity, c * b, tol=1e-8, maxit=100, stop=stop)
+                scaled_a = minres_solve(lambda v: c * (a @ v), identity, b, tol=1e-8, maxit=100, stop=stop)
+                for res in (scaled_b, scaled_a):
+                    assert (res.iterations, res.converged, res.breakdown_at) == key
+
+    def test_exhausted_krylov_space_reports_breakdown(self):
+        a, b = self._cases()[1]
+        for stop in ("energy", "euclidean"):
+            res = minres_solve(lambda v: a @ v, identity, b, maxit=100, stop=stop)
+            assert not res.converged
+            assert res.breakdown_at == 4
+
+
+class TestScipyOracle:
+    @settings(max_examples=30, deadline=None)
+    @given(n=st.integers(2, 6), seed=st.integers(0, 2**32 - 1))
+    def test_matches_scipy_minres(self, n, seed):
+        # random SPSD block systems preconditioned by their exact Schur
+        # complements; both solvers must land within the stopping tolerance
+        # of each other, measured through the operator's conditioning
+        rng = np.random.default_rng(seed)
+        sys = sd.random_spsd_system(n, rng)
+        pre = sd.exact_schur(sys)
+        dense = sd.assemble_full(sys).to_dense()
+        b = rng.standard_normal(sys.total_dim)
+        tol = 1e-10
+        ours = minres_solve(sys.apply, pre.apply_inverse, b, tol=tol, stop="euclidean")
+        m = scipy.sparse.linalg.LinearOperator(dense.shape, matvec=pre.apply_inverse)
+        theirs, info = scipy.sparse.linalg.minres(dense, b, M=m, rtol=1e-14, maxiter=50 * sys.total_dim)
+        assert ours.converged
+        assert np.linalg.norm(b - dense @ ours.solution) <= tol * np.linalg.norm(b)
+        kappa = np.linalg.cond(dense)
+        gap = np.linalg.norm(ours.solution - theirs)
+        assert gap <= 10 * tol * kappa * np.linalg.norm(theirs)
 
 
 class TestFiniteTermination:

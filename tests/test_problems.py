@@ -88,6 +88,28 @@ class TestSymmetricStorage:
             assert (c != c.T).nnz == 0
 
 
+class TestOperatorReuse:
+    @pytest.mark.parametrize("pid", pb.PROBLEM_IDS)
+    def test_apply_matches_assembled_operator(self, pid):
+        prob = build(pid, d=2, p=2, level=3, alpha=1e-3)
+        x = np.random.default_rng(7).standard_normal(prob.total_dim)
+        want = assemble_full(prob.system).to_csr() @ x
+        assert np.linalg.norm(prob.system.apply(x) - want) <= 1e-14 * np.linalg.norm(want)
+
+    @pytest.mark.parametrize("pid", pb.PROBLEM_IDS)
+    @pytest.mark.parametrize("alpha", [1.0, 1e-7])
+    def test_scaled_mass_factor_matches_fresh_factors(self, pid, alpha):
+        # the M, alpha M and M / alpha blocks reuse one factor of M
+        prob = build(pid, d=2, p=2, level=3, alpha=alpha)
+        fresh = pb.SchurPreconditioner(prob.practical.blocks)
+        r = np.random.default_rng(8).standard_normal(prob.total_dim)
+        edges = np.cumsum(fresh.block_dims)[:-1]
+        got = np.split(prob.practical.apply_inverse(r), edges)
+        want = np.split(fresh.apply_inverse(r), edges)
+        for g, w in zip(got, want):
+            assert np.linalg.norm(g - w) <= 1e-12 * np.linalg.norm(w)
+
+
 class TestExactSchurSpectrum:
     @pytest.mark.parametrize("pid", pb.PROBLEM_IDS)
     @pytest.mark.parametrize("alpha", [1.0, 0.01])

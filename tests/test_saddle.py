@@ -40,6 +40,14 @@ class TestSystem:
         assert (s1.start, s1.stop) == (0, 2)
         assert (s2.start, s2.stop) == (2, 5)
 
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+    def test_apply_matches_assembled_operator(self, n):
+        rng = np.random.default_rng(40 + n)
+        for sys in (sd.random_spsd_system(n, rng), sd.random_sharp_system(n, rng)):
+            x = rng.standard_normal(sys.total_dim)
+            want = sd.assemble_full(sys).to_csr() @ x
+            assert np.linalg.norm(sys.apply(x) - want) <= 1e-14 * np.linalg.norm(want)
+
     def test_assemble_full_signs(self):
         # three 1x1 blocks: diag(a1, -a2, a3) with couplings  b1, b2
         sys = dense_system([[[2.0]], [[3.0]], [[5.0]]], [[[7.0]], [[11.0]]])

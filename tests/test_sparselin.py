@@ -73,6 +73,24 @@ class TestSparseSymMatrix:
             assert (c != c.T).nnz == 0
 
 
+    @pytest.mark.parametrize("c", [1e-7, 1e7])
+    def test_scaled_stays_canonical_and_symmetric(self, c):
+        m = problems.get_operators(2, 2, 3, "annulus_2d").mass
+        got = m.scaled(c).to_csr()
+        assert got.has_canonical_format
+        assert np.all(got.data != 0)
+        assert (got != got.T).nnz == 0
+        want = sl.SparseSymMatrix(m.to_csr() * c).to_csr()
+        for a, b in zip((got.data, got.indices, got.indptr), (want.data, want.indices, want.indptr)):
+            assert np.array_equal(a, b)
+
+    def test_scaled_drops_underflowed_entries(self):
+        m = sl.SparseSymMatrix.from_dense(np.array([[1.0, 1e-300], [1e-300, 1.0]]))
+        got = m.scaled(1e-30).to_csr()
+        assert got.nnz == 2
+        assert got.has_canonical_format
+
+
 class TestCholesky:
     @pytest.mark.parametrize("n", [1, 5, 40])
     def test_solve_round_trip(self, n):
@@ -142,6 +160,26 @@ class TestCholesky:
         expected = np.linalg.solve(a.toarray(), b)
         x = sl.solve_chol(f, b)
         assert np.linalg.norm(x - expected) <= 1e-10 * np.linalg.norm(expected)
+
+
+    @pytest.mark.parametrize("c", [1e-7, 1.0, 1e7])
+    @pytest.mark.parametrize("mode", ["banded", "dense"])
+    def test_scaled_factor_solves_like_a_fresh_factor(self, mode, c):
+        if mode == "banded":
+            m = problems.get_operators(2, 2, 4, "annulus_2d").mass
+        else:
+            m = sl.SparseSymMatrix.from_dense(random_spd(30, seed=9))
+        f = sl.cholesky(m)
+        assert f.mode == mode
+        b = np.random.default_rng(10).standard_normal(m.dim)
+        got = sl.solve_chol(f.scaled(c), b)
+        want = sl.solve_chol(sl.cholesky(m.scaled(c)), b)
+        assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
+
+    def test_scaled_factor_rejects_non_positive_scale(self):
+        f = sl.cholesky(sl.SparseSymMatrix.from_dense(random_spd(3)))
+        with pytest.raises(ValueError):
+            f.scaled(0.0)
 
 
 class TestEigen:
