@@ -44,6 +44,10 @@ def _parse_n_range(text: str) -> list[int]:
 
 def cmd_verify(args: argparse.Namespace) -> int:
     """Randomized sharpness/bound suites plus the closed-form polynomial checks."""
+    if not args.n:
+        raise ValueError("--n names an empty range of block counts")
+    if args.trials < 1:
+        raise ValueError("--trials must be at least 1")
     q_devs, eps_dev = chebyshev.closed_form_deviations()
     failed = False
     for j, dev in enumerate(q_devs, start=1):
@@ -80,6 +84,14 @@ def _problem_config(args: argparse.Namespace, level: int, alpha: float) -> Probl
     )
 
 
+def _defaults(args: argparse.Namespace) -> tuple[list[int], list[float], str]:
+    """Levels, alphas and preconditioner variant, defaults filled in; one cell takes the first."""
+    levels = args.levels or ([3, 4, 5] if args.dim == 2 else [2, 3])
+    alphas = args.alphas or list(DEFAULT_ALPHAS)
+    variant = "exact_schur" if args.precond == "exact" else args.precond
+    return levels, alphas, variant
+
+
 def _check_scale(args: argparse.Namespace, levels: list[int]) -> None:
     big = [l for l in levels if 2 ** (args.dim * l) >= _LARGE_ELEMENTS]
     if big and not args.large:
@@ -91,10 +103,8 @@ def _check_scale(args: argparse.Namespace, levels: list[int]) -> None:
 
 
 def cmd_table(args: argparse.Namespace) -> int:
-    levels = args.levels or ([3, 4, 5] if args.dim == 2 else [2, 3])
-    alphas = args.alphas or list(DEFAULT_ALPHAS)
+    levels, alphas, variant = _defaults(args)
     _check_scale(args, levels)
-    variant = "exact_schur" if args.precond == "exact" else args.precond
     cells = run_table(
         args.problem,
         args.dim,
@@ -126,10 +136,9 @@ def cmd_table(args: argparse.Namespace) -> int:
 
 
 def cmd_spectrum(args: argparse.Namespace) -> int:
-    level = args.levels[0] if args.levels else (3 if args.dim == 2 else 2)
-    alpha = args.alphas[0] if args.alphas else 1.0
+    levels, alphas, variant = _defaults(args)
+    level, alpha = levels[0], alphas[0]
     prob = build_problem(_problem_config(args, level, alpha))
-    variant = "exact_schur" if args.precond == "exact" else args.precond
     n = prob.system.n
     bound = chebyshev.bounds(n).cond_bound
     if prob.system.total_dim > DENSE_MODE_LIMIT and not args.lanczos:
@@ -163,9 +172,8 @@ def cmd_spectrum(args: argparse.Namespace) -> int:
 
 
 def cmd_export(args: argparse.Namespace) -> int:
-    level = args.levels[0] if args.levels else (3 if args.dim == 2 else 2)
-    alpha = args.alphas[0] if args.alphas else 1.0
-    prob = build_problem(_problem_config(args, level, alpha))
+    levels, alphas, _ = _defaults(args)
+    prob = build_problem(_problem_config(args, levels[0], alphas[0]))
     out = args.matrix_market
     os.makedirs(out, exist_ok=True)
     import scipy.io

@@ -1,11 +1,12 @@
 """Builders for the discretized optimal-control optimality systems.
 
-Each builder produces a block-tridiagonal system, its right-hand side, and
-the sparse ("practical") block-diagonal preconditioner; the exact
-Schur-complement preconditioner densifies only the last block.  All
-problems use equal-order tensor-product spline spaces of maximal smoothness
-k = p-1, with the zero-trace state space realized by dropping boundary
-basis functions.
+One builder per block shape, (f, w, u) or ((u, f), w), produces a
+block-tridiagonal system, its right-hand side, and the sparse ("practical")
+block-diagonal preconditioner from the alpha-independent blocks cached on
+`DiscreteOperators`; the exact Schur-complement preconditioner densifies only
+the last block.  All problems use equal-order tensor-product spline spaces of
+maximal smoothness k = p-1, with the zero-trace state space realized by
+dropping boundary basis functions.
 """
 
 from __future__ import annotations
@@ -80,6 +81,10 @@ class ProblemConfig:
             raise ValueError(f"unknown problem {self.problem!r}")
         if self.d not in (1, 2, 3):
             raise ValueError("dimension must be 1, 2, or 3")
+        if self.p < 1:
+            raise ValueError("degree must be at least 1")
+        if self.level < 0:
+            raise ValueError("level must be non-negative")
         if self.geometry is None:
             object.__setattr__(self, "geometry", DEFAULT_GEOMETRY[self.d])
         if self.alpha <= 0:
@@ -157,6 +162,25 @@ class DiscreteOperators:
         return self.laplacian[:, self.interior].tocsr()
 
     @cached_property
+    def laplacian_int_t(self) -> scipy.sparse.csr_matrix:
+        """K' as CSR: shape (dim U, dim W)."""
+        return self.laplacian_int.T.tocsr()
+
+    @cached_property
+    def mass_coupling(self) -> scipy.sparse.csr_matrix:
+        """[K', M on zero-trace rows]: the very-weak coupling, shape (dim U, 2 dim W)."""
+        return scipy.sparse.hstack(
+            [self.laplacian_int_t, self.mass.to_csr()[self.interior, :]], format="csr"
+        )
+
+    @cached_property
+    def trace_coupling(self) -> scipy.sparse.csr_matrix:
+        """[K', N'] with N on zero-trace columns: the boundary-control coupling."""
+        return scipy.sparse.hstack(
+            [self.laplacian_int_t, self.normal_coupling[:, self.interior].T.tocsr()], format="csr"
+        )
+
+    @cached_property
     def mass_int(self) -> SparseSymMatrix:
         return self.restrict_sym(self.mass)
 
@@ -203,106 +227,67 @@ def _zero_block(dim: int) -> SparseSymMatrix:
     return SparseSymMatrix(scipy.sparse.csr_matrix((dim, dim)))
 
 
-def build_boundary_observation(cfg: ProblemConfig) -> AssembledProblem:
-    """Limited (boundary) observation, distributed control, strong state equation.
+def _three_block(
+    cfg: ProblemConfig, ops: DiscreteOperators, a3: SparseSymMatrix, rhs3: np.ndarray
+) -> AssembledProblem:
+    """Unknowns (f, w, u): diagonal blocks alpha M, 0, A_3; couplings M and K'.
 
-    Unknowns (f, w, u); diagonal blocks alpha M, 0, K_d; couplings M and K'.
-    The practical preconditioner is diag(alpha M, M / alpha, K_d + alpha B).
+    The practical preconditioner is diag(alpha M, M / alpha, A_3 + alpha B).
     """
-    ops = get_operators(cfg.d, cfg.p, cfg.level, cfg.geometry)
     a = cfg.alpha
     m = ops.mass
-    k = ops.laplacian_int
-    nw = m.dim
     am = m.scaled(a)
-    system = BlockTridiagSystem(
-        A=[am, _zero_block(nw), ops.normal_gram_int],
-        B=[m.to_csr(), k.T.tocsr()],
-    )
-    rhs = np.concatenate([np.zeros(2 * nw), ops.rhs_normal_data])
+    system = BlockTridiagSystem(A=[am, _zero_block(m.dim), a3], B=[m.to_csr(), ops.laplacian_int_t])
+    rhs = np.concatenate([np.zeros(2 * m.dim), rhs3])
     practical = SchurPreconditioner(
-        [am, m.scaled(1.0 / a), ops.normal_gram_int.add(ops.biharmonic_int, a)],
+        [am, m.scaled(1.0 / a), a3.add(ops.biharmonic_int, a)],
         [ops.mass_factor.scaled(a), ops.mass_factor.scaled(1.0 / a), None],
     )
     return AssembledProblem(cfg, system, rhs, practical, ("f", "w", "u"), ops)
 
 
-def build_distributed(cfg: ProblemConfig) -> AssembledProblem:
-    """Distributed observation and control with the very-weak or strong state equation.
+def _two_block(
+    cfg: ProblemConfig,
+    ops: DiscreteOperators,
+    x: SparseSymMatrix,
+    x_factor: CholeskyFactor | None,
+    coupling: scipy.sparse.csr_matrix,
+    z: SparseSymMatrix,
+) -> AssembledProblem:
+    """Unknowns ((u, f), w): diagonal blocks diag(M, alpha X), 0; coupling [K', Y].
 
-    distributed_very_weak: n = 2 with the combined first block (u, f) and
-    the smooth zero-trace multiplier block; distributed_strong: n = 3 with
-    unknowns (f, w, u) and the state in the zero-trace space.
+    The practical preconditioner is diag(M, alpha X, Z / alpha + B); alpha X
+    uses `x_factor` scaled, or is factored here when that is None.
     """
-    ops = get_operators(cfg.d, cfg.p, cfg.level, cfg.geometry)
-    a = cfg.alpha
-    m = ops.mass
-    nw = m.dim
-    nz = len(ops.interior)
-    k_vw = ops.laplacian_int.T.tocsr()  # (dim Z, dim W): very-weak Laplacian rows
-    if cfg.problem == "distributed_very_weak":
-        a1 = SparseSymMatrix(scipy.sparse.block_diag([m.to_csr(), a * m.to_csr()]))
-        m_c = m.to_csr()[ops.interior, :]
-        b1 = scipy.sparse.hstack([k_vw, m_c], format="csr")
-        system = BlockTridiagSystem(A=[a1, _zero_block(nz)], B=[b1])
-        rhs = np.concatenate([ops.rhs_l2_data, np.zeros(nw + nz)])
-        practical = SchurPreconditioner(
-            [m, m.scaled(a), ops.mass_int.scaled(1.0 / a).add(ops.biharmonic_int)],
-            [ops.mass_factor, ops.mass_factor.scaled(a), None],
-        )
-        labels = ("u", "f", "w")
-    else:
-        k = ops.laplacian_int
-        am = m.scaled(a)
-        system = BlockTridiagSystem(
-            A=[am, _zero_block(nw), ops.mass_int],
-            B=[m.to_csr(), k.T.tocsr()],
-        )
-        rhs = np.concatenate([np.zeros(2 * nw), ops.rhs_l2_data[ops.interior]])
-        practical = SchurPreconditioner(
-            [am, m.scaled(1.0 / a), ops.mass_int.add(ops.biharmonic_int, a)],
-            [ops.mass_factor.scaled(a), ops.mass_factor.scaled(1.0 / a), None],
-        )
-        labels = ("f", "w", "u")
-    return AssembledProblem(cfg, system, rhs, practical, labels, ops)
-
-
-def build_boundary_control(cfg: ProblemConfig) -> AssembledProblem:
-    """Distributed observation with control acting on the boundary (n = 2).
-
-    First block carries (u, f) with f in the per-face trace space; the
-    multiplier lives in the smooth zero-trace space.  The practical
-    preconditioner is diag(M, alpha M_d, K_d / alpha + B).
-    """
-    if cfg.problem != "boundary_control":
-        raise ValueError("config is not a boundary_control problem")
-    ops = get_operators(cfg.d, cfg.p, cfg.level, cfg.geometry)
     a = cfg.alpha
     m = ops.mass
     nz = len(ops.interior)
-    k_vw = ops.laplacian_int.T.tocsr()
-    n_t = ops.normal_coupling[:, ops.interior].T.tocsr()  # (dim Z, dim F)
-    a1 = SparseSymMatrix(scipy.sparse.block_diag([m.to_csr(), a * ops.trace_mass.to_csr()]))
-    b1 = scipy.sparse.hstack([k_vw, n_t], format="csr")
-    system = BlockTridiagSystem(A=[a1, _zero_block(nz)], B=[b1])
-    rhs = np.concatenate([ops.rhs_l2_data, np.zeros(ops.trace_space.dim + nz)])
+    a1 = SparseSymMatrix(scipy.sparse.block_diag([m.to_csr(), a * x.to_csr()]))
+    system = BlockTridiagSystem(A=[a1, _zero_block(nz)], B=[coupling])
+    rhs = np.concatenate([ops.rhs_l2_data, np.zeros(x.dim + nz)])
     practical = SchurPreconditioner(
-        [
-            m,
-            ops.trace_mass.scaled(a),
-            ops.normal_gram_int.scaled(1.0 / a).add(ops.biharmonic_int),
-        ],
-        [ops.mass_factor, None, None],
+        [m, x.scaled(a), z.scaled(1.0 / a).add(ops.biharmonic_int)],
+        [ops.mass_factor, None if x_factor is None else x_factor.scaled(a), None],
     )
     return AssembledProblem(cfg, system, rhs, practical, ("u", "f", "w"), ops)
 
 
 def build_problem(cfg: ProblemConfig) -> AssembledProblem:
+    """The optimality system of `cfg`, built from the operators of its mesh.
+
+    The three-block problems take the strong state equation with boundary
+    (A_3 = B_n) or distributed (A_3 = M) observation; the two-block ones the
+    very-weak state equation with distributed (X = Z = M) or boundary
+    (X = M_d, Z = B_n) control.
+    """
+    ops = get_operators(cfg.d, cfg.p, cfg.level, cfg.geometry)
     if cfg.problem == "boundary_observation":
-        return build_boundary_observation(cfg)
-    if cfg.problem == "boundary_control":
-        return build_boundary_control(cfg)
-    return build_distributed(cfg)
+        return _three_block(cfg, ops, ops.normal_gram_int, ops.rhs_normal_data)
+    if cfg.problem == "distributed_strong":
+        return _three_block(cfg, ops, ops.mass_int, ops.rhs_l2_data[ops.interior])
+    if cfg.problem == "distributed_very_weak":
+        return _two_block(cfg, ops, ops.mass, ops.mass_factor, ops.mass_coupling, ops.mass_int)
+    return _two_block(cfg, ops, ops.trace_mass, None, ops.trace_coupling, ops.normal_gram_int)
 
 
 def exact_schur_precond(prob: AssembledProblem) -> SchurPreconditioner:

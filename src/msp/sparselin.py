@@ -56,19 +56,25 @@ class SparseSymMatrix:
     def to_dense(self) -> np.ndarray:
         return self._full.toarray()
 
+    @classmethod
+    def _trusted(cls, full: scipy.sparse.csr_matrix) -> "SparseSymMatrix":
+        """Wrap an exactly symmetric canonical CSR without re-validation; explicit zeros go."""
+        full.eliminate_zeros()
+        out = cls.__new__(cls)
+        out._full = full
+        return out
+
     def scaled(self, alpha: float) -> "SparseSymMatrix":
         """alpha times this matrix, built from the stored CSR without re-validation.
 
         Scaling an exactly symmetric matrix entry by entry keeps it exactly
         symmetric and keeps its index order; only underflowed zeros go.
         """
-        out = SparseSymMatrix.__new__(SparseSymMatrix)
-        out._full = self._full * alpha
-        out._full.eliminate_zeros()
-        return out
+        return SparseSymMatrix._trusted(self._full * alpha)
 
     def add(self, other: "SparseSymMatrix", beta: float = 1.0) -> "SparseSymMatrix":
-        return SparseSymMatrix(self._full + beta * other._full)
+        """This matrix plus beta `other`, as `scaled`: the sum of two is exactly symmetric too."""
+        return SparseSymMatrix._trusted(self._full + beta * other._full)
 
 
 @dataclass

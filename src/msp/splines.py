@@ -178,11 +178,6 @@ class TensorSpace:
         multi = np.stack([g.ravel() for g in grids])
         return np.ravel_multi_index(multi, self.dims)
 
-    def boundary_mask(self) -> np.ndarray:
-        mask = np.ones(self.dim, dtype=bool)
-        mask[self.interior_indices()] = False
-        return mask
-
 
 def tensor_space(d: int, degree: int, level: int, smoothness: int | None = None) -> TensorSpace:
     return TensorSpace([SplineSpace1D(degree, level, smoothness) for _ in range(d)])

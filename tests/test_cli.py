@@ -34,6 +34,14 @@ class TestVerify:
         assert code == EXIT_OK
         assert "n=4" in out
 
+    # a certificate that checks nothing must not pass
+    @pytest.mark.parametrize("argv", [["--n", "3..2"], ["--trials", "0"], ["--trials", "-3"]])
+    def test_vacuous_run_refused(self, capsys, argv):
+        code, out, err = run_cli(capsys, "verify", *argv)
+        assert code == EXIT_CONFIG
+        assert "PASS" not in out
+        assert "configuration error" in err
+
 
 class TestTable:
     def test_markdown_table(self, capsys):
@@ -255,6 +263,14 @@ class TestErrors:
             capsys,
             "table", "--problem", "boundary_control", "--dim", "3",
             "--degree", "3", "--levels", "2", "--alphas", "1.0",
+        )
+        assert code == EXIT_CONFIG
+        assert "configuration error" in err
+
+    @pytest.mark.parametrize("bad", [["--levels", "-1"], ["--levels", "2", "--degree", "0"]])
+    def test_bad_level_or_degree_rejected(self, capsys, bad):
+        code, _, err = run_cli(
+            capsys, "table", "--problem", "boundary_observation", "--alphas", "1.0", *bad
         )
         assert code == EXIT_CONFIG
         assert "configuration error" in err

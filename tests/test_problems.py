@@ -30,6 +30,14 @@ class TestConfig:
         with pytest.raises(ValueError):
             pb.ProblemConfig(problem="distributed_strong", alpha=0.0)
 
+    def test_negative_level_rejected(self):
+        with pytest.raises(ValueError, match="level"):
+            pb.ProblemConfig(problem="distributed_strong", level=-1)
+
+    def test_degree_below_one_rejected(self):
+        with pytest.raises(ValueError, match="degree"):
+            pb.ProblemConfig(problem="distributed_strong", p=0)
+
     def test_boundary_control_is_2d_only(self):
         with pytest.raises(ValueError):
             pb.ProblemConfig(problem="boundary_control", d=3)
@@ -75,8 +83,8 @@ class TestDimensions:
 
 
 class TestSymmetricStorage:
-    # RCM ordering and the band width read the stored CSR structure, so every
-    # symmetric operator is kept canonical, zero-free and exactly symmetric
+    # the band width and the banded factor read the stored CSR structure, so
+    # every symmetric operator is kept canonical, zero-free and exactly symmetric
     @pytest.mark.parametrize("pid", pb.PROBLEM_IDS)
     def test_blocks_are_canonical_and_symmetric(self, pid):
         prob = build(pid, d=2, p=2, level=2, alpha=1e-3)
@@ -95,6 +103,15 @@ class TestOperatorReuse:
         x = np.random.default_rng(7).standard_normal(prob.total_dim)
         want = assemble_full(prob.system).to_csr() @ x
         assert np.linalg.norm(prob.system.apply(x) - want) <= 1e-14 * np.linalg.norm(want)
+
+    @pytest.mark.parametrize("pid", pb.PROBLEM_IDS)
+    def test_couplings_shared_between_alphas(self, pid):
+        # the couplings do not depend on alpha: built once per operator set
+        first = build(pid, d=2, p=2, level=2, alpha=1.0)
+        second = build(pid, d=2, p=2, level=2, alpha=1e-3)
+        assert first.ops is second.ops
+        for b1, b2 in zip(first.system.B, second.system.B, strict=True):
+            assert np.shares_memory(b1.data, b2.data)
 
     @pytest.mark.parametrize("pid", pb.PROBLEM_IDS)
     @pytest.mark.parametrize("alpha", [1.0, 1e-7])

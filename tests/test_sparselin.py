@@ -84,6 +84,18 @@ class TestSparseSymMatrix:
         for a, b in zip((got.data, got.indices, got.indptr), (want.data, want.indices, want.indptr)):
             assert np.array_equal(a, b)
 
+    def test_add_stays_canonical_and_symmetric(self):
+        ops = problems.get_operators(2, 2, 3, "annulus_2d")
+        a, b = ops.normal_gram_int, ops.biharmonic_int
+        got = a.add(b, 1e-3).to_csr()
+        assert got.has_canonical_format
+        assert np.all(got.data != 0)
+        assert (got != got.T).nnz == 0
+        want = sl.SparseSymMatrix(a.to_csr() + 1e-3 * b.to_csr()).to_csr()
+        for x, y in zip((got.data, got.indices, got.indptr), (want.data, want.indices, want.indptr)):
+            assert np.array_equal(x, y)
+        assert a.add(a, -1.0).to_csr().nnz == 0
+
     def test_scaled_drops_underflowed_entries(self):
         m = sl.SparseSymMatrix.from_dense(np.array([[1.0, 1e-300], [1e-300, 1.0]]))
         got = m.scaled(1e-30).to_csr()

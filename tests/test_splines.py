@@ -87,8 +87,6 @@ class TestTensorSpace:
         assert t.dim == 100
         interior = t.interior_indices()
         assert len(interior) == 64
-        mask = t.boundary_mask()
-        assert mask.sum() == 100 - 64
 
     def test_interior_means_zero_trace(self):
         t = sp.tensor_space(2, 2, 2)
