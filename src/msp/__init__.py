@@ -29,6 +29,7 @@ from .saddle import (
 )
 from .sparselin import (
     CholeskyFactor,
+    DenseSymMatrix,
     NotPositiveDefinite,
     SparseSymMatrix,
     cholesky,
@@ -63,6 +64,7 @@ __all__ = [
     "spectrum",
     "verify_sharpness",
     "CholeskyFactor",
+    "DenseSymMatrix",
     "NotPositiveDefinite",
     "SparseSymMatrix",
     "cholesky",

@@ -174,11 +174,21 @@ class DiscreteOperators:
         )
 
     @cached_property
+    def mass_coupling_t(self) -> scipy.sparse.csr_matrix:
+        """The transpose of `mass_coupling` as CSR."""
+        return self.mass_coupling.T.tocsr()
+
+    @cached_property
     def trace_coupling(self) -> scipy.sparse.csr_matrix:
         """[K', N'] with N on zero-trace columns: the boundary-control coupling."""
         return scipy.sparse.hstack(
             [self.laplacian_int_t, self.normal_coupling[:, self.interior].T.tocsr()], format="csr"
         )
+
+    @cached_property
+    def trace_coupling_t(self) -> scipy.sparse.csr_matrix:
+        """The transpose of `trace_coupling` as CSR."""
+        return self.trace_coupling.T.tocsr()
 
     @cached_property
     def mass_int(self) -> SparseSymMatrix:
@@ -237,7 +247,12 @@ def _three_block(
     a = cfg.alpha
     m = ops.mass
     am = m.scaled(a)
-    system = BlockTridiagSystem(A=[am, _zero_block(m.dim), a3], B=[m.to_csr(), ops.laplacian_int_t])
+    # B_1 = M is symmetric and B_2' = K, so both transposes are at hand
+    system = BlockTridiagSystem(
+        A=[am, _zero_block(m.dim), a3],
+        B=[m.to_csr(), ops.laplacian_int_t],
+        Bt=[m.to_csr(), ops.laplacian_int],
+    )
     rhs = np.concatenate([np.zeros(2 * m.dim), rhs3])
     practical = SchurPreconditioner(
         [am, m.scaled(1.0 / a), a3.add(ops.biharmonic_int, a)],
@@ -252,18 +267,21 @@ def _two_block(
     x: SparseSymMatrix,
     x_factor: CholeskyFactor | None,
     coupling: scipy.sparse.csr_matrix,
+    coupling_t: scipy.sparse.csr_matrix,
     z: SparseSymMatrix,
 ) -> AssembledProblem:
     """Unknowns ((u, f), w): diagonal blocks diag(M, alpha X), 0; coupling [K', Y].
 
     The practical preconditioner is diag(M, alpha X, Z / alpha + B); alpha X
     uses `x_factor` scaled, or is factored here when that is None.
+    diag(M, alpha X) is block-diagonal over two exactly symmetric canonical
+    blocks, so it is wrapped without re-validation.
     """
     a = cfg.alpha
     m = ops.mass
     nz = len(ops.interior)
-    a1 = SparseSymMatrix(scipy.sparse.block_diag([m.to_csr(), a * x.to_csr()]))
-    system = BlockTridiagSystem(A=[a1, _zero_block(nz)], B=[coupling])
+    a1 = SparseSymMatrix._trusted(scipy.sparse.block_diag([m.to_csr(), a * x.to_csr()], format="csr"))
+    system = BlockTridiagSystem(A=[a1, _zero_block(nz)], B=[coupling], Bt=[coupling_t])
     rhs = np.concatenate([ops.rhs_l2_data, np.zeros(x.dim + nz)])
     practical = SchurPreconditioner(
         [m, x.scaled(a), z.scaled(1.0 / a).add(ops.biharmonic_int)],
@@ -286,8 +304,12 @@ def build_problem(cfg: ProblemConfig) -> AssembledProblem:
     if cfg.problem == "distributed_strong":
         return _three_block(cfg, ops, ops.mass_int, ops.rhs_l2_data[ops.interior])
     if cfg.problem == "distributed_very_weak":
-        return _two_block(cfg, ops, ops.mass, ops.mass_factor, ops.mass_coupling, ops.mass_int)
-    return _two_block(cfg, ops, ops.trace_mass, None, ops.trace_coupling, ops.normal_gram_int)
+        return _two_block(
+            cfg, ops, ops.mass, ops.mass_factor, ops.mass_coupling, ops.mass_coupling_t, ops.mass_int
+        )
+    return _two_block(
+        cfg, ops, ops.trace_mass, None, ops.trace_coupling, ops.trace_coupling_t, ops.normal_gram_int
+    )
 
 
 def exact_schur_precond(prob: AssembledProblem) -> SchurPreconditioner:

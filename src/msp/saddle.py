@@ -21,6 +21,7 @@ import scipy.sparse
 from .chebyshev import BoundSet, bounds, pbar_roots, smallest_abs_root
 from .sparselin import (
     CholeskyFactor,
+    DenseSymMatrix,
     NotPositiveDefinite,
     SparseSymMatrix,
     cholesky,
@@ -36,10 +37,17 @@ class BlockTridiagSystem:
     """The n-block operator: diagonal blocks A_i (unsigned), couplings B_i.
 
     B_i maps block i into the dual of block i+1, i.e. it has shape
-    (dim_{i+1}, dim_i).
+    (dim_{i+1}, dim_i).  `Bt`, when given, holds the transposes B_i' as CSR
+    (builders pass the ones cached with their couplings); otherwise they
+    are built on the first apply.
     """
 
-    def __init__(self, A: list[SparseSymMatrix], B: list[scipy.sparse.spmatrix]):
+    def __init__(
+        self,
+        A: list[SparseSymMatrix | DenseSymMatrix],
+        B: list[scipy.sparse.spmatrix],
+        Bt: list[scipy.sparse.csr_matrix] | None = None,
+    ):
         if len(B) != len(A) - 1:
             raise ValueError("need n-1 couplings for n diagonal blocks")
         self.A = A
@@ -52,6 +60,8 @@ class BlockTridiagSystem:
                     f"({self.block_dims[i + 1]}, {self.block_dims[i]})"
                 )
         self._slices = _slices(self.block_dims)
+        if Bt is not None:
+            self._bt = list(Bt)
 
     @property
     def n(self) -> int:
@@ -93,7 +103,8 @@ def _slices(dims: list[int]) -> list[slice]:
 def assemble_full(sys: BlockTridiagSystem) -> SparseSymMatrix:
     """Assemble the full operator with the alternating-sign diagonal.
 
-    Only dense spectra need it; iterative callers use `sys.apply`.
+    Iterative callers use `sys.apply` and `spectrum` builds the dense
+    operator directly; this sparse assembly serves the tests.
     """
     n = sys.n
     grid: list[list] = [[None] * n for _ in range(n)]
@@ -142,8 +153,26 @@ class SchurPreconditioner:
         return out
 
 
-def _block_diag_dense(blocks: list[SparseSymMatrix]) -> np.ndarray:
+def _block_diag_dense(blocks: list[SparseSymMatrix | DenseSymMatrix]) -> np.ndarray:
     return scipy.linalg.block_diag(*[b.to_dense() for b in blocks])
+
+
+def _dense_operator(sys: BlockTridiagSystem) -> np.ndarray:
+    """The full operator as an array, entry for entry `assemble_full(sys).to_dense()`.
+
+    0.0 - a negates a block without turning its zeros into -0.0.
+    """
+    full = np.zeros((sys.total_dim, sys.total_dim))
+    slices = sys.block_slices()
+    for i, s in enumerate(slices):
+        a = sys.A[i].to_dense()
+        full[s, s] = 0.0 - a if i % 2 else a
+        if i > 0:
+            prev = slices[i - 1]
+            b = sys.B[i - 1].toarray()
+            full[s, prev] = b
+            full[prev, s] = b.T
+    return full
 
 
 def exact_schur(
@@ -178,8 +207,7 @@ def exact_schur(
             first = edges.index(sys_edges[i - 1])
             s_inv = SchurPreconditioner(blocks[first:], factors[first:])
             s_dense = s_dense + b @ s_inv.apply_inverse(b.T)
-        s_dense = 0.5 * (s_dense + s_dense.T)
-        blk = SparseSymMatrix.from_dense(s_dense)
+        blk = DenseSymMatrix(0.5 * (s_dense + s_dense.T))
         try:
             f = cholesky(blk)
         except NotPositiveDefinite as exc:
@@ -232,7 +260,7 @@ def spectrum(
     """Dense generalized eigenvalues of the preconditioned operator."""
     if sys.total_dim > dense_limit:
         raise ValueError(f"total dim {sys.total_dim} exceeds dense-mode limit {dense_limit}")
-    ev = np.sort(gen_sym_eig(assemble_full(sys).to_dense(), _block_diag_dense(precond.blocks)))
+    ev = np.sort(gen_sym_eig(_dense_operator(sys), _block_diag_dense(precond.blocks)))
     nrm = float(np.max(np.abs(ev)))
     inv = float(1.0 / np.min(np.abs(ev)))
     bs = bounds(sys.n)
@@ -259,8 +287,8 @@ def random_sharp_system(n: int, rng: np.random.Generator, block_dim: int | None 
     # in [1/2, 2]) so attained extremal eigenvalues match the closed forms to
     # near machine precision even for larger n.
     q, _ = np.linalg.qr(rng.standard_normal((m, m)))
-    a1 = SparseSymMatrix.from_dense(q @ np.diag(rng.uniform(0.5, 2.0, m)) @ q.T)
-    zeros = [SparseSymMatrix.from_dense(np.zeros((m, m))) for _ in range(n - 1)]
+    a1 = DenseSymMatrix.from_upper(q @ np.diag(rng.uniform(0.5, 2.0, m)) @ q.T)
+    zeros = [DenseSymMatrix(np.zeros((m, m))) for _ in range(n - 1)]
     B = []
     for _ in range(n - 1):
         qb, rb = np.linalg.qr(rng.standard_normal((m, m)))
@@ -272,11 +300,11 @@ def random_spsd_system(n: int, rng: np.random.Generator) -> BlockTridiagSystem:
     """Random system with SPD A_1, rank-deficiency-allowed SPSD A_i, rectangular B_i."""
     dims = sorted((int(rng.integers(2, 7)) for _ in range(n)), reverse=True)
     g = rng.standard_normal((dims[0], dims[0]))
-    A = [SparseSymMatrix.from_dense(g.T @ g + 0.1 * np.eye(dims[0]))]
+    A = [DenseSymMatrix.from_upper(g.T @ g + 0.1 * np.eye(dims[0]))]
     for i in range(1, n):
         rank = int(rng.integers(0, dims[i] + 1))
         h = rng.standard_normal((rank, dims[i]))
-        A.append(SparseSymMatrix.from_dense(h.T @ h))
+        A.append(DenseSymMatrix.from_upper(h.T @ h))
     # Non-increasing dims and full-row-rank couplings keep every Schur
     # complement in the recursion positive definite even when A_i is singular.
     B = []

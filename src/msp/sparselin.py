@@ -1,11 +1,12 @@
-"""Symmetric sparse storage, Cholesky solves, and a generalized eigensolver.
+"""Symmetric sparse and dense storage, Cholesky solves, and a generalized eigensolver.
 
-Thin, contract-carrying layer over scipy/LAPACK.  A symmetric matrix is
-stored as its full CSR in canonical form (duplicates summed, column indices
-sorted, no explicit zeros); producers hand over the full matrix and the
-constructor checks that it is exactly symmetric.  A block is factored in
-its stored order (the spline blocks are stored banded): a banded Cholesky
-when the band is narrow, a dense one otherwise.
+Thin, contract-carrying layer over scipy/LAPACK.  A sparse symmetric matrix
+is stored as its full CSR in canonical form (duplicates summed, column
+indices sorted, no explicit zeros); a small dense one (a densified Schur
+stage, a random test block) as its full array.  Producers hand over the
+full matrix and the constructors check that it is exactly symmetric.  A
+block is factored in its stored order (the spline blocks are stored
+banded): a banded Cholesky when the band is narrow, a dense one otherwise.
 """
 
 from __future__ import annotations
@@ -77,9 +78,46 @@ class SparseSymMatrix:
         return SparseSymMatrix._trusted(self._full + beta * other._full)
 
 
+class DenseSymMatrix:
+    """Dense symmetric matrix stored as its full array."""
+
+    def __init__(self, a):
+        """Store a copy of the array `a`; ValueError unless square and exactly symmetric.
+
+        Adding 0.0 copies and turns -0.0 into +0.0, so the stored array
+        equals the dense form of the same matrix in sparse storage.
+        """
+        a = np.ascontiguousarray(a, dtype=np.float64) + 0.0
+        if a.ndim != 2 or a.shape[0] != a.shape[1]:
+            raise ValueError("matrix must be square")
+        if not np.array_equal(a, a.T):
+            raise ValueError("matrix must be symmetric")
+        self._a = a
+
+    @classmethod
+    def from_upper(cls, a: np.ndarray) -> "DenseSymMatrix":
+        """The symmetric matrix with the upper triangle of the array `a` (its lower one is ignored)."""
+        a = np.asarray(a, dtype=np.float64)
+        return cls(np.triu(a) + np.triu(a, k=1).T)
+
+    @property
+    def dim(self) -> int:
+        return self._a.shape[0]
+
+    def matvec(self, x: np.ndarray) -> np.ndarray:
+        return self._a @ x
+
+    def to_csr(self) -> scipy.sparse.csr_matrix:
+        return scipy.sparse.csr_matrix(self._a)
+
+    def to_dense(self) -> np.ndarray:
+        """A copy of the stored array."""
+        return self._a.copy()
+
+
 @dataclass
 class CholeskyFactor:
-    """Cholesky factorization of an SPD SparseSymMatrix in its stored order."""
+    """Cholesky factorization of an SPD symmetric matrix in its stored order."""
 
     dim: int
     mode: str  # "banded" or "dense"
@@ -99,34 +137,38 @@ class CholeskyFactor:
 _PIVOT_RTOL = 1e-14
 
 
-def cholesky(m: SparseSymMatrix) -> CholeskyFactor:
+def cholesky(m: SparseSymMatrix | DenseSymMatrix) -> CholeskyFactor:
     """Factor an SPD matrix; raises NotPositiveDefinite on pivot failure.
 
-    A pivot is rejected when it is below 1e-14 times the largest initial
+    The band width is read off the nonzero entries in either storage.  A
+    pivot is rejected when it is below 1e-14 times the largest initial
     diagonal entry, which flags semidefinite blocks that LAPACK would
     let pass with a tiny positive pivot.
     """
-    full = m.to_csr()
     n = m.dim
     if n == 0:
         return CholeskyFactor(0, "dense", (np.zeros((0, 0)), True))
-    coo = full.tocoo()
-    bw = int(np.max(np.abs(coo.row - coo.col))) if coo.nnz else 0
-    diag_max = float(np.max(np.abs(full.diagonal())))
+    if isinstance(m, DenseSymMatrix):
+        row, col = np.nonzero(m._a)
+        val = m._a[row, col]
+    else:
+        coo = m.to_csr().tocoo()
+        row, col, val = coo.row, coo.col, coo.data
+    bw = int(np.max(np.abs(row - col))) if row.size else 0
+    diag_max = float(np.max(np.abs(val[row == col]), initial=0.0))
     pivot_floor = _PIVOT_RTOL * diag_max
 
     try:
         if bw + 1 < n // 2:
             ab = np.zeros((bw + 1, n))
-            mask = coo.row <= coo.col
-            r, c, v = coo.row[mask], coo.col[mask], coo.data[mask]
+            mask = row <= col
+            r, c, v = row[mask], col[mask], val[mask]
             ab[bw + r - c, c] = v
             factor = scipy.linalg.cholesky_banded(ab, lower=False)
             pivots = factor[bw]
             mode, data = "banded", factor
         else:
-            dense = full.toarray()
-            c, low = scipy.linalg.cho_factor(dense, lower=True)
+            c, low = scipy.linalg.cho_factor(m.to_dense(), lower=True)
             pivots = np.diag(c)
             mode, data = "dense", (c, low)
     except scipy.linalg.LinAlgError as exc:

@@ -3,12 +3,13 @@
 import numpy as np
 import pytest
 import scipy.linalg
+import scipy.sparse
 
 from msp import problems as pb
 from msp import run
 from msp.chebyshev import bounds
 from msp.saddle import assemble_full, exact_schur, spectrum
-from msp.sparselin import cholesky
+from msp.sparselin import SparseSymMatrix, cholesky
 
 
 def build(problem, **kw):
@@ -95,6 +96,30 @@ class TestSymmetricStorage:
             assert np.all(c.data != 0)
             assert (c != c.T).nnz == 0
 
+    @pytest.mark.parametrize(
+        "pid, alpha",
+        [
+            ("distributed_very_weak", 1.0),
+            ("distributed_very_weak", 1e-300),
+            ("boundary_control", 1.0),
+            # at 1e-300 B_n / alpha swamps B in its practical last block
+            ("boundary_control", 1e-7),
+        ],
+    )
+    def test_two_block_first_block_as_validated(self, pid, alpha):
+        # diag(M, alpha X) is wrapped without re-validation; it must equal
+        # what the validating constructor stores
+        prob = build(pid, d=2, p=2, level=2, alpha=alpha)
+        ops = prob.ops
+        x = ops.mass if pid == "distributed_very_weak" else ops.trace_mass
+        got = prob.system.A[0].to_csr()
+        assert got.has_canonical_format
+        assert np.all(got.data != 0)
+        assert (got != got.T).nnz == 0
+        want = SparseSymMatrix(scipy.sparse.block_diag([ops.mass.to_csr(), alpha * x.to_csr()])).to_csr()
+        for g, w in zip((got.data, got.indices, got.indptr), (want.data, want.indices, want.indptr)):
+            assert g.dtype == w.dtype and np.array_equal(g, w)
+
 
 class TestOperatorReuse:
     @pytest.mark.parametrize("pid", pb.PROBLEM_IDS)
@@ -112,6 +137,17 @@ class TestOperatorReuse:
         assert first.ops is second.ops
         for b1, b2 in zip(first.system.B, second.system.B, strict=True):
             assert np.shares_memory(b1.data, b2.data)
+
+    @pytest.mark.parametrize("pid", pb.PROBLEM_IDS)
+    def test_transposes_shared_between_alphas(self, pid):
+        # the builders pass the couplings' transposes cached with them
+        first = build(pid, d=2, p=2, level=2, alpha=1.0)
+        second = build(pid, d=2, p=2, level=2, alpha=1e-3)
+        for b, t1, t2 in zip(first.system.B, first.system._bt, second.system._bt, strict=True):
+            assert np.shares_memory(t1.data, t2.data)
+            want = b.T.tocsr()
+            for g, w in zip((t1.data, t1.indices, t1.indptr), (want.data, want.indices, want.indptr)):
+                assert g.dtype == w.dtype and np.array_equal(g, w)
 
     @pytest.mark.parametrize("pid", pb.PROBLEM_IDS)
     @pytest.mark.parametrize("alpha", [1.0, 1e-7])

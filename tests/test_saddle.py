@@ -5,6 +5,7 @@ import pytest
 import scipy.linalg
 import scipy.sparse
 
+from msp import problems
 from msp import saddle as sd
 from msp.chebyshev import bounds, pbar_roots
 from msp.sparselin import NotPositiveDefinite, SparseSymMatrix
@@ -190,6 +191,19 @@ class TestSpectrum:
             assert rep.eigenvalues.max() <= bs.norm_bound + 1e-10
             assert np.min(np.abs(rep.eigenvalues)) >= 1.0 / bs.inv_norm_bound - 1e-10
             assert rep.within_bounds
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+    def test_dense_operator_is_the_assembled_one(self, n):
+        # entry for entry, zeros' signs included: eigh gets the same input
+        rng = np.random.default_rng(60 + n)
+        for sys in (sd.random_spsd_system(n, rng), sd.random_sharp_system(n, rng)):
+            assert sd._dense_operator(sys).tobytes() == sd.assemble_full(sys).to_dense().tobytes()
+
+    @pytest.mark.parametrize("pid", problems.PROBLEM_IDS)
+    def test_dense_operator_is_the_assembled_one_on_problems(self, pid):
+        cfg = problems.ProblemConfig(pid, d=2, p=2, level=3, alpha=1e-3)
+        sys = problems.build_problem(cfg).system
+        assert sd._dense_operator(sys).tobytes() == sd.assemble_full(sys).to_dense().tobytes()
 
     def test_report_json(self):
         sys = dense_system([[[1.0]], [[0.0]]], [[[1.0]]])

@@ -103,6 +103,40 @@ class TestSparseSymMatrix:
         assert got.has_canonical_format
 
 
+class TestDenseSymMatrix:
+    def test_non_square_rejected(self):
+        with pytest.raises(ValueError, match="square"):
+            sl.DenseSymMatrix(np.ones((2, 3)))
+
+    def test_asymmetry_rejected(self):
+        with pytest.raises(ValueError, match="symmetric"):
+            sl.DenseSymMatrix(np.array([[1.0, 2.0], [2.0 + 1e-15, 1.0]]))
+
+    def test_to_dense_returns_a_copy(self):
+        a = random_spd(4, seed=12)
+        m = sl.DenseSymMatrix(a)
+        a[0, 0] = 99.0  # the constructor copied
+        out = m.to_dense()
+        out[1, 1] = 99.0
+        assert np.array_equal(m.to_dense(), random_spd(4, seed=12))
+
+    def test_stored_like_sparse_storage(self):
+        # a -0.0 is stored as the sparse format's dropped zero, and
+        # from_upper ignores the lower triangle as from_dense does
+        a = random_spd(5, seed=13)
+        a[0, 4] = a[4, 0] = -0.0
+        want = sl.SparseSymMatrix.from_dense(a).to_dense().tobytes()
+        assert sl.DenseSymMatrix(a).to_dense().tobytes() == want
+        assert sl.DenseSymMatrix.from_upper(np.triu(a)).to_dense().tobytes() == want
+
+    def test_matvec_and_csr(self):
+        a = random_spd(6, seed=14)
+        m = sl.DenseSymMatrix(a)
+        x = np.random.default_rng(15).standard_normal(6)
+        assert np.allclose(m.matvec(x), a @ x)
+        assert np.array_equal(m.to_csr().toarray(), a)
+
+
 class TestCholesky:
     @pytest.mark.parametrize("n", [1, 5, 40])
     def test_solve_round_trip(self, n):
@@ -152,6 +186,28 @@ class TestCholesky:
     def test_semidefinite_raises(self):
         with pytest.raises(sl.NotPositiveDefinite):
             sl.cholesky(sl.SparseSymMatrix.from_dense(np.diag([1.0, 0.0, 2.0])))
+
+    def test_semidefinite_dense_storage_raises(self):
+        with pytest.raises(sl.NotPositiveDefinite):
+            sl.cholesky(sl.DenseSymMatrix(np.diag([1.0, 0.0, 2.0])))
+
+    @pytest.mark.parametrize("kind", ["dense", "tridiagonal"])
+    def test_dense_storage_factors_like_sparse(self, kind):
+        # both storages give LAPACK the same input, so the factors agree bitwise
+        if kind == "dense":
+            a, mode = random_spd(6, seed=16), "dense"
+        else:
+            n = 12
+            a = 2.0 * np.eye(n) - np.eye(n, k=1) - np.eye(n, k=-1)
+            mode = "banded"
+        got = sl.cholesky(sl.DenseSymMatrix(a))
+        want = sl.cholesky(sl.SparseSymMatrix.from_dense(a))
+        assert got.mode == want.mode == mode
+        if mode == "banded":
+            assert got.data.tobytes() == want.data.tobytes()
+        else:
+            assert got.data[0].tobytes() == want.data[0].tobytes()
+            assert got.data[1] == want.data[1]
 
     @pytest.mark.parametrize(
         "d, p, level, geometry, bandwidth",
