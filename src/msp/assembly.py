@@ -9,21 +9,27 @@ back through the geometry map with the full Hessian correction.
 
 Every form runs one batched kernel over chunks of elements.  A face of
 (0,1)^d is the element grid whose fixed axis has a single element with one
-point of weight 1, so volume and face elements share one tabulation.  Per
-chunk it evaluates the geometry Jacobian (and the Hessian when a form needs
-it) with one `GeometryMap` call over all the chunk's points, builds the
-tensor-product basis tables from per-element 1D tables, and computes the
-global active indices.  The element blocks of all chunks are summed by one
-COO scatter.  The number of elements in a chunk follows from a byte budget
-on one (elements x points x basis functions) table, so the working memory of
-the kernel stays flat as the mesh grows.
+point of weight 1, so volume and face elements share one tabulation: one
+batched 1D table per axis and space.  Per chunk the kernel evaluates the
+geometry Jacobian (and the Hessian when a form needs it) with one
+`GeometryMap` call over all the chunk's points and builds the
+tensor-product basis tables; several forms on the same pair of spaces (the
+mass, Laplacian and biharmonic forms of `assemble_volume_forms`) share
+these per-chunk tables.  The sparsity pattern of a form on a tensor grid of
+elements is the Kronecker product of per-axis 1D patterns, so it is built
+first, in CSR order; each chunk's element blocks are then added into the
+CSR data array at their precomputed places with one `np.bincount`, with no
+(row, column, value) triples and no sort.  The number of elements in a
+chunk follows from a byte budget on one (elements x points x basis
+functions) table, so the working memory of the kernel is the pattern plus
+one chunk, flat as the mesh grows.
 """
 
 from __future__ import annotations
 
 import math
 from functools import cached_property
-from typing import Callable
+from typing import Callable, Sequence
 
 import numpy as np
 import scipy.sparse
@@ -62,10 +68,97 @@ def _combine(tabs: list[np.ndarray], orders: tuple[int, ...]) -> np.ndarray:
     return t
 
 
-def _axis_tables(f: SplineSpace1D, elements, points: np.ndarray, max_deriv: int):
-    """First active indices (n_el,) and basis tables (n_el, q, max_deriv+1, p+1)."""
-    firsts, tabs = zip(*(f.tabulate(e, x, max_deriv) for e, x in zip(elements, points)))
-    return np.array(firsts), np.stack(tabs)
+def _axis_pattern(first_r, m_r: int, dim_r: int, first_c, m_c: int, dim_c: int):
+    """1D pattern of the function pairs active on a common element of one axis.
+
+    `first_r`/`first_c` are the first active row/column functions per
+    element and `m_r`/`m_c` the numbers of active ones.  Returns the CSR
+    (indptr, indices) and, per element, the place of each pair in its row,
+    (n_el, m_r, m_c), and the length of each active row, (n_el, m_r).
+    """
+    rows = first_r[:, None] + np.arange(m_r)
+    codes = rows[:, :, None] * dim_c + (first_c[:, None] + np.arange(m_c))[:, None, :]
+    pattern = np.unique(codes)
+    indptr = np.searchsorted(pattern // dim_c, np.arange(dim_r + 1))
+    rank = np.searchsorted(pattern, codes) - indptr[rows][:, :, None]
+    return indptr, pattern % dim_c, rank, np.diff(indptr)[rows]
+
+
+def _kron(a, b):
+    """Kronecker product of CSR patterns a and b, (indptr, indices, ncols).
+
+    Row (i, l) holds the columns ia[u] * nb + ib[v] for the entries u of row
+    i of a and v of row l of b, u-major: sorted, as CSR wants.  The product
+    is built one row of a at a time, so its temporaries stay small.
+    """
+    (pa, ia, na), (pb, ib, nb) = a, b
+    lb = np.diff(pb)
+    indptr = np.concatenate([[0], np.cumsum(np.outer(np.diff(pa), lb))])
+    indices = np.empty(indptr[-1], dtype=np.int64)
+    start = np.repeat(pb[:-1], lb)  # start of the row of each entry of b
+    width = np.repeat(lb, lb)  # length of that row
+    rank = np.arange(len(ib)) - start
+    for i in range(len(pa) - 1):
+        cols = ia[pa[i] : pa[i + 1]]
+        k = len(cols)
+        dest = indptr[i * len(lb)] + k * start + rank + np.arange(k)[:, None] * width
+        indices[dest] = cols[:, None] * nb + ib
+    return indptr, indices, na * nb
+
+
+class _Pattern:
+    """CSR pattern of the forms between spaces r and c of a `_Tabulation`.
+
+    On a tensor grid of elements the pattern is the Kronecker product of
+    the per-axis 1D patterns: row (i_0, ..., i_{d-1}) holds the columns
+    (j_0, ..., j_{d-1}) with each pair (i_k, j_k) active on a common element
+    of axis k, last axis fastest.  `places` maps the entries of a chunk's
+    element blocks to their indices in the CSR data array.
+    """
+
+    def __init__(self, tab: "_Tabulation", r: int, c: int):
+        self.r = r
+        self.axes = []  # per axis: (place in row, row length) per element
+        patterns = []
+        for (fr, tr), (fc, tc), dim_r, dim_c in zip(tab.tables[r], tab.tables[c], tab.dims[r], tab.dims[c]):
+            indptr, indices, rank, length = _axis_pattern(fr, tr.shape[-1], dim_r, fc, tc.shape[-1], dim_c)
+            self.axes.append((rank, length))
+            patterns.append((indptr, indices, dim_c))
+        # fold from the last axis, so that each step loops over the rows of a 1D pattern
+        acc = patterns[-1]
+        for pat in reversed(patterns[:-1]):
+            acc = _kron(pat, acc)
+        self.indptr, self.indices, _ = acc
+        self.shape = (math.prod(tab.dims[r]), math.prod(tab.dims[c]))
+
+    @property
+    def nnz(self) -> int:
+        return len(self.indices)
+
+    def places(self, ch: "_Chunk") -> tuple[int, int, np.ndarray]:
+        """(lo, hi, places): the chunk's block entries go to data[lo:hi][places], (n, a, b).
+
+        Row I's columns are ordered by the place in the row of the leading
+        axes and then by that of axis k, so the place accumulates axis by
+        axis as place * length_k + place_k.
+        """
+        place = None
+        for (rank, length), e in zip(self.axes, ch.el):
+            o, ln = rank[e], length[e]
+            if place is None:
+                place = o
+                continue
+            n, a, b = place.shape
+            place = place[:, :, None, :, None] * ln[:, None, :, None, None] + o[:, None, :, None, :]
+            place = place.reshape(n, a * o.shape[1], b * o.shape[2])
+        rows = ch.active(self.r)
+        starts = self.indptr[rows]
+        lo, hi = int(starts.min()), int(self.indptr[rows.max() + 1])
+        place += (starts - lo)[:, :, None]
+        return lo, hi, place
+
+    def csr(self, data: np.ndarray) -> scipy.sparse.csr_matrix:
+        return scipy.sparse.csr_matrix((data, self.indices, self.indptr), shape=self.shape)
 
 
 class _Tabulation:
@@ -87,7 +180,7 @@ class _Tabulation:
     def volume(cls, spaces: list[TensorSpace], q: int, max_deriv: int) -> "_Tabulation":
         rules = [QuadratureRule1D.for_space(f, q) for f in spaces[0].factors]
         tables = [
-            [_axis_tables(f, range(f.num_elements), r.points, max_deriv) for f, r in zip(sp.factors, rules)]
+            [f.tabulate(np.arange(f.num_elements), r.points, max_deriv) for f, r in zip(sp.factors, rules)]
             for sp in spaces
         ]
         return cls(rules, tables, [sp.dims for sp in spaces])
@@ -102,8 +195,8 @@ class _Tabulation:
                 elements = [side * (f.num_elements - 1)]
             else:
                 rule = QuadratureRule1D.for_space(f, q)
-                elements = range(f.num_elements)
-            tab = _axis_tables(f, elements, rule.points, max_deriv)
+                elements = np.arange(f.num_elements)
+            tab = f.tabulate(elements, rule.points, max_deriv)
             rules.append(rule)
             vol.append(tab)
             trace.append((np.zeros(1, dtype=np.int64), np.ones((1, 1, 1, 1))) if j == axis else tab)
@@ -125,14 +218,16 @@ class _Tabulation:
 class _Chunk:
     """Quadrature, geometry and basis data on a chunk of n elements.
 
-    `points` is (n * nq, d), element-major; per-point arrays are (n, nq, ...).
+    `el` holds the per-axis element indices, (n,) each.  `points` is
+    (n * nq, d), element-major; per-point arrays are (n, nq, ...).
     `dx` is the quadrature weight times |det J| in the volume and times the
     surface Jacobian on a face, where `normal` is the outward unit normal.
     """
 
     def __init__(self, tab: _Tabulation, el: tuple[np.ndarray, ...], geo: GeometryMap):
         n, d = len(el[0]), len(el)
-        self.geo, self.d, self.dims = geo, d, tab.dims
+        self.geo, self.d, self.dims, self.el = geo, d, tab.dims, el
+        self._integrands: dict[tuple[int, str], np.ndarray] = {}
         # per space, per axis: (first active index (n,), basis table (n, q, nd, m))
         self.tables = [[(first[e], t[e]) for (first, t), e in zip(tables, el)] for tables in tab.tables]
         grid = (n,) + tuple(r.points.shape[1] for r in tab.rules)
@@ -204,12 +299,12 @@ class _Chunk:
         """
         g = self.jinv @ np.swapaxes(self.jinv, -1, -2)
         v = np.einsum("nqjk,nqk->nqj", self.jinv, np.einsum("nqkrs,nqrs->nqk", self.hess, g))
-        lap = 0.0
+        lap = np.zeros(self.dx.shape + (math.prod(t.shape[-1] for _, t in self.tables[s]),))
         for i in range(self.d):
             for j in range(i, self.d):
                 c = g[..., i, j] if i == j else 2.0 * g[..., i, j]
-                lap = lap + c[..., None] * self.basis(s, self._orders(i, j))
-            lap = lap - v[..., i, None] * self.basis(s, self._orders(i))
+                lap += c[..., None] * self.basis(s, self._orders(i, j))
+            lap -= v[..., i, None] * self.basis(s, self._orders(i))
         return lap
 
     def normal_derivative(self, s: int) -> np.ndarray:
@@ -217,120 +312,163 @@ class _Chunk:
         v = np.einsum("nqji,nqi->nqj", self.jinv, self.normal)
         return sum(v[..., j, None] * self.basis(s, self._orders(j)) for j in range(self.d))
 
+    def integrand(self, s: int, name: str) -> np.ndarray:
+        """Basis values ("value") or physical Laplacians ("laplacian") of space s.
+
+        Computed once per chunk, so the forms of one pass share them.
+        """
+        key = (s, name)
+        if key not in self._integrands:
+            self._integrands[key] = self.basis(s) if name == "value" else self.laplacian(s)
+        return self._integrands[key]
+
     def integrate(self, r: np.ndarray, c: np.ndarray) -> np.ndarray:
         """Element blocks sum_q dx_q r_qa c_qb of (n, nq, a) and (n, nq, b) tables."""
         return np.swapaxes(r * self.dx[..., None], 1, 2) @ c
 
-    def gram(self, vals: np.ndarray, s: int, offset: int = 0):
-        """Scatter block of the Gram matrix of `vals` over the active set of space s."""
-        idx = offset + self.active(s)
-        return idx, idx, self.integrate(vals, vals)
+
+def _assemble(tab: _Tabulation, geo: GeometryMap, r: int, c: int, forms) -> list[scipy.sparse.csr_matrix]:
+    """One CSR matrix per form from one pass over the chunks of `tab`.
+
+    `forms` is a list of functions that map a chunk to the element blocks of
+    one form between spaces r and c, (n, a, b).  Per chunk the blocks are
+    made one after the other and added into their form's data array.
+    """
+    pattern = _Pattern(tab, r, c)
+    datas = [np.zeros(pattern.nnz) for _ in forms]
+    for ch in tab.chunks(geo):
+        lo, hi, places = pattern.places(ch)
+        for data, form in zip(datas, forms):
+            data[lo:hi] += np.bincount(places.ravel(), weights=form(ch).ravel(), minlength=hi - lo)
+    return [pattern.csr(data) for data in datas]
+
+
+def _face_matrices(space: TensorSpace, geo: GeometryMap, q: int, max_deriv: int, r: int, c: int, form):
+    """The matrix of `form` on each face of `space`, in `TraceSpace` order."""
+    return [
+        _assemble(_Tabulation.face_of(space, axis, side, q, max_deriv), geo, r, c, [form])[0]
+        for axis, side in TraceSpace(space).faces
+    ]
+
+
+def _gram(values):
+    """The form whose element blocks are the Gram matrices of `values(chunk)`."""
+
+    def block(ch: _Chunk) -> np.ndarray:
+        v = values(ch)
+        return ch.integrate(v, v)
+
+    return block
+
+
+def _block_diagonal(mats: list[scipy.sparse.csr_matrix]) -> scipy.sparse.csr_matrix:
+    """The block-diagonal matrix of CSR blocks, stacked row-wise without a sort."""
+    offs = np.cumsum([0] + [m.shape[1] for m in mats])
+    shifted = [
+        scipy.sparse.csr_matrix((m.data, m.indices + o, m.indptr), shape=(m.shape[0], offs[-1]))
+        for m, o in zip(mats, offs)
+    ]
+    return scipy.sparse.vstack(shifted, format="csr")
 
 
 def _face_chunks(space: TensorSpace, geo: GeometryMap, q: int, max_deriv: int):
-    """Yield (face index, chunk) over the faces of `space`, in `TraceSpace` order."""
-    for fi, (axis, side) in enumerate(TraceSpace(space).faces):
-        for ch in _Tabulation.face_of(space, axis, side, q, max_deriv).chunks(geo):
-            yield fi, ch
+    """Yield the chunks of all faces of `space`."""
+    for axis, side in TraceSpace(space).faces:
+        yield from _Tabulation.face_of(space, axis, side, q, max_deriv).chunks(geo)
 
 
-def _scatter(shape: tuple[int, int], blocks) -> scipy.sparse.csr_matrix:
-    """Sum element blocks into a CSR matrix of `shape`.
-
-    Each block is (row indices (n, a), column indices (n, b), values
-    (n, a, b)); entries that land on the same position are added.
-    """
-    rows, cols, vals = [], [], []
-    for r, c, v in blocks:
-        rows.append(np.broadcast_to(r[:, :, None], v.shape).ravel())
-        cols.append(np.broadcast_to(c[:, None, :], v.shape).ravel())
-        vals.append(v.ravel())
-    mat = scipy.sparse.coo_matrix(
-        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))), shape=shape
-    )
-    return mat.tocsr()
-
-
-def _scatter_vector(dim: int, blocks) -> np.ndarray:
-    """`_scatter` of (indices (n, a), values (n, a, 1)) blocks into a vector."""
-    return _scatter((dim, 1), ((idx, np.zeros_like(idx[:, :1]), v) for idx, v in blocks)).toarray().ravel()
+def _add_vector(out: np.ndarray, idx: np.ndarray, vals: np.ndarray) -> None:
+    """Add element vectors `vals` at the global indices `idx` into `out`."""
+    out += np.bincount(idx.ravel(), weights=vals.ravel(), minlength=len(out))
 
 
 def _symmetric(m: scipy.sparse.csr_matrix) -> SparseSymMatrix:
     return SparseSymMatrix((m + m.T) * 0.5)
 
 
-_KINDS = ("value", "laplacian", "neg_laplacian")
-
-
-def _integrand(ch: _Chunk, s: int, kind: str) -> np.ndarray:
-    if kind == "value":
-        return ch.basis(s)
-    lap = ch.laplacian(s)
-    return -lap if kind == "neg_laplacian" else lap
+# integrand factor of each kind: (`_Chunk.integrand` name, sign)
+_KINDS = {"value": ("value", 1.0), "laplacian": ("laplacian", 1.0), "neg_laplacian": ("laplacian", -1.0)}
 
 
 def assemble_volume(
     row_space: TensorSpace,
     col_space: TensorSpace,
     geo: GeometryMap,
-    row_kind: str = "value",
-    col_kind: str = "value",
+    kinds: Sequence[tuple[str, str]] = (("value", "value"),),
     q: int | None = None,
-) -> scipy.sparse.csr_matrix:
+) -> list[scipy.sparse.csr_matrix]:
     """Assemble A[j, i] = int_(0,1)^d r_j(row basis) c_i(col basis) |det J| dxi.
 
-    `row_kind`/`col_kind` select the integrand factor: the basis value, its
-    physical Laplacian, or its negated physical Laplacian.
+    One matrix per (row_kind, col_kind) pair in `kinds`, all from one pass
+    over the quadrature.  A kind selects the integrand factor: the basis
+    value, its physical Laplacian, or its negated physical Laplacian.  Per
+    chunk each table is computed once and shared by the pairs that use it.
     """
-    for kind in (row_kind, col_kind):
-        if kind not in _KINDS:
-            raise ValueError(f"unknown integrand kind {kind!r}")
+    for pair in kinds:
+        for kind in pair:
+            if kind not in _KINDS:
+                raise ValueError(f"unknown integrand kind {kind!r}")
     _check_compatible(row_space, col_space)
-    need_lap = row_kind != "value" or col_kind != "value"
+    need_lap = any(kind != "value" for pair in kinds for kind in pair)
     if q is None:
         q = max(_default_q(row_space), _default_q(col_space))
     spaces = [row_space] if row_space is col_space else [row_space, col_space]
     ci = len(spaces) - 1
     tab = _Tabulation.volume(spaces, q, 2 if need_lap else 0)
 
-    def blocks():
-        for ch in tab.chunks(geo):
-            r = _integrand(ch, 0, row_kind)
-            c = r if ci == 0 and row_kind == col_kind else _integrand(ch, ci, col_kind)
-            yield ch.active(0), ch.active(ci), ch.integrate(r, c)
+    def form(row_kind: str, col_kind: str):
+        (rt, rs), (ct, cs) = _KINDS[row_kind], _KINDS[col_kind]
 
-    return _scatter((row_space.dim, col_space.dim), blocks())
+        def block(ch: _Chunk) -> np.ndarray:
+            out = ch.integrate(ch.integrand(0, rt), ch.integrand(ci, ct))
+            return np.negative(out, out=out) if rs * cs < 0 else out
+
+        return block
+
+    return _assemble(tab, geo, 0, ci, [form(*pair) for pair in kinds])
 
 
 def assemble_mass(space: TensorSpace, geo: GeometryMap, q: int | None = None) -> SparseSymMatrix:
     """L2 mass matrix on the full space."""
-    return _symmetric(assemble_volume(space, space, geo, "value", "value", q))
+    return _symmetric(assemble_volume(space, space, geo, q=q)[0])
 
 
 def assemble_laplacian_strong(
     space_u: TensorSpace, space_w: TensorSpace, geo: GeometryMap, q: int | None = None
 ) -> scipy.sparse.csr_matrix:
     """K[j, i] = int (-Lap phi_i) psi_j |det J| dxi, shape (dim W, dim U)."""
-    return assemble_volume(space_w, space_u, geo, "value", "neg_laplacian", q)
+    return assemble_volume(space_w, space_u, geo, (("value", "neg_laplacian"),), q)[0]
 
 
 def assemble_biharmonic(space_u: TensorSpace, geo: GeometryMap, q: int | None = None) -> SparseSymMatrix:
     """B[i, j] = int Lap phi_i Lap phi_j |det J| dxi on the full space."""
-    return _symmetric(assemble_volume(space_u, space_u, geo, "laplacian", "laplacian", q))
+    return _symmetric(assemble_volume(space_u, space_u, geo, (("laplacian", "laplacian"),), q)[0])
+
+
+def assemble_volume_forms(
+    space: TensorSpace, geo: GeometryMap, q: int | None = None
+) -> tuple[SparseSymMatrix, scipy.sparse.csr_matrix, SparseSymMatrix]:
+    """The mass, strong Laplacian and biharmonic forms on one space from one pass.
+
+    Each is bitwise equal to `assemble_mass`, `assemble_laplacian_strong(space,
+    space)` and `assemble_biharmonic`: the same element blocks, summed in the
+    same order.
+    """
+    m, k, b = assemble_volume(
+        space, space, geo, (("value", "value"), ("value", "neg_laplacian"), ("laplacian", "laplacian")), q
+    )
+    return _symmetric(m), k, _symmetric(b)
 
 
 def assemble_stiffness(space: TensorSpace, geo: GeometryMap, q: int | None = None) -> SparseSymMatrix:
     """Gradient-gradient Gram matrix (test oracle for integration by parts)."""
     tab = _Tabulation.volume([space], q or _default_q(space), 1)
 
-    def blocks():
-        for ch in tab.chunks(geo):
-            g = ch.gradient(0)
-            idx = ch.active(0)
-            yield idx, idx, sum(ch.integrate(g[..., i], g[..., i]) for i in range(space.d))
+    def block(ch: _Chunk) -> np.ndarray:
+        g = ch.gradient(0)
+        return sum(ch.integrate(g[..., i], g[..., i]) for i in range(space.d))
 
-    return _symmetric(_scatter((space.dim, space.dim), blocks()))
+    return _symmetric(_assemble(tab, geo, 0, 0, [block])[0])
 
 
 # ---------------------------------------------------------------------------
@@ -359,23 +497,21 @@ class TraceSpace:
 
 def assemble_boundary_mass(space: TensorSpace, geo: GeometryMap, q: int | None = None) -> SparseSymMatrix:
     """Boundary mass M_d[i, j] = surface integral of phi_i phi_j over the boundary."""
-    dim = space.dim
-    chunks = _face_chunks(space, geo, q or _default_q(space), 0)
-    return _symmetric(_scatter((dim, dim), (ch.gram(ch.basis(0), 0) for _, ch in chunks)))
+    faces = _face_matrices(space, geo, q or _default_q(space), 0, 0, 0, _gram(lambda ch: ch.basis(0)))
+    return _symmetric(sum(faces[1:], faces[0]))
 
 
 def assemble_normal_gram(space: TensorSpace, geo: GeometryMap, q: int | None = None) -> SparseSymMatrix:
     """K_d[i, j] = surface integral of dn(phi_i) dn(phi_j) over the boundary."""
-    dim = space.dim
-    chunks = _face_chunks(space, geo, q or _default_q(space), 1)
-    return _symmetric(_scatter((dim, dim), (ch.gram(ch.normal_derivative(0), 0) for _, ch in chunks)))
+    faces = _face_matrices(space, geo, q or _default_q(space), 1, 0, 0, _gram(lambda ch: ch.normal_derivative(0)))
+    return _symmetric(sum(faces[1:], faces[0]))
 
 
 def assemble_trace_mass(trace: TraceSpace, geo: GeometryMap, q: int | None = None) -> SparseSymMatrix:
     """L2 Gram matrix of the per-face trace space on the mapped boundary."""
-    chunks = _face_chunks(trace.volume_space, geo, q or _default_q(trace.volume_space), 0)
-    blocks = (ch.gram(ch.basis(1), 1, trace.offsets[fi]) for fi, ch in chunks)
-    return _symmetric(_scatter((trace.dim, trace.dim), blocks))
+    space = trace.volume_space
+    faces = _face_matrices(space, geo, q or _default_q(space), 0, 1, 1, _gram(lambda ch: ch.basis(1)))
+    return _symmetric(_block_diagonal(faces))
 
 
 def assemble_normal_coupling(
@@ -384,12 +520,12 @@ def assemble_normal_coupling(
     """N[f, i] = surface integral of dn(phi_i) times a trace basis function."""
     if space is not trace.volume_space:
         _check_compatible(space, trace.volume_space)
-    chunks = _face_chunks(space, geo, q or _default_q(space), 1)
-    blocks = (
-        (trace.offsets[fi] + ch.active(1), ch.active(0), ch.integrate(ch.basis(1), ch.normal_derivative(0)))
-        for fi, ch in chunks
-    )
-    return _scatter((trace.dim, space.dim), blocks)
+
+    def block(ch: _Chunk) -> np.ndarray:
+        return ch.integrate(ch.basis(1), ch.normal_derivative(0))
+
+    faces = _face_matrices(space, geo, q or _default_q(space), 1, 1, 0, block)
+    return scipy.sparse.vstack(faces, format="csr")
 
 
 def assemble_rhs_normal_data(
@@ -403,14 +539,12 @@ def assemble_rhs_normal_data(
     `data_gradient` maps physical points (npts, d) to gradients (npts, d) of
     the underlying scalar field whose normal derivative is the data.
     """
-
-    def blocks():
-        for _, ch in _face_chunks(space, geo, q or _default_q(space), 1):
-            grad = data_gradient(geo.value(ch.points)).reshape(ch.normal.shape)
-            dvals = np.einsum("nqi,nqi->nq", grad, ch.normal)
-            yield ch.active(0), ch.integrate(ch.normal_derivative(0), dvals[..., None])
-
-    return _scatter_vector(space.dim, blocks())
+    rhs = np.zeros(space.dim)
+    for ch in _face_chunks(space, geo, q or _default_q(space), 1):
+        grad = data_gradient(geo.value(ch.points)).reshape(ch.normal.shape)
+        dvals = np.einsum("nqi,nqi->nq", grad, ch.normal)
+        _add_vector(rhs, ch.active(0), ch.integrate(ch.normal_derivative(0), dvals[..., None]))
+    return rhs
 
 
 def assemble_rhs_l2(
@@ -420,18 +554,16 @@ def assemble_rhs_l2(
     q: int | None = None,
 ) -> np.ndarray:
     """rhs[i] = volume integral of phi_i f(x) |det J|."""
-
-    def blocks():
-        for ch in _Tabulation.volume([space], q or _default_q(space), 0).chunks(geo):
-            fvals = fn(geo.value(ch.points)).reshape(ch.dx.shape)
-            yield ch.active(0), ch.integrate(ch.basis(0), fvals[..., None])
-
-    return _scatter_vector(space.dim, blocks())
+    rhs = np.zeros(space.dim)
+    for ch in _Tabulation.volume([space], q or _default_q(space), 0).chunks(geo):
+        fvals = fn(geo.value(ch.points)).reshape(ch.dx.shape)
+        _add_vector(rhs, ch.active(0), ch.integrate(ch.basis(0), fvals[..., None]))
+    return rhs
 
 
 def boundary_measure(space: TensorSpace, geo: GeometryMap, q: int = 8) -> float:
     """Total surface measure of the mapped boundary (quadrature oracle)."""
-    return float(sum(np.sum(ch.dx) for _, ch in _face_chunks(space, geo, q, 0)))
+    return float(sum(np.sum(ch.dx) for ch in _face_chunks(space, geo, q, 0)))
 
 
 def domain_measure(space: TensorSpace, geo: GeometryMap, q: int = 8) -> float:

@@ -118,8 +118,13 @@ class DiscreteOperators:
         self.interior = self.space.interior_indices()
 
     @cached_property
+    def volume_forms(self) -> tuple[SparseSymMatrix, scipy.sparse.csr_matrix, SparseSymMatrix]:
+        """M, K and B from one assembly pass; every problem uses all three."""
+        return assembly.assemble_volume_forms(self.space, self.geo)
+
+    @cached_property
     def mass(self) -> SparseSymMatrix:
-        return assembly.assemble_mass(self.space, self.geo)
+        return self.volume_forms[0]
 
     @cached_property
     def mass_factor(self) -> CholeskyFactor:
@@ -129,11 +134,11 @@ class DiscreteOperators:
     @cached_property
     def laplacian(self) -> scipy.sparse.csr_matrix:
         """K[j, i] = int psi_j (-Lap phi_i), full space in both slots."""
-        return assembly.assemble_laplacian_strong(self.space, self.space, self.geo)
+        return self.volume_forms[1]
 
     @cached_property
     def biharmonic(self) -> SparseSymMatrix:
-        return assembly.assemble_biharmonic(self.space, self.geo)
+        return self.volume_forms[2]
 
     @cached_property
     def normal_gram(self) -> SparseSymMatrix:

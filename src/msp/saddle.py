@@ -37,21 +37,22 @@ class BlockTridiagSystem:
     """The n-block operator: diagonal blocks A_i (unsigned), couplings B_i.
 
     B_i maps block i into the dual of block i+1, i.e. it has shape
-    (dim_{i+1}, dim_i).  `Bt`, when given, holds the transposes B_i' as CSR
-    (builders pass the ones cached with their couplings); otherwise they
-    are built on the first apply.
+    (dim_{i+1}, dim_i).  A coupling given as an array (the small random
+    test systems) is kept as it is; any other is stored as CSR.  `Bt`,
+    when given, holds the transposes B_i' (builders pass the ones cached
+    with their couplings); otherwise they are built on the first apply.
     """
 
     def __init__(
         self,
         A: list[SparseSymMatrix | DenseSymMatrix],
-        B: list[scipy.sparse.spmatrix],
-        Bt: list[scipy.sparse.csr_matrix] | None = None,
+        B: list[scipy.sparse.spmatrix | np.ndarray],
+        Bt: list[scipy.sparse.csr_matrix | np.ndarray] | None = None,
     ):
         if len(B) != len(A) - 1:
             raise ValueError("need n-1 couplings for n diagonal blocks")
         self.A = A
-        self.B = [scipy.sparse.csr_matrix(b) for b in B]
+        self.B = [b if isinstance(b, np.ndarray) else scipy.sparse.csr_matrix(b) for b in B]
         self.block_dims = [a.dim for a in A]
         for i, b in enumerate(self.B):
             if b.shape != (self.block_dims[i + 1], self.block_dims[i]):
@@ -75,9 +76,9 @@ class BlockTridiagSystem:
         return list(self._slices)
 
     @cached_property
-    def _bt(self) -> list[scipy.sparse.csr_matrix]:
-        """B_i' as CSR, built on the first apply: faster than a transposed view per call."""
-        return [b.T.tocsr() for b in self.B]
+    def _bt(self) -> list[scipy.sparse.csr_matrix | np.ndarray]:
+        """B_i', built on the first apply: CSR is faster than a transposed view per call."""
+        return [b.T.tocsr() if scipy.sparse.issparse(b) else b.T for b in self.B]
 
     def apply(self, x: np.ndarray) -> np.ndarray:
         """The operator times x, block by block: (-1)^i A_i x_i + B_{i-1} x_{i-1} + B_i' x_{i+1}."""
@@ -93,6 +94,11 @@ class BlockTridiagSystem:
                 yi += self._bt[i] @ xs[i + 1]
             y[s] = yi
         return y
+
+
+def _dense(b: scipy.sparse.spmatrix | np.ndarray) -> np.ndarray:
+    """A coupling as an array (an array coupling itself, not a copy)."""
+    return b.toarray() if scipy.sparse.issparse(b) else b
 
 
 def _slices(dims: list[int]) -> list[slice]:
@@ -111,8 +117,8 @@ def assemble_full(sys: BlockTridiagSystem) -> SparseSymMatrix:
     for i in range(n):
         grid[i][i] = (-1.0) ** i * sys.A[i].to_csr()
     for i, b in enumerate(sys.B):
-        grid[i + 1][i] = b
-        grid[i][i + 1] = b.T
+        grid[i + 1][i] = scipy.sparse.csr_matrix(b)
+        grid[i][i + 1] = grid[i + 1][i].T
     return SparseSymMatrix(scipy.sparse.bmat(grid, format="csr"))
 
 
@@ -169,7 +175,7 @@ def _dense_operator(sys: BlockTridiagSystem) -> np.ndarray:
         full[s, s] = 0.0 - a if i % 2 else a
         if i > 0:
             prev = slices[i - 1]
-            b = sys.B[i - 1].toarray()
+            b = _dense(sys.B[i - 1])
             full[s, prev] = b
             full[prev, s] = b.T
     return full
@@ -203,7 +209,7 @@ def exact_schur(
             )
         s_dense = sys.A[i].to_dense()
         if i > 0:
-            b = sys.B[i - 1].toarray()
+            b = _dense(sys.B[i - 1])
             first = edges.index(sys_edges[i - 1])
             s_inv = SchurPreconditioner(blocks[first:], factors[first:])
             s_dense = s_dense + b @ s_inv.apply_inverse(b.T)
@@ -292,7 +298,7 @@ def random_sharp_system(n: int, rng: np.random.Generator, block_dim: int | None 
     B = []
     for _ in range(n - 1):
         qb, rb = np.linalg.qr(rng.standard_normal((m, m)))
-        B.append(scipy.sparse.csr_matrix(qb * np.sign(np.diag(rb))))
+        B.append(qb * np.sign(np.diag(rb)))
     return BlockTridiagSystem([a1] + zeros, B)
 
 
@@ -312,7 +318,7 @@ def random_spsd_system(n: int, rng: np.random.Generator) -> BlockTridiagSystem:
         b = rng.standard_normal((dims[i + 1], dims[i]))
         while np.linalg.matrix_rank(b) < dims[i + 1]:
             b = rng.standard_normal((dims[i + 1], dims[i]))
-        B.append(scipy.sparse.csr_matrix(b))
+        B.append(b)
     return BlockTridiagSystem(A, B)
 
 

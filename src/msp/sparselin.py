@@ -11,6 +11,7 @@ banded): a banded Cholesky when the band is narrow, a dense one otherwise.
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -137,13 +138,23 @@ class CholeskyFactor:
 _PIVOT_RTOL = 1e-14
 
 
+def physical_memory_bytes() -> int | None:
+    """Physical memory of the host, or None where the OS does not report it."""
+    try:
+        return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    except (ValueError, OSError, AttributeError):
+        return None
+
+
 def cholesky(m: SparseSymMatrix | DenseSymMatrix) -> CholeskyFactor:
     """Factor an SPD matrix; raises NotPositiveDefinite on pivot failure.
 
     The band width is read off the nonzero entries in either storage.  A
     pivot is rejected when it is below 1e-14 times the largest initial
     diagonal entry, which flags semidefinite blocks that LAPACK would
-    let pass with a tiny positive pivot.
+    let pass with a tiny positive pivot.  Before allocating, the factor's
+    entries are estimated, (bw + 1) n banded or n^2 dense; a factor whose
+    bytes exceed the host's physical memory raises ValueError.
     """
     n = m.dim
     if n == 0:
@@ -157,9 +168,17 @@ def cholesky(m: SparseSymMatrix | DenseSymMatrix) -> CholeskyFactor:
     bw = int(np.max(np.abs(row - col))) if row.size else 0
     diag_max = float(np.max(np.abs(val[row == col]), initial=0.0))
     pivot_floor = _PIVOT_RTOL * diag_max
+    banded = bw + 1 < n // 2
+    need = 8 * ((bw + 1) * n if banded else n * n)
+    have = physical_memory_bytes()
+    if have is not None and need > have:
+        raise ValueError(
+            f"a {'banded' if banded else 'dense'} Cholesky factor of order {n} with band width {bw} "
+            f"needs {need} bytes, more than the {have} bytes of physical memory"
+        )
 
     try:
-        if bw + 1 < n // 2:
+        if banded:
             ab = np.zeros((bw + 1, n))
             mask = row <= col
             r, c, v = row[mask], col[mask], val[mask]

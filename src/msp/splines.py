@@ -15,19 +15,24 @@ import numpy as np
 from numpy.polynomial import polynomial as npoly
 
 
-def _ders_basis_funs(span: int, x: float, p: int, nders: int, knots: np.ndarray) -> np.ndarray:
-    """Nonzero basis functions and derivatives at x (Cox-de Boor, banded form).
+def _ders_basis_funs(spans: np.ndarray, x: np.ndarray, p: int, nders: int, knots: np.ndarray) -> np.ndarray:
+    """Nonzero basis functions and derivatives at the points x (Cox-de Boor, banded form).
 
-    Returns an array of shape (nders+1, p+1): row r holds the r-th
-    derivatives of the p+1 basis functions active on the span.
+    Point a lies in knot span spans[a].  Returns (npts, nders+1, p+1): row
+    r of point a holds the r-th derivatives of the p+1 basis functions
+    active on its span.  The recurrence (Piegl and Tiller, The NURBS Book,
+    A2.3) runs once with a trailing point axis on every array, so each
+    point goes through the same floating-point operations as it would
+    alone.
     """
-    ndu = np.empty((p + 1, p + 1))
+    npts = len(x)
+    ndu = np.empty((p + 1, p + 1, npts))
     ndu[0, 0] = 1.0
-    left = np.empty(p + 1)
-    right = np.empty(p + 1)
+    left = np.empty((p + 1, npts))
+    right = np.empty((p + 1, npts))
     for j in range(1, p + 1):
-        left[j] = x - knots[span + 1 - j]
-        right[j] = knots[span + j] - x
+        left[j] = x - knots[spans + 1 - j]
+        right[j] = knots[spans + j] - x
         saved = 0.0
         for r in range(j):
             ndu[j, r] = right[r + 1] + left[j - r]
@@ -36,9 +41,9 @@ def _ders_basis_funs(span: int, x: float, p: int, nders: int, knots: np.ndarray)
             saved = left[j - r] * temp
         ndu[j, j] = saved
 
-    ders = np.zeros((nders + 1, p + 1))
-    ders[0, :] = ndu[:, p]
-    a = np.empty((2, p + 1))
+    ders = np.zeros((nders + 1, p + 1, npts))
+    ders[0] = ndu[:, p]
+    a = np.empty((2, p + 1, npts))
     for r in range(p + 1):
         s1, s2 = 0, 1
         a[0, 0] = 1.0
@@ -53,17 +58,17 @@ def _ders_basis_funs(span: int, x: float, p: int, nders: int, knots: np.ndarray)
             j2 = k - 1 if r - 1 <= pk else p - r
             for j in range(j1, j2 + 1):
                 a[s2, j] = (a[s1, j] - a[s1, j - 1]) / ndu[pk + 1, rk + j]
-                d += a[s2, j] * ndu[rk + j, pk]
+                d = d + a[s2, j] * ndu[rk + j, pk]
             if r <= pk:
                 a[s2, k] = -a[s1, k - 1] / ndu[pk + 1, r]
-                d += a[s2, k] * ndu[r, pk]
+                d = d + a[s2, k] * ndu[r, pk]
             ders[k, r] = d
             s1, s2 = s2, s1
     r = p
     for k in range(1, nders + 1):
-        ders[k, :] *= r
+        ders[k] *= r
         r *= p - k
-    return ders
+    return np.ascontiguousarray(np.moveaxis(ders, -1, 0))
 
 
 class SplineSpace1D:
@@ -112,24 +117,28 @@ class SplineSpace1D:
         if max_deriv > self.degree:
             raise ValueError("requested derivative order exceeds the degree")
         span = self.find_span(x)
-        ders = _ders_basis_funs(span, x, self.degree, max_deriv, self.knots)
-        return span - self.degree, ders
+        ders = _ders_basis_funs(np.array([span]), np.array([float(x)]), self.degree, max_deriv, self.knots)
+        return span - self.degree, ders[0]
 
-    def element_span(self, e: int) -> int:
+    def element_spans(self, elements: np.ndarray) -> np.ndarray:
+        """Knot span of each element, found at the element midpoints."""
+        e = np.asarray(elements, dtype=np.int64)
         mid = 0.5 * (self.breakpoints[e] + self.breakpoints[e + 1])
-        return self.find_span(mid)
+        return np.searchsorted(self.knots, mid, side="right") - 1
 
-    def tabulate(self, e: int, points: np.ndarray, max_deriv: int) -> tuple[int, np.ndarray]:
-        """Basis tables on element e at the given points inside the element.
+    def tabulate(self, elements, points: np.ndarray, max_deriv: int) -> tuple[np.ndarray, np.ndarray]:
+        """Basis tables on several elements at once.
 
-        Returns (first_index, tab) with tab of shape
-        (len(points), max_deriv+1, degree+1).
+        `points` is (n_el, q): row e holds points inside element
+        `elements[e]` (its end points included).  Returns (firsts, tab):
+        the global index of the first active function per element, (n_el,),
+        and tab of shape (n_el, q, max_deriv+1, degree+1).
         """
-        span = self.element_span(e)
-        tab = np.empty((len(points), max_deriv + 1, self.degree + 1))
-        for a, x in enumerate(points):
-            tab[a] = _ders_basis_funs(span, float(x), self.degree, max_deriv, self.knots)
-        return span - self.degree, tab
+        points = np.asarray(points, dtype=np.float64)
+        spans = self.element_spans(elements)
+        n_el, q = points.shape
+        tab = _ders_basis_funs(np.repeat(spans, q), points.ravel(), self.degree, max_deriv, self.knots)
+        return spans - self.degree, tab.reshape(n_el, q, max_deriv + 1, self.degree + 1)
 
 
 @lru_cache(maxsize=32)

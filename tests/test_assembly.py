@@ -1,7 +1,11 @@
 """Galerkin assembly: analytic oracles, integration identities, boundary forms."""
 
+import itertools
+import tracemalloc
+
 import numpy as np
 import pytest
+import scipy.sparse
 
 from msp import assembly as asm
 from msp import splines as sp
@@ -258,6 +262,166 @@ class TestChunking:
                 assert rel < 1e-13, (budget, name)
 
 
+    @pytest.mark.parametrize("budget", ["one element", "partial last chunk"])
+    @pytest.mark.parametrize(
+        "d,p,level,geo_name",
+        [(1, 3, 3, "identity"), (2, 2, 2, "annulus_2d"), (3, 3, 1, "twisted_3d")],
+    )
+    def test_multi_form_call(self, monkeypatch, budget, d, p, level, geo_name):
+        # the one-pass M, K, B call agrees with one call per form on the
+        # whole mesh as one chunk, whatever the chunking of the pass
+        ts = sp.tensor_space(d, p, level)
+        geo = sp.GEOMETRIES[geo_name](d)
+        kinds = (("value", "value"), ("value", "neg_laplacian"), ("laplacian", "laplacian"))
+        monkeypatch.setattr(asm, "_CHUNK_BYTES", 2**62)
+        single = [asm.assemble_volume(ts, ts, geo, (pair,))[0].toarray() for pair in kinds]
+        block = 8 * (p + 1) ** (2 * d)  # bytes of one element's table
+        monkeypatch.setattr(asm, "_CHUNK_BYTES", 1 if budget == "one element" else 3 * block)
+        multi = asm.assemble_volume(ts, ts, geo, kinds)
+        assert len(multi) == 3
+        for got, want in zip(multi, single):
+            assert np.max(np.abs(got.toarray() - want)) <= 1e-13 * np.max(np.abs(want))
+        # at equal chunking the one-pass forms equal the single-form calls bitwise
+        m, k, b = asm.assemble_volume_forms(ts, geo)
+        assert np.array_equal(m.to_dense(), asm.assemble_mass(ts, geo).to_dense())
+        assert np.array_equal(k.toarray(), asm.assemble_laplacian_strong(ts, ts, geo).toarray())
+        assert np.array_equal(b.to_dense(), asm.assemble_biharmonic(ts, geo).to_dense())
+
+    def test_peak_allocation_is_pattern_plus_one_chunk(self, monkeypatch):
+        # 3D p=3 L2: 64 elements with 64 x 64 block entries, 262144 triples
+        # per form.  A COO scatter holds the rows, columns and values of all
+        # of them (24 bytes a triple).  With one element per chunk the
+        # working memory on top of the returned matrices is a few nnz-sized
+        # arrays plus one chunk, and stays below the triples' values alone.
+        ts = sp.tensor_space(3, 3, 2)
+        geo = sp.twisted_3d()
+        kinds = (("value", "value"), ("value", "neg_laplacian"), ("laplacian", "laplacian"))
+        monkeypatch.setattr(asm, "_CHUNK_BYTES", 1)
+        asm.assemble_volume(ts, ts, geo, kinds)  # warm lazily built caches
+        tracemalloc.start()
+        try:
+            forms = asm.assemble_volume(ts, ts, geo, kinds)
+            kept, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        triples = 64 * 64 * 64
+        nnz = forms[0].nnz
+        chunk = 8 * 64 * 64  # bytes of one element's table
+        assert peak - kept <= 4 * 8 * nnz + 32 * chunk
+        assert peak - kept < 8 * triples
+
+
+def _first_active(f: sp.SplineSpace1D, e: int) -> int:
+    """First function active on element e, by pointwise evaluation at its midpoint."""
+    return f.eval_basis(0.5 * (f.breakpoints[e] + f.breakpoints[e + 1]))[0]
+
+
+def _axis_actives(f: sp.SplineSpace1D, elements) -> list[range]:
+    return [range(_first_active(f, e), _first_active(f, e) + f.degree + 1) for e in elements]
+
+
+def _union_pattern(row_axes, row_dims, col_axes, col_dims) -> set:
+    """COO union: the (row, col) pairs active on a common element of the tensor grid.
+
+    `row_axes[k][e]` are the row functions of axis k active on element e.
+    """
+    pairs = set()
+    for el in itertools.product(*(range(len(a)) for a in row_axes)):
+        rows = [np.ravel_multi_index(i, row_dims) for i in itertools.product(*(a[e] for a, e in zip(row_axes, el)))]
+        cols = [np.ravel_multi_index(j, col_dims) for j in itertools.product(*(a[e] for a, e in zip(col_axes, el)))]
+        pairs.update(itertools.product(rows, cols))
+    return pairs
+
+
+def _csr_pairs(m) -> set:
+    m = scipy.sparse.csr_matrix(m)
+    for r in range(m.shape[0]):
+        row = m.indices[m.indptr[r] : m.indptr[r + 1]]
+        assert np.all(np.diff(row) > 0), "indices of a row are sorted and unique"
+    return set(zip(np.repeat(np.arange(m.shape[0]), np.diff(m.indptr)).tolist(), m.indices.tolist()))
+
+
+def _face_axes(space, axis, side, trace: bool):
+    """Per-axis active functions on the elements of face (axis, side) of `space`."""
+    out = []
+    for j, f in enumerate(space.factors):
+        if j != axis:
+            out.append(_axis_actives(f, range(f.num_elements)))
+        else:
+            out.append([range(1)] if trace else _axis_actives(f, [side * (f.num_elements - 1)]))
+    return out
+
+
+class TestPattern:
+    """Pattern-first assembly against a COO union built here from pointwise evaluation."""
+
+    @staticmethod
+    def _check(tab, geo, r, c, row_axes, row_dims, col_axes, col_dims):
+        pattern = asm._Pattern(tab, r, c)
+        got = pattern.csr(np.ones(pattern.nnz))
+        assert got.shape == (int(np.prod(row_dims)), int(np.prod(col_dims)))
+        assert _csr_pairs(got) == _union_pattern(row_axes, row_dims, col_axes, col_dims)
+        # values: the element blocks land where a COO scatter puts them
+        def form(ch):
+            return ch.integrate(ch.basis(r), ch.basis(c))
+
+        coo = sum(
+            scipy.sparse.coo_matrix(
+                (
+                    form(ch).ravel(),
+                    (
+                        np.repeat(ch.active(r), ch.active(c).shape[1], axis=1).ravel(),
+                        np.tile(ch.active(c), ch.active(r).shape[1]).ravel(),
+                    ),
+                ),
+                shape=got.shape,
+            ).toarray()
+            for ch in tab.chunks(geo)
+        )
+        val = asm._assemble(tab, geo, r, c, [form])[0].toarray()
+        assert np.max(np.abs(val - coo)) <= 1e-14 * np.max(np.abs(coo))
+
+    @pytest.mark.parametrize("chunk_bytes", [1, 2**62])
+    @pytest.mark.parametrize("d,level", [(1, 3), (2, 2), (3, 1)])
+    def test_volume_same_space(self, monkeypatch, chunk_bytes, d, level):
+        monkeypatch.setattr(asm, "_CHUNK_BYTES", chunk_bytes)
+        ts = sp.tensor_space(d, 2, level)
+        axes = [_axis_actives(f, range(f.num_elements)) for f in ts.factors]
+        tab = asm._Tabulation.volume([ts], 3, 0)
+        self._check(tab, sp.GEOMETRIES[{1: "identity", 2: "annulus_2d", 3: "twisted_3d"}[d]](d), 0, 0, axes, ts.dims, axes, ts.dims)
+
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_volume_different_spaces(self, d):
+        # rows: degree 3, C^0; columns: degree 2, C^1 on the same elements
+        w = sp.TensorSpace([sp.SplineSpace1D(3, 2, smoothness=0) for _ in range(d)])
+        u = sp.tensor_space(d, 2, 2)
+        tab = asm._Tabulation.volume([w, u], 4, 0)
+        row_axes = [_axis_actives(f, range(f.num_elements)) for f in w.factors]
+        col_axes = [_axis_actives(f, range(f.num_elements)) for f in u.factors]
+        geo = sp.identity_geometry(d)
+        self._check(tab, geo, 0, 1, row_axes, w.dims, col_axes, u.dims)
+        k = asm.assemble_laplacian_strong(u, w, geo)
+        assert _csr_pairs(k) == _union_pattern(row_axes, w.dims, col_axes, u.dims)
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_face_and_trace(self, d):
+        ts = sp.tensor_space(d, 2, 2 if d < 3 else 1)
+        geo = sp.GEOMETRIES[{1: "identity", 2: "annulus_2d", 3: "twisted_3d"}[d]](d)
+        tr = asm.TraceSpace(ts)
+        coupling = set()
+        for fi, (axis, side) in enumerate(tr.faces):
+            tab = asm._Tabulation.face_of(ts, axis, side, 3, 1)
+            vol = _face_axes(ts, axis, side, trace=False)
+            trace = _face_axes(ts, axis, side, trace=True)
+            trace_dims = tuple(1 if j == axis else m for j, m in enumerate(ts.dims))
+            self._check(tab, geo, 0, 0, vol, ts.dims, vol, ts.dims)
+            self._check(tab, geo, 1, 1, trace, trace_dims, trace, trace_dims)
+            self._check(tab, geo, 1, 0, trace, trace_dims, vol, ts.dims)
+            off = tr.offsets[fi]
+            coupling |= {(off + i, j) for i, j in _union_pattern(trace, trace_dims, vol, ts.dims)}
+        assert _csr_pairs(asm.assemble_normal_coupling(tr, ts, geo)) == coupling
+
+
 class TestSpaceCompatibility:
     def test_mismatched_dimensions_rejected(self):
         with pytest.raises(ValueError):
@@ -277,5 +441,5 @@ class TestSpaceCompatibility:
                 sp.tensor_space(2, 2, 2),
                 sp.tensor_space(2, 2, 2),
                 sp.identity_geometry(2),
-                row_kind="gradient",
+                kinds=(("gradient", "value"),),
             )

@@ -249,6 +249,37 @@ class TestCholesky:
         with pytest.raises(ValueError):
             f.scaled(0.0)
 
+    def test_memory_guard_refuses_dense_factor_beyond_physical_memory(self):
+        # order 10^6 with a corner coupling: band width n - 1, so a dense
+        # factor of n^2 entries (8 TB), refused before anything is allocated
+        n = 10**6
+        rows = np.concatenate([np.arange(n), [0, n - 1]])
+        cols = np.concatenate([np.arange(n), [n - 1, 0]])
+        vals = np.concatenate([np.full(n, 4.0), [1.0, 1.0]])
+        m = sl.SparseSymMatrix(scipy.sparse.csr_matrix((vals, (rows, cols)), shape=(n, n)))
+        with pytest.raises(ValueError, match=f"dense Cholesky factor of order {n} with band width {n - 1} needs {8 * n * n} bytes"):
+            sl.cholesky(m)
+
+    def test_memory_guard_estimates_banded_factor(self, monkeypatch):
+        # a tridiagonal order-200 block needs (1 + 1) * 200 entries = 3200 bytes
+        n = 200
+        m = sl.SparseSymMatrix(scipy.sparse.diags([np.full(n - 1, -1.0), np.full(n, 2.0), np.full(n - 1, -1.0)], [-1, 0, 1]))
+        monkeypatch.setattr(sl, "physical_memory_bytes", lambda: 3199)
+        with pytest.raises(ValueError, match="banded Cholesky factor of order 200 with band width 1 needs 3200 bytes"):
+            sl.cholesky(m)
+        monkeypatch.setattr(sl, "physical_memory_bytes", lambda: 3200)
+        assert sl.cholesky(m).mode == "banded"
+
+    def test_memory_guard_exits_2_from_the_cli(self, monkeypatch, capsys):
+        from msp.cli import EXIT_CONFIG, main
+
+        problems.get_operators.cache_clear()
+        monkeypatch.setattr(sl, "physical_memory_bytes", lambda: 1)
+        code = main(["table", "--dim", "1", "--levels", "3", "--alphas", "1.0"])
+        assert code == EXIT_CONFIG
+        assert "physical memory" in capsys.readouterr().err
+        problems.get_operators.cache_clear()
+
 
 class TestEigen:
     def test_generalized_diag(self):

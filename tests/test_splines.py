@@ -7,6 +7,52 @@ from scipy.interpolate import BSpline
 from msp import splines as sp
 
 
+def scalar_ders_basis_funs(span, x, p, nders, knots):
+    """Reference: the Cox-de Boor recurrence at one point with Python loops (The NURBS Book, A2.3)."""
+    ndu = np.empty((p + 1, p + 1))
+    ndu[0, 0] = 1.0
+    left = np.empty(p + 1)
+    right = np.empty(p + 1)
+    for j in range(1, p + 1):
+        left[j] = x - knots[span + 1 - j]
+        right[j] = knots[span + j] - x
+        saved = 0.0
+        for r in range(j):
+            ndu[j, r] = right[r + 1] + left[j - r]
+            temp = ndu[r, j - 1] / ndu[j, r]
+            ndu[r, j] = saved + right[r + 1] * temp
+            saved = left[j - r] * temp
+        ndu[j, j] = saved
+    ders = np.zeros((nders + 1, p + 1))
+    ders[0, :] = ndu[:, p]
+    a = np.empty((2, p + 1))
+    for r in range(p + 1):
+        s1, s2 = 0, 1
+        a[0, 0] = 1.0
+        for k in range(1, nders + 1):
+            d = 0.0
+            rk = r - k
+            pk = p - k
+            if r >= k:
+                a[s2, 0] = a[s1, 0] / ndu[pk + 1, rk]
+                d = a[s2, 0] * ndu[rk, pk]
+            j1 = 1 if rk >= -1 else -rk
+            j2 = k - 1 if r - 1 <= pk else p - r
+            for j in range(j1, j2 + 1):
+                a[s2, j] = (a[s1, j] - a[s1, j - 1]) / ndu[pk + 1, rk + j]
+                d += a[s2, j] * ndu[rk + j, pk]
+            if r <= pk:
+                a[s2, k] = -a[s1, k - 1] / ndu[pk + 1, r]
+                d += a[s2, k] * ndu[r, pk]
+            ders[k, r] = d
+            s1, s2 = s2, s1
+    r = p
+    for k in range(1, nders + 1):
+        ders[k, :] *= r
+        r *= p - k
+    return ders
+
+
 class TestSpace1D:
     def test_dimension_formula(self):
         for p in (1, 2, 3, 4):
@@ -68,11 +114,47 @@ class TestSpace1D:
     def test_tabulate_matches_pointwise(self):
         s = sp.SplineSpace1D(2, 2)
         pts = np.array([0.26, 0.30, 0.42])
-        first, tab = s.tabulate(1, pts, 1)
+        first, tab = s.tabulate([1], pts[None, :], 1)
         for a, x in enumerate(pts):
             f2, d = s.eval_basis(float(x), 1)
-            assert f2 == first
-            assert np.allclose(tab[a], d)
+            assert f2 == first[0]
+            assert np.allclose(tab[0, a], d)
+
+    @pytest.mark.parametrize("p", [1, 2, 3, 4, 5])
+    @pytest.mark.parametrize("level", [0, 1, 2, 3, 4])
+    def test_batched_tabulate_bitwise_equal_to_pointwise(self, p, level):
+        # every element at once, Gauss points plus the domain ends 0 and 1
+        # (an interior breakpoint belongs to the next span in eval_basis, so
+        # each element gets its own interior points only)
+        s = sp.SplineSpace1D(p, level)
+        mid = 0.5 * (s.breakpoints[:-1] + s.breakpoints[1:])
+        lo, hi = mid.copy(), mid.copy()
+        lo[0], hi[-1] = 0.0, 1.0
+        pts = np.column_stack([sp.QuadratureRule1D.for_space(s, p + 1).points, lo, hi])
+        for max_deriv in range(min(p, 2) + 1):
+            first, tab = s.tabulate(np.arange(s.num_elements), pts, max_deriv)
+            assert tab.shape == (s.num_elements, p + 3, max_deriv + 1, p + 1)
+            for e in range(s.num_elements):
+                for a, x in enumerate(pts[e]):
+                    f, d = s.eval_basis(float(x), max_deriv)
+                    assert f == first[e]
+                    assert np.array_equal(tab[e, a], d)
+
+    @pytest.mark.parametrize("p", range(1, 8))
+    def test_batched_recurrence_bitwise_equal_to_scalar_loop(self, p):
+        # the batched kernel runs the same floating-point operations per
+        # point as the loop version, derivative orders beyond p included
+        # (Laplacian tables of p = 1 ask for order 2)
+        for level in range(5):
+            s = sp.SplineSpace1D(p, level)
+            pts = sp.QuadratureRule1D.for_space(s, p + 2).points
+            for max_deriv in range(3):
+                first, tab = s.tabulate(np.arange(s.num_elements), pts, max_deriv)
+                for e, span in enumerate(s.element_spans(np.arange(s.num_elements))):
+                    assert first[e] == span - p
+                    for a, x in enumerate(pts[e]):
+                        want = scalar_ders_basis_funs(span, float(x), p, max_deriv, s.knots)
+                        assert np.array_equal(tab[e, a], want)
 
     def test_eval_outside_domain_rejected(self):
         s = sp.SplineSpace1D(2, 1)
