@@ -383,7 +383,12 @@ def _add_vector(out: np.ndarray, idx: np.ndarray, vals: np.ndarray) -> None:
 
 
 def _symmetric(m: scipy.sparse.csr_matrix) -> SparseSymMatrix:
-    return SparseSymMatrix((m + m.T) * 0.5)
+    """(m + m') / 2, wrapped without re-validation.
+
+    IEEE addition commutes, so the average is exactly symmetric, and the sum
+    of two canonical CSR matrices is canonical.
+    """
+    return SparseSymMatrix._trusted((m + m.T) * 0.5)
 
 
 # integrand factor of each kind: (`_Chunk.integrand` name, sign)

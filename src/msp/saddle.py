@@ -15,8 +15,8 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
-import scipy.linalg
 import scipy.sparse
+from scipy.linalg.blas import dtrsm
 
 from .chebyshev import BoundSet, bounds, pbar_roots, smallest_abs_root
 from .sparselin import (
@@ -106,6 +106,14 @@ def _slices(dims: list[int]) -> list[slice]:
     return [slice(int(offs[i]), int(offs[i + 1])) for i in range(len(dims))]
 
 
+def _block_solve(factors: list[CholeskyFactor], slices: list[slice], r: np.ndarray) -> np.ndarray:
+    """diag(S_i)^{-1} r, one factor solve per block slice of r's rows."""
+    out = np.empty_like(r)
+    for f, s in zip(factors, slices):
+        out[s] = solve_chol(f, r[s])
+    return out
+
+
 def assemble_full(sys: BlockTridiagSystem) -> SparseSymMatrix:
     """Assemble the full operator with the alternating-sign diagonal.
 
@@ -153,14 +161,7 @@ class SchurPreconditioner:
         return out
 
     def apply_inverse(self, r: np.ndarray) -> np.ndarray:
-        out = np.empty_like(r)
-        for f, s in zip(self.factors, self._slices):
-            out[s] = solve_chol(f, r[s])
-        return out
-
-
-def _block_diag_dense(blocks: list[SparseSymMatrix | DenseSymMatrix]) -> np.ndarray:
-    return scipy.linalg.block_diag(*[b.to_dense() for b in blocks])
+        return _block_solve(self.factors, self._slices, r)
 
 
 def _dense_operator(sys: BlockTridiagSystem) -> np.ndarray:
@@ -211,8 +212,8 @@ def exact_schur(
         if i > 0:
             b = _dense(sys.B[i - 1])
             first = edges.index(sys_edges[i - 1])
-            s_inv = SchurPreconditioner(blocks[first:], factors[first:])
-            s_dense = s_dense + b @ s_inv.apply_inverse(b.T)
+            s_inv_bt = _block_solve(factors[first:], _slices(np.diff(edges[first:])), b.T)
+            s_dense = s_dense + b @ s_inv_bt
         blk = DenseSymMatrix(0.5 * (s_dense + s_dense.T))
         try:
             f = cholesky(blk)
@@ -226,7 +227,7 @@ def exact_schur(
 
 @dataclass
 class SpectrumReport:
-    """Generalized spectrum of (full operator, preconditioner) with bound check."""
+    """Spectrum of the pencil (full operator, applied preconditioner) with bound check."""
 
     eigenvalues: np.ndarray
     norm: float
@@ -258,15 +259,47 @@ class SpectrumReport:
 BOUND_SLACK = 1e-10
 
 
+def _reduced_operator(sys: BlockTridiagSystem, precond: SchurPreconditioner) -> np.ndarray:
+    """L^{-1} A L^{-T} for the preconditioner's factors L = diag(L_i), exactly symmetric.
+
+    C_ij = L_i^{-1} A_ij L_j^{-T} over the preconditioner's blocks (which may
+    split a system block) for j <= i, mirrored into C_ji; a diagonal block is
+    averaged with its transpose.  Zero blocks of A are skipped.
+    """
+    if sum(precond.block_dims) != sys.total_dim:
+        raise ValueError("preconditioner and system orders differ")
+    c = _dense_operator(sys)
+    edges = np.cumsum([0, *precond.block_dims])
+    blocks = [(f.lower(), slice(lo, hi)) for f, lo, hi in zip(precond.factors, edges[:-1], edges[1:])]
+    for i, (li, ri) in enumerate(blocks):
+        for lj, rj in blocks[: i + 1]:
+            a = c[ri, rj]
+            if not a.any():
+                continue
+            x = dtrsm(1.0, li, a, lower=1)
+            x = dtrsm(1.0, lj, x, side=1, lower=1, trans_a=1, overwrite_b=1)
+            if ri == rj:
+                x = 0.5 * (x + x.T)
+            c[ri, rj] = x
+            c[rj, ri] = x.T
+    return c
+
+
 def spectrum(
     sys: BlockTridiagSystem,
     precond: SchurPreconditioner,
     dense_limit: int = DENSE_MODE_LIMIT,
 ) -> SpectrumReport:
-    """Dense generalized eigenvalues of the preconditioned operator."""
+    """Dense eigenvalues of the pencil (A, L L'), checked against the bounds.
+
+    L = diag(L_i) holds the preconditioner's own factors, the ones MINRES
+    applies (a scaled factor included).  The pencil is reduced with them to
+    the standard eigenproblem of L^{-1} A L^{-T}: no dense P is formed and
+    no generalized eigensolver is called.
+    """
     if sys.total_dim > dense_limit:
         raise ValueError(f"total dim {sys.total_dim} exceeds dense-mode limit {dense_limit}")
-    ev = np.sort(gen_sym_eig(_dense_operator(sys), _block_diag_dense(precond.blocks)))
+    ev = np.sort(gen_sym_eig(_reduced_operator(sys, precond)))
     nrm = float(np.max(np.abs(ev)))
     inv = float(1.0 / np.min(np.abs(ev)))
     bs = bounds(sys.n)

@@ -1,4 +1,4 @@
-"""Symmetric sparse and dense storage, Cholesky solves, and a generalized eigensolver.
+"""Symmetric sparse and dense storage, Cholesky solves, and a symmetric eigensolver.
 
 Thin, contract-carrying layer over scipy/LAPACK.  A sparse symmetric matrix
 is stored as its full CSR in canonical form (duplicates summed, column
@@ -134,6 +134,22 @@ class CholeskyFactor:
         dense, low = self.data
         return CholeskyFactor(self.dim, self.mode, (dense * s, low))
 
+    def lower(self) -> np.ndarray:
+        """The dense lower-triangular L with L L' equal to the factored matrix.
+
+        A dense factor is stored lower (`cholesky` asks for it); a banded one
+        (LAPACK's upper band of U, with L = U') is expanded.  A scaled factor
+        gives its scaled L, the factor that solves apply.
+        """
+        if self.mode == "dense":
+            return np.tril(self.data[0])
+        bw = self.data.shape[0] - 1
+        out = np.zeros((self.dim, self.dim))
+        for k in range(bw + 1):
+            j = np.arange(k, self.dim)
+            out[j, j - k] = self.data[bw - k, k:]
+        return out
+
 
 _PIVOT_RTOL = 1e-14
 
@@ -211,12 +227,17 @@ def solve_chol(f: CholeskyFactor, b: np.ndarray) -> np.ndarray:
     return scipy.linalg.cho_solve(f.data, b, check_finite=False)
 
 
-def gen_sym_eig(a: np.ndarray, s: np.ndarray) -> np.ndarray:
+def gen_sym_eig(a: np.ndarray, s: np.ndarray | None = None) -> np.ndarray:
     """Eigenvalues of a x = lambda s x with symmetric a and SPD s, ascending.
 
-    Reduces via the Cholesky factor of s (LAPACK's standard reduction).
+    With s None this is the standard problem a x = lambda x, read from the
+    lower triangle of a: `saddle.spectrum` passes the pencil (A, L L')
+    already reduced by the preconditioner's own factors L.  With s given,
+    LAPACK reduces the pencil via a Cholesky factor of s.
     """
     a = np.asarray(a, dtype=np.float64)
+    if s is None:
+        return scipy.linalg.eigh(a, eigvals_only=True)
     s = np.asarray(s, dtype=np.float64)
     try:
         return scipy.linalg.eigh(a, s, eigvals_only=True)

@@ -9,6 +9,7 @@ import scipy.sparse
 
 from msp import assembly as asm
 from msp import splines as sp
+from msp.sparselin import SparseSymMatrix
 
 
 def space_1d(p, level, smoothness=None):
@@ -420,6 +421,36 @@ class TestPattern:
             off = tr.offsets[fi]
             coupling |= {(off + i, j) for i, j in _union_pattern(trace, trace_dims, vol, ts.dims)}
         assert _csr_pairs(asm.assemble_normal_coupling(tr, ts, geo)) == coupling
+
+
+class TestSymmetricForms:
+    @pytest.mark.parametrize("d,level", [(2, 3), (3, 2)])
+    def test_trusted_average_equals_the_validated_one(self, monkeypatch, d, level):
+        # M, B, the normal Gram, the boundary mass and the trace mass are
+        # wrapped without re-validation; the stored CSR is the one the
+        # validating constructor would build, canonical and bitwise
+        seen = []
+        symmetric = asm._symmetric
+
+        def recording(m):
+            out = symmetric(m)
+            seen.append((m, out))
+            return out
+
+        monkeypatch.setattr(asm, "_symmetric", recording)
+        ts = sp.tensor_space(d, 2, level)
+        geo = sp.GEOMETRIES[{2: "annulus_2d", 3: "twisted_3d"}[d]](d)
+        asm.assemble_volume_forms(ts, geo)
+        asm.assemble_normal_gram(ts, geo)
+        asm.assemble_boundary_mass(ts, geo)
+        asm.assemble_trace_mass(asm.TraceSpace(ts), geo)
+        assert len(seen) == 5
+        for m, out in seen:
+            got = out.to_csr()
+            want = SparseSymMatrix((m + m.T) * 0.5).to_csr()
+            assert got.has_canonical_format
+            for part in ("indptr", "indices", "data"):
+                assert getattr(got, part).tobytes() == getattr(want, part).tobytes()
 
 
 class TestSpaceCompatibility:

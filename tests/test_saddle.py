@@ -205,6 +205,69 @@ class TestSpectrum:
         sys = problems.build_problem(cfg).system
         assert sd._dense_operator(sys).tobytes() == sd.assemble_full(sys).to_dense().tobytes()
 
+    @staticmethod
+    def _assert_matches_pencil_oracle(sys, pre):
+        # the dense generalized problem (A, P) with P from the preconditioner's blocks
+        a = sd.assemble_full(sys).to_dense()
+        p = scipy.linalg.block_diag(*[b.to_dense() for b in pre.blocks])
+        want = np.sort(scipy.linalg.eigh(a, p, eigvals_only=True))
+        got = sd.spectrum(sys, pre).eigenvalues
+        assert np.max(np.abs(got - want) / np.abs(want)) <= 1e-12
+        reduced = sd._reduced_operator(sys, pre)
+        assert np.array_equal(reduced, reduced.T)
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+    def test_matches_pencil_oracle_on_random_systems(self, n):
+        rng = np.random.default_rng(80 + n)
+        for _ in range(3):
+            for sys in (sd.random_sharp_system(n, rng), sd.random_spsd_system(n, rng)):
+                self._assert_matches_pencil_oracle(sys, sd.exact_schur(sys))
+
+    def test_matches_pencil_oracle_on_split_blocks(self):
+        # S_1 given as two preconditioner blocks inside one system block
+        rng = np.random.default_rng(12)
+        g1, g2 = rng.standard_normal((2, 2)), rng.standard_normal((3, 3))
+        d1, d2 = g1 @ g1.T + np.eye(2), g2 @ g2.T + np.eye(3)
+        a = [scipy.linalg.block_diag(d1, d2), np.zeros((2, 2)), np.eye(4)]
+        sys = dense_system(a, [rng.standard_normal((2, 5)), rng.standard_normal((4, 2))])
+        known = sd.SchurPreconditioner(
+            [SparseSymMatrix.from_dense(d1), SparseSymMatrix.from_dense(d2)]
+        )
+        pre = sd.exact_schur(sys, known)
+        assert pre.block_dims == [2, 3, 2, 4]
+        self._assert_matches_pencil_oracle(sys, pre)
+
+    @pytest.mark.parametrize("variant", ["exact", "practical"])
+    @pytest.mark.parametrize("pid", problems.PROBLEM_IDS)
+    def test_matches_pencil_oracle_on_problems(self, pid, variant):
+        prob = problems.build_problem(problems.ProblemConfig(pid, d=2, p=2, level=3, alpha=1e-3))
+        self._assert_matches_pencil_oracle(prob.system, problems.make_preconditioner(prob, variant))
+
+    def test_no_generalized_solve_and_no_dense_preconditioner(self, monkeypatch):
+        eigh = scipy.linalg.eigh
+
+        def standard_only(a, b=None, **kwargs):
+            if b is not None:
+                raise AssertionError("generalized eigensolver called")
+            return eigh(a, **kwargs)
+
+        def no_block_diag(*args):
+            raise AssertionError("dense block-diagonal preconditioner formed")
+
+        monkeypatch.setattr(scipy.linalg, "eigh", standard_only)
+        monkeypatch.setattr(scipy.linalg, "block_diag", no_block_diag)
+        prob = problems.build_problem(problems.ProblemConfig("boundary_observation", d=2, p=2, level=3))
+        for pre in (problems.make_preconditioner(prob, "exact"), prob.practical):
+            assert sd.spectrum(prob.system, pre).eigenvalues.size == prob.total_dim
+        sys = sd.random_spsd_system(4, np.random.default_rng(1))
+        assert sd.spectrum(sys, sd.exact_schur(sys)).within_bounds
+
+    def test_preconditioner_order_must_match(self):
+        sys = dense_system([np.eye(2), np.zeros((3, 3))], [np.ones((3, 2))])
+        pre = sd.SchurPreconditioner([SparseSymMatrix.from_dense(np.eye(4))])
+        with pytest.raises(ValueError, match="orders differ"):
+            sd.spectrum(sys, pre)
+
     def test_report_json(self):
         sys = dense_system([[[1.0]], [[0.0]]], [[[1.0]]])
         rep = sd.spectrum(sys, sd.exact_schur(sys))

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 import scipy.io
+import scipy.linalg
 import scipy.sparse
 
 from msp import problems
@@ -244,6 +245,27 @@ class TestCholesky:
         want = sl.solve_chol(sl.cholesky(m.scaled(c)), b)
         assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
 
+    @pytest.mark.parametrize("kind", ["dense", "tridiagonal", "spline_mass"])
+    def test_lower_reproduces_the_factored_matrix(self, kind):
+        if kind == "dense":
+            m, mode = sl.SparseSymMatrix.from_dense(random_spd(7, seed=12)), "dense"
+        elif kind == "tridiagonal":
+            n = 12
+            m, mode = sl.DenseSymMatrix(2.0 * np.eye(n) - np.eye(n, k=1) - np.eye(n, k=-1)), "banded"
+        else:
+            m, mode = problems.get_operators(2, 2, 3, "annulus_2d").mass, "banded"
+        f = sl.cholesky(m)
+        assert f.mode == mode
+        low = f.lower()
+        assert np.array_equal(low, np.tril(low))
+        a = m.to_dense()
+        assert np.max(np.abs(low @ low.T - a)) <= 1e-14 * np.max(np.abs(a))
+        b = np.random.default_rng(13).standard_normal(m.dim)
+        x = scipy.linalg.solve_triangular(low, scipy.linalg.solve_triangular(low, b, lower=True), trans=1, lower=True)
+        assert np.linalg.norm(x - sl.solve_chol(f, b)) <= 1e-12 * np.linalg.norm(x)
+        # a scaled factor keeps its scale: the factor its solves apply
+        assert np.array_equal(f.scaled(4.0).lower(), 2.0 * low)
+
     def test_scaled_factor_rejects_non_positive_scale(self):
         f = sl.cholesky(sl.SparseSymMatrix.from_dense(random_spd(3)))
         with pytest.raises(ValueError):
@@ -282,6 +304,15 @@ class TestCholesky:
 
 
 class TestEigen:
+    @pytest.mark.parametrize("n", [1, 4, 30])
+    def test_standard_problem_matches_eigvalsh(self, n):
+        # s omitted: the symmetric eigenproblem a x = lambda x
+        a = random_spd(n, seed=20 + n) - n * np.eye(n)
+        got = sl.gen_sym_eig(a)
+        want = np.linalg.eigvalsh(a)
+        assert np.all(np.diff(got) >= 0)
+        assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
     def test_generalized_diag(self):
         ev = sl.gen_sym_eig(np.eye(3), np.diag([1.0, 2.0, 4.0]))
         assert np.allclose(sorted(ev), [0.25, 0.5, 1.0])
