@@ -23,6 +23,18 @@ CSR data array at their precomputed places with one `np.bincount`, with no
 chunk follows from a byte budget on one (elements x points x basis
 functions) table, so the working memory of the kernel is the pattern plus
 one chunk, flat as the mesh grows.
+
+Derivative integrands are sum-factorized (Antolin, Buffa, Calabro,
+Martinelli and Sangalli, CMAME 285, 2015).  A physical Laplacian or normal
+derivative is a sum of coefficient fields times reference derivatives,
+sum_k c_k(x) D^{o_k} phi.  The fields meet the per-axis 1D derivative tables
+one axis at a time, last axis first, and terms that share their leading
+orders are summed before the next axis, so a full table forms only once per
+derivative order of the first axis, not once per term.  The value tables,
+and so every 1D form, are built as before, bitwise.  Geometry Jacobians are
+inverted in closed form.  The budget is 4 MiB a table: the kernel holds
+several full tables at a time, and at 16 MiB a 3D p=3 level 3 set-up peaks
+about a third higher in resident memory than at 4 MiB, at the same speed.
 """
 
 from __future__ import annotations
@@ -38,7 +50,7 @@ from .sparselin import SparseSymMatrix
 from .splines import GeometryMap, QuadratureRule1D, SplineSpace1D, TensorSpace
 
 # Bytes of one chunk-sized basis table; a chunk holds a few such arrays.
-_CHUNK_BYTES = 16 * 2**20
+_CHUNK_BYTES = 4 * 2**20
 
 
 class DegenerateGeometry(Exception):
@@ -66,6 +78,27 @@ def _combine(tabs: list[np.ndarray], orders: tuple[int, ...]) -> np.ndarray:
         _, q1, m1 = u.shape
         t = (t[:, :, None, :, None] * u[:, None, :, None, :]).reshape(n, q0 * q1, m0 * m1)
     return t
+
+
+def _det_adjugate(jac: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """det(J) and adj(J) of a stack of d x d matrices, in closed form for d <= 3.
+
+    J adj(J) = det(J) I, so J^{-1} = adj(J) / det(J); the determinant is the
+    expansion along the first row of J.  Larger d goes through LAPACK.
+    """
+    d = jac.shape[-1]
+    if d > 3:
+        det = np.linalg.det(jac)
+        return det, np.linalg.inv(jac) * det[..., None, None]
+    if d == 1:
+        adj = np.ones_like(jac)
+    elif d == 2:
+        adj = np.stack([jac[..., 1, 1], -jac[..., 0, 1], -jac[..., 1, 0], jac[..., 0, 0]], axis=-1)
+        adj = adj.reshape(jac.shape)
+    else:
+        r0, r1, r2 = (jac[..., i, :] for i in range(3))
+        adj = np.stack([np.cross(r1, r2), np.cross(r2, r0), np.cross(r0, r1)], axis=-1)
+    return np.einsum("...j,...j->...", jac[..., 0, :], adj[..., :, 0]), adj
 
 
 def _axis_pattern(first_r, m_r: int, dim_r: int, first_c, m_c: int, dim_c: int):
@@ -245,10 +278,10 @@ class _Chunk:
         ).reshape(-1, d)
 
         jac = geo.jacobian(self.points).reshape(n, -1, d, d)
-        det = np.linalg.det(jac)
+        det, adj = _det_adjugate(jac)
         if np.any(det <= 0):
             raise DegenerateGeometry("non-positive Jacobian determinant")
-        self.jinv = np.linalg.inv(jac)
+        self.jinv = adj / det[..., None, None]
         if tab.face is None:
             self.dx = w * det
         else:
@@ -289,28 +322,53 @@ class _Chunk:
         gref = np.stack([self.basis(s, self._orders(j)) for j in range(self.d)], axis=-1)
         return gref @ self.jinv
 
+    def derivatives(self, s: int, terms: list[tuple[np.ndarray, tuple[int, ...]]]) -> np.ndarray:
+        """sum_k c_k D^{o_k} phi of space s for fields c_k (n, nq) and orders o_k, (n, nq, nb).
+
+        Sum factorization: the fields meet the 1D tables one axis at a time,
+        last axis first, and the terms that share their leading orders are
+        summed before the next axis.  Only one full table forms per distinct
+        order on axis 0, not one per term.
+        """
+        tabs = [t for _, t in self.tables[s]]
+        n, grid = len(self.dx), tuple(t.shape[1] for t in tabs)
+        # per group of leading orders: (n, *grid, product of the basis sizes done)
+        fields = [(orders, c.reshape((n,) + grid + (1,))) for c, orders in terms]
+        for ax in reversed(range(self.d)):
+            spread = (n,) + tuple(q if j == ax else 1 for j, q in enumerate(grid)) + (-1, 1)
+            summed: dict[tuple[int, ...], np.ndarray] = {}
+            for orders, f in fields:
+                x = f[..., None, :] * tabs[ax][:, :, orders[ax], :].reshape(spread)
+                x = x.reshape(f.shape[:-1] + (-1,))
+                if orders[:ax] in summed:
+                    summed[orders[:ax]] += x
+                else:
+                    summed[orders[:ax]] = x
+            fields = list(summed.items())
+        return fields[0][1].reshape(n, math.prod(grid), -1)
+
     def laplacian(self, s: int) -> np.ndarray:
         """Physical Laplacian of each basis function of space s, (n, nq, nb).
 
         Lap phi = sum_rs G_rs (H_ref - sum_k (grad phi)_k H_k)_rs with the
         metric G = J^{-1} J^{-T} and the map's component Hessians H_k.  The
         correction is folded into the vector v = J^{-1} (G : H_k)_k, which
-        multiplies the reference gradient, so only (n, nq, nb) tables form.
+        multiplies the reference gradient, so every term is a field times a
+        reference derivative.
         """
         g = self.jinv @ np.swapaxes(self.jinv, -1, -2)
         v = np.einsum("nqjk,nqk->nqj", self.jinv, np.einsum("nqkrs,nqrs->nqk", self.hess, g))
-        lap = np.zeros(self.dx.shape + (math.prod(t.shape[-1] for _, t in self.tables[s]),))
+        terms = []
         for i in range(self.d):
             for j in range(i, self.d):
-                c = g[..., i, j] if i == j else 2.0 * g[..., i, j]
-                lap += c[..., None] * self.basis(s, self._orders(i, j))
-            lap -= v[..., i, None] * self.basis(s, self._orders(i))
-        return lap
+                terms.append((g[..., i, j] if i == j else 2.0 * g[..., i, j], self._orders(i, j)))
+            terms.append((-v[..., i], self._orders(i)))
+        return self.derivatives(s, terms)
 
     def normal_derivative(self, s: int) -> np.ndarray:
         """Outward normal derivative of each basis function of space s on a face."""
         v = np.einsum("nqji,nqi->nqj", self.jinv, self.normal)
-        return sum(v[..., j, None] * self.basis(s, self._orders(j)) for j in range(self.d))
+        return self.derivatives(s, [(v[..., j], self._orders(j)) for j in range(self.d)])
 
     def integrand(self, s: int, name: str) -> np.ndarray:
         """Basis values ("value") or physical Laplacians ("laplacian") of space s.

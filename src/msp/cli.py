@@ -85,11 +85,20 @@ def _problem_config(args: argparse.Namespace, level: int, alpha: float) -> Probl
 
 
 def _defaults(args: argparse.Namespace) -> tuple[list[int], list[float], str]:
-    """Levels, alphas and preconditioner variant, defaults filled in; one cell takes the first."""
+    """Levels, alphas and preconditioner variant, defaults filled in."""
     levels = args.levels or ([3, 4, 5] if args.dim == 2 else [2, 3])
     alphas = args.alphas or list(DEFAULT_ALPHAS)
     variant = "exact_schur" if args.precond == "exact" else args.precond
     return levels, alphas, variant
+
+
+def _single_case(args: argparse.Namespace) -> tuple[int, float, str]:
+    """The one (level, alpha) of a single-case command; a user-given list of several is refused."""
+    for flag, values in (("--levels", args.levels), ("--alphas", args.alphas)):
+        if values is not None and len(values) > 1:
+            raise ValueError(f"{args.command} takes one value of {flag}, got {len(values)}")
+    levels, alphas, variant = _defaults(args)
+    return levels[0], alphas[0], variant
 
 
 def _check_scale(args: argparse.Namespace, levels: list[int]) -> None:
@@ -136,8 +145,7 @@ def cmd_table(args: argparse.Namespace) -> int:
 
 
 def cmd_spectrum(args: argparse.Namespace) -> int:
-    levels, alphas, variant = _defaults(args)
-    level, alpha = levels[0], alphas[0]
+    level, alpha, variant = _single_case(args)
     prob = build_problem(_problem_config(args, level, alpha))
     n = prob.system.n
     bound = chebyshev.bounds(n).cond_bound
@@ -172,8 +180,8 @@ def cmd_spectrum(args: argparse.Namespace) -> int:
 
 
 def cmd_export(args: argparse.Namespace) -> int:
-    levels, alphas, _ = _defaults(args)
-    prob = build_problem(_problem_config(args, levels[0], alphas[0]))
+    level, alpha, _ = _single_case(args)
+    prob = build_problem(_problem_config(args, level, alpha))
     out = args.matrix_market
     os.makedirs(out, exist_ok=True)
     import scipy.io

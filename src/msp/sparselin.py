@@ -15,7 +15,6 @@ import os
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.io
 import scipy.linalg
 import scipy.sparse
 
@@ -247,5 +246,7 @@ def gen_sym_eig(a: np.ndarray, s: np.ndarray | None = None) -> np.ndarray:
 
 def write_matrix_market(m: SparseSymMatrix, path) -> None:
     """Export as Matrix Market coordinate symmetric (lower-triangle entries)."""
+    import scipy.io
+
     lower = scipy.sparse.tril(m.to_csr()).tocoo()
     scipy.io.mmwrite(path, lower, symmetry="symmetric")

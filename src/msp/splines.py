@@ -196,59 +196,47 @@ class GeometryMap:
     """Polynomial map from (0,1)^d to the physical domain.
 
     Components are monomial coefficient tensors; the Jacobian and component
-    Hessians are differentiated analytically.
+    Hessians are differentiated analytically.  All of them are stored as
+    columns of coefficient matrices over one set of monomials, so each
+    evaluation is one monomial table times one matrix.
     """
 
     def __init__(self, components: list[np.ndarray]):
-        self.d = len(components)
+        d = self.d = len(components)
         self.components = [np.asarray(c, dtype=np.float64) for c in components]
-        self._grad = [
-            [npoly.polyder(c, axis=j) for j in range(self.d)] for c in self.components
-        ]
-        self._hess = [
-            [
-                [npoly.polyder(gj, axis=i) for i in range(self.d)]
-                for gj in grad_k
-            ]
-            for grad_k in self._grad
-        ]
+        grad = [[npoly.polyder(c, axis=j) for j in range(d)] for c in self.components]
+        # exponents 0..shape[j]-1 on axis j cover every component and derivative
+        self._shape = tuple(max(c.shape[j] for c in self.components) for j in range(d))
 
-    @staticmethod
-    def _polyval(c: np.ndarray, pts: np.ndarray) -> np.ndarray:
-        c = np.atleast_1d(c)
-        t: np.ndarray | None = None
-        for j in range(pts.shape[1]):
-            m = c.shape[j] if j < c.ndim else 1
-            v = pts[:, j : j + 1] ** np.arange(m)  # (npts, m)
-            if t is None:
-                t = np.tensordot(v, c, axes=(1, 0)) if c.ndim > 0 else v[:, 0] * c
-            else:
-                t = np.einsum("ab,ab...->a...", v, t)
-        assert t is not None
+        def columns(polys: list[np.ndarray]) -> np.ndarray:
+            pad = [np.pad(c, [(0, m - k) for m, k in zip(self._shape, c.shape)]) for c in polys]
+            return np.stack([c.ravel() for c in pad], axis=1)
+
+        self._value = columns(self.components)
+        self._jacobian = columns([g for grad_k in grad for g in grad_k])
+        # column (k, i, j) holds d/dxi_i of d/dxi_j of F_k
+        self._hessians = columns(
+            [npoly.polyder(grad_k[j], axis=i) for grad_k in grad for i in range(d) for j in range(d)]
+        )
+
+    def _monomials(self, pts: np.ndarray) -> np.ndarray:
+        """Every monomial prod_j xi_j^k_j, exponents in C order, at the points (npts, d): (nmono, npts)."""
+        t = np.ones((1, len(pts)))
+        for j, m in enumerate(self._shape):
+            t = (t[:, None, :] * pts[:, j] ** np.arange(m)[:, None]).reshape(-1, len(pts))
         return t
 
     def value(self, pts: np.ndarray) -> np.ndarray:
         """Map points (npts, d) to physical coordinates (npts, d)."""
-        return np.stack([self._polyval(c, pts) for c in self.components], axis=1)
+        return self._monomials(pts).T @ self._value
 
     def jacobian(self, pts: np.ndarray) -> np.ndarray:
         """J[a, i, j] = d F_i / d xi_j at each point."""
-        npts = pts.shape[0]
-        out = np.empty((npts, self.d, self.d))
-        for i in range(self.d):
-            for j in range(self.d):
-                out[:, i, j] = self._polyval(self._grad[i][j], pts)
-        return out
+        return (self._monomials(pts).T @ self._jacobian).reshape(-1, self.d, self.d)
 
     def hessians(self, pts: np.ndarray) -> np.ndarray:
         """H[a, k, i, j] = d^2 F_k / (d xi_i d xi_j) at each point."""
-        npts = pts.shape[0]
-        out = np.empty((npts, self.d, self.d, self.d))
-        for k in range(self.d):
-            for j in range(self.d):
-                for i in range(self.d):
-                    out[:, k, i, j] = self._polyval(self._hess[k][j][i], pts)
-        return out
+        return (self._monomials(pts).T @ self._hessians).reshape(-1, self.d, self.d, self.d)
 
     def is_identity(self) -> bool:
         for i, c in enumerate(self.components):

@@ -16,6 +16,31 @@ def space_1d(p, level, smoothness=None):
     return sp.TensorSpace([sp.SplineSpace1D(p, level, smoothness=smoothness)])
 
 
+def reference_laplacian(ch, s):
+    """Reference: the physical Laplacian with one full tensor-product table per derivative order."""
+    g = ch.jinv @ np.swapaxes(ch.jinv, -1, -2)
+    v = np.einsum("nqjk,nqk->nqj", ch.jinv, np.einsum("nqkrs,nqrs->nqk", ch.hess, g))
+    lap = np.zeros(ch.dx.shape + (ch.active(s).shape[1],))
+    for i in range(ch.d):
+        for j in range(i, ch.d):
+            c = g[..., i, j] if i == j else 2.0 * g[..., i, j]
+            lap += c[..., None] * ch.basis(s, ch._orders(i, j))
+        lap -= v[..., i, None] * ch.basis(s, ch._orders(i))
+    return lap
+
+
+def reference_normal_derivative(ch, s):
+    """Reference: the outward normal derivative with one full table per axis."""
+    v = np.einsum("nqji,nqi->nqj", ch.jinv, ch.normal)
+    return sum(v[..., j, None] * ch.basis(s, ch._orders(j)) for j in range(ch.d))
+
+
+def _close(got, want, bitwise):
+    if bitwise:
+        return np.array_equal(got, want)
+    return np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+
 class TestMass:
     def test_hat_mass_analytic(self):
         # p = 1, 4 elements on the unit interval: the classic FEM mass matrix
@@ -474,3 +499,49 @@ class TestSpaceCompatibility:
                 sp.identity_geometry(2),
                 kinds=(("gradient", "value"),),
             )
+
+
+# the oracle cases: every dimension, degrees 1..4, straight and curved maps
+_ORACLE_CASES = [
+    (d, p, geo_name)
+    for d, geos in ((1, ("identity",)), (2, ("identity", "annulus_2d")), (3, ("identity", "twisted_3d")))
+    for geo_name in geos
+    for p in (1, 2, 3, 4)
+]
+
+
+class TestAxisWiseKernels:
+    # the axis-wise sums against one full table per derivative order; bitwise in 1D
+    @pytest.mark.parametrize("d,p,geo_name", _ORACLE_CASES)
+    def test_laplacian(self, monkeypatch, d, p, geo_name):
+        monkeypatch.setattr(asm, "_CHUNK_BYTES", 3 * 8 * (p + 1) ** (2 * d))
+        ts = sp.tensor_space(d, p, 2 if d < 3 else 1)
+        geo = sp.GEOMETRIES[geo_name](d)
+        for ch in asm._Tabulation.volume([ts], p + 1, 2).chunks(geo):
+            got = ch.laplacian(0)
+            assert got.shape == ch.basis(0).shape
+            assert _close(got, reference_laplacian(ch, 0), bitwise=d == 1)
+
+    @pytest.mark.parametrize("d,p,geo_name", _ORACLE_CASES)
+    def test_normal_derivative(self, d, p, geo_name):
+        ts = sp.tensor_space(d, p, 2 if d < 3 else 1)
+        geo = sp.GEOMETRIES[geo_name](d)
+        for ch in asm._face_chunks(ts, geo, p + 1, 1):
+            assert _close(ch.normal_derivative(0), reference_normal_derivative(ch, 0), bitwise=d == 1)
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_closed_form_determinant_and_inverse(self, d):
+        # random stacks with singular values in [0.5, 2]: well conditioned, either orientation
+        rng = np.random.default_rng(d)
+        u, _ = np.linalg.qr(rng.standard_normal((500, d, d)))
+        v, _ = np.linalg.qr(rng.standard_normal((500, d, d)))
+        jac = (u * rng.uniform(0.5, 2.0, (500, 1, d))) @ v
+        det, adj = asm._det_adjugate(jac)
+        assert np.max(np.abs(det - np.linalg.det(jac)) / np.abs(np.linalg.det(jac))) <= 1e-14
+        inv = np.linalg.inv(jac)
+        assert np.max(np.abs(adj / det[:, None, None] - inv)) <= 1e-14 * np.max(np.abs(inv))
+
+    def test_four_dimensional_mass(self):
+        # past d = 3 the Jacobian goes through LAPACK; partition of unity gives the unit volume
+        m = asm.assemble_mass(sp.tensor_space(4, 1, 1), sp.identity_geometry(4))
+        assert m.to_dense().sum() == pytest.approx(1.0, abs=1e-13)

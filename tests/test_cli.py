@@ -2,10 +2,13 @@
 
 import os
 import re
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import msp
 from msp.cli import EXIT_CONFIG, EXIT_OK, EXIT_VIOLATION, main
 from msp.krylov import minres_solve
 from msp.problems import make_preconditioner
@@ -18,6 +21,28 @@ def run_cli(capsys, *argv):
 
 
 SMALL = ["--dim", "2", "--degree", "2", "--levels", "2", "--alphas", "0.1"]
+
+# user-given lists of several levels or alphas, for the single-case commands
+SEVERAL = [
+    ["--levels", "2", "3", "--alphas", "0.1"],
+    ["--levels", "2", "--alphas", "1.0", "0.01"],
+]
+
+
+def refuse_builds(monkeypatch):
+    import msp.cli
+
+    def fail(cfg):
+        raise AssertionError(f"built {cfg}")
+
+    monkeypatch.setattr(msp.cli, "build_problem", fail)
+
+
+def test_import_leaves_scipy_io_out():
+    # scipy.io serves only the Matrix Market export, so a CLI start does not load it
+    env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(msp.__file__))}
+    check = "import sys, msp.cli; sys.exit('scipy.io' in sys.modules)"
+    assert subprocess.run([sys.executable, "-c", check], env=env).returncode == 0
 
 
 class TestVerify:
@@ -207,6 +232,16 @@ class TestSpectrum:
         kappa, bound = re.search(r"kappa = (\S+)  \(bound for n=\d: (\S+)\)", out).groups()
         assert float(kappa) <= float(bound)
 
+    @pytest.mark.parametrize("several", SEVERAL)
+    def test_several_cases_refused(self, capsys, monkeypatch, several):
+        refuse_builds(monkeypatch)
+        code, out, err = run_cli(
+            capsys, "spectrum", "--problem", "distributed_strong", "--precond", "exact", *several
+        )
+        assert code == EXIT_CONFIG
+        assert out == ""
+        assert "configuration error: spectrum takes one value of" in err
+
     def test_lanczos_path(self, capsys):
         code, out, _ = run_cli(
             capsys,
@@ -230,6 +265,19 @@ class TestExport:
         assert names == ["A1.mtx", "A2.mtx", "A3.mtx", "B1.mtx", "B2.mtx", "rhs.txt"]
         rhs = np.loadtxt(dest / "rhs.txt")
         assert rhs.ndim == 1 and np.all(np.isfinite(rhs))
+
+    @pytest.mark.parametrize("several", SEVERAL)
+    def test_several_cases_refused(self, capsys, monkeypatch, tmp_path, several):
+        refuse_builds(monkeypatch)
+        dest = tmp_path / "mm"
+        code, out, err = run_cli(
+            capsys, "export", "--problem", "boundary_observation", *several,
+            "--matrix-market", str(dest),
+        )
+        assert code == EXIT_CONFIG
+        assert out == ""
+        assert "configuration error: export takes one value of" in err
+        assert not dest.exists()
 
     def test_roundtrip_first_block(self, capsys, tmp_path):
         import scipy.io

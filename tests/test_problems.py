@@ -263,3 +263,23 @@ class TestSolve:
         full = assemble_full(prob.system).to_csr()
         rel = np.linalg.norm(prob.rhs - full @ res.solution) / np.linalg.norm(prob.rhs)
         assert rel < 1e-7
+
+
+class TestIterationPins:
+    # Exact MINRES counts over DEFAULT_ALPHAS.  The acceptance gates allow a
+    # few iterations of slack; these pins catch a drift of one, such as a
+    # rounding-level change in the assembly can cause.
+    @pytest.mark.parametrize(
+        "problem,d,p,level,variant,geometry,counts",
+        [
+            ("boundary_observation", 2, 2, 3, "practical", None, [24, 38, 43, 36, 23, 20]),
+            ("boundary_observation", 3, 3, 2, "practical", "twisted_3d", [26, 36, 40, 30, 20, 17]),
+            ("boundary_observation", 2, 2, 3, "exact_schur", None, [21, 37, 36, 25, 9, 5]),
+            ("distributed_very_weak", 2, 2, 3, "practical", None, [19, 19, 19, 19, 17, 11]),
+            ("boundary_control", 2, 2, 3, "practical", None, [19, 19, 19, 19, 21, 21]),
+        ],
+    )
+    def test_run_table_counts(self, problem, d, p, level, variant, geometry, counts):
+        cells = run.run_table(problem, d, p, [level], list(pb.DEFAULT_ALPHAS), variant, geometry)
+        assert [c.iterations for c in cells] == counts
+        assert all(c.converged for c in cells)

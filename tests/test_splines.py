@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from numpy.polynomial import polynomial as npoly
 from scipy.interpolate import BSpline
 
 from msp import splines as sp
@@ -51,6 +52,35 @@ def scalar_ders_basis_funs(span, x, p, nders, knots):
         ders[k, :] *= r
         r *= p - k
     return ders
+
+
+def reference_polyval(c, pts):
+    """Reference: one monomial coefficient tensor at the points (npts, d), contracted axis by axis."""
+    c = np.atleast_1d(c)
+    t = None
+    for j in range(pts.shape[1]):
+        m = c.shape[j] if j < c.ndim else 1
+        v = pts[:, j : j + 1] ** np.arange(m)  # (npts, m)
+        if t is None:
+            t = np.tensordot(v, c, axes=(1, 0)) if c.ndim > 0 else v[:, 0] * c
+        else:
+            t = np.einsum("ab,ab...->a...", v, t)
+    return t
+
+
+def reference_geometry(geo, pts):
+    """Reference: value, Jacobian and Hessians with one `reference_polyval` per polynomial."""
+    d = geo.d
+    grad = [[npoly.polyder(c, axis=j) for j in range(d)] for c in geo.components]
+    value = np.stack([reference_polyval(c, pts) for c in geo.components], axis=1)
+    jac = np.empty((len(pts), d, d))
+    hess = np.empty((len(pts), d, d, d))
+    for k in range(d):
+        for j in range(d):
+            jac[:, k, j] = reference_polyval(grad[k][j], pts)
+            for i in range(d):
+                hess[:, k, i, j] = reference_polyval(npoly.polyder(grad[k][j], axis=i), pts)
+    return value, jac, hess
 
 
 class TestSpace1D:
@@ -265,3 +295,34 @@ class TestGeometry:
     def test_mapped_geometries_are_not_identity(self):
         assert not sp.annulus_2d().is_identity()
         assert not sp.twisted_3d().is_identity()
+
+
+class TestGeometryOracle:
+    # the one-matmul evaluation against one polynomial contraction per entry,
+    # on random points and on the Gauss points of p = 1..4 element grids
+    @pytest.mark.parametrize(
+        "d,geo_name",
+        [(1, "identity"), (2, "identity"), (2, "annulus_2d"), (3, "identity"), (3, "twisted_3d")],
+    )
+    @pytest.mark.parametrize("p", [1, 2, 3, 4])
+    def test_matches_per_polynomial_evaluation(self, d, geo_name, p):
+        geo = sp.GEOMETRIES[geo_name](d)
+        rule = sp.QuadratureRule1D.for_space(sp.SplineSpace1D(p, 2), p + 1)
+        grid = np.meshgrid(*[rule.points.ravel()] * d, indexing="ij")
+        pts = np.concatenate(
+            [np.stack([g.ravel() for g in grid], axis=1), np.random.default_rng(p).uniform(0, 1, (50, d))]
+        )
+        got = (geo.value(pts), geo.jacobian(pts), geo.hessians(pts))
+        for g, want in zip(got, reference_geometry(geo, pts)):
+            assert g.shape == want.shape
+            if d == 1:
+                assert np.array_equal(g, want)
+            else:
+                assert np.max(np.abs(g - want)) <= 1e-13 * max(np.max(np.abs(want)), 1.0)
+
+    def test_components_of_different_shapes(self):
+        # x = xi1 - 2 xi1^2, y = xi2: each tensor is padded to the common exponents
+        geo = sp.GeometryMap([np.array([[0.0], [1.0], [-2.0]]), np.array([[0.0, 1.0]])])
+        pts = np.random.default_rng(3).uniform(0, 1, (20, 2))
+        for g, want in zip((geo.value(pts), geo.jacobian(pts), geo.hessians(pts)), reference_geometry(geo, pts)):
+            assert np.max(np.abs(g - want)) <= 1e-13 * np.max(np.abs(want))
