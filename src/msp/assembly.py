@@ -13,16 +13,18 @@ point of weight 1, so volume and face elements share one tabulation: one
 batched 1D table per axis and space.  Per chunk the kernel evaluates the
 geometry Jacobian (and the Hessian when a form needs it) with one
 `GeometryMap` call over all the chunk's points and builds the
-tensor-product basis tables; several forms on the same pair of spaces (the
-mass, Laplacian and biharmonic forms of `assemble_volume_forms`) share
-these per-chunk tables.  The sparsity pattern of a form on a tensor grid of
-elements is the Kronecker product of per-axis 1D patterns, so it is built
-first, in CSR order; each chunk's element blocks are then added into the
-CSR data array at their precomputed places with one `np.bincount`, with no
-(row, column, value) triples and no sort.  The number of elements in a
-chunk follows from a byte budget on one (elements x points x basis
-functions) table, so the working memory of the kernel is the pattern plus
-one chunk, flat as the mesh grows.
+tensor-product basis tables.  An assembler hands the kernel a generator of
+element blocks: per chunk it yields the blocks of each of its forms in
+turn, so the mass, Laplacian and biharmonic forms of
+`assemble_volume_forms` share the value and Laplacian tables that the
+generator holds as local variables.  The sparsity pattern of a form on a
+tensor grid of elements is the Kronecker product of per-axis 1D patterns,
+so it is built first, in CSR order; each chunk's element blocks are then
+added into the CSR data array at their precomputed places with one
+`np.bincount`, with no (row, column, value) triples and no sort.  The
+number of elements in a chunk follows from a byte budget on one (elements
+x points x basis functions) table, so the working memory of the kernel is
+the pattern plus one chunk, flat as the mesh grows.
 
 Derivative integrands are sum-factorized (Antolin, Buffa, Calabro,
 Martinelli and Sangalli, CMAME 285, 2015).  A physical Laplacian or normal
@@ -41,7 +43,7 @@ from __future__ import annotations
 
 import math
 from functools import cached_property
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 import scipy.sparse
@@ -260,7 +262,6 @@ class _Chunk:
     def __init__(self, tab: _Tabulation, el: tuple[np.ndarray, ...], geo: GeometryMap):
         n, d = len(el[0]), len(el)
         self.geo, self.d, self.dims, self.el = geo, d, tab.dims, el
-        self._integrands: dict[tuple[int, str], np.ndarray] = {}
         # per space, per axis: (first active index (n,), basis table (n, q, nd, m))
         self.tables = [[(first[e], t[e]) for (first, t), e in zip(tables, el)] for tables in tab.tables]
         grid = (n,) + tuple(r.points.shape[1] for r in tab.rules)
@@ -370,53 +371,38 @@ class _Chunk:
         v = np.einsum("nqji,nqi->nqj", self.jinv, self.normal)
         return self.derivatives(s, [(v[..., j], self._orders(j)) for j in range(self.d)])
 
-    def integrand(self, s: int, name: str) -> np.ndarray:
-        """Basis values ("value") or physical Laplacians ("laplacian") of space s.
-
-        Computed once per chunk, so the forms of one pass share them.
-        """
-        key = (s, name)
-        if key not in self._integrands:
-            self._integrands[key] = self.basis(s) if name == "value" else self.laplacian(s)
-        return self._integrands[key]
-
     def integrate(self, r: np.ndarray, c: np.ndarray) -> np.ndarray:
         """Element blocks sum_q dx_q r_qa c_qb of (n, nq, a) and (n, nq, b) tables."""
         return np.swapaxes(r * self.dx[..., None], 1, 2) @ c
 
 
-def _assemble(tab: _Tabulation, geo: GeometryMap, r: int, c: int, forms) -> list[scipy.sparse.csr_matrix]:
+def _assemble(
+    tab: _Tabulation, geo: GeometryMap, r: int, c: int, blocks, forms: int = 1
+) -> list[scipy.sparse.csr_matrix]:
     """One CSR matrix per form from one pass over the chunks of `tab`.
 
-    `forms` is a list of functions that map a chunk to the element blocks of
-    one form between spaces r and c, (n, a, b).  Per chunk the blocks are
-    made one after the other and added into their form's data array.
+    `blocks(chunk)` yields the chunk's element blocks of each of the `forms`
+    forms between spaces r and c in turn, (n, a, b); a Gram form is the
+    one-block generator `(ch.integrate(v, v) for v in [values])`.  A block
+    lives only as the argument of its scatter, so it is freed before the
+    next one is made; no loop variable holds it.
     """
     pattern = _Pattern(tab, r, c)
-    datas = [np.zeros(pattern.nnz) for _ in forms]
+    datas = [np.zeros(pattern.nnz) for _ in range(forms)]
     for ch in tab.chunks(geo):
         lo, hi, places = pattern.places(ch)
-        for data, form in zip(datas, forms):
-            data[lo:hi] += np.bincount(places.ravel(), weights=form(ch).ravel(), minlength=hi - lo)
+        made = blocks(ch)
+        for data in datas:
+            data[lo:hi] += np.bincount(places.ravel(), weights=next(made).ravel(), minlength=hi - lo)
     return [pattern.csr(data) for data in datas]
 
 
-def _face_matrices(space: TensorSpace, geo: GeometryMap, q: int, max_deriv: int, r: int, c: int, form):
-    """The matrix of `form` on each face of `space`, in `TraceSpace` order."""
+def _face_matrices(space: TensorSpace, geo: GeometryMap, q: int, max_deriv: int, r: int, c: int, blocks):
+    """The matrix of the one-form generator `blocks` on each face of `space`, in `TraceSpace` order."""
     return [
-        _assemble(_Tabulation.face_of(space, axis, side, q, max_deriv), geo, r, c, [form])[0]
+        _assemble(_Tabulation.face_of(space, axis, side, q, max_deriv), geo, r, c, blocks)[0]
         for axis, side in TraceSpace(space).faces
     ]
-
-
-def _gram(values):
-    """The form whose element blocks are the Gram matrices of `values(chunk)`."""
-
-    def block(ch: _Chunk) -> np.ndarray:
-        v = values(ch)
-        return ch.integrate(v, v)
-
-    return block
 
 
 def _block_diagonal(mats: list[scipy.sparse.csr_matrix]) -> scipy.sparse.csr_matrix:
@@ -449,63 +435,32 @@ def _symmetric(m: scipy.sparse.csr_matrix) -> SparseSymMatrix:
     return SparseSymMatrix._trusted((m + m.T) * 0.5)
 
 
-# integrand factor of each kind: (`_Chunk.integrand` name, sign)
-_KINDS = {"value": ("value", 1.0), "laplacian": ("laplacian", 1.0), "neg_laplacian": ("laplacian", -1.0)}
-
-
-def assemble_volume(
-    row_space: TensorSpace,
-    col_space: TensorSpace,
-    geo: GeometryMap,
-    kinds: Sequence[tuple[str, str]] = (("value", "value"),),
-    q: int | None = None,
-) -> list[scipy.sparse.csr_matrix]:
-    """Assemble A[j, i] = int_(0,1)^d r_j(row basis) c_i(col basis) |det J| dxi.
-
-    One matrix per (row_kind, col_kind) pair in `kinds`, all from one pass
-    over the quadrature.  A kind selects the integrand factor: the basis
-    value, its physical Laplacian, or its negated physical Laplacian.  Per
-    chunk each table is computed once and shared by the pairs that use it.
-    """
-    for pair in kinds:
-        for kind in pair:
-            if kind not in _KINDS:
-                raise ValueError(f"unknown integrand kind {kind!r}")
-    _check_compatible(row_space, col_space)
-    need_lap = any(kind != "value" for pair in kinds for kind in pair)
-    if q is None:
-        q = max(_default_q(row_space), _default_q(col_space))
-    spaces = [row_space] if row_space is col_space else [row_space, col_space]
-    ci = len(spaces) - 1
-    tab = _Tabulation.volume(spaces, q, 2 if need_lap else 0)
-
-    def form(row_kind: str, col_kind: str):
-        (rt, rs), (ct, cs) = _KINDS[row_kind], _KINDS[col_kind]
-
-        def block(ch: _Chunk) -> np.ndarray:
-            out = ch.integrate(ch.integrand(0, rt), ch.integrand(ci, ct))
-            return np.negative(out, out=out) if rs * cs < 0 else out
-
-        return block
-
-    return _assemble(tab, geo, 0, ci, [form(*pair) for pair in kinds])
-
-
 def assemble_mass(space: TensorSpace, geo: GeometryMap, q: int | None = None) -> SparseSymMatrix:
     """L2 mass matrix on the full space."""
-    return _symmetric(assemble_volume(space, space, geo, q=q)[0])
+    tab = _Tabulation.volume([space], q or _default_q(space), 0)
+    return _symmetric(_assemble(tab, geo, 0, 0, lambda ch: (ch.integrate(v, v) for v in [ch.basis(0)]))[0])
 
 
 def assemble_laplacian_strong(
     space_u: TensorSpace, space_w: TensorSpace, geo: GeometryMap, q: int | None = None
 ) -> scipy.sparse.csr_matrix:
     """K[j, i] = int (-Lap phi_i) psi_j |det J| dxi, shape (dim W, dim U)."""
-    return assemble_volume(space_w, space_u, geo, (("value", "neg_laplacian"),), q)[0]
+    _check_compatible(space_w, space_u)
+    spaces = [space_w] if space_w is space_u else [space_w, space_u]
+    ci = len(spaces) - 1
+    tab = _Tabulation.volume(spaces, q or max(_default_q(space_w), _default_q(space_u)), 2)
+
+    def blocks(ch: _Chunk):
+        k = ch.integrate(ch.basis(0), ch.laplacian(ci))
+        yield np.negative(k, out=k)
+
+    return _assemble(tab, geo, 0, ci, blocks)[0]
 
 
 def assemble_biharmonic(space_u: TensorSpace, geo: GeometryMap, q: int | None = None) -> SparseSymMatrix:
     """B[i, j] = int Lap phi_i Lap phi_j |det J| dxi on the full space."""
-    return _symmetric(assemble_volume(space_u, space_u, geo, (("laplacian", "laplacian"),), q)[0])
+    tab = _Tabulation.volume([space_u], q or _default_q(space_u), 2)
+    return _symmetric(_assemble(tab, geo, 0, 0, lambda ch: (ch.integrate(v, v) for v in [ch.laplacian(0)]))[0])
 
 
 def assemble_volume_forms(
@@ -515,23 +470,30 @@ def assemble_volume_forms(
 
     Each is bitwise equal to `assemble_mass`, `assemble_laplacian_strong(space,
     space)` and `assemble_biharmonic`: the same element blocks, summed in the
-    same order.
+    same order.  Per chunk the value and Laplacian tables are made once.
     """
-    m, k, b = assemble_volume(
-        space, space, geo, (("value", "value"), ("value", "neg_laplacian"), ("laplacian", "laplacian")), q
-    )
+
+    def blocks(ch: _Chunk):
+        v = ch.basis(0)
+        yield ch.integrate(v, v)
+        lap = ch.laplacian(0)
+        k = ch.integrate(v, lap)
+        yield np.negative(k, out=k)
+        del v, k  # the K block and the value table are not kept while B is made
+        yield ch.integrate(lap, lap)
+
+    m, k, b = _assemble(_Tabulation.volume([space], q or _default_q(space), 2), geo, 0, 0, blocks, 3)
     return _symmetric(m), k, _symmetric(b)
 
 
 def assemble_stiffness(space: TensorSpace, geo: GeometryMap, q: int | None = None) -> SparseSymMatrix:
     """Gradient-gradient Gram matrix (test oracle for integration by parts)."""
-    tab = _Tabulation.volume([space], q or _default_q(space), 1)
 
-    def block(ch: _Chunk) -> np.ndarray:
+    def blocks(ch: _Chunk):
         g = ch.gradient(0)
-        return sum(ch.integrate(g[..., i], g[..., i]) for i in range(space.d))
+        yield sum(ch.integrate(g[..., i], g[..., i]) for i in range(space.d))
 
-    return _symmetric(_assemble(tab, geo, 0, 0, [block])[0])
+    return _symmetric(_assemble(_Tabulation.volume([space], q or _default_q(space), 1), geo, 0, 0, blocks)[0])
 
 
 # ---------------------------------------------------------------------------
@@ -560,20 +522,26 @@ class TraceSpace:
 
 def assemble_boundary_mass(space: TensorSpace, geo: GeometryMap, q: int | None = None) -> SparseSymMatrix:
     """Boundary mass M_d[i, j] = surface integral of phi_i phi_j over the boundary."""
-    faces = _face_matrices(space, geo, q or _default_q(space), 0, 0, 0, _gram(lambda ch: ch.basis(0)))
+    faces = _face_matrices(
+        space, geo, q or _default_q(space), 0, 0, 0, lambda ch: (ch.integrate(v, v) for v in [ch.basis(0)])
+    )
     return _symmetric(sum(faces[1:], faces[0]))
 
 
 def assemble_normal_gram(space: TensorSpace, geo: GeometryMap, q: int | None = None) -> SparseSymMatrix:
     """K_d[i, j] = surface integral of dn(phi_i) dn(phi_j) over the boundary."""
-    faces = _face_matrices(space, geo, q or _default_q(space), 1, 0, 0, _gram(lambda ch: ch.normal_derivative(0)))
+    faces = _face_matrices(
+        space, geo, q or _default_q(space), 1, 0, 0, lambda ch: (ch.integrate(v, v) for v in [ch.normal_derivative(0)])
+    )
     return _symmetric(sum(faces[1:], faces[0]))
 
 
 def assemble_trace_mass(trace: TraceSpace, geo: GeometryMap, q: int | None = None) -> SparseSymMatrix:
     """L2 Gram matrix of the per-face trace space on the mapped boundary."""
     space = trace.volume_space
-    faces = _face_matrices(space, geo, q or _default_q(space), 0, 1, 1, _gram(lambda ch: ch.basis(1)))
+    faces = _face_matrices(
+        space, geo, q or _default_q(space), 0, 1, 1, lambda ch: (ch.integrate(v, v) for v in [ch.basis(1)])
+    )
     return _symmetric(_block_diagonal(faces))
 
 
@@ -584,10 +552,10 @@ def assemble_normal_coupling(
     if space is not trace.volume_space:
         _check_compatible(space, trace.volume_space)
 
-    def block(ch: _Chunk) -> np.ndarray:
-        return ch.integrate(ch.basis(1), ch.normal_derivative(0))
+    def blocks(ch: _Chunk):
+        yield ch.integrate(ch.basis(1), ch.normal_derivative(0))
 
-    faces = _face_matrices(space, geo, q or _default_q(space), 1, 1, 0, block)
+    faces = _face_matrices(space, geo, q or _default_q(space), 1, 1, 0, blocks)
     return scipy.sparse.vstack(faces, format="csr")
 
 

@@ -30,6 +30,9 @@ EXIT_VIOLATION = 1
 EXIT_CONFIG = 2
 EXIT_SOLVER = 3
 
+# --precond value -> preconditioner variant
+_VARIANTS = {"exact": "exact_schur", "exact_schur": "exact_schur", "practical": "practical"}
+
 # Meshes of this many elements or more (2D level 6, 3D level 4, 1D level 12)
 # are beyond desk scale and need --large.
 _LARGE_ELEMENTS = 4096
@@ -84,21 +87,19 @@ def _problem_config(args: argparse.Namespace, level: int, alpha: float) -> Probl
     )
 
 
-def _defaults(args: argparse.Namespace) -> tuple[list[int], list[float], str]:
-    """Levels, alphas and preconditioner variant, defaults filled in."""
+def _defaults(args: argparse.Namespace) -> tuple[list[int], list[float]]:
+    """Levels and alphas, defaults filled in."""
     levels = args.levels or ([3, 4, 5] if args.dim == 2 else [2, 3])
-    alphas = args.alphas or list(DEFAULT_ALPHAS)
-    variant = "exact_schur" if args.precond == "exact" else args.precond
-    return levels, alphas, variant
+    return levels, args.alphas or list(DEFAULT_ALPHAS)
 
 
-def _single_case(args: argparse.Namespace) -> tuple[int, float, str]:
+def _single_case(args: argparse.Namespace) -> tuple[int, float]:
     """The one (level, alpha) of a single-case command; a user-given list of several is refused."""
     for flag, values in (("--levels", args.levels), ("--alphas", args.alphas)):
         if values is not None and len(values) > 1:
             raise ValueError(f"{args.command} takes one value of {flag}, got {len(values)}")
-    levels, alphas, variant = _defaults(args)
-    return levels[0], alphas[0], variant
+    levels, alphas = _defaults(args)
+    return levels[0], alphas[0]
 
 
 def _check_scale(args: argparse.Namespace, levels: list[int]) -> None:
@@ -112,7 +113,7 @@ def _check_scale(args: argparse.Namespace, levels: list[int]) -> None:
 
 
 def cmd_table(args: argparse.Namespace) -> int:
-    levels, alphas, variant = _defaults(args)
+    levels, alphas = _defaults(args)
     _check_scale(args, levels)
     cells = run_table(
         args.problem,
@@ -120,7 +121,7 @@ def cmd_table(args: argparse.Namespace) -> int:
         args.degree,
         levels,
         alphas,
-        variant,
+        _VARIANTS[args.precond],
         args.geometry,
         tol=args.tol,
         maxit=args.maxit,
@@ -145,7 +146,8 @@ def cmd_table(args: argparse.Namespace) -> int:
 
 
 def cmd_spectrum(args: argparse.Namespace) -> int:
-    level, alpha, variant = _single_case(args)
+    level, alpha = _single_case(args)
+    variant = _VARIANTS[args.precond]
     prob = build_problem(_problem_config(args, level, alpha))
     n = prob.system.n
     bound = chebyshev.bounds(n).cond_bound
@@ -180,7 +182,7 @@ def cmd_spectrum(args: argparse.Namespace) -> int:
 
 
 def cmd_export(args: argparse.Namespace) -> int:
-    level, alpha, _ = _single_case(args)
+    level, alpha = _single_case(args)
     prob = build_problem(_problem_config(args, level, alpha))
     out = args.matrix_market
     os.makedirs(out, exist_ok=True)
@@ -211,14 +213,14 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--degree", type=int, default=2)
         p.add_argument("--levels", type=int, nargs="+", default=None)
         p.add_argument("--alphas", type=float, nargs="+", default=None)
-        p.add_argument("--precond", choices=("exact", "exact_schur", "practical"), default="practical")
         p.add_argument("--geometry", default=None)
-        p.add_argument("--tol", type=float, default=1e-8)
-        p.add_argument("--maxit", type=int, default=500)
-        p.add_argument("--large", action="store_true", help="allow beyond-desk-scale levels")
 
     t = sub.add_parser("table", help="reproduce an iteration-count table")
     add_problem_args(t)
+    t.add_argument("--precond", choices=tuple(_VARIANTS), default="practical")
+    t.add_argument("--tol", type=float, default=1e-8)
+    t.add_argument("--maxit", type=int, default=500)
+    t.add_argument("--large", action="store_true", help="allow beyond-desk-scale levels")
     t.add_argument("--out", default=None)
     t.add_argument("--format", choices=("csv", "md"), default="md")
     t.add_argument("--dump-residuals", default=None, metavar="DIR", help="write per-cell residual-history CSVs")
@@ -226,6 +228,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     s = sub.add_parser("spectrum", help="condition number of the preconditioned system")
     add_problem_args(s)
+    s.add_argument("--precond", choices=tuple(_VARIANTS), default="practical")
     s.add_argument("--lanczos", action="store_true", help="use Lanczos extremes beyond the dense cap")
     s.set_defaults(func=cmd_spectrum)
 

@@ -45,7 +45,7 @@ def minres_solve(
     operator's norm, so the test does not depend on the scale of b or of
     the operator) terminates the iteration early (exact convergence or a
     lucky breakdown) and is reported through `breakdown_at`.  A right-hand
-    side holding a NaN or an inf raises ValueError.
+    side holding a NaN or an inf, or maxit below 1, raises ValueError.
 
     `stop` selects the convergence test: "energy" (default) stops when the
     monitored norm sqrt(r_k' P^{-1} r_k) drops below tol times its initial
@@ -61,6 +61,8 @@ def minres_solve(
     """
     if not 0.0 < tol < 1.0:
         raise ValueError("tol must lie in (0, 1)")
+    if maxit < 1:
+        raise ValueError("maxit must be at least 1")
     if stop not in ("energy", "euclidean"):
         raise ValueError("stop must be 'energy' or 'euclidean'")
     b = np.asarray(b, dtype=np.float64)

@@ -87,8 +87,8 @@ class ProblemConfig:
             raise ValueError("level must be non-negative")
         if self.geometry is None:
             object.__setattr__(self, "geometry", DEFAULT_GEOMETRY[self.d])
-        if self.alpha <= 0:
-            raise ValueError("alpha must be positive")
+        if not 0 < self.alpha < np.inf:
+            raise ValueError("alpha must be positive and finite")
         if self.problem == "boundary_control" and self.d != 2:
             raise ValueError("boundary_control is only set up for d = 2")
 

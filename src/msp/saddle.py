@@ -299,7 +299,7 @@ def spectrum(
     """
     if sys.total_dim > dense_limit:
         raise ValueError(f"total dim {sys.total_dim} exceeds dense-mode limit {dense_limit}")
-    ev = np.sort(gen_sym_eig(_reduced_operator(sys, precond)))
+    ev = gen_sym_eig(_reduced_operator(sys, precond))
     nrm = float(np.max(np.abs(ev)))
     inv = float(1.0 / np.min(np.abs(ev)))
     bs = bounds(sys.n)

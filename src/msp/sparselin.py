@@ -226,22 +226,13 @@ def solve_chol(f: CholeskyFactor, b: np.ndarray) -> np.ndarray:
     return scipy.linalg.cho_solve(f.data, b, check_finite=False)
 
 
-def gen_sym_eig(a: np.ndarray, s: np.ndarray | None = None) -> np.ndarray:
-    """Eigenvalues of a x = lambda s x with symmetric a and SPD s, ascending.
+def gen_sym_eig(a: np.ndarray) -> np.ndarray:
+    """Eigenvalues of the symmetric a, ascending, read from its lower triangle.
 
-    With s None this is the standard problem a x = lambda x, read from the
-    lower triangle of a: `saddle.spectrum` passes the pencil (A, L L')
-    already reduced by the preconditioner's own factors L.  With s given,
-    LAPACK reduces the pencil via a Cholesky factor of s.
+    `saddle.spectrum` passes the pencil (A, L L') already reduced by the
+    preconditioner's own factors L, so only the standard problem is solved.
     """
-    a = np.asarray(a, dtype=np.float64)
-    if s is None:
-        return scipy.linalg.eigh(a, eigvals_only=True)
-    s = np.asarray(s, dtype=np.float64)
-    try:
-        return scipy.linalg.eigh(a, s, eigvals_only=True)
-    except scipy.linalg.LinAlgError as exc:
-        raise NotPositiveDefinite(str(exc)) from exc
+    return scipy.linalg.eigh(np.asarray(a, dtype=np.float64), eigvals_only=True)
 
 
 def write_matrix_market(m: SparseSymMatrix, path) -> None:

@@ -2,6 +2,7 @@
 
 import itertools
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -298,20 +299,43 @@ class TestChunking:
         # whole mesh as one chunk, whatever the chunking of the pass
         ts = sp.tensor_space(d, p, level)
         geo = sp.GEOMETRIES[geo_name](d)
-        kinds = (("value", "value"), ("value", "neg_laplacian"), ("laplacian", "laplacian"))
         monkeypatch.setattr(asm, "_CHUNK_BYTES", 2**62)
-        single = [asm.assemble_volume(ts, ts, geo, (pair,))[0].toarray() for pair in kinds]
+        single = [
+            _dense(asm.assemble_mass(ts, geo)),
+            _dense(asm.assemble_laplacian_strong(ts, ts, geo)),
+            _dense(asm.assemble_biharmonic(ts, geo)),
+        ]
         block = 8 * (p + 1) ** (2 * d)  # bytes of one element's table
         monkeypatch.setattr(asm, "_CHUNK_BYTES", 1 if budget == "one element" else 3 * block)
-        multi = asm.assemble_volume(ts, ts, geo, kinds)
-        assert len(multi) == 3
-        for got, want in zip(multi, single):
-            assert np.max(np.abs(got.toarray() - want)) <= 1e-13 * np.max(np.abs(want))
-        # at equal chunking the one-pass forms equal the single-form calls bitwise
         m, k, b = asm.assemble_volume_forms(ts, geo)
+        for got, want in zip((m, k, b), single):
+            assert np.max(np.abs(_dense(got) - want)) <= 1e-13 * np.max(np.abs(want))
+        # at equal chunking the one-pass forms equal the single-form calls bitwise
         assert np.array_equal(m.to_dense(), asm.assemble_mass(ts, geo).to_dense())
         assert np.array_equal(k.toarray(), asm.assemble_laplacian_strong(ts, ts, geo).toarray())
         assert np.array_equal(b.to_dense(), asm.assemble_biharmonic(ts, geo).to_dense())
+
+    def test_block_freed_before_the_next_is_made(self):
+        # the kernel keeps no block of a multi-form generator alive while
+        # the generator makes the next one
+        ts = sp.tensor_space(2, 2, 2)
+        geo = sp.annulus_2d()
+        tab = asm._Tabulation.volume([ts], 3, 0)
+        made = []
+
+        def block(ch):
+            blk = ch.integrate(ch.basis(0), ch.basis(0))
+            made.append(weakref.ref(blk))
+            return blk
+
+        def blocks(ch):
+            for _ in range(3):
+                assert not made or made[-1]() is None
+                yield block(ch)
+
+        m1, _, m3 = asm._assemble(tab, geo, 0, 0, blocks, 3)
+        assert len(made) == 3 * len(list(tab.chunks(geo)))
+        assert np.array_equal(m1.toarray(), m3.toarray())
 
     def test_peak_allocation_is_pattern_plus_one_chunk(self, monkeypatch):
         # 3D p=3 L2: 64 elements with 64 x 64 block entries, 262144 triples
@@ -321,12 +345,13 @@ class TestChunking:
         # arrays plus one chunk, and stays below the triples' values alone.
         ts = sp.tensor_space(3, 3, 2)
         geo = sp.twisted_3d()
-        kinds = (("value", "value"), ("value", "neg_laplacian"), ("laplacian", "laplacian"))
         monkeypatch.setattr(asm, "_CHUNK_BYTES", 1)
-        asm.assemble_volume(ts, ts, geo, kinds)  # warm lazily built caches
+        # the kernel alone: M and B are returned as assembled, not symmetrized
+        monkeypatch.setattr(asm, "_symmetric", lambda m: m)
+        asm.assemble_volume_forms(ts, geo)  # warm lazily built caches
         tracemalloc.start()
         try:
-            forms = asm.assemble_volume(ts, ts, geo, kinds)
+            forms = asm.assemble_volume_forms(ts, geo)
             kept, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -388,13 +413,13 @@ class TestPattern:
         assert got.shape == (int(np.prod(row_dims)), int(np.prod(col_dims)))
         assert _csr_pairs(got) == _union_pattern(row_axes, row_dims, col_axes, col_dims)
         # values: the element blocks land where a COO scatter puts them
-        def form(ch):
-            return ch.integrate(ch.basis(r), ch.basis(c))
+        def blocks(ch):
+            yield ch.integrate(ch.basis(r), ch.basis(c))
 
         coo = sum(
             scipy.sparse.coo_matrix(
                 (
-                    form(ch).ravel(),
+                    next(blocks(ch)).ravel(),
                     (
                         np.repeat(ch.active(r), ch.active(c).shape[1], axis=1).ravel(),
                         np.tile(ch.active(c), ch.active(r).shape[1]).ravel(),
@@ -404,7 +429,7 @@ class TestPattern:
             ).toarray()
             for ch in tab.chunks(geo)
         )
-        val = asm._assemble(tab, geo, r, c, [form])[0].toarray()
+        val = asm._assemble(tab, geo, r, c, blocks)[0].toarray()
         assert np.max(np.abs(val - coo)) <= 1e-14 * np.max(np.abs(coo))
 
     @pytest.mark.parametrize("chunk_bytes", [1, 2**62])
@@ -480,25 +505,12 @@ class TestSymmetricForms:
 
 class TestSpaceCompatibility:
     def test_mismatched_dimensions_rejected(self):
-        with pytest.raises(ValueError):
-            asm.assemble_volume(
-                sp.tensor_space(2, 2, 2), space_1d(2, 2), sp.identity_geometry(2)
-            )
+        with pytest.raises(ValueError, match="dimensions"):
+            asm.assemble_laplacian_strong(sp.tensor_space(2, 2, 2), space_1d(2, 2), sp.identity_geometry(2))
 
     def test_mismatched_partitions_rejected(self):
-        with pytest.raises(ValueError):
-            asm.assemble_volume(
-                sp.tensor_space(2, 2, 2), sp.tensor_space(2, 2, 3), sp.identity_geometry(2)
-            )
-
-    def test_unknown_kind_rejected(self):
-        with pytest.raises(ValueError):
-            asm.assemble_volume(
-                sp.tensor_space(2, 2, 2),
-                sp.tensor_space(2, 2, 2),
-                sp.identity_geometry(2),
-                kinds=(("gradient", "value"),),
-            )
+        with pytest.raises(ValueError, match="partition"):
+            asm.assemble_laplacian_strong(sp.tensor_space(2, 2, 2), sp.tensor_space(2, 2, 3), sp.identity_geometry(2))
 
 
 # the oracle cases: every dimension, degrees 1..4, straight and curved maps

@@ -322,3 +322,40 @@ class TestErrors:
         )
         assert code == EXIT_CONFIG
         assert "configuration error" in err
+
+    @pytest.mark.parametrize("maxit", ["0", "-3"])
+    def test_maxit_below_one_is_a_configuration_error(self, capsys, maxit):
+        code, out, err = run_cli(
+            capsys, "table", "--levels", "2", "--alphas", "1", "--maxit", maxit
+        )
+        assert code == EXIT_CONFIG
+        assert out == ""
+        assert "configuration error: maxit must be at least 1" in err
+
+    @pytest.mark.parametrize("alpha", ["nan", "inf"])
+    def test_non_finite_alpha_rejected(self, capsys, alpha):
+        code, out, err = run_cli(capsys, "table", "--levels", "2", "--alphas", alpha)
+        assert code == EXIT_CONFIG
+        assert out == ""
+        assert "configuration error: alpha must be positive and finite" in err
+
+
+class TestOptions:
+    # each command offers only the options it reads
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["spectrum", "--tol", "1e-3"],
+            ["spectrum", "--tol", "5", "--maxit", "-1"],
+            ["spectrum", "--large"],
+            ["export", "--precond", "exact"],
+            ["export", "--tol", "7", "--large"],
+        ],
+    )
+    def test_unread_options_refused(self, capsys, tmp_path, argv):
+        if argv[0] == "export":
+            argv = argv + ["--matrix-market", str(tmp_path / "mm")]
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == EXIT_CONFIG
+        assert "unrecognized arguments" in capsys.readouterr().err

@@ -43,6 +43,11 @@ class TestBasics:
         with pytest.raises(ValueError):
             minres_solve(identity, identity, np.ones(2), tol=2.0)
 
+    @pytest.mark.parametrize("maxit", [0, -3])
+    def test_invalid_maxit_rejected(self, maxit):
+        with pytest.raises(ValueError, match="maxit"):
+            minres_solve(identity, identity, np.ones(2), maxit=maxit)
+
     def test_non_finite_rhs_rejected(self):
         with pytest.raises(ValueError, match="NaN"):
             minres_solve(identity, identity, np.array([1.0, np.nan, 2.0]))

@@ -28,8 +28,9 @@ class TestConfig:
             pb.ProblemConfig(problem="distributed_strong", d=4)
 
     def test_nonpositive_alpha_rejected(self):
-        with pytest.raises(ValueError):
-            pb.ProblemConfig(problem="distributed_strong", alpha=0.0)
+        for alpha in (0.0, -1.0, float("nan"), float("inf")):
+            with pytest.raises(ValueError, match="alpha must be positive and finite"):
+                pb.ProblemConfig(problem="distributed_strong", alpha=alpha)
 
     def test_negative_level_rejected(self):
         with pytest.raises(ValueError, match="level"):

@@ -306,22 +306,12 @@ class TestCholesky:
 class TestEigen:
     @pytest.mark.parametrize("n", [1, 4, 30])
     def test_standard_problem_matches_eigvalsh(self, n):
-        # s omitted: the symmetric eigenproblem a x = lambda x
+        # the symmetric eigenproblem a x = lambda x
         a = random_spd(n, seed=20 + n) - n * np.eye(n)
         got = sl.gen_sym_eig(a)
         want = np.linalg.eigvalsh(a)
         assert np.all(np.diff(got) >= 0)
         assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
-
-    def test_generalized_diag(self):
-        ev = sl.gen_sym_eig(np.eye(3), np.diag([1.0, 2.0, 4.0]))
-        assert np.allclose(sorted(ev), [0.25, 0.5, 1.0])
-
-    def test_generalized_indefinite_mass_raises(self):
-        a = np.eye(2)
-        s = np.diag([1.0, -1.0])
-        with pytest.raises(sl.NotPositiveDefinite):
-            sl.gen_sym_eig(a, s)
 
 
 class TestMatrixMarket:
