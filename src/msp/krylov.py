@@ -1,10 +1,11 @@
 """Preconditioned MINRES for symmetric indefinite systems.
 
 Standard Paige-Saunders two-term recurrence with an SPD preconditioner.
-The monitored residual is sqrt(r_k' P^{-1} r_k), the natural quantity of the
+Iteration starts from a zero guess and stops when the Euclidean residual
+norm ||b - A x_k|| drops below tol ||b||.  The recorded history is the
+energy norm sqrt(r_k' P^{-1} r_k), the natural quantity of the
 preconditioned Lanczos process (equal to the Euclidean norm of the
-symmetrically preconditioned residual).  Iteration starts from a zero guess
-and stops when the monitored norm drops below tol times its initial value.
+symmetrically preconditioned residual).
 """
 
 from __future__ import annotations
@@ -29,13 +30,20 @@ class SolveResult:
     breakdown_at: int | None = None
 
 
+def check_stopping(tol: float, maxit: int) -> None:
+    """ValueError unless tol lies in (0, 1) and maxit is at least 1."""
+    if not 0.0 < tol < 1.0:
+        raise ValueError("tol must lie in (0, 1)")
+    if maxit < 1:
+        raise ValueError("maxit must be at least 1")
+
+
 def minres_solve(
     apply_a: Operator,
     apply_prec_inv: Operator,
     b: np.ndarray,
     tol: float = 1e-8,
     maxit: int = 500,
-    stop: str = "energy",
 ) -> SolveResult:
     """Solve A x = b with MINRES preconditioned by an SPD operator inverse.
 
@@ -45,12 +53,11 @@ def minres_solve(
     operator's norm, so the test does not depend on the scale of b or of
     the operator) terminates the iteration early (exact convergence or a
     lucky breakdown) and is reported through `breakdown_at`.  A right-hand
-    side holding a NaN or an inf, or maxit below 1, raises ValueError.
+    side holding a NaN or an inf, or options `check_stopping` refuses,
+    raise ValueError.
 
-    `stop` selects the convergence test: "energy" (default) stops when the
-    monitored norm sqrt(r_k' P^{-1} r_k) drops below tol times its initial
-    value; "euclidean" stops on the plain residual norm ||b - A x_k|| <=
-    tol ||b||.  The Euclidean residual is updated by the recurrence
+    The iteration stops on the plain residual norm ||b - A x_k|| <=
+    tol ||b||.  The residual is updated by the recurrence
     r_k = r_{k-1} - phi_k A w_k, where A w_k follows the same three-term
     recurrence as w_k from the A v_k the Lanczos step computes anyway, so
     each iteration applies the operator once.  When the updated residual
@@ -59,12 +66,7 @@ def minres_solve(
     the true residual replaces the updated one and the iteration goes on.
     The reported residual_history always holds the energy-norm values.
     """
-    if not 0.0 < tol < 1.0:
-        raise ValueError("tol must lie in (0, 1)")
-    if maxit < 1:
-        raise ValueError("maxit must be at least 1")
-    if stop not in ("energy", "euclidean"):
-        raise ValueError("stop must be 'energy' or 'euclidean'")
+    check_stopping(tol, maxit)
     b = np.asarray(b, dtype=np.float64)
     if not np.all(np.isfinite(b)):
         raise ValueError("right-hand side holds a NaN or an inf")
@@ -82,7 +84,6 @@ def minres_solve(
     if beta1 == 0.0:
         return SolveResult(x, 0, [0.0], True)
 
-    euclidean = stop == "euclidean"
     oldb = 0.0
     beta = beta1
     dbar = 0.0
@@ -93,10 +94,9 @@ def minres_solve(
     anorm = 0.0
     w = np.zeros(n)
     w2 = np.zeros(n)
-    if euclidean:
-        r = b
-        aw = np.zeros(n)
-        aw2 = np.zeros(n)
+    r = b
+    aw = np.zeros(n)
+    aw2 = np.zeros(n)
     r2 = r1
     converged = False
     breakdown_at = None
@@ -140,16 +140,13 @@ def minres_solve(
         x = x + phi * w
 
         history.append(abs(phibar))
-        if euclidean:
-            aw1 = aw2
-            aw2 = aw
-            aw = (av - oldeps * aw1 - delta * aw2) / gamma
-            r = r - phi * aw
-            if np.linalg.norm(r) <= tol * bnorm0:
-                r = b - apply_a(x)
-                converged = np.linalg.norm(r) <= tol * bnorm0
-        else:
-            converged = abs(phibar) <= tol * beta1
+        aw1 = aw2
+        aw2 = aw
+        aw = (av - oldeps * aw1 - delta * aw2) / gamma
+        r = r - phi * aw
+        if np.linalg.norm(r) <= tol * bnorm0:
+            r = b - apply_a(x)
+            converged = np.linalg.norm(r) <= tol * bnorm0
         if converged:
             break
         if beta <= _BREAKDOWN_RTOL * anorm:

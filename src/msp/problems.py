@@ -97,7 +97,9 @@ class DiscreteOperators:
     """All geometry-dependent matrices for one (d, p, level, geometry).
 
     Assembled lazily and shared between alpha values and preconditioner
-    variants; everything here is alpha-independent.
+    variants; everything here is alpha-independent.  Only the blocks the
+    builders read are kept: the full-space K, B, normal Gram and normal
+    coupling are restricted or stacked and then freed.
     """
 
     def __init__(self, d: int, p: int, level: int, geometry: str):
@@ -117,14 +119,19 @@ class DiscreteOperators:
             )
         self.interior = self.space.interior_indices()
 
+    def _restrict_sym(self, m: SparseSymMatrix) -> SparseSymMatrix:
+        return SparseSymMatrix(m.to_csr()[self.interior][:, self.interior])
+
     @cached_property
-    def volume_forms(self) -> tuple[SparseSymMatrix, scipy.sparse.csr_matrix, SparseSymMatrix]:
-        """M, K and B from one assembly pass; every problem uses all three."""
-        return assembly.assemble_volume_forms(self.space, self.geo)
+    def _volume_blocks(self) -> tuple[SparseSymMatrix, scipy.sparse.csr_matrix, SparseSymMatrix]:
+        """M, K on zero-trace columns and B on the zero-trace space, from one
+        assembly pass; the full K and B are not kept."""
+        m, k, b = assembly.assemble_volume_forms(self.space, self.geo)
+        return m, k[:, self.interior].tocsr(), self._restrict_sym(b)
 
     @cached_property
     def mass(self) -> SparseSymMatrix:
-        return self.volume_forms[0]
+        return self._volume_blocks[0]
 
     @cached_property
     def mass_factor(self) -> CholeskyFactor:
@@ -132,44 +139,30 @@ class DiscreteOperators:
         return cholesky(self.mass)
 
     @cached_property
-    def laplacian(self) -> scipy.sparse.csr_matrix:
-        """K[j, i] = int psi_j (-Lap phi_i), full space in both slots."""
-        return self.volume_forms[1]
-
-    @cached_property
-    def biharmonic(self) -> SparseSymMatrix:
-        return self.volume_forms[2]
-
-    @cached_property
-    def normal_gram(self) -> SparseSymMatrix:
-        return assembly.assemble_normal_gram(self.space, self.geo)
-
-    @cached_property
-    def trace_space(self) -> assembly.TraceSpace:
-        return assembly.TraceSpace(self.space)
-
-    @cached_property
-    def trace_mass(self) -> SparseSymMatrix:
-        return assembly.assemble_trace_mass(self.trace_space, self.geo)
-
-    @cached_property
-    def normal_coupling(self) -> scipy.sparse.csr_matrix:
-        return assembly.assemble_normal_coupling(self.trace_space, self.space, self.geo)
-
-    # restricted operators (zero-trace state space)
-
-    def restrict_sym(self, m: SparseSymMatrix) -> SparseSymMatrix:
-        return SparseSymMatrix(m.to_csr()[self.interior][:, self.interior])
+    def mass_int(self) -> SparseSymMatrix:
+        return self._restrict_sym(self.mass)
 
     @cached_property
     def laplacian_int(self) -> scipy.sparse.csr_matrix:
-        """K restricted to zero-trace columns: shape (dim W, dim U)."""
-        return self.laplacian[:, self.interior].tocsr()
+        """K[j, i] = int psi_j (-Lap phi_i), i on zero-trace columns: shape (dim W, dim U)."""
+        return self._volume_blocks[1]
 
     @cached_property
     def laplacian_int_t(self) -> scipy.sparse.csr_matrix:
         """K' as CSR: shape (dim U, dim W)."""
         return self.laplacian_int.T.tocsr()
+
+    @cached_property
+    def biharmonic_int(self) -> SparseSymMatrix:
+        return self._volume_blocks[2]
+
+    @cached_property
+    def normal_gram_int(self) -> SparseSymMatrix:
+        return self._restrict_sym(assembly.assemble_normal_gram(self.space, self.geo))
+
+    @cached_property
+    def trace_mass(self) -> SparseSymMatrix:
+        return assembly.assemble_trace_mass(assembly.TraceSpace(self.space), self.geo)
 
     @cached_property
     def mass_coupling(self) -> scipy.sparse.csr_matrix:
@@ -186,26 +179,13 @@ class DiscreteOperators:
     @cached_property
     def trace_coupling(self) -> scipy.sparse.csr_matrix:
         """[K', N'] with N on zero-trace columns: the boundary-control coupling."""
-        return scipy.sparse.hstack(
-            [self.laplacian_int_t, self.normal_coupling[:, self.interior].T.tocsr()], format="csr"
-        )
+        n = assembly.assemble_normal_coupling(assembly.TraceSpace(self.space), self.space, self.geo)
+        return scipy.sparse.hstack([self.laplacian_int_t, n[:, self.interior].T.tocsr()], format="csr")
 
     @cached_property
     def trace_coupling_t(self) -> scipy.sparse.csr_matrix:
         """The transpose of `trace_coupling` as CSR."""
         return self.trace_coupling.T.tocsr()
-
-    @cached_property
-    def mass_int(self) -> SparseSymMatrix:
-        return self.restrict_sym(self.mass)
-
-    @cached_property
-    def biharmonic_int(self) -> SparseSymMatrix:
-        return self.restrict_sym(self.biharmonic)
-
-    @cached_property
-    def normal_gram_int(self) -> SparseSymMatrix:
-        return self.restrict_sym(self.normal_gram)
 
     @cached_property
     def rhs_normal_data(self) -> np.ndarray:

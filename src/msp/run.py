@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .krylov import SolveResult, minres_solve
+from .krylov import SolveResult, check_stopping, minres_solve
 from .problems import AssembledProblem, ProblemConfig, build_problem, make_preconditioner
 from .saddle import SchurPreconditioner
 
@@ -22,14 +22,7 @@ def solve_problem(
     optimality systems are reported; the energy-norm history is still
     available on the returned SolveResult.
     """
-    return minres_solve(
-        prob.system.apply,
-        precond.apply_inverse,
-        prob.rhs,
-        tol=tol,
-        maxit=maxit,
-        stop="euclidean",
-    )
+    return minres_solve(prob.system.apply, precond.apply_inverse, prob.rhs, tol=tol, maxit=maxit)
 
 
 @dataclass
@@ -53,7 +46,11 @@ def run_table(
     tol: float = 1e-8,
     maxit: int = 500,
 ) -> list[TableCell]:
-    """Iteration counts over a levels-by-alphas grid, one problem and variant."""
+    """Iteration counts over a levels-by-alphas grid, one problem and variant.
+
+    tol and maxit are checked before any problem is built.
+    """
+    check_stopping(tol, maxit)
     cells = []
     for level in levels:
         for alpha in alphas:

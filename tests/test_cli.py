@@ -11,7 +11,7 @@ import pytest
 import msp
 from msp.cli import EXIT_CONFIG, EXIT_OK, EXIT_VIOLATION, main
 from msp.krylov import minres_solve
-from msp.problems import make_preconditioner
+from msp.problems import build_problem, make_preconditioner
 
 
 def run_cli(capsys, *argv):
@@ -331,6 +331,32 @@ class TestErrors:
         assert code == EXIT_CONFIG
         assert out == ""
         assert "configuration error: maxit must be at least 1" in err
+
+    @pytest.mark.parametrize(
+        "bad, message",
+        [
+            (["--maxit", "0"], "maxit must be at least 1"),
+            (["--tol", "0"], "tol must lie in (0, 1)"),
+            (["--tol", "1.5"], "tol must lie in (0, 1)"),
+        ],
+    )
+    def test_solver_options_checked_before_any_build(self, capsys, monkeypatch, bad, message):
+        import msp.run
+
+        calls = []
+
+        def counting_build_problem(cfg):
+            calls.append(cfg)
+            return build_problem(cfg)
+
+        monkeypatch.setattr(msp.run, "build_problem", counting_build_problem)
+        code, out, err = run_cli(
+            capsys, "table", "--dim", "2", "--levels", "3", "--alphas", "1", *bad
+        )
+        assert code == EXIT_CONFIG
+        assert out == ""
+        assert f"configuration error: {message}" in err
+        assert calls == []
 
     @pytest.mark.parametrize("alpha", ["nan", "inf"])
     def test_non_finite_alpha_rejected(self, capsys, alpha):

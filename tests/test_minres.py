@@ -52,10 +52,6 @@ class TestBasics:
         with pytest.raises(ValueError, match="NaN"):
             minres_solve(identity, identity, np.array([1.0, np.nan, 2.0]))
 
-    def test_unknown_stop_mode_rejected(self):
-        with pytest.raises(ValueError):
-            minres_solve(identity, identity, np.ones(2), stop="nonsense")
-
 
 class TestConvergence:
     def test_general_symmetric_solve(self):
@@ -102,7 +98,7 @@ class TestConvergence:
         g = rng.standard_normal((30, 30))
         a = g + g.T + np.eye(30)
         b = rng.standard_normal(30)
-        res = minres_solve(lambda v: a @ v, identity, b, tol=1e-8, stop="euclidean")
+        res = minres_solve(lambda v: a @ v, identity, b, tol=1e-8)
         assert res.converged
         assert np.linalg.norm(b - a @ res.solution) <= 1e-8 * np.linalg.norm(b)
 
@@ -127,7 +123,7 @@ class TestEuclideanStop:
         a = g + g.T + np.eye(40)
         b = rng.standard_normal(40)
         op = CountingOperator(a)
-        res = minres_solve(op, identity, b, tol=1e-8, maxit=400, stop="euclidean")
+        res = minres_solve(op, identity, b, tol=1e-8, maxit=400)
         assert res.converged
         assert res.iterations + 1 <= op.calls < 2 * res.iterations
         assert np.linalg.norm(b - a @ res.solution) <= 1e-8 * np.linalg.norm(b)
@@ -138,7 +134,7 @@ class TestEuclideanStop:
         full = sd.assemble_full(prob.system).to_csr()
         op = CountingOperator(full)
         tol = 1e-8
-        res = minres_solve(op, prob.practical.apply_inverse, prob.rhs, tol=tol, stop="euclidean")
+        res = minres_solve(op, prob.practical.apply_inverse, prob.rhs, tol=tol)
         assert res.converged
         assert op.calls == res.iterations + 1
         r = prob.rhs - full @ res.solution
@@ -161,7 +157,7 @@ class TestEuclideanStop:
             out = a @ v
             return out * (1 + 1e-6) if calls[0] == 1 else out
 
-        res = minres_solve(perturbed, identity, b, tol=1e-8, maxit=100, stop="euclidean")
+        res = minres_solve(perturbed, identity, b, tol=1e-8, maxit=100)
         assert not res.converged
         assert res.iterations == 100
         assert calls[0] == res.iterations + 1
@@ -174,28 +170,26 @@ class TestScaleInvariance:
         rng = np.random.default_rng(12)
         g = rng.standard_normal((20, 20))
         regular = (g + g.T, rng.standard_normal(20))
-        # singular and inconsistent: neither test converges, the Krylov space
+        # singular and inconsistent: the solve does not converge, the Krylov space
         # is exhausted after 4 steps and the Lanczos beta breaks down
         singular = (np.diag([1.0, -2.0, 3.0, 0.0, 0.0]), np.ones(5))
         return [regular, singular]
 
-    @pytest.mark.parametrize("stop", ["energy", "euclidean"])
-    def test_rhs_and_operator_scale_leave_the_run_unchanged(self, stop):
+    def test_rhs_and_operator_scale_leave_the_run_unchanged(self):
         for a, b in self._cases():
-            ref = minres_solve(lambda v: a @ v, identity, b, tol=1e-8, maxit=100, stop=stop)
+            ref = minres_solve(lambda v: a @ v, identity, b, tol=1e-8, maxit=100)
             key = (ref.iterations, ref.converged, ref.breakdown_at)
             for c in (1e20, 1e-20):
-                scaled_b = minres_solve(lambda v: a @ v, identity, c * b, tol=1e-8, maxit=100, stop=stop)
-                scaled_a = minres_solve(lambda v: c * (a @ v), identity, b, tol=1e-8, maxit=100, stop=stop)
+                scaled_b = minres_solve(lambda v: a @ v, identity, c * b, tol=1e-8, maxit=100)
+                scaled_a = minres_solve(lambda v: c * (a @ v), identity, b, tol=1e-8, maxit=100)
                 for res in (scaled_b, scaled_a):
                     assert (res.iterations, res.converged, res.breakdown_at) == key
 
     def test_exhausted_krylov_space_reports_breakdown(self):
         a, b = self._cases()[1]
-        for stop in ("energy", "euclidean"):
-            res = minres_solve(lambda v: a @ v, identity, b, maxit=100, stop=stop)
-            assert not res.converged
-            assert res.breakdown_at == 4
+        res = minres_solve(lambda v: a @ v, identity, b, maxit=100)
+        assert not res.converged
+        assert res.breakdown_at == 4
 
 
 class TestScipyOracle:
@@ -211,7 +205,7 @@ class TestScipyOracle:
         dense = sd.assemble_full(sys).to_dense()
         b = rng.standard_normal(sys.total_dim)
         tol = 1e-10
-        ours = minres_solve(sys.apply, pre.apply_inverse, b, tol=tol, stop="euclidean")
+        ours = minres_solve(sys.apply, pre.apply_inverse, b, tol=tol)
         m = scipy.sparse.linalg.LinearOperator(dense.shape, matvec=pre.apply_inverse)
         theirs, info = scipy.sparse.linalg.minres(dense, b, M=m, rtol=1e-14, maxiter=50 * sys.total_dim)
         assert ours.converged

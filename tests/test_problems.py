@@ -1,10 +1,14 @@
 """Optimal-control optimality systems: dimensions, spectra, preconditioners."""
 
+import gc
+import weakref
+
 import numpy as np
 import pytest
 import scipy.linalg
 import scipy.sparse
 
+from msp import assembly
 from msp import problems as pb
 from msp import run
 from msp.chebyshev import bounds
@@ -149,6 +153,32 @@ class TestOperatorReuse:
             want = b.T.tocsr()
             for g, w in zip((t1.data, t1.indices, t1.indptr), (want.data, want.indices, want.indptr)):
                 assert g.dtype == w.dtype and np.array_equal(g, w)
+
+    def test_cache_keeps_only_the_builders_inputs(self, monkeypatch):
+        # the full-space K, B and normal Gram are restricted and then freed;
+        # M is a builder input and stays
+        volume_forms, normal_gram = assembly.assemble_volume_forms, assembly.assemble_normal_gram
+        refs = {}
+
+        def keep_volume_forms(*args, **kwargs):
+            forms = volume_forms(*args, **kwargs)
+            refs.update(zip(("M", "K", "B"), map(weakref.ref, forms)))
+            return forms
+
+        def keep_normal_gram(*args, **kwargs):
+            gram = normal_gram(*args, **kwargs)
+            refs["normal_gram"] = weakref.ref(gram)
+            return gram
+
+        monkeypatch.setattr(assembly, "assemble_volume_forms", keep_volume_forms)
+        monkeypatch.setattr(assembly, "assemble_normal_gram", keep_normal_gram)
+        pb.get_operators.cache_clear()
+        probs = [build(pid, d=2, p=2, level=3, alpha=1e-3) for pid in pb.PROBLEM_IDS]
+        gc.collect()
+        assert sorted(refs) == ["B", "K", "M", "normal_gram"]
+        assert refs["M"]() is probs[0].ops.mass
+        for name in ("K", "B", "normal_gram"):
+            assert refs[name]() is None, f"full {name} still referenced"
 
     @pytest.mark.parametrize("pid", pb.PROBLEM_IDS)
     @pytest.mark.parametrize("alpha", [1.0, 1e-7])
