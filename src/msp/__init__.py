@@ -17,7 +17,7 @@ from .chebyshev import (
     q_matrix_norm,
     smallest_abs_root,
 )
-from .krylov import SolveResult, lanczos_extremes, minres_solve
+from .krylov import SolveResult, minres_solve
 from .saddle import (
     BlockTridiagSystem,
     SchurPreconditioner,
@@ -54,7 +54,6 @@ __all__ = [
     "q_matrix_norm",
     "smallest_abs_root",
     "SolveResult",
-    "lanczos_extremes",
     "minres_solve",
     "BlockTridiagSystem",
     "SchurPreconditioner",

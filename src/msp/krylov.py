@@ -10,14 +10,13 @@ symmetrically preconditioned residual).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
 
 Operator = Callable[[np.ndarray], np.ndarray]
 
-_BREAKDOWN_TOL = 1e-30  # Lanczos extremes: the basis is normalized
 _BREAKDOWN_RTOL = 10 * np.finfo(float).eps  # MINRES: relative to the Lanczos norm estimate
 
 
@@ -28,6 +27,8 @@ class SolveResult:
     residual_history: list[float]
     converged: bool
     breakdown_at: int | None = None
+    # (alpha_1..alpha_k, beta_2..beta_{k+1}) of the k Lanczos steps taken
+    lanczos: tuple[list[float], list[float]] = field(default_factory=lambda: ([], []))
 
 
 def check_stopping(tol: float, maxit: int) -> None:
@@ -64,7 +65,8 @@ def minres_solve(
     passes the test, one true residual b - A x_k confirms it (Greenbaum,
     SIAM J. Matrix Anal. Appl. 18(3), 1997); if the confirmation fails,
     the true residual replaces the updated one and the iteration goes on.
-    The reported residual_history always holds the energy-norm values.
+    The reported residual_history always holds the energy-norm values,
+    and `lanczos` the coefficients of the preconditioned Lanczos process.
     """
     check_stopping(tol, maxit)
     b = np.asarray(b, dtype=np.float64)
@@ -101,6 +103,8 @@ def minres_solve(
     converged = False
     breakdown_at = None
     itn = 0
+    alphas: list[float] = []
+    betas: list[float] = []
 
     while itn < maxit:
         itn += 1
@@ -119,6 +123,8 @@ def minres_solve(
             raise ValueError("preconditioner is not positive definite")
         beta = np.sqrt(beta_sq)
         anorm = max(anorm, abs(alfa), beta)
+        alphas.append(alfa)
+        betas.append(float(beta))
 
         # previous rotation, then the new one
         oldeps = epsln
@@ -153,48 +159,21 @@ def minres_solve(
             breakdown_at = itn
             break
 
-    return SolveResult(x, itn, history, converged, breakdown_at)
+    return SolveResult(x, itn, history, converged, breakdown_at, (alphas, betas))
 
 
-def lanczos_extremes(
-    apply_m: Operator,
-    inner: Callable[[np.ndarray, np.ndarray], float],
-    dim: int,
-    steps: int,
-    seed: int = 0,
-) -> tuple[float, float]:
-    """Extreme Ritz values of an operator self-adjoint in a given inner product.
+def lanczos_bounds(res: SolveResult) -> tuple[float, float]:
+    """Extreme singular values (s_max, s_min) of a MINRES run's Lanczos matrix.
 
-    Runs `steps` Lanczos iterations with full reorthogonalization, starting
-    from a random vector, and returns (smallest, largest) Ritz value.  Used
-    as a cheap condition-number estimate when the dense path is too large.
+    The (k+1) x k tridiagonal T = V_{k+1}' P^{-1/2} A P^{-1/2} V_k has
+    orthonormal V, so s_max <= max|lambda|, s_min >= min|lambda| and
+    s_max / s_min <= kappa(P^{-1} A): a lower bound, never a certificate.
+    Up to rounding it holds in floating point too (Greenbaum, Linear Algebra
+    Appl. 113, 1989).
     """
-    if steps < 2:
-        raise ValueError("need at least 2 steps")
-    import scipy.linalg
-
-    rng = np.random.default_rng(seed)
-    q = rng.standard_normal(dim)
-    q = q / np.sqrt(inner(q, q))
-    basis = [q]
-    alphas: list[float] = []
-    betas: list[float] = []
-    for _ in range(steps):
-        z = apply_m(basis[-1])
-        a = inner(z, basis[-1])
-        alphas.append(a)
-        z = z - a * basis[-1]
-        if len(basis) > 1:
-            z = z - betas[-1] * basis[-2]
-        for qk in basis:  # full reorthogonalization
-            z = z - inner(z, qk) * qk
-        bnorm = np.sqrt(max(inner(z, z), 0.0))
-        if bnorm <= _BREAKDOWN_TOL:
-            break
-        betas.append(bnorm)
-        basis.append(z / bnorm)
-    k = len(alphas)
-    ritz = scipy.linalg.eigh_tridiagonal(
-        np.array(alphas), np.array(betas[: k - 1]), eigvals_only=True
-    )
-    return float(ritz[0]), float(ritz[-1])
+    alphas, betas = res.lanczos
+    if not alphas:
+        raise ValueError("the run took no Lanczos step")
+    t = np.diag([*alphas, 0.0]) + np.diag(betas, 1) + np.diag(betas, -1)
+    s = np.linalg.svd(t[:, :-1], compute_uv=False)  # the first k columns: (k+1) x k
+    return float(s[0]), float(s[-1])

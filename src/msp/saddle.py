@@ -154,12 +154,6 @@ class SchurPreconditioner:
         self.block_dims = [b.dim for b in blocks]
         self._slices = _slices(self.block_dims)
 
-    def apply(self, x: np.ndarray) -> np.ndarray:
-        out = np.empty_like(x)
-        for blk, s in zip(self.blocks, self._slices):
-            out[s] = blk.matvec(x[s])
-        return out
-
     def apply_inverse(self, r: np.ndarray) -> np.ndarray:
         return _block_solve(self.factors, self._slices, r)
 

@@ -67,6 +67,13 @@ class TestVerify:
         assert "PASS" not in out
         assert "configuration error" in err
 
+    @pytest.mark.parametrize("n", ["2..7", "1", "0..3"])
+    def test_block_count_out_of_range_refused_before_any_suite(self, capsys, n):
+        code, out, err = run_cli(capsys, "verify", "--n", n, "--trials", "1")
+        assert code == EXIT_CONFIG
+        assert out == ""
+        assert "configuration error: --n must lie in 2..6" in err
+
 
 class TestTable:
     def test_markdown_table(self, capsys):
@@ -364,6 +371,23 @@ class TestErrors:
         assert code == EXIT_CONFIG
         assert out == ""
         assert "configuration error: alpha must be positive and finite" in err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["table", "--problem", "distributed_very_weak", *SMALL, "--out", "{missing}/x.md"],
+            ["table", "--problem", "distributed_very_weak", *SMALL, "--dump-residuals", "{file}"],
+            ["export", "--problem", "distributed_very_weak", *SMALL, "--matrix-market", "{file}"],
+        ],
+        ids=["table-out", "table-dump-residuals", "export"],
+    )
+    def test_unwritable_output_is_a_configuration_error(self, capsys, tmp_path, argv):
+        a_file = tmp_path / "a_file"
+        a_file.write_text("")
+        paths = {"missing": str(tmp_path / "missing"), "file": str(a_file)}
+        code, _, err = run_cli(capsys, *[a.format(**paths) for a in argv])
+        assert code == EXIT_CONFIG
+        assert err.startswith("configuration error: ")
 
 
 class TestOptions:

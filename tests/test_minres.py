@@ -8,7 +8,8 @@ from hypothesis import strategies as st
 
 from msp import problems as pb
 from msp import saddle as sd
-from msp.krylov import lanczos_extremes, minres_solve
+from msp.chebyshev import bounds
+from msp.krylov import lanczos_bounds, minres_solve
 
 
 def identity(v):
@@ -244,24 +245,71 @@ class TestFiniteTermination:
         assert monitored <= 10 * tol * res.residual_history[0]
 
 
-class TestLanczos:
-    def test_diagonal_extremes(self):
-        d = np.arange(1.0, 11.0)
-        lo, hi = lanczos_extremes(lambda v: d * v, lambda u, v: float(u @ v), 10, 50)
-        assert lo == pytest.approx(1.0, abs=1e-8)
-        assert hi == pytest.approx(10.0, abs=1e-8)
+def random_start_run(apply_a, apply_prec_inv, dim):
+    """MINRES from a seeded random right-hand side, as `spectrum --lanczos` runs it."""
+    b = np.random.default_rng(0).standard_normal(dim)
+    return minres_solve(apply_a, apply_prec_inv, b, tol=1e-10)
 
-    def test_bracketed_by_true_extremes(self):
-        rng = np.random.default_rng(6)
-        g = rng.standard_normal((60, 60))
-        a = g + g.T
-        ev = np.linalg.eigvalsh(a)
-        lo, hi = lanczos_extremes(lambda v: a @ v, lambda u, v: float(u @ v), 60, 100)
-        assert ev[0] - 1e-8 <= lo
-        assert hi <= ev[-1] + 1e-8
-        assert lo == pytest.approx(ev[0], rel=1e-4)
-        assert hi == pytest.approx(ev[-1], rel=1e-4)
 
-    def test_requires_two_steps(self):
-        with pytest.raises(ValueError):
-            lanczos_extremes(identity, lambda u, v: float(u @ v), 5, 1)
+def random_symmetric(dim, seed):
+    g = np.random.default_rng(seed).standard_normal((dim, dim))
+    return g + g.T
+
+
+def practical_and_exact_cells():
+    for pid in pb.PROBLEM_IDS:
+        for alpha in (1.0, 1e-3):
+            prob = pb.build_problem(pb.ProblemConfig(pid, d=2, p=2, level=3, alpha=alpha))
+            for variant in ("practical", "exact_schur"):
+                yield prob, variant, pb.make_preconditioner(prob, variant)
+
+
+class TestLanczosBounds:
+    @pytest.mark.parametrize(
+        "a",
+        [
+            np.diag([-3.0, -1.0, -0.2, 0.5, 2.0, 4.0, 7.5]),
+            random_symmetric(60, seed=6),
+        ],
+        ids=["diagonal", "random"],
+    )
+    def test_within_the_moduli_of_the_spectrum(self, a):
+        moduli = np.abs(np.linalg.eigvalsh(a))
+        res = random_start_run(lambda v: a @ v, identity, a.shape[0])
+        assert len(res.lanczos[0]) == len(res.lanczos[1]) == res.iterations
+        s_max, s_min = lanczos_bounds(res)
+        assert moduli.min() * (1 - 1e-10) <= s_min <= s_max <= moduli.max() * (1 + 1e-10)
+        # MINRES exhausts these small Krylov spaces, so the bounds are attained
+        assert (s_min, s_max) == pytest.approx((moduli.min(), moduli.max()), rel=1e-8)
+
+    def test_run_without_steps_refused(self):
+        with pytest.raises(ValueError, match="no Lanczos step"):
+            lanczos_bounds(minres_solve(identity, identity, np.zeros(3)))
+
+    def test_close_lower_bound_on_the_dense_condition_number(self):
+        cells = 0
+        for prob, variant, pre in practical_and_exact_cells():
+            s_max, s_min = lanczos_bounds(
+                random_start_run(prob.system.apply, pre.apply_inverse, prob.system.total_dim)
+            )
+            kappa = sd.spectrum(prob.system, pre).cond
+            assert 0.99 * kappa <= s_max / s_min <= kappa * (1 + 1e-10), (prob.config, variant)
+            cells += 1
+        assert cells == 16
+
+    @pytest.mark.parametrize("scale", [1.01, 0.1])
+    def test_perturbed_exact_last_block_exceeds_the_bound(self, scale):
+        for prob, variant, pre in practical_and_exact_cells():
+            if variant != "exact_schur":
+                continue
+            last = prob.system.block_slices()[-1]
+
+            def perturbed_inverse(r):
+                z = pre.apply_inverse(r)
+                z[last] /= scale
+                return z
+
+            s_max, s_min = lanczos_bounds(
+                random_start_run(prob.system.apply, perturbed_inverse, prob.system.total_dim)
+            )
+            assert s_max / s_min > bounds(prob.system.n).cond_bound, prob.config
