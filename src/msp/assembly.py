@@ -11,9 +11,10 @@ Every form runs one batched kernel over chunks of elements.  A face of
 (0,1)^d is the element grid whose fixed axis has a single element with one
 point of weight 1, so volume and face elements share one tabulation: one
 batched 1D table per axis and space.  Per chunk the kernel evaluates the
-geometry Jacobian (and the Hessian when a form needs it) with one
-`GeometryMap` call over all the chunk's points and builds the
-tensor-product basis tables.  An assembler hands the kernel a generator of
+geometry map's monomial table once over all the chunk's points; the
+Jacobian, and the Hessians when a form needs them, are that table times
+the map's coefficient matrices.  It also builds the tensor-product basis
+tables.  An assembler hands the kernel a generator of
 element blocks: per chunk it yields the blocks of each of its forms in
 turn, so the mass, Laplacian and biharmonic forms of
 `assemble_volume_forms` share the value and Laplacian tables that the
@@ -278,7 +279,9 @@ class _Chunk:
             axis=-1,
         ).reshape(-1, d)
 
-        jac = geo.jacobian(self.points).reshape(n, -1, d, d)
+        # one monomial table serves the Jacobian here and the Hessians in `hess`
+        self._monomials = geo._monomials(self.points).T
+        jac = (self._monomials @ geo._jacobian).reshape(n, -1, d, d)
         det, adj = _det_adjugate(jac)
         if np.any(det <= 0):
             raise DegenerateGeometry("non-positive Jacobian determinant")
@@ -299,7 +302,7 @@ class _Chunk:
     def hess(self) -> np.ndarray:
         """Component Hessians of the geometry map, (n, nq, d, d, d)."""
         d = self.d
-        return self.geo.hessians(self.points).reshape(*self.dx.shape, d, d, d)
+        return (self._monomials @ self.geo._hessians).reshape(*self.dx.shape, d, d, d)
 
     def _orders(self, *axes: int) -> tuple[int, ...]:
         """Derivative orders of the reference derivative along `axes`."""
@@ -520,14 +523,6 @@ class TraceSpace:
         self.dim = int(self.offsets[-1])
 
 
-def assemble_boundary_mass(space: TensorSpace, geo: GeometryMap, q: int | None = None) -> SparseSymMatrix:
-    """Boundary mass M_d[i, j] = surface integral of phi_i phi_j over the boundary."""
-    faces = _face_matrices(
-        space, geo, q or _default_q(space), 0, 0, 0, lambda ch: (ch.integrate(v, v) for v in [ch.basis(0)])
-    )
-    return _symmetric(sum(faces[1:], faces[0]))
-
-
 def assemble_normal_gram(space: TensorSpace, geo: GeometryMap, q: int | None = None) -> SparseSymMatrix:
     """K_d[i, j] = surface integral of dn(phi_i) dn(phi_j) over the boundary."""
     faces = _face_matrices(
@@ -590,13 +585,3 @@ def assemble_rhs_l2(
         fvals = fn(geo.value(ch.points)).reshape(ch.dx.shape)
         _add_vector(rhs, ch.active(0), ch.integrate(ch.basis(0), fvals[..., None]))
     return rhs
-
-
-def boundary_measure(space: TensorSpace, geo: GeometryMap, q: int = 8) -> float:
-    """Total surface measure of the mapped boundary (quadrature oracle)."""
-    return float(sum(np.sum(ch.dx) for ch in _face_chunks(space, geo, q, 0)))
-
-
-def domain_measure(space: TensorSpace, geo: GeometryMap, q: int = 8) -> float:
-    """Volume of the mapped domain (quadrature oracle)."""
-    return float(sum(np.sum(ch.dx) for ch in _Tabulation.volume([space], q, 0).chunks(geo)))

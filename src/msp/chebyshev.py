@@ -49,32 +49,6 @@ def pbar_eval(j: int, x: float) -> float:
     return pc
 
 
-def p_coefficients(j: int) -> np.ndarray:
-    """Monomial coefficients of P_j (ascending degree), exact integers."""
-    if j < 0:
-        raise ValueError("degree must be >= 0")
-    pm = np.array([1.0])
-    if j == 0:
-        return pm
-    pc = np.array([0.0, 1.0])
-    for _ in range(1, j):
-        nxt = np.zeros(len(pc) + 1)
-        nxt[1:] = pc
-        nxt[: len(pm)] -= pm
-        pm, pc = pc, nxt
-    return pc
-
-
-def pbar_coefficients(j: int) -> np.ndarray:
-    """Monomial coefficients of Pbar_j (ascending degree)."""
-    if j == 0:
-        return np.array([1.0])
-    a, b = p_coefficients(j), p_coefficients(j - 1)
-    out = a.copy()
-    out[: len(b)] -= b
-    return out
-
-
 def pbar_roots(j: int) -> np.ndarray:
     """All j roots of Pbar_j in descending order, from the closed form.
 

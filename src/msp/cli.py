@@ -117,6 +117,11 @@ def _check_scale(args: argparse.Namespace, levels: list[int]) -> None:
 def cmd_table(args: argparse.Namespace) -> int:
     levels, alphas = _defaults(args)
     _check_scale(args, levels)
+    # output paths are checked before anything is solved
+    if args.out and not os.path.isdir(os.path.dirname(args.out) or "."):
+        raise ValueError(f"the directory of --out {args.out!r} does not exist")
+    if args.dump_residuals:
+        os.makedirs(args.dump_residuals, exist_ok=True)
     cells = run_table(
         args.problem,
         args.dim,
@@ -129,7 +134,6 @@ def cmd_table(args: argparse.Namespace) -> int:
         maxit=args.maxit,
     )
     if args.dump_residuals:
-        os.makedirs(args.dump_residuals, exist_ok=True)
         for c in cells:
             path = os.path.join(args.dump_residuals, f"residuals_l{c.level}_a{c.alpha:g}.csv")
             with open(path, "w") as fh:

@@ -135,7 +135,7 @@ class DiscreteOperators:
 
     @cached_property
     def mass_factor(self) -> CholeskyFactor:
-        """Factor of M; the blocks alpha M and M / alpha use it scaled."""
+        """Factor of M; the blocks alpha M and M / alpha use scaled views of it, which share its array."""
         return cholesky(self.mass)
 
     @cached_property
@@ -228,6 +228,8 @@ def _three_block(
     """Unknowns (f, w, u): diagonal blocks alpha M, 0, A_3; couplings M and K'.
 
     The practical preconditioner is diag(alpha M, M / alpha, A_3 + alpha B).
+    alpha M and M / alpha are views of M and of its factor, and alpha M
+    shares its CSR with the coupling B_1 = M, so the apply forms M x_1 once.
     """
     a = cfg.alpha
     m = ops.mass

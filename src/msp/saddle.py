@@ -18,7 +18,7 @@ import numpy as np
 import scipy.sparse
 from scipy.linalg.blas import dtrsm
 
-from .chebyshev import BoundSet, bounds, pbar_roots, smallest_abs_root
+from .chebyshev import BoundSet, bounds, smallest_abs_root
 from .sparselin import (
     CholeskyFactor,
     DenseSymMatrix,
@@ -38,9 +38,11 @@ class BlockTridiagSystem:
 
     B_i maps block i into the dual of block i+1, i.e. it has shape
     (dim_{i+1}, dim_i).  A coupling given as an array (the small random
-    test systems) is kept as it is; any other is stored as CSR.  `Bt`,
-    when given, holds the transposes B_i' (builders pass the ones cached
-    with their couplings); otherwise they are built on the first apply.
+    test systems) or as CSR is kept as it is; any other is stored as CSR.
+    `Bt`, when given, holds the transposes B_i' (builders pass the ones
+    cached with their couplings); otherwise they are built on the first
+    apply.  A block A_i that scales the very CSR stored as B_i (alpha M next
+    to the coupling M) reuses the product B_i x_i in the apply.
     """
 
     def __init__(
@@ -52,7 +54,8 @@ class BlockTridiagSystem:
         if len(B) != len(A) - 1:
             raise ValueError("need n-1 couplings for n diagonal blocks")
         self.A = A
-        self.B = [b if isinstance(b, np.ndarray) else scipy.sparse.csr_matrix(b) for b in B]
+        kept = (np.ndarray, scipy.sparse.csr_matrix)
+        self.B = [b if isinstance(b, kept) else scipy.sparse.csr_matrix(b) for b in B]
         self.block_dims = [a.dim for a in A]
         for i, b in enumerate(self.B):
             if b.shape != (self.block_dims[i + 1], self.block_dims[i]):
@@ -60,6 +63,10 @@ class BlockTridiagSystem:
                     f"B_{i + 1} has shape {b.shape}, expected "
                     f"({self.block_dims[i + 1]}, {self.block_dims[i]})"
                 )
+        # per block: the scale c with A_i = c B_i on one stored CSR, else None
+        self._reuse = [
+            a.scale if isinstance(a, SparseSymMatrix) and a.base is b else None for a, b in zip(A, self.B)
+        ] + [None]
         self._slices = _slices(self.block_dims)
         if Bt is not None:
             self._bt = list(Bt)
@@ -81,15 +88,20 @@ class BlockTridiagSystem:
         return [b.T.tocsr() if scipy.sparse.issparse(b) else b.T for b in self.B]
 
     def apply(self, x: np.ndarray) -> np.ndarray:
-        """The operator times x, block by block: (-1)^i A_i x_i + B_{i-1} x_{i-1} + B_i' x_{i+1}."""
+        """The operator times x, block by block: (-1)^i A_i x_i + B_{i-1} x_{i-1} + B_i' x_{i+1}.
+
+        Each B_i x_i is formed once; where A_i = c B_i it also gives A_i x_i.
+        """
         xs = [x[s] for s in self._slices]
+        bx = [b @ xi for b, xi in zip(self.B, xs)]
         y = np.empty(self.total_dim)
         for i, s in enumerate(self._slices):
-            yi = self.A[i].matvec(xs[i])
+            c = self._reuse[i]
+            yi = self.A[i].matvec(xs[i]) if c is None else c * bx[i]
             if i % 2:
                 np.negative(yi, out=yi)
             if i > 0:
-                yi += self.B[i - 1] @ xs[i - 1]
+                yi += bx[i - 1]
             if i < self.n - 1:
                 yi += self._bt[i] @ xs[i + 1]
             y[s] = yi
@@ -400,9 +412,3 @@ def verify_sharpness(n: int, trials: int, seed: int) -> SharpnessReport:
         if not ok:
             report.failing_seeds.append(trial_seed)
     return report
-
-
-def sharp_spectrum_reference(n: int) -> np.ndarray:
-    """The predicted eigenvalue set for the A_i = 0 (i >= 2) configuration."""
-    vals = np.concatenate([pbar_roots(j) for j in range(1, n + 1)])
-    return np.sort(vals)

@@ -7,6 +7,14 @@ stage, a random test block) as its full array.  Producers hand over the
 full matrix and the constructors check that it is exactly symmetric.  A
 block is factored in its stored order (the spline blocks are stored
 banded): a banded Cholesky when the band is narrow, a dense one otherwise.
+
+Scaling is a view.  c times a matrix shares the stored CSR and keeps the
+scale c: its product is c (M x), and c M is built entry by entry only for a
+caller that asks for the matrix itself (a factorization, an export, a dense
+spectrum).  The factor of c M is likewise M's own factor with the scale c:
+a solve runs on the stored factor and divides by c.  So the blocks alpha M,
+M / alpha and M of the optimal-control preconditioners hold one copy of M
+and one of its factor.
 """
 
 from __future__ import annotations
@@ -24,7 +32,9 @@ class NotPositiveDefinite(Exception):
 
 
 class SparseSymMatrix:
-    """Sparse symmetric matrix stored as its full canonical CSR."""
+    """Sparse symmetric matrix: `scale` times the full canonical CSR `base`."""
+
+    scale = 1.0
 
     def __init__(self, a):
         """Store a copy of the full matrix `a`; ValueError unless square and exactly symmetric."""
@@ -35,7 +45,7 @@ class SparseSymMatrix:
         full.eliminate_zeros()
         if (full != full.T).nnz:
             raise ValueError("matrix must be symmetric")
-        self._full = full
+        self.base = full
 
     @classmethod
     def from_dense(cls, a: np.ndarray) -> "SparseSymMatrix":
@@ -45,37 +55,45 @@ class SparseSymMatrix:
 
     @property
     def dim(self) -> int:
-        return self._full.shape[0]
+        return self.base.shape[0]
 
     def matvec(self, x: np.ndarray) -> np.ndarray:
-        return self._full @ x
+        y = self.base @ x
+        y *= self.scale
+        return y
 
     def to_csr(self) -> scipy.sparse.csr_matrix:
-        """The stored full canonical CSR (shared, not copied)."""
-        return self._full
+        """The full canonical CSR: the stored one (shared, not copied), or built when scaled.
+
+        Scaling an exactly symmetric matrix entry by entry keeps it exactly
+        symmetric and keeps its index order; only underflowed zeros go.
+        """
+        if self.scale == 1.0:
+            return self.base
+        full = self.base * self.scale
+        full.eliminate_zeros()
+        return full
 
     def to_dense(self) -> np.ndarray:
-        return self._full.toarray()
+        return self.to_csr().toarray()
 
     @classmethod
     def _trusted(cls, full: scipy.sparse.csr_matrix) -> "SparseSymMatrix":
         """Wrap an exactly symmetric canonical CSR without re-validation; explicit zeros go."""
         full.eliminate_zeros()
         out = cls.__new__(cls)
-        out._full = full
+        out.base = full
         return out
 
-    def scaled(self, alpha: float) -> "SparseSymMatrix":
-        """alpha times this matrix, built from the stored CSR without re-validation.
-
-        Scaling an exactly symmetric matrix entry by entry keeps it exactly
-        symmetric and keeps its index order; only underflowed zeros go.
-        """
-        return SparseSymMatrix._trusted(self._full * alpha)
+    def scaled(self, c: float) -> "SparseSymMatrix":
+        """c times this matrix: a view that shares the stored CSR."""
+        out = SparseSymMatrix.__new__(SparseSymMatrix)
+        out.base, out.scale = self.base, self.scale * c
+        return out
 
     def add(self, other: "SparseSymMatrix", beta: float = 1.0) -> "SparseSymMatrix":
-        """This matrix plus beta `other`, as `scaled`: the sum of two is exactly symmetric too."""
-        return SparseSymMatrix._trusted(self._full + beta * other._full)
+        """This matrix plus beta `other`, without re-validation: the sum of two is exactly symmetric too."""
+        return SparseSymMatrix._trusted(self.to_csr() + beta * other.to_csr())
 
 
 class DenseSymMatrix:
@@ -117,36 +135,38 @@ class DenseSymMatrix:
 
 @dataclass
 class CholeskyFactor:
-    """Cholesky factorization of an SPD symmetric matrix in its stored order."""
+    """Cholesky factorization of an SPD symmetric matrix in its stored order.
+
+    It factors `scale` times the matrix that `data` is the factor of.
+    """
 
     dim: int
     mode: str  # "banded" or "dense"
     data: object  # banded factor array or (dense factor, lower) pair
+    scale: float = 1.0
 
     def scaled(self, c: float) -> "CholeskyFactor":
-        """The factor of c times the factored matrix (c > 0): the factor times sqrt(c)."""
+        """The factor of c times the factored matrix (c > 0): a view that shares `data`."""
         if not c > 0:
             raise ValueError("scale must be positive")
-        s = np.sqrt(c)
-        if self.mode == "banded":
-            return CholeskyFactor(self.dim, self.mode, self.data * s)
-        dense, low = self.data
-        return CholeskyFactor(self.dim, self.mode, (dense * s, low))
+        return CholeskyFactor(self.dim, self.mode, self.data, self.scale * c)
 
     def lower(self) -> np.ndarray:
         """The dense lower-triangular L with L L' equal to the factored matrix.
 
         A dense factor is stored lower (`cholesky` asks for it); a banded one
-        (LAPACK's upper band of U, with L = U') is expanded.  A scaled factor
-        gives its scaled L, the factor that solves apply.
+        (LAPACK's upper band of U, with L = U') is expanded.  The stored
+        factor is scaled by sqrt(scale) before it is expanded.
         """
+        s = np.sqrt(self.scale)
         if self.mode == "dense":
-            return np.tril(self.data[0])
-        bw = self.data.shape[0] - 1
+            return np.tril(self.data[0] * s)
+        band = self.data * s
+        bw = band.shape[0] - 1
         out = np.zeros((self.dim, self.dim))
         for k in range(bw + 1):
             j = np.arange(k, self.dim)
-            out[j, j - k] = self.data[bw - k, k:]
+            out[j, j - k] = band[bw - k, k:]
         return out
 
 
@@ -215,15 +235,19 @@ def cholesky(m: SparseSymMatrix | DenseSymMatrix) -> CholeskyFactor:
 def solve_chol(f: CholeskyFactor, b: np.ndarray) -> np.ndarray:
     """Solve m x = b given a factor of m.  Accepts a vector or a matrix of rhs.
 
-    The factor is finite by construction (`cholesky` keeps LAPACK's input
-    check), so the solve does not re-scan it.
+    The stored factor solves, and the result is divided by the factor's
+    scale.  The factor is finite by construction (`cholesky` keeps LAPACK's
+    input check), so the solve does not re-scan it.
     """
     b = np.asarray(b, dtype=np.float64)
     if b.shape[0] != f.dim:
         raise ValueError(f"rhs has dim {b.shape[0]}, factor has dim {f.dim}")
     if f.mode == "banded":
-        return scipy.linalg.cho_solve_banded((f.data, False), b, check_finite=False)
-    return scipy.linalg.cho_solve(f.data, b, check_finite=False)
+        x = scipy.linalg.cho_solve_banded((f.data, False), b, check_finite=False)
+    else:
+        x = scipy.linalg.cho_solve(f.data, b, check_finite=False)
+    x /= f.scale
+    return x
 
 
 def gen_sym_eig(a: np.ndarray) -> np.ndarray:

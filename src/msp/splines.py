@@ -238,15 +238,6 @@ class GeometryMap:
         """H[a, k, i, j] = d^2 F_k / (d xi_i d xi_j) at each point."""
         return (self._monomials(pts).T @ self._hessians).reshape(-1, self.d, self.d, self.d)
 
-    def is_identity(self) -> bool:
-        for i, c in enumerate(self.components):
-            want = np.zeros(tuple(2 if j == i else 1 for j in range(self.d)))
-            idx = tuple(1 if j == i else 0 for j in range(self.d))
-            want[idx] = 1.0
-            if c.shape != want.shape or not np.array_equal(c, want):
-                return False
-        return True
-
 
 def identity_geometry(d: int) -> GeometryMap:
     comps = []

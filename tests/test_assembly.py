@@ -13,6 +13,24 @@ from msp import splines as sp
 from msp.sparselin import SparseSymMatrix
 
 
+def assemble_boundary_mass(space, geo, q=None):
+    """Boundary mass M_d[i, j] = surface integral of phi_i phi_j over the boundary."""
+    faces = asm._face_matrices(
+        space, geo, q or asm._default_q(space), 0, 0, 0, lambda ch: (ch.integrate(v, v) for v in [ch.basis(0)])
+    )
+    return asm._symmetric(sum(faces[1:], faces[0]))
+
+
+def boundary_measure(space, geo, q=8):
+    """Total surface measure of the mapped boundary."""
+    return float(sum(np.sum(ch.dx) for ch in asm._face_chunks(space, geo, q, 0)))
+
+
+def domain_measure(space, geo, q=8):
+    """Volume of the mapped domain."""
+    return float(sum(np.sum(ch.dx) for ch in asm._Tabulation.volume([space], q, 0).chunks(geo)))
+
+
 def space_1d(p, level, smoothness=None):
     return sp.TensorSpace([sp.SplineSpace1D(p, level, smoothness=smoothness)])
 
@@ -60,7 +78,7 @@ class TestMass:
         for d, geo in ((2, sp.identity_geometry(2)), (2, sp.annulus_2d())):
             ts = sp.tensor_space(d, 2, 2)
             m = asm.assemble_mass(ts, geo).to_dense()
-            assert m.sum() == pytest.approx(asm.domain_measure(ts, geo), abs=1e-10)
+            assert m.sum() == pytest.approx(domain_measure(ts, geo), abs=1e-10)
 
     def test_spd(self):
         ts = sp.tensor_space(2, 2, 2)
@@ -95,7 +113,7 @@ class TestIntegrationByParts:
         geo = sp.GEOMETRIES[geo_name](d)
         # rational mapped-geometry integrands converge with the quadrature
         # order; q = 8 (2D) / 14 (3D) brings the mismatch under the tolerance
-        q = p + 1 if geo.is_identity() else (8 if d == 2 else 14)
+        q = p + 1 if geo_name == "identity" else (8 if d == 2 else 14)
         k = np.asarray(asm.assemble_laplacian_strong(ts, ts, geo, q=q).todense())
         s = asm.assemble_stiffness(ts, geo, q=q).to_dense()
         idx = ts.interior_indices()
@@ -138,27 +156,27 @@ class TestDiscreteSchurIdentity:
 class TestBoundaryForms:
     def test_boundary_measures(self):
         sq = sp.tensor_space(2, 2, 2)
-        assert asm.boundary_measure(sq, sp.identity_geometry(2)) == pytest.approx(4.0, abs=1e-12)
+        assert boundary_measure(sq, sp.identity_geometry(2)) == pytest.approx(4.0, abs=1e-12)
         cube = sp.tensor_space(3, 2, 1)
-        assert asm.boundary_measure(cube, sp.identity_geometry(3)) == pytest.approx(6.0, abs=1e-12)
+        assert boundary_measure(cube, sp.identity_geometry(3)) == pytest.approx(6.0, abs=1e-12)
         line = sp.tensor_space(1, 2, 2)
-        assert asm.boundary_measure(line, sp.identity_geometry(1)) == pytest.approx(2.0, abs=1e-12)
+        assert boundary_measure(line, sp.identity_geometry(1)) == pytest.approx(2.0, abs=1e-12)
 
     def test_domain_measures(self):
         sq = sp.tensor_space(2, 2, 2)
-        assert asm.domain_measure(sq, sp.identity_geometry(2)) == pytest.approx(1.0, abs=1e-12)
+        assert domain_measure(sq, sp.identity_geometry(2)) == pytest.approx(1.0, abs=1e-12)
 
     def test_boundary_mass_total(self):
         # all-ones vector reproduces the perimeter through the partition of unity
         ts = sp.tensor_space(2, 2, 2)
         geo = sp.annulus_2d()
-        mb = asm.assemble_boundary_mass(ts, geo, q=6).to_dense()
+        mb = assemble_boundary_mass(ts, geo, q=6).to_dense()
         ones = np.ones(ts.dim)
-        assert ones @ mb @ ones == pytest.approx(asm.boundary_measure(ts, geo), abs=1e-8)
+        assert ones @ mb @ ones == pytest.approx(boundary_measure(ts, geo), abs=1e-8)
 
     def test_boundary_mass_interior_rows_vanish(self):
         ts = sp.tensor_space(2, 2, 2)
-        mb = asm.assemble_boundary_mass(ts, sp.identity_geometry(2)).to_dense()
+        mb = assemble_boundary_mass(ts, sp.identity_geometry(2)).to_dense()
         idx = ts.interior_indices()
         assert np.max(np.abs(mb[idx, :])) < 1e-14
 
@@ -168,7 +186,7 @@ class TestBoundaryForms:
         tr = asm.TraceSpace(ts)
         mt = asm.assemble_trace_mass(tr, geo, q=6).to_dense()
         ones = np.ones(tr.dim)
-        assert ones @ mt @ ones == pytest.approx(asm.boundary_measure(ts, geo), abs=1e-8)
+        assert ones @ mt @ ones == pytest.approx(boundary_measure(ts, geo), abs=1e-8)
 
     def test_normal_gram_linear_function(self):
         # u(x, y) = x has dn(u) = n_1; the Gram form gives the integral of n_1^2
@@ -220,7 +238,7 @@ class TestBoundaryForms:
         e_0[0] = e_n[-1] = 1.0
         kd = asm.assemble_normal_gram(ts, geo).to_dense()
         assert np.max(np.abs(kd - np.outer(v_l, v_l) - np.outer(v_r, v_r))) <= 1e-13 * s**2
-        mb = asm.assemble_boundary_mass(ts, geo).to_dense()
+        mb = assemble_boundary_mass(ts, geo).to_dense()
         assert np.max(np.abs(mb - np.outer(e_0, e_0) - np.outer(e_n, e_n))) <= 1e-13
         # g = 3x: the normal data is -3 at x = 0 and +3 at x = 1
         rhs = asm.assemble_rhs_normal_data(ts, geo, lambda x: np.full_like(x, 3.0))
@@ -251,22 +269,67 @@ def _dense(m):
     return m.to_dense() if hasattr(m, "to_dense") else m.toarray()
 
 
+# every public assembler on one space, with tr its trace space
+_FORMS = {
+    "mass": lambda ts, tr, geo: asm.assemble_mass(ts, geo),
+    "laplacian": lambda ts, tr, geo: asm.assemble_laplacian_strong(ts, ts, geo),
+    "biharmonic": lambda ts, tr, geo: asm.assemble_biharmonic(ts, geo),
+    "stiffness": lambda ts, tr, geo: asm.assemble_stiffness(ts, geo),
+    "boundary_mass": lambda ts, tr, geo: assemble_boundary_mass(ts, geo),
+    "normal_gram": lambda ts, tr, geo: asm.assemble_normal_gram(ts, geo),
+    "trace_mass": lambda ts, tr, geo: asm.assemble_trace_mass(tr, geo),
+    "normal_coupling": lambda ts, tr, geo: asm.assemble_normal_coupling(tr, ts, geo),
+    "rhs_normal_data": lambda ts, tr, geo: asm.assemble_rhs_normal_data(
+        ts, geo, lambda x: np.cos(x) + x[:, ::-1] ** 2
+    ),
+    "rhs_l2": lambda ts, tr, geo: asm.assemble_rhs_l2(ts, geo, lambda x: np.sin(3 * x[:, 0]) + x[:, -1]),
+}
+
+
 def _all_forms(ts, geo):
     """Every public assembler on one space, as dense arrays."""
     tr = asm.TraceSpace(ts)
-    out = {
-        "mass": asm.assemble_mass(ts, geo),
-        "laplacian": asm.assemble_laplacian_strong(ts, ts, geo),
-        "biharmonic": asm.assemble_biharmonic(ts, geo),
-        "stiffness": asm.assemble_stiffness(ts, geo),
-        "boundary_mass": asm.assemble_boundary_mass(ts, geo),
-        "normal_gram": asm.assemble_normal_gram(ts, geo),
-        "trace_mass": asm.assemble_trace_mass(tr, geo),
-        "normal_coupling": asm.assemble_normal_coupling(tr, ts, geo),
-        "rhs_normal_data": asm.assemble_rhs_normal_data(ts, geo, lambda x: np.cos(x) + x[:, ::-1] ** 2),
-        "rhs_l2": asm.assemble_rhs_l2(ts, geo, lambda x: np.sin(3 * x[:, 0]) + x[:, -1]),
-    }
-    return {name: _dense(m) for name, m in out.items()}
+    return {name: _dense(build(ts, tr, geo)) for name, build in _FORMS.items()}
+
+
+class TestGeometryPerChunk:
+    @pytest.mark.parametrize("form", [*_FORMS, "volume_forms"])
+    @pytest.mark.parametrize("d,geo_name", [(2, "annulus_2d"), (3, "twisted_3d")])
+    def test_one_monomial_table_per_chunk(self, monkeypatch, form, d, geo_name):
+        # each chunk evaluates the map's monomial table once, and its
+        # geometry (J^{-1}, det J and the Hessians) is bitwise what the
+        # per-call `GeometryMap.jacobian` and `hessians` give, so every form
+        # it assembles is bitwise the same too
+        ts = sp.tensor_space(d, 2, 2 if d == 2 else 1)
+        geo = sp.GEOMETRIES[geo_name](d)
+        monomials, init = sp.GeometryMap._monomials, asm._Chunk.__init__
+        calls, chunks = [], []
+
+        def counting_monomials(self, pts):
+            calls.append(len(pts))
+            return monomials(self, pts)
+
+        def keeping_init(ch, *args):
+            init(ch, *args)
+            chunks.append(ch)
+
+        monkeypatch.setattr(sp.GeometryMap, "_monomials", counting_monomials)
+        monkeypatch.setattr(asm._Chunk, "__init__", keeping_init)
+        monkeypatch.setattr(asm, "_CHUNK_BYTES", 3 * 8 * 3 ** (2 * d))  # several chunks a form
+        if form == "volume_forms":
+            asm.assemble_volume_forms(ts, geo)
+        else:
+            _FORMS[form](ts, asm.TraceSpace(ts), geo)
+        # the right-hand sides also map each chunk's points to sample their data
+        assert len(calls) == len(chunks) * (2 if form.startswith("rhs") else 1) > 2
+        uses_hessians = form in ("laplacian", "biharmonic", "volume_forms")
+        for ch in chunks:
+            n = len(ch.dx)
+            det, adj = asm._det_adjugate(geo.jacobian(ch.points).reshape(n, -1, d, d))
+            assert ch.jinv.tobytes() == (adj / det[..., None, None]).tobytes()
+            assert ("hess" in vars(ch)) == uses_hessians
+            if uses_hessians:
+                assert ch.hess.tobytes() == geo.hessians(ch.points).reshape(ch.hess.shape).tobytes()
 
 
 class TestChunking:
@@ -492,7 +555,7 @@ class TestSymmetricForms:
         geo = sp.GEOMETRIES[{2: "annulus_2d", 3: "twisted_3d"}[d]](d)
         asm.assemble_volume_forms(ts, geo)
         asm.assemble_normal_gram(ts, geo)
-        asm.assemble_boundary_mass(ts, geo)
+        assemble_boundary_mass(ts, geo)
         asm.assemble_trace_mass(asm.TraceSpace(ts), geo)
         assert len(seen) == 5
         for m, out in seen:

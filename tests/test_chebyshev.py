@@ -7,6 +7,30 @@ from scipy.special import eval_chebyu
 from msp import chebyshev as ch
 
 
+def p_coefficients(j):
+    """Monomial coefficients of P_j (ascending degree), exact integers, by the recurrence."""
+    pm = np.array([1.0])
+    if j == 0:
+        return pm
+    pc = np.array([0.0, 1.0])
+    for _ in range(1, j):
+        nxt = np.zeros(len(pc) + 1)
+        nxt[1:] = pc
+        nxt[: len(pm)] -= pm
+        pm, pc = pc, nxt
+    return pc
+
+
+def pbar_coefficients(j):
+    """Monomial coefficients of Pbar_j = P_j - P_{j-1} (ascending degree)."""
+    if j == 0:
+        return np.array([1.0])
+    a, b = p_coefficients(j), p_coefficients(j - 1)
+    out = a.copy()
+    out[: len(b)] -= b
+    return out
+
+
 def bisect_roots(f, lo, hi, n_grid=20000, tol=1e-14):
     """Sign-change bisection root finder used as an independent oracle."""
     xs = np.linspace(lo, hi, n_grid)
@@ -53,10 +77,10 @@ class TestRecurrence:
     def test_coefficients_match_eval(self):
         xs = np.linspace(-2, 2, 11)
         for j in range(8):
-            c = ch.p_coefficients(j)
+            c = p_coefficients(j)
             vals = np.polynomial.polynomial.polyval(xs, c)
             assert np.allclose(vals, [ch.p_eval(j, x) for x in xs], atol=1e-10)
-            cb = ch.pbar_coefficients(j + 1)
+            cb = pbar_coefficients(j + 1)
             vb = np.polynomial.polynomial.polyval(xs, cb)
             assert np.allclose(vb, [ch.pbar_eval(j + 1, x) for x in xs], atol=1e-10)
 
@@ -142,7 +166,7 @@ class TestQMatrix:
     def test_characteristic_polynomial(self):
         for j in range(1, 9):
             char = np.poly(ch.q_inverse_matrix(j))[::-1]
-            assert np.allclose(char, ch.pbar_coefficients(j), rtol=1e-8, atol=1e-8)
+            assert np.allclose(char, pbar_coefficients(j), rtol=1e-8, atol=1e-8)
 
     def test_norm_closed_form(self):
         for j in range(1, 11):

@@ -389,6 +389,21 @@ class TestErrors:
         assert code == EXIT_CONFIG
         assert err.startswith("configuration error: ")
 
+    @pytest.mark.parametrize("flag, path", [("--out", "{missing}/x.md"), ("--dump-residuals", "{file}")])
+    def test_bad_output_path_refused_before_any_solve(self, capsys, tmp_path, flag, path):
+        # a table that could not be written is refused before the operators are assembled
+        from msp import problems
+
+        a_file = tmp_path / "a_file"
+        a_file.write_text("")
+        path = path.format(missing=tmp_path / "missing", file=a_file)
+        before = problems.get_operators.cache_info()
+        code, out, err = run_cli(capsys, "table", "--dim", "2", "--levels", "3", "--alphas", "1", flag, path)
+        assert code == EXIT_CONFIG
+        assert out == ""
+        assert err.startswith("configuration error: ")
+        assert problems.get_operators.cache_info() == before
+
 
 class TestOptions:
     # each command offers only the options it reads

@@ -181,6 +181,31 @@ class TestOperatorReuse:
             assert refs[name]() is None, f"full {name} still referenced"
 
     @pytest.mark.parametrize("pid", pb.PROBLEM_IDS)
+    def test_mass_blocks_share_one_factor(self, pid):
+        # every practical block built from M holds M's own factor array
+        prob = build(pid, d=2, p=2, level=3, alpha=1e-3)
+        base = prob.ops.mass_factor.data
+        shared = [f for f in prob.practical.factors if f.data is base]
+        assert len(shared) == (1 if pid == "boundary_control" else 2)
+        for f, blk in zip(prob.practical.factors, prob.practical.blocks):
+            if f.data is base:
+                assert blk.base is prob.ops.mass.base and f.scale == blk.scale
+
+    @pytest.mark.parametrize("pid", pb.PROBLEM_IDS)
+    @pytest.mark.parametrize("alpha", [1.0, 1e-3, 1e-7])
+    def test_apply_reuses_the_mass_product(self, pid, alpha):
+        # alpha M next to the coupling M: the apply forms M x_1 once and
+        # still agrees with the assembled operator
+        prob = build(pid, d=2, p=2, level=3, alpha=alpha)
+        three_block = prob.system.n == 3
+        assert prob.system._reuse == ([alpha, None, None] if three_block else [None, None])
+        if three_block:
+            assert prob.system.A[0].base is prob.system.B[0] is prob.ops.mass.base
+        x = np.random.default_rng(11).standard_normal(prob.total_dim)
+        want = assemble_full(prob.system).matvec(x)
+        assert np.linalg.norm(prob.system.apply(x) - want) <= 1e-14 * np.linalg.norm(want)
+
+    @pytest.mark.parametrize("pid", pb.PROBLEM_IDS)
     @pytest.mark.parametrize("alpha", [1.0, 1e-7])
     def test_scaled_mass_factor_matches_fresh_factors(self, pid, alpha):
         # the M, alpha M and M / alpha blocks reuse one factor of M

@@ -97,6 +97,22 @@ class TestSparseSymMatrix:
             assert np.array_equal(x, y)
         assert a.add(a, -1.0).to_csr().nnz == 0
 
+    @pytest.mark.parametrize("c", [1e-7, 0.3, 1e7])
+    def test_scaled_is_a_view(self, c):
+        # the view shares the stored CSR; its CSR is built on demand, bitwise
+        # the entry-by-entry product, and its product is c (M x)
+        m = problems.get_operators(2, 2, 3, "annulus_2d").mass
+        v = m.scaled(c)
+        assert v.base is m.base and v.scale == c
+        want = m.base * c
+        want.eliminate_zeros()
+        got = v.to_csr()
+        for a, b in zip((got.data, got.indices, got.indptr), (want.data, want.indices, want.indptr)):
+            assert a.tobytes() == b.tobytes()
+        assert v.to_dense().tobytes() == want.toarray().tobytes()
+        x = np.random.default_rng(1).standard_normal(m.dim)
+        assert v.matvec(x).tobytes() == (c * (m.base @ x)).tobytes()
+
     def test_scaled_drops_underflowed_entries(self):
         m = sl.SparseSymMatrix.from_dense(np.array([[1.0, 1e-300], [1e-300, 1.0]]))
         got = m.scaled(1e-30).to_csr()
@@ -243,7 +259,7 @@ class TestCholesky:
         b = np.random.default_rng(10).standard_normal(m.dim)
         got = sl.solve_chol(f.scaled(c), b)
         want = sl.solve_chol(sl.cholesky(m.scaled(c)), b)
-        assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
+        assert np.linalg.norm(got - want) <= 1e-13 * np.linalg.norm(want)
 
     @pytest.mark.parametrize("kind", ["dense", "tridiagonal", "spline_mass"])
     def test_lower_reproduces_the_factored_matrix(self, kind):
@@ -265,6 +281,23 @@ class TestCholesky:
         assert np.linalg.norm(x - sl.solve_chol(f, b)) <= 1e-12 * np.linalg.norm(x)
         # a scaled factor keeps its scale: the factor its solves apply
         assert np.array_equal(f.scaled(4.0).lower(), 2.0 * low)
+
+    @pytest.mark.parametrize("c", [1e-7, 0.3, 1.0, 1e7])
+    @pytest.mark.parametrize("mode", ["banded", "dense"])
+    def test_scaled_factor_is_a_view(self, mode, c):
+        # the view shares the stored factor, and its L is bitwise the L of
+        # the factor times sqrt(c) stored as a copy
+        if mode == "banded":
+            m = problems.get_operators(2, 2, 4, "annulus_2d").mass
+        else:
+            m = sl.SparseSymMatrix.from_dense(random_spd(30, seed=9))
+        f = sl.cholesky(m)
+        assert f.mode == mode
+        view = f.scaled(c)
+        assert view.data is f.data and view.scale == c
+        s = np.sqrt(c)
+        data = f.data * s if mode == "banded" else (f.data[0] * s, f.data[1])
+        assert view.lower().tobytes() == sl.CholeskyFactor(f.dim, mode, data).lower().tobytes()
 
     def test_scaled_factor_rejects_non_positive_scale(self):
         f = sl.cholesky(sl.SparseSymMatrix.from_dense(random_spd(3)))
