@@ -53,6 +53,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
         raise ValueError("--n must lie in 2..6")
     if args.trials < 1:
         raise ValueError("--trials must be at least 1")
+    if args.seed < 0:
+        raise ValueError("--seed must be non-negative")
     q_devs, eps_dev = chebyshev.closed_form_deviations()
     failed = False
     for j, dev in enumerate(q_devs, start=1):
@@ -120,6 +122,8 @@ def cmd_table(args: argparse.Namespace) -> int:
     # output paths are checked before anything is solved
     if args.out and not os.path.isdir(os.path.dirname(args.out) or "."):
         raise ValueError(f"the directory of --out {args.out!r} does not exist")
+    if args.out and os.path.isdir(args.out):
+        raise ValueError(f"--out {args.out!r} is a directory")
     if args.dump_residuals:
         os.makedirs(args.dump_residuals, exist_ok=True)
     cells = run_table(

@@ -13,6 +13,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import accumulate
 
 import numpy as np
 import scipy.sparse
@@ -114,8 +115,8 @@ def _dense(b: scipy.sparse.spmatrix | np.ndarray) -> np.ndarray:
 
 
 def _slices(dims: list[int]) -> list[slice]:
-    offs = np.concatenate([[0], np.cumsum(dims)])
-    return [slice(int(offs[i]), int(offs[i + 1])) for i in range(len(dims))]
+    edges = [0, *accumulate(dims)]
+    return [slice(lo, hi) for lo, hi in zip(edges, edges[1:])]
 
 
 def _block_solve(factors: list[CholeskyFactor], slices: list[slice], r: np.ndarray) -> np.ndarray:
@@ -203,8 +204,8 @@ def exact_schur(
     """
     blocks = list(known.blocks) if known is not None else []
     factors = list(known.factors) if known is not None else []
-    edges = [0, *np.cumsum([b.dim for b in blocks]).tolist()]
-    sys_edges = [0, *np.cumsum(sys.block_dims).tolist()]
+    edges = [0, *accumulate(b.dim for b in blocks)]
+    sys_edges = [0, *accumulate(sys.block_dims)]
     k = sys_edges.index(edges[-1]) if edges[-1] in sys_edges else -1
     if k < 0 or sys_edges[max(k - 1, 0)] not in edges:
         raise ValueError("known Schur blocks must end on system-block boundaries")
@@ -218,9 +219,9 @@ def exact_schur(
         if i > 0:
             b = _dense(sys.B[i - 1])
             first = edges.index(sys_edges[i - 1])
-            s_inv_bt = _block_solve(factors[first:], _slices(np.diff(edges[first:])), b.T)
+            s_inv_bt = _block_solve(factors[first:], _slices([f.dim for f in factors[first:]]), b.T)
             s_dense = s_dense + b @ s_inv_bt
-        blk = DenseSymMatrix(0.5 * (s_dense + s_dense.T))
+        blk = DenseSymMatrix._trusted(0.5 * (s_dense + s_dense.T))
         try:
             f = cholesky(blk)
         except NotPositiveDefinite as exc:
@@ -275,8 +276,7 @@ def _reduced_operator(sys: BlockTridiagSystem, precond: SchurPreconditioner) -> 
     if sum(precond.block_dims) != sys.total_dim:
         raise ValueError("preconditioner and system orders differ")
     c = _dense_operator(sys)
-    edges = np.cumsum([0, *precond.block_dims])
-    blocks = [(f.lower(), slice(lo, hi)) for f, lo, hi in zip(precond.factors, edges[:-1], edges[1:])]
+    blocks = [(f.lower(), s) for f, s in zip(precond.factors, precond._slices)]
     for i, (li, ri) in enumerate(blocks):
         for lj, rj in blocks[: i + 1]:
             a = c[ri, rj]
@@ -333,7 +333,7 @@ def random_sharp_system(n: int, rng: np.random.Generator, block_dim: int | None 
     # near machine precision even for larger n.
     q, _ = np.linalg.qr(rng.standard_normal((m, m)))
     a1 = DenseSymMatrix.from_upper(q @ np.diag(rng.uniform(0.5, 2.0, m)) @ q.T)
-    zeros = [DenseSymMatrix(np.zeros((m, m))) for _ in range(n - 1)]
+    zeros = [DenseSymMatrix._trusted(np.zeros((m, m))) for _ in range(n - 1)]
     B = []
     for _ in range(n - 1):
         qb, rb = np.linalg.qr(rng.standard_normal((m, m)))

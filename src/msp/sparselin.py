@@ -1,12 +1,22 @@
 """Symmetric sparse and dense storage, Cholesky solves, and a symmetric eigensolver.
 
-Thin, contract-carrying layer over scipy/LAPACK.  A sparse symmetric matrix
-is stored as its full CSR in canonical form (duplicates summed, column
-indices sorted, no explicit zeros); a small dense one (a densified Schur
-stage, a random test block) as its full array.  Producers hand over the
-full matrix and the constructors check that it is exactly symmetric.  A
-block is factored in its stored order (the spline blocks are stored
-banded): a banded Cholesky when the band is narrow, a dense one otherwise.
+Thin, contract-carrying layer over LAPACK, called directly through
+`scipy.linalg.lapack` with the routines and arguments of scipy's wrappers
+(dpotrf/dpotrs of `cho_factor`/`cho_solve`, dpbtrf/dpbtrs of
+`cholesky_banded`/`cho_solve_banded`, dsyevr with the workspace of
+`eigh(eigvals_only=True)`): every factor, solve and eigenvalue is bitwise the
+wrappers', without their per-call argument handling.  Factorizations and
+eigenvalues keep the wrappers' finite-input check; the solves skip it, as a
+factor is finite by construction.
+
+A sparse symmetric matrix is stored as its full CSR in canonical form
+(duplicates summed, column indices sorted, no explicit zeros); a small dense
+one (a densified Schur stage, a random test block) as its full array.
+Producers hand over the full matrix and the public constructors check that it
+is exactly symmetric; a matrix symmetric by construction (a sum, a computed
+Schur stage, a mirrored triangle) is wrapped unchecked.  A block is factored
+in its stored order (the spline blocks are stored banded): a banded Cholesky
+when the band is narrow, a dense one otherwise.
 
 Scaling is a view.  c times a matrix shares the stored CSR and keeps the
 scale c: its product is c (M x), and c M is built entry by entry only for a
@@ -19,12 +29,13 @@ and one of its factor.
 
 from __future__ import annotations
 
+import functools
 import os
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 import scipy.sparse
+from scipy.linalg import lapack
 
 
 class NotPositiveDefinite(Exception):
@@ -113,10 +124,21 @@ class DenseSymMatrix:
         self._a = a
 
     @classmethod
+    def _trusted(cls, a: np.ndarray) -> "DenseSymMatrix":
+        """Wrap an exactly symmetric float64 array without re-validation; it is taken over.
+
+        Adding 0.0 in place turns -0.0 into +0.0, as the constructor does.
+        """
+        a += 0.0
+        out = cls.__new__(cls)
+        out._a = a
+        return out
+
+    @classmethod
     def from_upper(cls, a: np.ndarray) -> "DenseSymMatrix":
         """The symmetric matrix with the upper triangle of the array `a` (its lower one is ignored)."""
         a = np.asarray(a, dtype=np.float64)
-        return cls(np.triu(a) + np.triu(a, k=1).T)
+        return cls._trusted(np.triu(a) + np.triu(a, k=1).T)
 
     @property
     def dim(self) -> int:
@@ -173,8 +195,9 @@ class CholeskyFactor:
 _PIVOT_RTOL = 1e-14
 
 
+@functools.cache
 def physical_memory_bytes() -> int | None:
-    """Physical memory of the host, or None where the OS does not report it."""
+    """Physical memory of the host, or None where the OS does not report it; read once."""
     try:
         return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
     except (ValueError, OSError, AttributeError):
@@ -189,7 +212,10 @@ def cholesky(m: SparseSymMatrix | DenseSymMatrix) -> CholeskyFactor:
     diagonal entry, which flags semidefinite blocks that LAPACK would
     let pass with a tiny positive pivot.  Before allocating, the factor's
     entries are estimated, (bw + 1) n banded or n^2 dense; a factor whose
-    bytes exceed the host's physical memory raises ValueError.
+    bytes exceed the host's physical memory raises ValueError, and so does
+    an inf or NaN entry.  LAPACK factors the band array built here, or the
+    copy that `to_dense` makes (in Fortran order, which for a symmetric
+    array is its transpose), in place.
     """
     n = m.dim
     if n == 0:
@@ -200,8 +226,8 @@ def cholesky(m: SparseSymMatrix | DenseSymMatrix) -> CholeskyFactor:
     else:
         coo = m.to_csr().tocoo()
         row, col, val = coo.row, coo.col, coo.data
-    bw = int(np.max(np.abs(row - col))) if row.size else 0
-    diag_max = float(np.max(np.abs(val[row == col]), initial=0.0))
+    bw = int(np.abs(row - col).max()) if row.size else 0
+    diag_max = float(np.abs(val[row == col]).max(initial=0.0))
     pivot_floor = _PIVOT_RTOL * diag_max
     banded = bw + 1 < n // 2
     need = 8 * ((bw + 1) * n if banded else n * n)
@@ -211,23 +237,26 @@ def cholesky(m: SparseSymMatrix | DenseSymMatrix) -> CholeskyFactor:
             f"a {'banded' if banded else 'dense'} Cholesky factor of order {n} with band width {bw} "
             f"needs {need} bytes, more than the {have} bytes of physical memory"
         )
+    if not np.isfinite(val).all():
+        raise ValueError("array must not contain infs or NaNs")
 
-    try:
-        if banded:
-            ab = np.zeros((bw + 1, n))
-            mask = row <= col
-            r, c, v = row[mask], col[mask], val[mask]
-            ab[bw + r - c, c] = v
-            factor = scipy.linalg.cholesky_banded(ab, lower=False)
-            pivots = factor[bw]
-            mode, data = "banded", factor
-        else:
-            c, low = scipy.linalg.cho_factor(m.to_dense(), lower=True)
-            pivots = np.diag(c)
-            mode, data = "dense", (c, low)
-    except scipy.linalg.LinAlgError as exc:
-        raise NotPositiveDefinite(str(exc)) from exc
-    if np.min(pivots**2) <= pivot_floor:
+    if banded:
+        ab = np.zeros((bw + 1, n), order="F")
+        mask = row <= col
+        r, c, v = row[mask], col[mask], val[mask]
+        ab[bw + r - c, c] = v
+        factor, info = lapack.dpbtrf(ab, overwrite_ab=1)
+        if info > 0:
+            raise NotPositiveDefinite(f"{info}-th leading minor not positive definite")
+        pivots = factor[bw]
+        mode, data = "banded", factor
+    else:
+        c, info = lapack.dpotrf(m.to_dense().T, lower=1, clean=0, overwrite_a=1)
+        if info > 0:
+            raise NotPositiveDefinite(f"{info}-th leading minor of the array is not positive definite")
+        pivots = c.diagonal()
+        mode, data = "dense", (c, True)
+    if (pivots**2).min() <= pivot_floor:
         raise NotPositiveDefinite("pivot below tolerance; matrix is semidefinite")
     return CholeskyFactor(dim=n, mode=mode, data=data)
 
@@ -236,16 +265,19 @@ def solve_chol(f: CholeskyFactor, b: np.ndarray) -> np.ndarray:
     """Solve m x = b given a factor of m.  Accepts a vector or a matrix of rhs.
 
     The stored factor solves, and the result is divided by the factor's
-    scale.  The factor is finite by construction (`cholesky` keeps LAPACK's
-    input check), so the solve does not re-scan it.
+    scale.  The factor is finite by construction (`cholesky` checks its
+    input), so the solve does not re-scan it.
     """
     b = np.asarray(b, dtype=np.float64)
     if b.shape[0] != f.dim:
         raise ValueError(f"rhs has dim {b.shape[0]}, factor has dim {f.dim}")
+    if b.size == 0:
+        return np.empty_like(b)
     if f.mode == "banded":
-        x = scipy.linalg.cho_solve_banded((f.data, False), b, check_finite=False)
+        x, _ = lapack.dpbtrs(f.data, b)
     else:
-        x = scipy.linalg.cho_solve(f.data, b, check_finite=False)
+        c, lower = f.data
+        x, _ = lapack.dpotrs(c, b, lower=lower)
     x /= f.scale
     return x
 
@@ -255,8 +287,20 @@ def gen_sym_eig(a: np.ndarray) -> np.ndarray:
 
     `saddle.spectrum` passes the pencil (A, L L') already reduced by the
     preconditioner's own factors L, so only the standard problem is solved.
+    A non-square array or an inf or NaN entry raises ValueError.
     """
-    return scipy.linalg.eigh(np.asarray(a, dtype=np.float64), eigvals_only=True)
+    a = np.asarray(a, dtype=np.float64)
+    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+        raise ValueError("expected a square matrix")
+    if not np.isfinite(a).all():
+        raise ValueError("array must not contain infs or NaNs")
+    if a.size == 0:
+        return np.zeros(0)
+    work, iwork, _ = lapack.dsyevr_lwork(a.shape[0], lower=1)
+    w, _, _, _, info = lapack.dsyevr(a, compute_v=0, lower=1, lwork=int(work), liwork=iwork)
+    if info:
+        raise np.linalg.LinAlgError(f"dsyevr failed with info {info}")
+    return w
 
 
 def write_matrix_market(m: SparseSymMatrix, path) -> None:

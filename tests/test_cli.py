@@ -74,6 +74,12 @@ class TestVerify:
         assert out == ""
         assert "configuration error: --n must lie in 2..6" in err
 
+    def test_negative_seed_refused_before_any_suite(self, capsys):
+        code, out, err = run_cli(capsys, "verify", "--n", "2", "--trials", "1", "--seed", "-5")
+        assert code == EXIT_CONFIG
+        assert out == ""
+        assert "configuration error: --seed must be non-negative" in err
+
 
 class TestTable:
     def test_markdown_table(self, capsys):
@@ -389,14 +395,16 @@ class TestErrors:
         assert code == EXIT_CONFIG
         assert err.startswith("configuration error: ")
 
-    @pytest.mark.parametrize("flag, path", [("--out", "{missing}/x.md"), ("--dump-residuals", "{file}")])
+    @pytest.mark.parametrize(
+        "flag, path", [("--out", "{missing}/x.md"), ("--out", "{dir}"), ("--dump-residuals", "{file}")]
+    )
     def test_bad_output_path_refused_before_any_solve(self, capsys, tmp_path, flag, path):
         # a table that could not be written is refused before the operators are assembled
         from msp import problems
 
         a_file = tmp_path / "a_file"
         a_file.write_text("")
-        path = path.format(missing=tmp_path / "missing", file=a_file)
+        path = path.format(missing=tmp_path / "missing", file=a_file, dir=tmp_path)
         before = problems.get_operators.cache_info()
         code, out, err = run_cli(capsys, "table", "--dim", "2", "--levels", "3", "--alphas", "1", flag, path)
         assert code == EXIT_CONFIG

@@ -8,7 +8,7 @@ import scipy.sparse
 from msp import problems
 from msp import saddle as sd
 from msp.chebyshev import bounds, pbar_roots
-from msp.sparselin import NotPositiveDefinite, SparseSymMatrix
+from msp.sparselin import DenseSymMatrix, NotPositiveDefinite, SparseSymMatrix
 
 
 def sharp_spectrum_reference(n):
@@ -144,6 +144,13 @@ class TestSchurRecursion:
     def test_singular_first_block_reported(self):
         sys = dense_system([np.zeros((2, 2)), np.eye(2)], [np.eye(2)])
         with pytest.raises(NotPositiveDefinite):
+            sd.exact_schur(sys)
+
+    def test_indefinite_dense_stage_named(self):
+        # S_2 = -3 I + I I^-1 I = -2 I: LAPACK's first pivot fails
+        sys = sd.BlockTridiagSystem([DenseSymMatrix(np.eye(2)), DenseSymMatrix(-3.0 * np.eye(2))], [np.eye(2)])
+        message = "Schur complement S_2 is not SPD: 1-th leading minor of the array is not positive definite"
+        with pytest.raises(NotPositiveDefinite, match=message):
             sd.exact_schur(sys)
 
     def test_lu_existence(self):

@@ -16,6 +16,19 @@ def random_spd(n, seed=0):
     return g @ g.T + n * np.eye(n)
 
 
+def random_banded_spd(n, bw, seed=0):
+    """A diagonally dominant SPD matrix of band width bw and its upper band array in LAPACK's layout."""
+    rng = np.random.default_rng(seed)
+    a = np.diag(rng.uniform(bw + 1.0, bw + 2.0, n))
+    for k in range(1, bw + 1):
+        off = rng.uniform(-1.0, 1.0, n - k)
+        a += np.diag(off, k) + np.diag(off, -k)
+    ab = np.zeros((bw + 1, n))
+    for k in range(bw + 1):
+        ab[bw - k, k:] = np.diag(a, k)
+    return a, ab
+
+
 class TestSparseSymMatrix:
     def test_from_dense_round_trip(self):
         a = random_spd(7)
@@ -146,6 +159,14 @@ class TestDenseSymMatrix:
         assert sl.DenseSymMatrix(a).to_dense().tobytes() == want
         assert sl.DenseSymMatrix.from_upper(np.triu(a)).to_dense().tobytes() == want
 
+    def test_trusted_wrap_stores_like_the_constructor(self):
+        # the unchecked wrap of a matrix symmetric by construction keeps the
+        # constructor's -0.0 -> +0.0
+        a = random_spd(5, seed=13)
+        a[0, 4] = a[4, 0] = -0.0
+        want = sl.DenseSymMatrix(a).to_dense().tobytes()
+        assert sl.DenseSymMatrix._trusted(a.copy()).to_dense().tobytes() == want
+
     def test_matvec_and_csr(self):
         a = random_spd(6, seed=14)
         m = sl.DenseSymMatrix(a)
@@ -169,6 +190,7 @@ class TestCholesky:
         f = sl.cholesky(sl.SparseSymMatrix.from_dense(a))
         xs = np.random.default_rng(8).standard_normal((8, 3))
         assert np.allclose(sl.solve_chol(f, a @ xs), xs, atol=1e-8)
+        assert sl.solve_chol(f, np.zeros((8, 0))).shape == (8, 0)
 
     def test_banded_path_on_tridiagonal(self):
         n = 200
@@ -207,6 +229,23 @@ class TestCholesky:
     def test_semidefinite_dense_storage_raises(self):
         with pytest.raises(sl.NotPositiveDefinite):
             sl.cholesky(sl.DenseSymMatrix(np.diag([1.0, 0.0, 2.0])))
+
+    @pytest.mark.parametrize("value", [np.inf, np.nan])
+    @pytest.mark.parametrize("storage", ["dense", "sparse"])
+    @pytest.mark.parametrize("mode", ["dense", "banded"])
+    def test_non_finite_entry_raises(self, mode, storage, value):
+        # the unchecked wraps accept a non-finite entry; the factorization refuses it
+        if mode == "dense":
+            a = random_spd(6, seed=17)
+        else:
+            a, _ = random_banded_spd(12, 1, seed=17)
+        a[2, 3] = a[3, 2] = value
+        if storage == "dense":
+            m = sl.DenseSymMatrix._trusted(a)
+        else:
+            m = sl.SparseSymMatrix._trusted(scipy.sparse.csr_matrix(a))
+        with pytest.raises(ValueError, match="infs or NaNs"):
+            sl.cholesky(m)
 
     @pytest.mark.parametrize("kind", ["dense", "tridiagonal"])
     def test_dense_storage_factors_like_sparse(self, kind):
@@ -345,6 +384,70 @@ class TestEigen:
         want = np.linalg.eigvalsh(a)
         assert np.all(np.diff(got) >= 0)
         assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+    def test_non_finite_entry_raises(self):
+        a = random_spd(4, seed=24)
+        a[1, 2] = a[2, 1] = np.nan
+        with pytest.raises(ValueError, match="infs or NaNs"):
+            sl.gen_sym_eig(a)
+
+    def test_non_square_raises_and_empty_is_empty(self):
+        with pytest.raises(ValueError, match="square"):
+            sl.gen_sym_eig(np.ones((3, 2)))
+        assert sl.gen_sym_eig(np.zeros((0, 0))).shape == (0,)
+
+
+class TestLapackOracles:
+    """The direct LAPACK calls give bitwise the results of scipy's wrappers."""
+
+    @pytest.mark.parametrize("storage", [sl.DenseSymMatrix, sl.SparseSymMatrix.from_dense])
+    def test_dense_factor_matches_cho_factor(self, storage):
+        a = random_spd(9, seed=21)
+        f = sl.cholesky(storage(a))
+        assert f.mode == "dense"
+        want, lower = scipy.linalg.cho_factor(a, lower=True)
+        assert f.data[1] == lower
+        assert np.tril(f.data[0]).tobytes() == np.tril(want).tobytes()
+
+    @pytest.mark.parametrize("bw", [1, 3])
+    def test_banded_factor_matches_cholesky_banded(self, bw):
+        a, ab = random_banded_spd(40, bw, seed=22)
+        f = sl.cholesky(sl.SparseSymMatrix.from_dense(a))
+        assert f.mode == "banded"
+        assert f.data.tobytes() == scipy.linalg.cholesky_banded(ab).tobytes()
+
+    @pytest.mark.parametrize("c", [1.0, 0.3])
+    @pytest.mark.parametrize("rhs", [(), (3,)], ids=["vector", "matrix"])
+    @pytest.mark.parametrize("mode", ["dense", "banded"])
+    def test_solve_matches_cho_solve(self, mode, rhs, c):
+        # a scaled factor solves with the stored factor and divides by c
+        if mode == "dense":
+            a = random_spd(9, seed=23)
+            stored = scipy.linalg.cho_factor(a, lower=True)
+
+            def wrapper(b):
+                return scipy.linalg.cho_solve(stored, b)
+        else:
+            a, ab = random_banded_spd(40, 2, seed=23)
+            stored = (scipy.linalg.cholesky_banded(ab), False)
+
+            def wrapper(b):
+                return scipy.linalg.cho_solve_banded(stored, b)
+        f = sl.cholesky(sl.SparseSymMatrix.from_dense(a)).scaled(c)
+        assert f.mode == mode
+        b = np.random.default_rng(24).standard_normal((a.shape[0], *rhs))
+        want = wrapper(b)
+        want /= c
+        assert sl.solve_chol(f, b).tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("n", [1, 7, 60])
+    @pytest.mark.parametrize("symmetric", [True, False])
+    def test_eigenvalues_match_eigh(self, n, symmetric):
+        # both read the lower triangle only
+        g = np.random.default_rng(25 + n).standard_normal((n, n))
+        a = 0.5 * (g + g.T) if symmetric else g
+        want = scipy.linalg.eigh(a, eigvals_only=True)
+        assert sl.gen_sym_eig(a).tobytes() == want.tobytes()
 
 
 class TestMatrixMarket:
