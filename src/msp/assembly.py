@@ -35,9 +35,13 @@ one axis at a time, last axis first, and terms that share their leading
 orders are summed before the next axis, so a full table forms only once per
 derivative order of the first axis, not once per term.  The value tables,
 and so every 1D form, are built as before, bitwise.  Geometry Jacobians are
-inverted in closed form.  The budget is 4 MiB a table: the kernel holds
-several full tables at a time, and at 16 MiB a 3D p=3 level 3 set-up peaks
-about a third higher in resident memory than at 4 MiB, at the same speed.
+inverted in closed form.  The budget is 1 MiB a table, so that the few
+tables a chunk holds stay in a 2 MiB L2 cache: in a sweep from 256 KiB to
+4 MiB it was the fastest, or within noise of it, at 2D p=2 level 6 and 3D
+p=3 level 3 and p=5 level 2, with a volume pass 12-30% faster than at
+4 MiB (not at 3D p=3 level 4, where each chunk's scatter spans p+1 layers
+of rows whatever its size, and larger chunks win).  Symmetric forms are averaged with their transpose on their own CSR
+arrays, so the working memory ends at one copy of each form.
 """
 
 from __future__ import annotations
@@ -53,7 +57,7 @@ from .sparselin import SparseSymMatrix
 from .splines import GeometryMap, QuadratureRule1D, SplineSpace1D, TensorSpace
 
 # Bytes of one chunk-sized basis table; a chunk holds a few such arrays.
-_CHUNK_BYTES = 4 * 2**20
+_CHUNK_BYTES = 2**20
 
 
 class DegenerateGeometry(Exception):
@@ -121,7 +125,7 @@ def _axis_pattern(first_r, m_r: int, dim_r: int, first_c, m_c: int, dim_c: int):
 
 
 def _kron(a, b):
-    """Kronecker product of CSR patterns a and b, (indptr, indices, ncols).
+    """Kronecker product of CSR patterns a and b, (indptr, indices, ncols), in a's index dtype.
 
     Row (i, l) holds the columns ia[u] * nb + ib[v] for the entries u of row
     i of a and v of row l of b, u-major: sorted, as CSR wants.  The product
@@ -129,8 +133,8 @@ def _kron(a, b):
     """
     (pa, ia, na), (pb, ib, nb) = a, b
     lb = np.diff(pb)
-    indptr = np.concatenate([[0], np.cumsum(np.outer(np.diff(pa), lb))])
-    indices = np.empty(indptr[-1], dtype=np.int64)
+    indptr = np.concatenate([[0], np.cumsum(np.outer(np.diff(pa), lb))]).astype(ia.dtype)
+    indices = np.empty(indptr[-1], dtype=ia.dtype)
     start = np.repeat(pb[:-1], lb)  # start of the row of each entry of b
     width = np.repeat(lb, lb)  # length of that row
     rank = np.arange(len(ib)) - start
@@ -160,12 +164,15 @@ class _Pattern:
             indptr, indices, rank, length = _axis_pattern(fr, tr.shape[-1], dim_r, fc, tc.shape[-1], dim_c)
             self.axes.append((rank, length))
             patterns.append((indptr, indices, dim_c))
+        self.shape = (math.prod(tab.dims[r]), math.prod(tab.dims[c]))
+        # built in scipy's own index dtype, so that `csr` converts nothing
+        idx = scipy.sparse.get_index_dtype(maxval=max(math.prod(len(i) for _, i, _ in patterns), *self.shape))
+        patterns = [(indptr.astype(idx), indices.astype(idx), dim_c) for indptr, indices, dim_c in patterns]
         # fold from the last axis, so that each step loops over the rows of a 1D pattern
         acc = patterns[-1]
         for pat in reversed(patterns[:-1]):
             acc = _kron(pat, acc)
         self.indptr, self.indices, _ = acc
-        self.shape = (math.prod(tab.dims[r]), math.prod(tab.dims[c]))
 
     @property
     def nnz(self) -> int:
@@ -194,7 +201,8 @@ class _Pattern:
         return lo, hi, place
 
     def csr(self, data: np.ndarray) -> scipy.sparse.csr_matrix:
-        return scipy.sparse.csr_matrix((data, self.indices, self.indptr), shape=self.shape)
+        """The form with values `data`; it owns copies of the index arrays, which `eliminate_zeros` compacts."""
+        return scipy.sparse.csr_matrix((data, self.indices.copy(), self.indptr.copy()), shape=self.shape)
 
 
 class _Tabulation:
@@ -429,13 +437,32 @@ def _add_vector(out: np.ndarray, idx: np.ndarray, vals: np.ndarray) -> None:
     out += np.bincount(idx.ravel(), weights=vals.ravel(), minlength=len(out))
 
 
-def _symmetric(m: scipy.sparse.csr_matrix) -> SparseSymMatrix:
-    """(m + m') / 2, wrapped without re-validation.
+def _transpose_map(m: scipy.sparse.csr_matrix) -> np.ndarray | None:
+    """t with m.data[t] the entries of m' in m's CSR order (m' of m's entry numbers); None if the pattern is not symmetric."""
+    numbers = np.arange(m.nnz, dtype=m.indices.dtype)
+    mt = scipy.sparse.csr_matrix((numbers, m.indices, m.indptr), shape=m.shape).T.tocsr()
+    if np.array_equal(mt.indptr, m.indptr) and np.array_equal(mt.indices, m.indices):
+        return mt.data
+    return None
 
-    IEEE addition commutes, so the average is exactly symmetric, and the sum
-    of two canonical CSR matrices is canonical.
+
+def _symmetric(m: scipy.sparse.csr_matrix, t: np.ndarray | None = None) -> SparseSymMatrix:
+    """(m + m') * 0.5 on m's own arrays, bitwise, wrapped without re-validation; m is taken over.
+
+    `t` is `_transpose_map(m)`, which forms on one pattern share.  IEEE
+    addition commutes, so m_ij + m_ji is exactly symmetric, and the wrap
+    drops the entries that cancel exactly, as m + m' does.  A pattern that
+    is not symmetric (a sum of face forms can drop an entry on one side
+    only) takes the sum m + m'.
     """
-    return SparseSymMatrix._trusted((m + m.T) * 0.5)
+    if t is None:
+        t = _transpose_map(m)
+    if t is None:
+        m = m + m.T
+    else:
+        m.data += m.data[t]
+    m.data *= 0.5
+    return SparseSymMatrix._trusted(m)
 
 
 def assemble_mass(space: TensorSpace, geo: GeometryMap, q: int | None = None) -> SparseSymMatrix:
@@ -486,7 +513,8 @@ def assemble_volume_forms(
         yield ch.integrate(lap, lap)
 
     m, k, b = _assemble(_Tabulation.volume([space], q or _default_q(space), 2), geo, 0, 0, blocks, 3)
-    return _symmetric(m), k, _symmetric(b)
+    t = _transpose_map(m)  # M and B share their pattern
+    return _symmetric(m, t), k, _symmetric(b, t)
 
 
 def assemble_stiffness(space: TensorSpace, geo: GeometryMap, q: int | None = None) -> SparseSymMatrix:

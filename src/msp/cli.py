@@ -193,9 +193,9 @@ def cmd_spectrum(args: argparse.Namespace) -> int:
 
 def cmd_export(args: argparse.Namespace) -> int:
     level, alpha = _single_case(args)
-    prob = build_problem(_problem_config(args, level, alpha))
     out = args.matrix_market
-    os.makedirs(out, exist_ok=True)
+    os.makedirs(out, exist_ok=True)  # before anything is assembled
+    prob = build_problem(_problem_config(args, level, alpha))
     import scipy.io
 
     for i, a in enumerate(prob.system.A, start=1):

@@ -120,7 +120,9 @@ class DiscreteOperators:
         self.interior = self.space.interior_indices()
 
     def _restrict_sym(self, m: SparseSymMatrix) -> SparseSymMatrix:
-        return SparseSymMatrix(m.to_csr()[self.interior][:, self.interior])
+        """The zero-trace block of m, wrapped unchecked: a principal submatrix of an
+        exactly symmetric canonical CSR is exactly symmetric and canonical too."""
+        return SparseSymMatrix._trusted(m.to_csr()[self.interior][:, self.interior])
 
     @cached_property
     def _volume_blocks(self) -> tuple[SparseSymMatrix, scipy.sparse.csr_matrix, SparseSymMatrix]:

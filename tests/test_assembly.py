@@ -10,6 +10,7 @@ import scipy.sparse
 
 from msp import assembly as asm
 from msp import splines as sp
+from msp.problems import DEFAULT_GEOMETRY, DiscreteOperators
 from msp.sparselin import SparseSymMatrix
 
 
@@ -404,13 +405,13 @@ class TestChunking:
         # 3D p=3 L2: 64 elements with 64 x 64 block entries, 262144 triples
         # per form.  A COO scatter holds the rows, columns and values of all
         # of them (24 bytes a triple).  With one element per chunk the
-        # working memory on top of the returned matrices is a few nnz-sized
-        # arrays plus one chunk, and stays below the triples' values alone.
+        # working memory of the whole call on top of the returned matrices
+        # is the int32 pattern, the transpose map and one nnz-sized value
+        # array, plus one chunk.  Averaging M and B by copies, (m + m') / 2,
+        # takes about three times that.
         ts = sp.tensor_space(3, 3, 2)
         geo = sp.twisted_3d()
         monkeypatch.setattr(asm, "_CHUNK_BYTES", 1)
-        # the kernel alone: M and B are returned as assembled, not symmetrized
-        monkeypatch.setattr(asm, "_symmetric", lambda m: m)
         asm.assemble_volume_forms(ts, geo)  # warm lazily built caches
         tracemalloc.start()
         try:
@@ -419,9 +420,9 @@ class TestChunking:
         finally:
             tracemalloc.stop()
         triples = 64 * 64 * 64
-        nnz = forms[0].nnz
+        nnz = forms[1].nnz  # K keeps the whole pattern
         chunk = 8 * 64 * 64  # bytes of one element's table
-        assert peak - kept <= 4 * 8 * nnz + 32 * chunk
+        assert peak - kept <= 2 * 8 * nnz + 16 * chunk
         assert peak - kept < 8 * triples
 
 
@@ -536,18 +537,26 @@ class TestPattern:
         assert _csr_pairs(asm.assemble_normal_coupling(tr, ts, geo)) == coupling
 
 
+def _assert_same_csr(got, want):
+    assert got.has_canonical_format
+    for part in ("indptr", "indices", "data"):
+        assert getattr(got, part).tobytes() == getattr(want, part).tobytes()
+
+
 class TestSymmetricForms:
     @pytest.mark.parametrize("d,level", [(2, 3), (3, 2)])
     def test_trusted_average_equals_the_validated_one(self, monkeypatch, d, level):
         # M, B, the normal Gram, the boundary mass and the trace mass are
-        # wrapped without re-validation; the stored CSR is the one the
-        # validating constructor would build, canonical and bitwise
+        # averaged in place and wrapped without re-validation; the stored
+        # CSR is the one the validating constructor builds from the copying
+        # average of the same assembled m, canonical and bitwise
         seen = []
         symmetric = asm._symmetric
 
-        def recording(m):
-            out = symmetric(m)
-            seen.append((m, out))
+        def recording(m, t=None):
+            before = m.copy()  # the call averages m in place
+            out = symmetric(m, t)
+            seen.append((before, out))
             return out
 
         monkeypatch.setattr(asm, "_symmetric", recording)
@@ -559,11 +568,38 @@ class TestSymmetricForms:
         asm.assemble_trace_mass(asm.TraceSpace(ts), geo)
         assert len(seen) == 5
         for m, out in seen:
-            got = out.to_csr()
-            want = SparseSymMatrix((m + m.T) * 0.5).to_csr()
-            assert got.has_canonical_format
-            for part in ("indptr", "indices", "data"):
-                assert getattr(got, part).tobytes() == getattr(want, part).tobytes()
+            _assert_same_csr(out.to_csr(), SparseSymMatrix((m + m.T) * 0.5).to_csr())
+
+    @pytest.mark.parametrize("case", ["symmetric pattern", "asymmetric pattern"])
+    def test_exact_cancellation_is_dropped(self, case):
+        # m_01 + m_10 = 0 exactly, and m_12 = m_21 = 0 are stored: both pairs
+        # leave the pattern, as the sum m + m' drops them.  Without m_20 the
+        # pattern is not symmetric, and the routine takes the sum itself.
+        rows = [[(0, 2.0), (1, 0.375), (2, 1.0)], [(0, -0.375), (1, 3.0), (2, 0.0)], [(0, 1.0), (1, 0.0), (2, 4.0)]]
+        if case == "asymmetric pattern":
+            rows[2] = rows[2][1:]
+        m = scipy.sparse.csr_matrix(
+            ([v for r in rows for _, v in r], [j for r in rows for j, _ in r], np.cumsum([0] + [len(r) for r in rows])),
+            shape=(3, 3),
+        )
+        assert (asm._transpose_map(m) is None) == (case == "asymmetric pattern")
+        want = SparseSymMatrix((m + m.T) * 0.5).to_csr()
+        got = asm._symmetric(m.copy()).to_csr()
+        _assert_same_csr(got, want)
+        assert got.nnz == 5
+        assert got[0, 1] == got[1, 2] == 0.0
+
+    @pytest.mark.parametrize("d,p,level", [(2, 2, 3), (2, 2, 4), (3, 3, 2)])
+    def test_restricted_blocks_equal_the_validated_ones(self, d, p, level):
+        # the zero-trace blocks of M, B and the normal Gram are wrapped
+        # unchecked; each equals the validating constructor's restriction
+        # of the full form, bitwise
+        ops = DiscreteOperators(d, p, level, DEFAULT_GEOMETRY[d])
+        m, _, b = asm.assemble_volume_forms(ops.space, ops.geo)
+        full = {"mass_int": m, "biharmonic_int": b, "normal_gram_int": asm.assemble_normal_gram(ops.space, ops.geo)}
+        for name, form in full.items():
+            want = SparseSymMatrix(form.to_csr()[ops.interior][:, ops.interior]).to_csr()
+            _assert_same_csr(getattr(ops, name).to_csr(), want)
 
 
 class TestSpaceCompatibility:

@@ -292,6 +292,20 @@ class TestExport:
         assert "configuration error: export takes one value of" in err
         assert not dest.exists()
 
+    def test_existing_file_refused_before_build(self, capsys, monkeypatch, tmp_path):
+        # the export directory is made, or refused, before anything is assembled
+        refuse_builds(monkeypatch)
+        dest = tmp_path / "taken"
+        dest.write_text("")
+        code, out, err = run_cli(
+            capsys, "export", "--problem", "boundary_observation", *SMALL,
+            "--matrix-market", str(dest),
+        )
+        assert code == EXIT_CONFIG
+        assert out == ""
+        assert err.startswith("configuration error:")
+        assert dest.read_text() == ""
+
     def test_roundtrip_first_block(self, capsys, tmp_path):
         import scipy.io
 
