@@ -2,10 +2,11 @@
 
 Standard Paige-Saunders two-term recurrence with an SPD preconditioner.
 Iteration starts from a zero guess and stops when the Euclidean residual
-norm ||b - A x_k|| drops below tol ||b||.  The recorded history is the
+norm ||b - A x_k|| drops below tol ||b||.  Two histories are recorded: the
 energy norm sqrt(r_k' P^{-1} r_k), the natural quantity of the
 preconditioned Lanczos process (equal to the Euclidean norm of the
-symmetrically preconditioned residual).
+symmetrically preconditioned residual), and the Euclidean norm the
+stopping test compares.
 """
 
 from __future__ import annotations
@@ -29,6 +30,8 @@ class SolveResult:
     breakdown_at: int | None = None
     # (alpha_1..alpha_k, beta_2..beta_{k+1}) of the k Lanczos steps taken
     lanczos: tuple[list[float], list[float]] = field(default_factory=lambda: ([], []))
+    # ||b||, then per step the Euclidean residual norm the stopping test compared
+    residual_norms: list[float] = field(default_factory=list)
 
 
 def check_stopping(tol: float, maxit: int) -> None:
@@ -65,8 +68,14 @@ def minres_solve(
     passes the test, one true residual b - A x_k confirms it (Greenbaum,
     SIAM J. Matrix Anal. Appl. 18(3), 1997); if the confirmation fails,
     the true residual replaces the updated one and the iteration goes on.
-    The reported residual_history always holds the energy-norm values,
-    and `lanczos` the coefficients of the preconditioned Lanczos process.
+    The reported residual_history always holds the energy-norm values;
+    residual_norms holds ||b||, then per step the Euclidean norm the test
+    compared (the true residual's where one was formed); and `lanczos` the
+    coefficients of the preconditioned Lanczos process.
+
+    The iterates, directions and residuals are updated in place on a fixed
+    set of work arrays, with the same floating-point operations in the same
+    order as the expressions in the comments.
     """
     check_stopping(tol, maxit)
     b = np.asarray(b, dtype=np.float64)
@@ -76,15 +85,16 @@ def minres_solve(
     x = np.zeros(n)
 
     bnorm0 = float(np.linalg.norm(b))
-    r1 = b.copy()
-    y = apply_prec_inv(r1)
-    beta1_sq = float(r1 @ y)
+    r2 = b.copy()
+    y = apply_prec_inv(r2)
+    beta1_sq = float(r2 @ y)
     if beta1_sq < 0:
         raise ValueError("preconditioner is not positive definite")
     beta1 = np.sqrt(beta1_sq)
     history = [beta1]
+    norms = [bnorm0]
     if beta1 == 0.0:
-        return SolveResult(x, 0, [0.0], True)
+        return SolveResult(x, 0, [0.0], True, residual_norms=norms)
 
     oldb = 0.0
     beta = beta1
@@ -94,12 +104,15 @@ def minres_solve(
     cs = -1.0
     sn = 0.0
     anorm = 0.0
-    w = np.zeros(n)
-    w2 = np.zeros(n)
-    r = b
-    aw = np.zeros(n)
-    aw2 = np.zeros(n)
-    r2 = r1
+    # work arrays, updated in place: the last three w and A w, the residual,
+    # the last two Lanczos vectors (each new one is formed in the older one's
+    # buffer; r1 is spare until the first step) and a temporary
+    w, w1, w2 = np.zeros(n), np.zeros(n), np.zeros(n)
+    aw, aw1, aw2 = np.zeros(n), np.zeros(n), np.zeros(n)
+    r = b.copy()
+    r1 = np.empty(n)
+    v = np.empty(n)
+    tmp = np.empty(n)
     converged = False
     breakdown_at = None
     itn = 0
@@ -109,13 +122,18 @@ def minres_solve(
     while itn < maxit:
         itn += 1
         s = 1.0 / beta
-        v = s * y
+        np.multiply(s, y, out=v)
         av = apply_a(v)
-        y = av - (beta / oldb) * r1 if itn >= 2 else av
-        alfa = float(v @ y)
-        y = y - (alfa / beta) * r2
-        r1 = r2
-        r2 = y
+        # y = A v - (beta / oldb) r1 - (alfa / beta) r2, formed in r1's buffer
+        if itn >= 2:
+            np.multiply(beta / oldb, r1, out=tmp)
+            np.subtract(av, tmp, out=r1)
+        else:
+            r1[:] = av
+        alfa = float(v @ r1)
+        np.multiply(alfa / beta, r2, out=tmp)
+        np.subtract(r1, tmp, out=r1)
+        r1, r2 = r2, r1
         y = apply_prec_inv(r2)
         oldb = beta
         beta_sq = float(r2 @ y)
@@ -140,26 +158,40 @@ def minres_solve(
         phi = cs * phibar
         phibar = sn * phibar
 
-        w1 = w2
-        w2 = w
-        w = (v - oldeps * w1 - delta * w2) / gamma
-        x = x + phi * w
+        # w = (v - oldeps w1 - delta w2) / gamma in the oldest w's buffer, and A w alike
+        w1, w2, w = w2, w, w1
+        _next_direction(v, oldeps, w1, delta, w2, gamma, w, tmp)
+        # x = x + phi w, and below r = r - phi A w
+        np.multiply(phi, w, out=tmp)
+        np.add(x, tmp, out=x)
 
         history.append(abs(phibar))
-        aw1 = aw2
-        aw2 = aw
-        aw = (av - oldeps * aw1 - delta * aw2) / gamma
-        r = r - phi * aw
-        if np.linalg.norm(r) <= tol * bnorm0:
-            r = b - apply_a(x)
-            converged = np.linalg.norm(r) <= tol * bnorm0
+        aw1, aw2, aw = aw2, aw, aw1
+        _next_direction(av, oldeps, aw1, delta, aw2, gamma, aw, tmp)
+        np.multiply(phi, aw, out=tmp)
+        np.subtract(r, tmp, out=r)
+        rnorm = np.linalg.norm(r)
+        if rnorm <= tol * bnorm0:
+            np.subtract(b, apply_a(x), out=r)
+            rnorm = np.linalg.norm(r)
+            converged = rnorm <= tol * bnorm0
+        norms.append(float(rnorm))
         if converged:
             break
         if beta <= _BREAKDOWN_RTOL * anorm:
             breakdown_at = itn
             break
 
-    return SolveResult(x, itn, history, converged, breakdown_at, (alphas, betas))
+    return SolveResult(x, itn, history, converged, breakdown_at, (alphas, betas), norms)
+
+
+def _next_direction(v, oldeps, w1, delta, w2, gamma, out, tmp) -> None:
+    """out = (v - oldeps w1 - delta w2) / gamma, operation for operation; out may be neither w1 nor w2."""
+    np.multiply(oldeps, w1, out=out)
+    np.subtract(v, out, out=out)
+    np.multiply(delta, w2, out=tmp)
+    np.subtract(out, tmp, out=out)
+    np.divide(out, gamma, out=out)
 
 
 def lanczos_bounds(res: SolveResult) -> tuple[float, float]:

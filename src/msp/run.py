@@ -51,26 +51,22 @@ def run_table(
     tol and maxit are checked before any problem is built.
     """
     check_stopping(tol, maxit)
-    cells = []
-    for level in levels:
-        for alpha in alphas:
-            cfg = ProblemConfig(
-                problem=problem, d=d, p=p, level=level, alpha=alpha, geometry=geometry
-            )
-            prob = build_problem(cfg)
-            precond = make_preconditioner(prob, precond_variant)
-            res = solve_problem(prob, precond, tol=tol, maxit=maxit)
-            cells.append(
-                TableCell(
-                    level=level,
-                    alpha=alpha,
-                    dof=prob.total_dim,
-                    iterations=res.iterations,
-                    converged=res.converged,
-                    residual_history=res.residual_history,
-                )
-            )
-    return cells
+    return [
+        _table_cell(ProblemConfig(problem, d, p, level, alpha, geometry), precond_variant, tol, maxit)
+        for level in levels
+        for alpha in alphas
+    ]
+
+
+def _table_cell(cfg: ProblemConfig, precond_variant: str, tol: float, maxit: int) -> TableCell:
+    """Build, solve and record one cell.
+
+    The problem, its preconditioner and the solution die with this frame, so
+    a table holds one cell's blocks and factors at a time.
+    """
+    prob = build_problem(cfg)
+    res = solve_problem(prob, make_preconditioner(prob, precond_variant), tol=tol, maxit=maxit)
+    return TableCell(cfg.level, cfg.alpha, prob.total_dim, res.iterations, res.converged, res.residual_history)
 
 
 def format_table(cells: list[TableCell], fmt: str = "markdown") -> str:

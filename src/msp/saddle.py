@@ -26,8 +26,8 @@ from .sparselin import (
     NotPositiveDefinite,
     SparseSymMatrix,
     cholesky,
-    gen_sym_eig,
     solve_chol,
+    sym_eig_overwrite,
 )
 
 # Largest order of a dense matrix: a densified Schur stage or a dense spectrum.
@@ -68,6 +68,8 @@ class BlockTridiagSystem:
         self._reuse = [
             a.scale if isinstance(a, SparseSymMatrix) and a.base is b else None for a, b in zip(A, self.B)
         ] + [None]
+        # per block: A_i x_i where A_i stores no entry (0.0 times its scale), else None
+        self._empty = [0.0 * a.scale if isinstance(a, SparseSymMatrix) and not a.base.nnz else None for a in A]
         self._slices = _slices(self.block_dims)
         if Bt is not None:
             self._bt = list(Bt)
@@ -92,20 +94,27 @@ class BlockTridiagSystem:
         """The operator times x, block by block: (-1)^i A_i x_i + B_{i-1} x_{i-1} + B_i' x_{i+1}.
 
         Each B_i x_i is formed once; where A_i = c B_i it also gives A_i x_i.
+        A block that stores no entry is not multiplied: its product is filled
+        in (and negated like any other, so a -A_i block gives -0.0).  Each
+        block of the result is formed in place in the returned array.
         """
         xs = [x[s] for s in self._slices]
         bx = [b @ xi for b, xi in zip(self.B, xs)]
         y = np.empty(self.total_dim)
         for i, s in enumerate(self._slices):
-            c = self._reuse[i]
-            yi = self.A[i].matvec(xs[i]) if c is None else c * bx[i]
+            yi = y[s]
+            if self._reuse[i] is not None:
+                np.multiply(self._reuse[i], bx[i], out=yi)
+            elif self._empty[i] is not None:
+                yi.fill(self._empty[i])
+            else:
+                yi[:] = self.A[i].matvec(xs[i])
             if i % 2:
                 np.negative(yi, out=yi)
             if i > 0:
                 yi += bx[i - 1]
             if i < self.n - 1:
                 yi += self._bt[i] @ xs[i + 1]
-            y[s] = yi
         return y
 
 
@@ -174,19 +183,34 @@ class SchurPreconditioner:
 def _dense_operator(sys: BlockTridiagSystem) -> np.ndarray:
     """The full operator as an array, entry for entry `assemble_full(sys).to_dense()`.
 
-    0.0 - a negates a block without turning its zeros into -0.0.
+    Each block is written in its place; a sparse one is not densified first.
     """
     full = np.zeros((sys.total_dim, sys.total_dim))
     slices = sys.block_slices()
     for i, s in enumerate(slices):
-        a = sys.A[i].to_dense()
-        full[s, s] = 0.0 - a if i % 2 else a
+        a = sys.A[i]
+        _write_block(full[s, s], a.to_csr() if isinstance(a, SparseSymMatrix) else a.to_dense(), i % 2)
         if i > 0:
             prev = slices[i - 1]
-            b = _dense(sys.B[i - 1])
-            full[s, prev] = b
-            full[prev, s] = b.T
+            _write_block(full[s, prev], sys.B[i - 1])
+            _write_block(full[prev, s].T, sys.B[i - 1])
     return full
+
+
+def _write_block(out: np.ndarray, m: scipy.sparse.spmatrix | np.ndarray, negate: bool = False) -> None:
+    """Write m, or 0.0 - m, into the zeros of `out`, bitwise as from `m.toarray()`.
+
+    A sparse m is summed into place entry by entry in stored order, as
+    `toarray` sums it; an array is copied.  Subtracting from the zeros
+    negates without turning a zero into -0.0.
+    """
+    if scipy.sparse.issparse(m):
+        coo = m.tocoo()
+        (np.subtract if negate else np.add).at(out, (coo.row, coo.col), coo.data)
+    elif negate:
+        np.subtract(out, m, out=out)
+    else:
+        out[...] = m
 
 
 def exact_schur(
@@ -285,9 +309,12 @@ def _reduced_operator(sys: BlockTridiagSystem, precond: SchurPreconditioner) -> 
             x = dtrsm(1.0, li, a, lower=1)
             x = dtrsm(1.0, lj, x, side=1, lower=1, trans_a=1, overwrite_b=1)
             if ri == rj:
-                x = 0.5 * (x + x.T)
-            c[ri, rj] = x
-            c[rj, ri] = x.T
+                np.add(x, x.T, out=a)
+                a *= 0.5
+            else:
+                a[...] = x
+                c[rj, ri] = x.T
+            del x  # before the next block's solve allocates its own
     return c
 
 
@@ -305,7 +332,10 @@ def spectrum(
     """
     if sys.total_dim > dense_limit:
         raise ValueError(f"total dim {sys.total_dim} exceeds dense-mode limit {dense_limit}")
-    ev = gen_sym_eig(_reduced_operator(sys, precond))
+    # The reduced operator is exactly symmetric, so its transpose, a Fortran
+    # view of the same buffer, has the same lower triangle in LAPACK's order;
+    # the eigensolver works in that buffer, not in a copy.
+    ev = sym_eig_overwrite(_reduced_operator(sys, precond).T)
     nrm = float(np.max(np.abs(ev)))
     inv = float(1.0 / np.min(np.abs(ev)))
     bs = bounds(sys.n)

@@ -136,9 +136,17 @@ class DenseSymMatrix:
 
     @classmethod
     def from_upper(cls, a: np.ndarray) -> "DenseSymMatrix":
-        """The symmetric matrix with the upper triangle of the array `a` (its lower one is ignored)."""
+        """The symmetric matrix with the upper triangle of the array `a` (its lower one is ignored).
+
+        The upper triangle is copied (-0.0 turns into +0.0) and mirrored row by row.
+        """
         a = np.asarray(a, dtype=np.float64)
-        return cls._trusted(np.triu(a) + np.triu(a, k=1).T)
+        if a.ndim != 2 or a.shape[0] != a.shape[1]:
+            raise ValueError("matrix must be square")
+        full = np.add(a, 0.0, order="C")
+        for i in range(1, a.shape[0]):
+            full[i, :i] = full[:i, i]
+        return cls._trusted(full)
 
     @property
     def dim(self) -> int:
@@ -176,16 +184,17 @@ class CholeskyFactor:
     def lower(self) -> np.ndarray:
         """The dense lower-triangular L with L L' equal to the factored matrix.
 
-        A dense factor is stored lower (`cholesky` asks for it); a banded one
-        (LAPACK's upper band of U, with L = U') is expanded.  The stored
-        factor is scaled by sqrt(scale) before it is expanded.
+        A dense factor is stored lower with a zeroed strict upper triangle
+        (`cholesky` asks for both); a banded one (LAPACK's upper band of U,
+        with L = U') is expanded.  The stored factor is scaled by sqrt(scale)
+        before it is expanded.
         """
         s = np.sqrt(self.scale)
         if self.mode == "dense":
-            return np.tril(self.data[0] * s)
+            return self.data[0] * s
         band = self.data * s
         bw = band.shape[0] - 1
-        out = np.zeros((self.dim, self.dim))
+        out = np.zeros((self.dim, self.dim), order="F")
         for k in range(bw + 1):
             j = np.arange(k, self.dim)
             out[j, j - k] = band[bw - k, k:]
@@ -251,7 +260,7 @@ def cholesky(m: SparseSymMatrix | DenseSymMatrix) -> CholeskyFactor:
         pivots = factor[bw]
         mode, data = "banded", factor
     else:
-        c, info = lapack.dpotrf(m.to_dense().T, lower=1, clean=0, overwrite_a=1)
+        c, info = lapack.dpotrf(m.to_dense().T, lower=1, clean=1, overwrite_a=1)
         if info > 0:
             raise NotPositiveDefinite(f"{info}-th leading minor of the array is not positive definite")
         pivots = c.diagonal()
@@ -285,11 +294,19 @@ def solve_chol(f: CholeskyFactor, b: np.ndarray) -> np.ndarray:
 def gen_sym_eig(a: np.ndarray) -> np.ndarray:
     """Eigenvalues of the symmetric a, ascending, read from its lower triangle.
 
+    `a` is left as it is: LAPACK works on a copy.  A non-square array or an
+    inf or NaN entry raises ValueError.
+    """
+    return sym_eig_overwrite(np.array(a, dtype=np.float64, order="F"))
+
+
+def sym_eig_overwrite(a: np.ndarray) -> np.ndarray:
+    """`gen_sym_eig` in the caller's buffer: a Fortran-ordered float64 `a` is
+    LAPACK's workspace and is overwritten (any other is copied).
+
     `saddle.spectrum` passes the pencil (A, L L') already reduced by the
     preconditioner's own factors L, so only the standard problem is solved.
-    A non-square array or an inf or NaN entry raises ValueError.
     """
-    a = np.asarray(a, dtype=np.float64)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError("expected a square matrix")
     if not np.isfinite(a).all():
@@ -297,7 +314,7 @@ def gen_sym_eig(a: np.ndarray) -> np.ndarray:
     if a.size == 0:
         return np.zeros(0)
     work, iwork, _ = lapack.dsyevr_lwork(a.shape[0], lower=1)
-    w, _, _, _, info = lapack.dsyevr(a, compute_v=0, lower=1, lwork=int(work), liwork=iwork)
+    w, _, _, _, info = lapack.dsyevr(a, compute_v=0, lower=1, lwork=int(work), liwork=iwork, overwrite_a=1)
     if info:
         raise np.linalg.LinAlgError(f"dsyevr failed with info {info}")
     return w

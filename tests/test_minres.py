@@ -141,6 +141,36 @@ class TestEuclideanStop:
         r = prob.rhs - full @ res.solution
         assert np.linalg.norm(r) <= tol * np.linalg.norm(prob.rhs)
 
+    @pytest.mark.parametrize("seed", range(3))
+    def test_residual_record_ends_with_the_confirmed_residual(self, seed):
+        # ||b|| first, then one Euclidean norm per step; the last is the true
+        # residual that confirmed the stop
+        rng = np.random.default_rng(seed)
+        g = rng.standard_normal((40, 40))
+        a = g + g.T + np.eye(40)
+        b = rng.standard_normal(40)
+        before = b.copy()
+        tol = 1e-8
+        res = minres_solve(lambda v: a @ v, identity, b, tol=tol, maxit=400)
+        assert res.converged
+        assert b.tobytes() == before.tobytes()
+        norms = res.residual_norms
+        assert len(norms) == res.iterations + 1 == len(res.residual_history)
+        assert norms[0] == np.linalg.norm(b)
+        assert norms[-1] <= tol * norms[0]
+        assert norms[-1] == np.linalg.norm(b - a @ res.solution)
+        assert all(n > tol * norms[0] for n in norms[1:-1])
+
+    def test_residual_record_on_a_control_problem(self):
+        prob = pb.build_problem(pb.ProblemConfig("boundary_observation", d=2, p=2, level=3, alpha=1e-3))
+        res = minres_solve(prob.system.apply, prob.practical.apply_inverse, prob.rhs)
+        assert res.converged
+        assert res.residual_norms[0] == np.linalg.norm(prob.rhs)
+        assert res.residual_norms[-1] == np.linalg.norm(prob.rhs - prob.system.apply(res.solution))
+
+    def test_zero_rhs_record(self):
+        assert minres_solve(identity, identity, np.zeros(3)).residual_norms == [0.0]
+
     def test_failed_confirmation_is_not_convergence(self):
         # a first operator apply off by a relative 1e-6 breaks the Lanczos
         # relation: the updated residual falls below tol while the true one

@@ -339,3 +339,28 @@ class TestIterationPins:
         cells = run.run_table(problem, d, p, [level], list(pb.DEFAULT_ALPHAS), variant, geometry)
         assert [c.iterations for c in cells] == counts
         assert all(c.converged for c in cells)
+
+
+class TestTableMemory:
+    @pytest.mark.parametrize("variant", ["practical", "exact_schur"])
+    def test_run_table_holds_one_cell(self, monkeypatch, variant):
+        # each cell's problem, preconditioner and solution are dropped before
+        # the next cell is built: no earlier preconditioner is alive then
+        # (no gc.collect, so a reference cycle would fail this too)
+        refs = []
+        build, make = run.build_problem, run.make_preconditioner
+
+        def checked_build(cfg):
+            assert all(r() is None for r in refs), "an earlier cell is still alive"
+            return build(cfg)
+
+        def recorded_make(prob, name):
+            precond = make(prob, name)
+            refs.append(weakref.ref(precond))
+            return precond
+
+        monkeypatch.setattr(run, "build_problem", checked_build)
+        monkeypatch.setattr(run, "make_preconditioner", recorded_make)
+        cells = run.run_table("boundary_observation", 2, 2, [2, 3], [1.0, 1e-3], variant, None)
+        assert len(cells) == len(refs) == 4
+        assert all(r() is None for r in refs)

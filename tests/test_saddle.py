@@ -1,5 +1,7 @@
 """Block-tridiagonal systems, Schur recursion, and the spectral bounds."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -8,7 +10,7 @@ import scipy.sparse
 from msp import problems
 from msp import saddle as sd
 from msp.chebyshev import bounds, pbar_roots
-from msp.sparselin import DenseSymMatrix, NotPositiveDefinite, SparseSymMatrix
+from msp.sparselin import DenseSymMatrix, NotPositiveDefinite, SparseSymMatrix, gen_sym_eig
 
 
 def sharp_spectrum_reference(n):
@@ -53,6 +55,23 @@ class TestSystem:
             x = rng.standard_normal(sys.total_dim)
             want = sd.assemble_full(sys).to_csr() @ x
             assert np.linalg.norm(sys.apply(x) - want) <= 1e-14 * np.linalg.norm(want)
+
+    @pytest.mark.parametrize("pid", ["boundary_observation", "distributed_very_weak"])
+    def test_empty_block_is_not_multiplied(self, monkeypatch, pid):
+        # the zero A_2 stores no entry: its product is filled in, bitwise the
+        # -0.0 that negating a computed zero product gives
+        sys = problems.build_problem(problems.ProblemConfig(pid, d=2, p=2, level=3, alpha=1e-3)).system
+        dim = sys.block_dims[1]
+        dense = sd.BlockTridiagSystem(
+            [sys.A[0], DenseSymMatrix._trusted(np.zeros((dim, dim))), *sys.A[2:]], sys.B, sys._bt
+        )
+
+        def refuse(x):
+            raise AssertionError("empty block multiplied")
+
+        monkeypatch.setattr(sys.A[1], "matvec", refuse)
+        x = np.random.default_rng(5).standard_normal(sys.total_dim)
+        assert sys.apply(x).tobytes() == dense.apply(x).tobytes()
 
     def test_assemble_full_signs(self):
         # three 1x1 blocks: diag(a1, -a2, a3) with couplings  b1, b2
@@ -275,6 +294,35 @@ class TestSpectrum:
         sys = sd.random_spsd_system(4, np.random.default_rng(1))
         assert sd.spectrum(sys, sd.exact_schur(sys)).within_bounds
 
+    @pytest.mark.parametrize("variant", ["exact", "practical"])
+    def test_eigenvalues_are_those_of_the_reduced_operator(self, variant):
+        # the eigensolver overwrites the reduced operator's own buffer and
+        # gives bitwise the eigenvalues of a copy
+        prob = problems.build_problem(problems.ProblemConfig("distributed_strong", d=2, p=2, level=3))
+        pre = problems.make_preconditioner(prob, variant)
+        want = gen_sym_eig(sd._reduced_operator(prob.system, pre))
+        assert sd.spectrum(prob.system, pre).eigenvalues.tobytes() == want.tobytes()
+        rng = np.random.default_rng(3)
+        for sys in (sd.random_sharp_system(4, rng), sd.random_spsd_system(5, rng)):
+            pre = sd.exact_schur(sys)
+            want = gen_sym_eig(sd._reduced_operator(sys, pre))
+            assert sd.spectrum(sys, pre).eigenvalues.tobytes() == want.tobytes()
+
+    def test_peak_memory_is_one_dense_buffer(self):
+        # the operator, the factors' dense L and two block temporaries: no
+        # second n x n array (a copy for the eigensolver) is made
+        prob = problems.build_problem(problems.ProblemConfig("boundary_observation", d=2, p=2, level=4, alpha=1e-2))
+        pre = problems.make_preconditioner(prob, "exact")
+        dims = pre.block_dims
+        bound = 8 * (prob.total_dim**2 + sum(d * d for d in dims) + 2 * max(dims) ** 2)
+        tracemalloc.start()
+        try:
+            sd.spectrum(prob.system, pre)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < bound
+
     def test_preconditioner_order_must_match(self):
         sys = dense_system([np.eye(2), np.zeros((3, 3))], [np.ones((3, 2))])
         pre = sd.SchurPreconditioner([SparseSymMatrix.from_dense(np.eye(4))])
@@ -301,3 +349,13 @@ class TestVerifySharpness:
         r2 = sd.verify_sharpness(3, trials=4, seed=9)
         assert r1.max_norm_deviation == r2.max_norm_deviation
         assert r1.max_cond_excess == r2.max_cond_excess
+
+    def test_builds_no_triangle_mask(self, monkeypatch):
+        # the random systems mirror their upper triangles row by row and the
+        # dense factors come with a zeroed upper triangle
+        def refuse(*args, **kwargs):
+            raise AssertionError("triangle mask built")
+
+        monkeypatch.setattr(np, "triu", refuse)
+        monkeypatch.setattr(np, "tril", refuse)
+        assert sd.verify_sharpness(4, trials=3, seed=5).passed

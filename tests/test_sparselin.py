@@ -391,6 +391,33 @@ class TestEigen:
         with pytest.raises(ValueError, match="infs or NaNs"):
             sl.gen_sym_eig(a)
 
+    @pytest.mark.parametrize("order", ["C", "F"])
+    @pytest.mark.parametrize("symmetric", [True, False])
+    def test_argument_left_unchanged(self, symmetric, order):
+        g = np.random.default_rng(26).standard_normal((12, 12))
+        a = np.array(0.5 * (g + g.T) if symmetric else g, order=order)
+        before = a.copy()
+        sl.gen_sym_eig(a)
+        assert a.tobytes() == before.tobytes() and a.flags.f_contiguous == (order == "F")
+
+    @pytest.mark.parametrize("n", [1, 7, 60])
+    def test_overwriting_solve_matches_the_copying_one(self, n):
+        # on an exactly symmetric array both read the same lower triangle
+        g = np.random.default_rng(27 + n).standard_normal((n, n))
+        a = np.asfortranarray(0.5 * (g + g.T))
+        want = sl.gen_sym_eig(a)
+        assert sl.sym_eig_overwrite(a).tobytes() == want.tobytes()
+
+    def test_overwriting_solve_works_in_a_fortran_buffer(self):
+        g = np.random.default_rng(28).standard_normal((9, 9))
+        a = np.asfortranarray(g + g.T)
+        before = a.copy()
+        sl.sym_eig_overwrite(a)
+        assert not np.array_equal(a, before)
+        for bad, match in ((np.ones((3, 2), order="F"), "square"), (np.full((2, 2), np.inf, order="F"), "NaN")):
+            with pytest.raises(ValueError, match=match):
+                sl.sym_eig_overwrite(bad)
+
     def test_non_square_raises_and_empty_is_empty(self):
         with pytest.raises(ValueError, match="square"):
             sl.gen_sym_eig(np.ones((3, 2)))
