@@ -4,7 +4,8 @@ One builder per block shape, (f, w, u) or ((u, f), w), produces a
 block-tridiagonal system, its right-hand side, and the sparse ("practical")
 block-diagonal preconditioner from the alpha-independent blocks cached on
 `DiscreteOperators`; the exact Schur-complement preconditioner densifies only
-the last block.  All problems use equal-order tensor-product spline spaces of
+the last block, from alpha-free dense pieces cached per mesh on the first
+exact request.  All problems use equal-order tensor-product spline spaces of
 maximal smoothness k = p-1, with the zero-trace state space realized by
 dropping boundary basis functions.
 """
@@ -18,8 +19,8 @@ import numpy as np
 import scipy.sparse
 
 from . import assembly
-from .saddle import BlockTridiagSystem, SchurPreconditioner, exact_schur
-from .sparselin import CholeskyFactor, SparseSymMatrix, cholesky
+from .saddle import BlockTridiagSystem, SchurPreconditioner, check_stage_order, factor_stage
+from .sparselin import CholeskyFactor, DenseSymMatrix, SparseSymMatrix, cholesky, inverse_gram
 from .splines import GEOMETRIES, GeometryMap, TensorSpace, tensor_space
 
 PROBLEM_IDS = (
@@ -99,7 +100,10 @@ class DiscreteOperators:
     Assembled lazily and shared between alpha values and preconditioner
     variants; everything here is alpha-independent.  Only the blocks the
     builders read are kept: the full-space K, B, normal Gram and normal
-    coupling are restricted or stacked and then freed.
+    coupling are restricted or stacked and then freed.  The dense pieces of
+    the exact last Schur stage (`laplacian_gram`, `normal_trace_gram`) are
+    built only when an exact preconditioner first asks, 8 (dim U)^2 bytes
+    each.
     """
 
     def __init__(self, d: int, p: int, level: int, geometry: str):
@@ -179,6 +183,21 @@ class DiscreteOperators:
         return self.mass_coupling.T.tocsr()
 
     @cached_property
+    def trace_mass_factor(self) -> CholeskyFactor:
+        """Factor of M_d; the block alpha M_d uses a scaled view of it."""
+        return cholesky(self.trace_mass)
+
+    @cached_property
+    def laplacian_gram(self) -> np.ndarray:
+        """G = K' M^-1 K, dense and exactly symmetric, from M's factor: shape (dim U, dim U)."""
+        return inverse_gram(self.mass_factor, self.laplacian_int)
+
+    @cached_property
+    def normal_trace_gram(self) -> np.ndarray:
+        """N' M_d^-1 N with N on zero-trace columns, dense and exactly symmetric, from M_d's factor."""
+        return inverse_gram(self.trace_mass_factor, self.trace_coupling_t[self.mass.dim :])
+
+    @cached_property
     def trace_coupling(self) -> scipy.sparse.csr_matrix:
         """[K', N'] with N on zero-trace columns: the boundary-control coupling."""
         n = assembly.assemble_normal_coupling(assembly.TraceSpace(self.space), self.space, self.geo)
@@ -208,16 +227,29 @@ def get_operators(d: int, p: int, level: int, geometry: str) -> DiscreteOperator
 
 @dataclass
 class AssembledProblem:
+    """A built optimality system with the blocks of its practical preconditioner.
+
+    `practical_blocks` are the practical preconditioner's blocks and
+    `lead_factors` the factors of all but the last, which are the exact
+    Schur complements S_1..S_{n-1}.  The last block is factored when
+    `practical` is first read, so an exact-Schur cell never factors it.
+    """
+
     config: ProblemConfig
     system: BlockTridiagSystem
     rhs: np.ndarray
-    practical: SchurPreconditioner
+    practical_blocks: list[SparseSymMatrix]
+    lead_factors: list[CholeskyFactor]
     labels: tuple[str, ...]
     ops: DiscreteOperators = field(repr=False, default=None)
 
     @property
     def total_dim(self) -> int:
         return self.system.total_dim
+
+    @cached_property
+    def practical(self) -> SchurPreconditioner:
+        return SchurPreconditioner(self.practical_blocks, [*self.lead_factors, None])
 
 
 def _zero_block(dim: int) -> SparseSymMatrix:
@@ -243,18 +275,16 @@ def _three_block(
         Bt=[m.to_csr(), ops.laplacian_int],
     )
     rhs = np.concatenate([np.zeros(2 * m.dim), rhs3])
-    practical = SchurPreconditioner(
-        [am, m.scaled(1.0 / a), a3.add(ops.biharmonic_int, a)],
-        [ops.mass_factor.scaled(a), ops.mass_factor.scaled(1.0 / a), None],
-    )
-    return AssembledProblem(cfg, system, rhs, practical, ("f", "w", "u"), ops)
+    blocks = [am, m.scaled(1.0 / a), a3.add(ops.biharmonic_int, a)]
+    factors = [ops.mass_factor.scaled(a), ops.mass_factor.scaled(1.0 / a)]
+    return AssembledProblem(cfg, system, rhs, blocks, factors, ("f", "w", "u"), ops)
 
 
 def _two_block(
     cfg: ProblemConfig,
     ops: DiscreteOperators,
     x: SparseSymMatrix,
-    x_factor: CholeskyFactor | None,
+    x_factor: CholeskyFactor,
     coupling: scipy.sparse.csr_matrix,
     coupling_t: scipy.sparse.csr_matrix,
     z: SparseSymMatrix,
@@ -262,9 +292,9 @@ def _two_block(
     """Unknowns ((u, f), w): diagonal blocks diag(M, alpha X), 0; coupling [K', Y].
 
     The practical preconditioner is diag(M, alpha X, Z / alpha + B); alpha X
-    uses `x_factor` scaled, or is factored here when that is None.
-    diag(M, alpha X) is block-diagonal over two exactly symmetric canonical
-    blocks, so it is wrapped without re-validation.
+    uses X's factor `x_factor` scaled.  diag(M, alpha X) is block-diagonal
+    over two exactly symmetric canonical blocks, so it is wrapped without
+    re-validation.
     """
     a = cfg.alpha
     m = ops.mass
@@ -272,11 +302,9 @@ def _two_block(
     a1 = SparseSymMatrix._trusted(scipy.sparse.block_diag([m.to_csr(), a * x.to_csr()], format="csr"))
     system = BlockTridiagSystem(A=[a1, _zero_block(nz)], B=[coupling], Bt=[coupling_t])
     rhs = np.concatenate([ops.rhs_l2_data, np.zeros(x.dim + nz)])
-    practical = SchurPreconditioner(
-        [m, x.scaled(a), z.scaled(1.0 / a).add(ops.biharmonic_int)],
-        [ops.mass_factor, None if x_factor is None else x_factor.scaled(a), None],
-    )
-    return AssembledProblem(cfg, system, rhs, practical, ("u", "f", "w"), ops)
+    blocks = [m, x.scaled(a), z.scaled(1.0 / a).add(ops.biharmonic_int)]
+    factors = [ops.mass_factor, x_factor.scaled(a)]
+    return AssembledProblem(cfg, system, rhs, blocks, factors, ("u", "f", "w"), ops)
 
 
 def build_problem(cfg: ProblemConfig) -> AssembledProblem:
@@ -297,20 +325,37 @@ def build_problem(cfg: ProblemConfig) -> AssembledProblem:
             cfg, ops, ops.mass, ops.mass_factor, ops.mass_coupling, ops.mass_coupling_t, ops.mass_int
         )
     return _two_block(
-        cfg, ops, ops.trace_mass, None, ops.trace_coupling, ops.trace_coupling_t, ops.normal_gram_int
+        cfg, ops, ops.trace_mass, ops.trace_mass_factor, ops.trace_coupling, ops.trace_coupling_t, ops.normal_gram_int
     )
 
 
 def exact_schur_precond(prob: AssembledProblem) -> SchurPreconditioner:
-    """Exact Schur-complement preconditioner with a densified last block.
+    """Exact Schur-complement preconditioner with a dense last block.
 
     The leading blocks of the practical preconditioner already equal the
     exact Schur complements for all four problems, so they and their factors
-    are reused; only the last block S_n = A_n + B_{n-1} S_{n-1}^{-1} B_{n-1}'
-    is formed densely, and `exact_schur` refuses it above its dense limit.
+    are reused.  The last block S_n = A_n + B_{n-1} S_{n-1}^{-1} B_{n-1}'
+    splits into alpha-free pieces cached on the mesh, with G = K' M^-1 K:
+    S_3 = A_3 + alpha G for the three-block problems, and S_2 = G + Z / alpha
+    for the two-block ones (Z = M_int for distributed control, N' M_d^-1 N
+    for boundary control).  It is refused above the dense limit before
+    anything is densified.
     """
-    lead = prob.practical
-    return exact_schur(prob.system, SchurPreconditioner(lead.blocks[:-1], lead.factors[:-1]))
+    n, a, ops = prob.system.n, prob.config.alpha, prob.ops
+    check_stage_order(n, prob.system.block_dims[-1])
+    if n == 3:
+        s, rest = np.multiply(ops.laplacian_gram, a), prob.system.A[-1]
+    elif prob.config.problem == "distributed_very_weak":
+        s, rest = ops.laplacian_gram.copy(), ops.mass_int.scaled(1.0 / a)
+    else:
+        s, rest = np.divide(ops.normal_trace_gram, a), None
+        s += ops.laplacian_gram
+    if rest is not None:
+        # a canonical CSR holds each (row, col) once, so += adds each entry once
+        coo = rest.to_csr().tocoo()
+        s[coo.row, coo.col] += coo.data
+    blk = DenseSymMatrix._trusted(s)
+    return SchurPreconditioner([*prob.practical_blocks[:-1], blk], [*prob.lead_factors, factor_stage(n, blk)])
 
 
 def make_preconditioner(prob: AssembledProblem, variant: str) -> SchurPreconditioner:

@@ -18,6 +18,7 @@ from itertools import accumulate
 import numpy as np
 import scipy.sparse
 from scipy.linalg.blas import dtrsm
+from scipy.linalg.lapack import dsygst
 
 from .chebyshev import BoundSet, bounds, smallest_abs_root
 from .sparselin import (
@@ -26,6 +27,7 @@ from .sparselin import (
     NotPositiveDefinite,
     SparseSymMatrix,
     cholesky,
+    mirror_upper,
     solve_chol,
     sym_eig_overwrite,
 )
@@ -213,47 +215,42 @@ def _write_block(out: np.ndarray, m: scipy.sparse.spmatrix | np.ndarray, negate:
         out[...] = m
 
 
-def exact_schur(
-    sys: BlockTridiagSystem, known: SchurPreconditioner | None = None
-) -> SchurPreconditioner:
+def exact_schur(sys: BlockTridiagSystem) -> SchurPreconditioner:
     """Build the exact Schur-complement preconditioner by the dense recursion.
 
-    S_1 = A_1, S_{i+1} = A_{i+1} + B_i S_i^{-1} B_i'.  `known` holds
-    S_1..S_k with their factors, which are reused as they are; its blocks
-    may split a system block (S_k^{-1} then acts block by block) but must
-    end on a system-block boundary.  The recursion continues densely from
-    S_{k+1}.  A stage of order above DENSE_MODE_LIMIT raises ValueError
-    before it is densified; any stage that fails to be SPD raises
+    S_1 = A_1, S_{i+1} = A_{i+1} + B_i S_i^{-1} B_i', each stage averaged
+    with its transpose.  A stage of order above DENSE_MODE_LIMIT raises
+    ValueError before it is densified; any stage that fails to be SPD raises
     NotPositiveDefinite naming the failing index.
     """
-    blocks = list(known.blocks) if known is not None else []
-    factors = list(known.factors) if known is not None else []
-    edges = [0, *accumulate(b.dim for b in blocks)]
-    sys_edges = [0, *accumulate(sys.block_dims)]
-    k = sys_edges.index(edges[-1]) if edges[-1] in sys_edges else -1
-    if k < 0 or sys_edges[max(k - 1, 0)] not in edges:
-        raise ValueError("known Schur blocks must end on system-block boundaries")
-    for i in range(k, sys.n):
-        if sys.block_dims[i] > DENSE_MODE_LIMIT:
-            raise ValueError(
-                f"Schur complement S_{i + 1} has order {sys.block_dims[i]}, above the dense "
-                f"limit {DENSE_MODE_LIMIT}; use the practical preconditioner"
-            )
+    blocks, factors = [], []
+    for i in range(sys.n):
+        check_stage_order(i + 1, sys.block_dims[i])
         s_dense = sys.A[i].to_dense()
         if i > 0:
             b = _dense(sys.B[i - 1])
-            first = edges.index(sys_edges[i - 1])
-            s_inv_bt = _block_solve(factors[first:], _slices([f.dim for f in factors[first:]]), b.T)
-            s_dense = s_dense + b @ s_inv_bt
+            s_dense = s_dense + b @ solve_chol(factors[-1], b.T)
         blk = DenseSymMatrix._trusted(0.5 * (s_dense + s_dense.T))
-        try:
-            f = cholesky(blk)
-        except NotPositiveDefinite as exc:
-            raise NotPositiveDefinite(f"Schur complement S_{i + 1} is not SPD: {exc}") from exc
         blocks.append(blk)
-        factors.append(f)
-        edges.append(edges[-1] + blk.dim)
+        factors.append(factor_stage(i + 1, blk))
     return SchurPreconditioner(blocks, factors)
+
+
+def check_stage_order(i: int, dim: int) -> None:
+    """Refuse a dense Schur stage S_i of order `dim` above DENSE_MODE_LIMIT (ValueError)."""
+    if dim > DENSE_MODE_LIMIT:
+        raise ValueError(
+            f"Schur complement S_{i} has order {dim}, above the dense "
+            f"limit {DENSE_MODE_LIMIT}; use the practical preconditioner"
+        )
+
+
+def factor_stage(i: int, blk: DenseSymMatrix) -> CholeskyFactor:
+    """The factor of the Schur stage S_i; NotPositiveDefinite names S_i."""
+    try:
+        return cholesky(blk)
+    except NotPositiveDefinite as exc:
+        raise NotPositiveDefinite(f"Schur complement S_{i} is not SPD: {exc}") from exc
 
 
 @dataclass
@@ -294,8 +291,9 @@ def _reduced_operator(sys: BlockTridiagSystem, precond: SchurPreconditioner) -> 
     """L^{-1} A L^{-T} for the preconditioner's factors L = diag(L_i), exactly symmetric.
 
     C_ij = L_i^{-1} A_ij L_j^{-T} over the preconditioner's blocks (which may
-    split a system block) for j <= i, mirrored into C_ji; a diagonal block is
-    averaged with its transpose.  Zero blocks of A are skipped.
+    split a system block) for j <= i, mirrored into C_ji.  A diagonal block
+    comes from dsygst (lower triangle) and is mirrored; a coupling block
+    from two dtrsm calls.  Zero blocks of A are skipped.
     """
     if sum(precond.block_dims) != sys.total_dim:
         raise ValueError("preconditioner and system orders differ")
@@ -306,12 +304,14 @@ def _reduced_operator(sys: BlockTridiagSystem, precond: SchurPreconditioner) -> 
             a = c[ri, rj]
             if not a.any():
                 continue
-            x = dtrsm(1.0, li, a, lower=1)
-            x = dtrsm(1.0, lj, x, side=1, lower=1, trans_a=1, overwrite_b=1)
             if ri == rj:
-                np.add(x, x.T, out=a)
-                a *= 0.5
+                # A_ii is symmetric: its transpose is the Fortran-ordered
+                # operand; x' is C-ordered with x's lower triangle as its upper
+                x, _ = dsygst(a.T, li, lower=1, overwrite_a=1)
+                a[...] = mirror_upper(x.T)
             else:
+                x = dtrsm(1.0, li, a, lower=1)
+                x = dtrsm(1.0, lj, x, side=1, lower=1, trans_a=1, overwrite_b=1)
                 a[...] = x
                 c[rj, ri] = x.T
             del x  # before the next block's solve allocates its own

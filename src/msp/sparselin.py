@@ -143,10 +143,7 @@ class DenseSymMatrix:
         a = np.asarray(a, dtype=np.float64)
         if a.ndim != 2 or a.shape[0] != a.shape[1]:
             raise ValueError("matrix must be square")
-        full = np.add(a, 0.0, order="C")
-        for i in range(1, a.shape[0]):
-            full[i, :i] = full[:i, i]
-        return cls._trusted(full)
+        return cls._trusted(mirror_upper(np.add(a, 0.0, order="C")))
 
     @property
     def dim(self) -> int:
@@ -216,7 +213,8 @@ def physical_memory_bytes() -> int | None:
 def cholesky(m: SparseSymMatrix | DenseSymMatrix) -> CholeskyFactor:
     """Factor an SPD matrix; raises NotPositiveDefinite on pivot failure.
 
-    The band width is read off the nonzero entries in either storage.  A
+    The band width is read off the nonzero entries (of a dense array, its
+    outermost nonzero subdiagonal; no index arrays are built).  A
     pivot is rejected when it is below 1e-14 times the largest initial
     diagonal entry, which flags semidefinite blocks that LAPACK would
     let pass with a tiny positive pivot.  Before allocating, the factor's
@@ -230,13 +228,16 @@ def cholesky(m: SparseSymMatrix | DenseSymMatrix) -> CholeskyFactor:
     if n == 0:
         return CholeskyFactor(0, "dense", (np.zeros((0, 0)), True))
     if isinstance(m, DenseSymMatrix):
-        row, col = np.nonzero(m._a)
-        val = m._a[row, col]
+        a = m._a
+        bw = next((k for k in range(n - 1, 0, -1) if a.diagonal(-k).any()), 0)
+        diag_max = float(np.abs(a.diagonal()).max())
+        finite = bool(np.isfinite(a).all())
     else:
         coo = m.to_csr().tocoo()
         row, col, val = coo.row, coo.col, coo.data
-    bw = int(np.abs(row - col).max()) if row.size else 0
-    diag_max = float(np.abs(val[row == col]).max(initial=0.0))
+        bw = int(np.abs(row - col).max()) if row.size else 0
+        diag_max = float(np.abs(val[row == col]).max(initial=0.0))
+        finite = bool(np.isfinite(val).all())
     pivot_floor = _PIVOT_RTOL * diag_max
     banded = bw + 1 < n // 2
     need = 8 * ((bw + 1) * n if banded else n * n)
@@ -246,14 +247,18 @@ def cholesky(m: SparseSymMatrix | DenseSymMatrix) -> CholeskyFactor:
             f"a {'banded' if banded else 'dense'} Cholesky factor of order {n} with band width {bw} "
             f"needs {need} bytes, more than the {have} bytes of physical memory"
         )
-    if not np.isfinite(val).all():
+    if not finite:
         raise ValueError("array must not contain infs or NaNs")
 
     if banded:
         ab = np.zeros((bw + 1, n), order="F")
-        mask = row <= col
-        r, c, v = row[mask], col[mask], val[mask]
-        ab[bw + r - c, c] = v
+        if isinstance(m, DenseSymMatrix):
+            for k in range(bw + 1):  # the k-th superdiagonal into row bw - k
+                ab[bw - k, k:] = m._a.diagonal(k)
+        else:
+            mask = row <= col
+            r, c, v = row[mask], col[mask], val[mask]
+            ab[bw + r - c, c] = v
         factor, info = lapack.dpbtrf(ab, overwrite_ab=1)
         if info > 0:
             raise NotPositiveDefinite(f"{info}-th leading minor not positive definite")
@@ -289,6 +294,27 @@ def solve_chol(f: CholeskyFactor, b: np.ndarray) -> np.ndarray:
         x, _ = lapack.dpotrs(c, b, lower=lower)
     x /= f.scale
     return x
+
+
+def inverse_gram(f: CholeskyFactor, b) -> np.ndarray:
+    """b' m^-1 b for a factor f of m, as an exactly symmetric C-ordered array.
+
+    b (sparse or an array) is densified once; m^-1 b comes from the factor's
+    solve and b' (m^-1 b) from one matrix product, which is averaged with
+    its transpose in place.
+    """
+    b = b.toarray() if scipy.sparse.issparse(b) else np.asarray(b, dtype=np.float64)
+    g = b.T @ solve_chol(f, b)
+    g += g.T
+    g *= 0.5
+    return g
+
+
+def mirror_upper(a: np.ndarray) -> np.ndarray:
+    """Copy the upper triangle of the square `a` into its lower one, row by row, in place; returns `a`."""
+    for i in range(1, a.shape[0]):
+        a[i, :i] = a[:i, i]
+    return a
 
 
 def gen_sym_eig(a: np.ndarray) -> np.ndarray:

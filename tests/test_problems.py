@@ -1,6 +1,7 @@
 """Optimal-control optimality systems: dimensions, spectra, preconditioners."""
 
 import gc
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -12,8 +13,9 @@ from msp import assembly
 from msp import problems as pb
 from msp import run
 from msp.chebyshev import bounds
+from msp import saddle, sparselin
 from msp.saddle import assemble_full, exact_schur, spectrum
-from msp.sparselin import SparseSymMatrix, cholesky
+from msp.sparselin import NotPositiveDefinite, SparseSymMatrix, cholesky
 
 
 def build(problem, **kw):
@@ -258,6 +260,111 @@ class TestExactSchurSpectrum:
     def test_level_cap_enforced(self):
         prob = build("distributed_very_weak", d=2, p=2, level=6)
         with pytest.raises(ValueError):
+            pb.exact_schur_precond(prob)
+
+
+# (d, p, level) of the meshes the Gram form is checked on; 3D p=3 L2 has a dense mass factor
+GRAM_MESHES = [(1, 2, 3), (2, 2, 2), (2, 2, 3), (3, 3, 2)]
+GRAM_CACHES = ("laplacian_gram", "normal_trace_gram")
+
+
+def _gram_cases():
+    for d, p, level in GRAM_MESHES:
+        for pid in pb.PROBLEM_IDS:
+            if pid != "boundary_control" or d == 2:
+                yield pid, d, p, level
+
+
+class TestExactSchurGramForm:
+    @pytest.mark.parametrize("alpha", [1.0, 1e-2, 1e-5])
+    @pytest.mark.parametrize("pid, d, p, level", list(_gram_cases()))
+    def test_last_stage_matches_the_recursion(self, pid, d, p, level, alpha):
+        # S_n from the cached alpha-free pieces against the dense recursion from S_1
+        prob = build(pid, d=d, p=p, level=level, alpha=alpha)
+        got = pb.exact_schur_precond(prob).blocks[-1].to_dense()
+        want = exact_schur(prob.system).blocks[-1].to_dense()
+        assert np.array_equal(got, got.T)
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+    def test_dense_mass_factor_mesh_is_covered(self):
+        assert pb.get_operators(3, 3, 2, "twisted_3d").mass_factor.mode == "dense"
+        assert pb.get_operators(2, 2, 3, "annulus_2d").mass_factor.mode == "banded"
+
+    @pytest.mark.parametrize("pid", pb.PROBLEM_IDS)
+    def test_practical_table_builds_no_gram_cache(self, pid):
+        pb.get_operators.cache_clear()
+        run.run_table(pid, 2, 2, [2], list(pb.DEFAULT_ALPHAS), "practical", None)
+        ops = pb.get_operators(2, 2, 2, "annulus_2d")
+        assert not set(GRAM_CACHES) & set(vars(ops))
+
+    def test_each_cache_built_once_per_mesh(self, monkeypatch):
+        calls = []
+        inverse_gram = pb.inverse_gram
+
+        def counted(f, b):
+            calls.append(b.shape)
+            return inverse_gram(f, b)
+
+        monkeypatch.setattr(pb, "inverse_gram", counted)
+        pb.get_operators.cache_clear()
+        for pid in pb.PROBLEM_IDS:
+            for alpha in pb.DEFAULT_ALPHAS:
+                pb.exact_schur_precond(build(pid, d=2, p=2, level=2, alpha=alpha))
+        ops = pb.get_operators(2, 2, 2, "annulus_2d")
+        assert calls == [ops.laplacian_int.shape, (ops.trace_mass.dim, len(ops.interior))]
+        assert set(GRAM_CACHES) <= set(vars(ops))
+
+    @pytest.mark.parametrize("variant", ["exact_schur", "practical"])
+    def test_one_factor_per_cell_on_warm_operators(self, monkeypatch, variant):
+        # an exact cell factors only its dense S_n, a practical one only its
+        # last block: no unused practical factor, no per-alpha factor of M_d
+        for pid in pb.PROBLEM_IDS:
+            warm = build(pid, d=2, p=2, level=2, alpha=0.5)
+            pb.exact_schur_precond(warm)
+        calls = []
+
+        def counted(m):
+            calls.append(m.dim)
+            return cholesky(m)
+
+        for mod in (pb, saddle, sparselin):
+            monkeypatch.setattr(mod, "cholesky", counted)
+        for pid in pb.PROBLEM_IDS:
+            calls.clear()
+            run._table_cell(pb.ProblemConfig(pid, d=2, p=2, level=2, alpha=1e-3), variant, 1e-8, 500)
+            assert calls == [warm.ops.laplacian_gram.shape[0]], pid
+
+    def test_trace_mass_factored_once_per_mesh(self):
+        first = build("boundary_control", d=2, p=2, level=2, alpha=1.0)
+        second = build("boundary_control", d=2, p=2, level=2, alpha=1e-3)
+        f1, f2 = first.practical.factors[1], second.practical.factors[1]
+        assert f1.data is f2.data is first.ops.trace_mass_factor.data
+        assert (f1.scale, f2.scale) == (1.0, 1e-3)
+
+    @pytest.mark.parametrize("pid", pb.PROBLEM_IDS)
+    def test_peak_memory_is_a_few_stages(self, pid):
+        # on warm caches: the stage, the copy dpotrf factors, small temporaries
+        prob = build(pid, d=2, p=2, level=4, alpha=1e-2)
+        pb.exact_schur_precond(prob)
+        m = prob.system.block_dims[-1]
+        tracemalloc.start()
+        try:
+            pb.exact_schur_precond(prob)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 3 * 8 * m * m
+
+    def test_refused_before_any_cache_is_built(self):
+        prob = build("distributed_very_weak", d=2, p=2, level=6)
+        with pytest.raises(ValueError, match=r"S_2 has order 4096.*practical"):
+            pb.exact_schur_precond(prob)
+        assert not set(GRAM_CACHES) & set(vars(prob.ops))
+
+    def test_indefinite_stage_named(self, monkeypatch):
+        prob = build("boundary_observation", d=2, p=2, level=2, alpha=1.0)
+        monkeypatch.setitem(vars(prob.ops), "laplacian_gram", -2.0 * prob.ops.laplacian_gram)
+        with pytest.raises(NotPositiveDefinite, match="Schur complement S_3 is not SPD"):
             pb.exact_schur_precond(prob)
 
 

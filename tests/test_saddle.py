@@ -108,38 +108,6 @@ class TestSchurRecursion:
             for w, g in zip(want, got.blocks):
                 assert np.allclose(g.to_dense(), w, atol=1e-9)
 
-    def test_known_prefix_reused(self):
-        rng = np.random.default_rng(8)
-        sys = sd.random_spsd_system(4, rng)
-        full = sd.exact_schur(sys)
-        known = sd.SchurPreconditioner(full.blocks[:2], full.factors[:2])
-        got = sd.exact_schur(sys, known)
-        assert all(f is g for f, g in zip(got.factors, full.factors[:2]))
-        for w, g in zip(full.blocks, got.blocks):
-            assert np.array_equal(g.to_dense(), w.to_dense())
-
-    def test_known_split_block(self):
-        # S_1 = diag(D1, D2) given as two blocks; the recursion applies
-        # S_1^{-1} block by block
-        rng = np.random.default_rng(11)
-        d1, d2 = np.diag(rng.uniform(1, 2, 2)), np.diag(rng.uniform(1, 2, 3))
-        b = rng.standard_normal((2, 5))
-        a1 = scipy.linalg.block_diag(d1, d2)
-        sys = dense_system([a1, np.zeros((2, 2))], [b])
-        known = sd.SchurPreconditioner(
-            [SparseSymMatrix.from_dense(d1), SparseSymMatrix.from_dense(d2)]
-        )
-        got = sd.exact_schur(sys, known)
-        assert len(got.blocks) == 3
-        want = brute_force_schur([a1, np.zeros((2, 2))], [b])[1]
-        assert np.allclose(got.blocks[2].to_dense(), want, atol=1e-12)
-
-    def test_known_must_end_on_block_boundary(self):
-        sys = dense_system([np.eye(2), np.zeros((3, 3))], [np.ones((3, 2))])
-        known = sd.SchurPreconditioner([SparseSymMatrix.from_dense(np.eye(3))])
-        with pytest.raises(ValueError):
-            sd.exact_schur(sys, known)
-
     def test_dense_limit_refused_before_densifying(self, monkeypatch):
         # S_2 of order DENSE_MODE_LIMIT + 1 is refused; S_1 alone is densified
         big = sd.DENSE_MODE_LIMIT + 1
@@ -261,11 +229,10 @@ class TestSpectrum:
         g1, g2 = rng.standard_normal((2, 2)), rng.standard_normal((3, 3))
         d1, d2 = g1 @ g1.T + np.eye(2), g2 @ g2.T + np.eye(3)
         a = [scipy.linalg.block_diag(d1, d2), np.zeros((2, 2)), np.eye(4)]
-        sys = dense_system(a, [rng.standard_normal((2, 5)), rng.standard_normal((4, 2))])
-        known = sd.SchurPreconditioner(
-            [SparseSymMatrix.from_dense(d1), SparseSymMatrix.from_dense(d2)]
-        )
-        pre = sd.exact_schur(sys, known)
+        b = [rng.standard_normal((2, 5)), rng.standard_normal((4, 2))]
+        sys = dense_system(a, b)
+        stages = brute_force_schur(a, b)[1:]
+        pre = sd.SchurPreconditioner([SparseSymMatrix.from_dense(m) for m in (d1, d2, *stages)])
         assert pre.block_dims == [2, 3, 2, 4]
         self._assert_matches_pencil_oracle(sys, pre)
 

@@ -477,6 +477,37 @@ class TestLapackOracles:
         assert sl.gen_sym_eig(a).tobytes() == want.tobytes()
 
 
+class TestInverseGram:
+    @pytest.mark.parametrize("c", [1.0, 0.3])
+    @pytest.mark.parametrize("sparse", [True, False], ids=["csr", "array"])
+    @pytest.mark.parametrize("mode", ["dense", "banded"])
+    def test_matches_dense_oracle(self, mode, sparse, c):
+        a = random_spd(9, seed=31) if mode == "dense" else random_banded_spd(40, 2, seed=31)[0]
+        f = sl.cholesky(sl.SparseSymMatrix.from_dense(a)).scaled(c)
+        assert f.mode == mode
+        b = np.random.default_rng(32).standard_normal((a.shape[0], 5))
+        g = sl.inverse_gram(f, scipy.sparse.csr_matrix(b) if sparse else b)
+        want = b.T @ np.linalg.solve(c * a, b)
+        assert g.flags.c_contiguous and np.array_equal(g, g.T)
+        assert np.max(np.abs(g - want)) <= 1e-13 * np.max(np.abs(want))
+
+    def test_is_the_averaged_product(self):
+        # the in-place average is bitwise 0.5 (g + g') of g = b' (m^-1 b)
+        a, _ = random_banded_spd(60, 3, seed=33)
+        f = sl.cholesky(sl.SparseSymMatrix.from_dense(a))
+        b = np.random.default_rng(34).standard_normal((60, 40))
+        g = b.T @ sl.solve_chol(f, b)
+        assert sl.inverse_gram(f, b).tobytes() == (0.5 * (g + g.T)).tobytes()
+
+    def test_dense_storage_banded_factor_like_sparse(self):
+        # a narrow-band dense array is read off its diagonals into the band
+        a, _ = random_banded_spd(30, 3, seed=35)
+        got = sl.cholesky(sl.DenseSymMatrix(a))
+        want = sl.cholesky(sl.SparseSymMatrix.from_dense(a))
+        assert got.mode == want.mode == "banded"
+        assert got.data.tobytes() == want.data.tobytes()
+
+
 class TestMatrixMarket:
     def test_round_trip(self, tmp_path):
         a = random_spd(6, seed=11)

@@ -1,0 +1,193 @@
+#!/usr/bin/env python3
+"""Regenerate msp's record sets and print one hash per record, for a `diff`.
+
+    python3 tools/same_results.py > change.txt
+    python3 tools/same_results.py --src /path/to/other/checkout/src > parent.txt
+    diff parent.txt change.txt
+
+Two record sets, run in one process with one BLAS thread:
+
+* 312 `run_table` records: four problems x 1D L3-L4, 2D L3, 3D L2 (twisted
+  extrusion; `boundary_control` 2D only) x p 2-3 x practical/exact x six
+  default alphas.  Each record hashes the cell's dof count, iteration count,
+  converged flag, Euclidean residual history and solution (sha256 of the
+  float64 bytes) and prints the iteration count in the clear.
+* CLI runs (stdout, stderr and exit code hashed; exit code printed): the
+  spectrum of each of the 312 cells; the 48 spectra of acceptance gate 7
+  (four problems x 2D p=2 L3-L4 x alpha 1, 1e-2, 1e-5 x exact/practical);
+  the 1D L5-L8 exact spectra (three problems x p 2-3 x alpha 1, 1e-2, 1e-3,
+  1e-5); the 2D p=2 L6 --large table; two 3D tables; the 2D L5 --lanczos
+  spectra (practical and exact); `verify --n 2..6 --trials 20 --seed 101`.
+  Each `kappa =` line is printed in the clear too.
+
+The output ends with the 1D exact verdict table (exit codes of the p=2
+spectra; 1 is BOUND VIOLATED).  `--solutions FILE.npz` also saves the
+solutions of the 312 records, and `--diff A.npz B.npz` prints the largest
+relative difference between two such files.
+"""
+
+from __future__ import annotations
+
+import argparse
+import contextlib
+import hashlib
+import io
+import os
+import sys
+from pathlib import Path
+
+ALPHAS_1D = ("1", "0.01", "0.001", "1e-05")
+PROBLEMS = ("distributed_very_weak", "distributed_strong", "boundary_control", "boundary_observation")
+
+
+def _grid() -> list[tuple[str, int, int, int, str | None]]:
+    """(problem, d, p, level, geometry) of the meshes of the 312 run_table records."""
+    cases = []
+    for problem in PROBLEMS:
+        for d, level in ((1, 3), (1, 4), (2, 3), (3, 2)):
+            if problem == "boundary_control" and d != 2:
+                continue
+            for p in (2, 3):
+                cases.append((problem, d, p, level, "twisted_3d" if d == 3 else None))
+    return cases
+
+
+def _digest(*parts) -> str:
+    import numpy as np
+
+    h = hashlib.sha256()
+    for part in parts:
+        h.update(np.asarray(part, dtype=np.float64).tobytes() if not isinstance(part, str) else part.encode())
+    return h.hexdigest()[:16]
+
+
+def run_table_records(solutions: dict) -> None:
+    from msp import problems, run
+
+    captured = []
+    solve = run.solve_problem
+
+    def capturing_solve(*args, **kwargs):
+        res = solve(*args, **kwargs)
+        captured.append(res.solution.copy())
+        return res
+
+    run.solve_problem = capturing_solve
+    try:
+        for problem, d, p, level, geometry in _grid():
+            for variant in ("practical", "exact_schur"):
+                captured.clear()
+                cells = run.run_table(problem, d, p, [level], list(problems.DEFAULT_ALPHAS), variant, geometry)
+                for cell, x in zip(cells, captured, strict=True):
+                    key = f"{problem} d={d} p={p} L={level} {variant} alpha={cell.alpha:g}"
+                    solutions[key] = x
+                    h = _digest(str(cell.dof), str(cell.iterations), str(cell.converged), cell.residual_history, x)
+                    print(f"record {key}: it={cell.iterations} conv={cell.converged} {h}")
+    finally:
+        run.solve_problem = solve
+
+
+def _cli(argv: list[str]) -> tuple[int, str, str]:
+    from msp import cli
+
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+def _cli_record(argv: list[str]) -> int:
+    code, out, err = _cli(argv)
+    h = _digest(out, "\0", err)
+    kappa = "".join(f" | {line}" for line in out.splitlines() if line.startswith("kappa"))
+    print(f"cli {' '.join(argv)}: exit={code} {h}{kappa}")
+    return code
+
+
+def _spectrum_argv(problem, d, p, level, alpha, precond, geometry=None) -> list[str]:
+    argv = ["spectrum", "--problem", problem, "--dim", str(d), "--degree", str(p),
+            "--levels", str(level), "--alphas", alpha, "--precond", precond]
+    return argv + (["--geometry", geometry] if geometry else [])
+
+
+def cli_records() -> dict[tuple[str, int, str], int]:
+    from msp import problems
+
+    alphas = [f"{a:g}" for a in problems.DEFAULT_ALPHAS]
+    for problem, d, p, level, geometry in _grid():
+        for precond in ("practical", "exact"):
+            for alpha in alphas:
+                _cli_record(_spectrum_argv(problem, d, p, level, alpha, precond, geometry))
+    for problem in PROBLEMS:
+        for level in (3, 4):
+            for alpha in ("1", "0.01", "1e-05"):
+                for precond in ("exact", "practical"):
+                    _cli_record(_spectrum_argv(problem, 2, 2, level, alpha, precond))
+    verdicts = {}
+    for problem in (q for q in PROBLEMS if q != "boundary_control"):
+        for p in (2, 3):
+            for level in (5, 6, 7, 8):
+                for alpha in ALPHAS_1D:
+                    code = _cli_record(_spectrum_argv(problem, 1, p, level, alpha, "exact"))
+                    if p == 2:
+                        verdicts[problem, level, alpha] = code
+    _cli_record(["table", "--problem", "boundary_observation", "--dim", "2", "--degree", "2",
+                 "--levels", "6", "--large", "--precond", "practical"])
+    _cli_record(["table", "--problem", "boundary_observation", "--dim", "3", "--degree", "3",
+                 "--levels", "2", "3", "--geometry", "twisted_3d"])
+    _cli_record(["table", "--problem", "distributed_strong", "--dim", "3", "--levels", "3"])
+    for precond in ("practical", "exact"):
+        _cli_record(["spectrum", "--levels", "5", "--lanczos", "--precond", precond])
+    _cli_record(["verify", "--n", "2..6", "--trials", "20", "--seed", "101"])
+    return verdicts
+
+
+def print_verdicts(verdicts: dict[tuple[str, int, str], int]) -> None:
+    print("1D exact spectra, p=2: exit codes (1 = BOUND VIOLATED)")
+    print(f"{'problem':<24} {'level':>5} " + " ".join(f"{a:>7}" for a in ALPHAS_1D))
+    for problem in dict.fromkeys(k[0] for k in verdicts):
+        for level in (5, 6, 7, 8):
+            print(f"{problem:<24} {level:>5} " + " ".join(f"{verdicts[problem, level, a]:>7}" for a in ALPHAS_1D))
+    print(f"violations: {sum(verdicts.values())} of {len(verdicts)}")
+
+
+def diff_solutions(a_path: str, b_path: str) -> int:
+    import numpy as np
+
+    a, b = np.load(a_path), np.load(b_path)
+    if sorted(a.files) != sorted(b.files):
+        print("the two files hold different records")
+        return 1
+    worst = max((np.linalg.norm(a[k] - b[k]) / np.linalg.norm(b[k]), k) for k in b.files)
+    print(f"largest relative solution difference: {worst[0]:.3e} ({worst[1]})")
+    return 0
+
+
+def main(argv=None) -> int:
+    ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    ap.add_argument("--src", default=str(Path(__file__).resolve().parent.parent / "src"),
+                    help="directory holding the msp package to run (default: this checkout's src)")
+    ap.add_argument("--solutions", metavar="FILE.npz", help="also save the 312 solutions")
+    ap.add_argument("--diff", nargs=2, metavar=("A.npz", "B.npz"), help="compare two saved solution sets and exit")
+    args = ap.parse_args(argv)
+    if args.diff:
+        return diff_solutions(*args.diff)
+    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+        os.environ[var] = "1"  # before numpy is first imported
+    sys.path.insert(0, args.src)
+    import msp
+
+    print(f"msp from {Path(msp.__file__).resolve().parent}", file=sys.stderr)
+    solutions: dict = {}
+    run_table_records(solutions)
+    verdicts = cli_records()
+    print_verdicts(verdicts)
+    if args.solutions:
+        import numpy as np
+
+        np.savez(args.solutions, **solutions)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
