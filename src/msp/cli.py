@@ -21,7 +21,7 @@ from .problems import (
     make_preconditioner,
 )
 from .run import format_table, run_table
-from .saddle import BOUND_SLACK, DENSE_MODE_LIMIT, spectrum, verify_sharpness
+from .saddle import DENSE_MODE_LIMIT, spectrum, verify_sharpness
 from .sparselin import NotPositiveDefinite, write_matrix_market
 from .krylov import lanczos_bounds, minres_solve
 
@@ -185,7 +185,7 @@ def cmd_spectrum(args: argparse.Namespace) -> int:
         f"min|lambda| = {np.min(np.abs(rep.eigenvalues)):.6f}"
     )
     print(f"kappa = {rep.cond:.6f}  (bound for n={n}: {bound:.6f})")
-    if rep.cond > bound * (1.0 + BOUND_SLACK) and variant == "exact_schur":
+    if rep.cond_exceeds_bound and variant == "exact_schur":
         print("BOUND VIOLATED")
         return EXIT_VIOLATION
     return EXIT_OK

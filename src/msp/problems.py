@@ -20,7 +20,7 @@ import scipy.sparse
 
 from . import assembly
 from .saddle import BlockTridiagSystem, SchurPreconditioner, check_stage_order, factor_stage
-from .sparselin import CholeskyFactor, DenseSymMatrix, SparseSymMatrix, cholesky, inverse_gram
+from .sparselin import CholeskyFactor, SparseSymMatrix, cholesky, inverse_gram
 from .splines import GEOMETRIES, GeometryMap, TensorSpace, tensor_space
 
 PROBLEM_IDS = (
@@ -232,7 +232,8 @@ class AssembledProblem:
     `practical_blocks` are the practical preconditioner's blocks and
     `lead_factors` the factors of all but the last, which are the exact
     Schur complements S_1..S_{n-1}.  The last block is factored when
-    `practical` is first read, so an exact-Schur cell never factors it.
+    `practical` is first read, so an exact-Schur cell never factors it; the
+    exact preconditioner takes `lead_factors` alone, without the blocks.
     """
 
     config: ProblemConfig
@@ -330,16 +331,16 @@ def build_problem(cfg: ProblemConfig) -> AssembledProblem:
 
 
 def exact_schur_precond(prob: AssembledProblem) -> SchurPreconditioner:
-    """Exact Schur-complement preconditioner with a dense last block.
+    """Exact Schur-complement preconditioner: block factors only, the last one dense.
 
     The leading blocks of the practical preconditioner already equal the
-    exact Schur complements for all four problems, so they and their factors
-    are reused.  The last block S_n = A_n + B_{n-1} S_{n-1}^{-1} B_{n-1}'
+    exact Schur complements for all four problems, so their factors are
+    reused.  The last block S_n = A_n + B_{n-1} S_{n-1}^{-1} B_{n-1}'
     splits into alpha-free pieces cached on the mesh, with G = K' M^-1 K:
     S_3 = A_3 + alpha G for the three-block problems, and S_2 = G + Z / alpha
     for the two-block ones (Z = M_int for distributed control, N' M_d^-1 N
     for boundary control).  It is refused above the dense limit before
-    anything is densified.
+    anything is densified, and the dense S_n is dropped once it is factored.
     """
     n, a, ops = prob.system.n, prob.config.alpha, prob.ops
     check_stage_order(n, prob.system.block_dims[-1])
@@ -354,8 +355,7 @@ def exact_schur_precond(prob: AssembledProblem) -> SchurPreconditioner:
         # a canonical CSR holds each (row, col) once, so += adds each entry once
         coo = rest.to_csr().tocoo()
         s[coo.row, coo.col] += coo.data
-    blk = DenseSymMatrix._trusted(s)
-    return SchurPreconditioner([*prob.practical_blocks[:-1], blk], [*prob.lead_factors, factor_stage(n, blk)])
+    return SchurPreconditioner(factors=[*prob.lead_factors, factor_stage(n, s)])
 
 
 def make_preconditioner(prob: AssembledProblem, variant: str) -> SchurPreconditioner:

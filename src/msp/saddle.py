@@ -120,22 +120,9 @@ class BlockTridiagSystem:
         return y
 
 
-def _dense(b: scipy.sparse.spmatrix | np.ndarray) -> np.ndarray:
-    """A coupling as an array (an array coupling itself, not a copy)."""
-    return b.toarray() if scipy.sparse.issparse(b) else b
-
-
 def _slices(dims: list[int]) -> list[slice]:
     edges = [0, *accumulate(dims)]
     return [slice(lo, hi) for lo, hi in zip(edges, edges[1:])]
-
-
-def _block_solve(factors: list[CholeskyFactor], slices: list[slice], r: np.ndarray) -> np.ndarray:
-    """diag(S_i)^{-1} r, one factor solve per block slice of r's rows."""
-    out = np.empty_like(r)
-    for f, s in zip(factors, slices):
-        out[s] = solve_chol(f, r[s])
-    return out
 
 
 def assemble_full(sys: BlockTridiagSystem) -> SparseSymMatrix:
@@ -155,31 +142,36 @@ def assemble_full(sys: BlockTridiagSystem) -> SparseSymMatrix:
 
 
 class SchurPreconditioner:
-    """Block-diagonal SPD preconditioner with per-block Cholesky factors.
+    """Block-diagonal SPD preconditioner P = diag(S_i), held as one Cholesky factor per block.
 
-    Factors the caller already holds are passed in `factors` (one entry per
-    block) and used as they are; a block whose entry is None, or every block
-    when `factors` is None, is factored here.
+    `factors` (one entry per block) are used as they are; a block whose entry
+    is None, or every one when `factors` is None, is factored from `blocks`.
+    `blocks` is kept as given: None when factors alone are passed (the exact
+    Schur preconditioners).  Block orders come from the factors.
     """
 
     def __init__(
         self,
-        blocks: list[SparseSymMatrix],
+        blocks: list[SparseSymMatrix | DenseSymMatrix] | None = None,
         factors: list[CholeskyFactor | None] | None = None,
     ):
         self.blocks = blocks
         self.factors = list(factors) if factors is not None else [None] * len(blocks)
-        for i, blk in enumerate(blocks):
-            if self.factors[i] is None:
+        for i, f in enumerate(self.factors):
+            if f is None:
                 try:
-                    self.factors[i] = cholesky(blk)
+                    self.factors[i] = cholesky(blocks[i])
                 except NotPositiveDefinite as exc:
                     raise NotPositiveDefinite(f"block {i + 1} is not SPD: {exc}") from exc
-        self.block_dims = [b.dim for b in blocks]
+        self.block_dims = [f.dim for f in self.factors]
         self._slices = _slices(self.block_dims)
 
     def apply_inverse(self, r: np.ndarray) -> np.ndarray:
-        return _block_solve(self.factors, self._slices, r)
+        """P^{-1} r, one factor solve per block slice of r's rows."""
+        out = np.empty_like(r)
+        for f, s in zip(self.factors, self._slices):
+            out[s] = solve_chol(f, r[s])
+        return out
 
 
 def _dense_operator(sys: BlockTridiagSystem) -> np.ndarray:
@@ -219,21 +211,20 @@ def exact_schur(sys: BlockTridiagSystem) -> SchurPreconditioner:
     """Build the exact Schur-complement preconditioner by the dense recursion.
 
     S_1 = A_1, S_{i+1} = A_{i+1} + B_i S_i^{-1} B_i', each stage averaged
-    with its transpose.  A stage of order above DENSE_MODE_LIMIT raises
-    ValueError before it is densified; any stage that fails to be SPD raises
-    NotPositiveDefinite naming the failing index.
+    with its transpose and dropped once factored.  A stage of order above
+    DENSE_MODE_LIMIT raises ValueError before it is densified; any stage
+    that fails to be SPD raises NotPositiveDefinite naming the failing index.
     """
-    blocks, factors = [], []
+    factors = []
     for i in range(sys.n):
         check_stage_order(i + 1, sys.block_dims[i])
-        s_dense = sys.A[i].to_dense()
+        s = sys.A[i].to_dense()
         if i > 0:
-            b = _dense(sys.B[i - 1])
-            s_dense = s_dense + b @ solve_chol(factors[-1], b.T)
-        blk = DenseSymMatrix._trusted(0.5 * (s_dense + s_dense.T))
-        blocks.append(blk)
-        factors.append(factor_stage(i + 1, blk))
-    return SchurPreconditioner(blocks, factors)
+            b = sys.B[i - 1]
+            b = b.toarray() if scipy.sparse.issparse(b) else b
+            s = s + b @ solve_chol(factors[-1], b.T)
+        factors.append(factor_stage(i + 1, 0.5 * (s + s.T)))
+    return SchurPreconditioner(factors=factors)
 
 
 def check_stage_order(i: int, dim: int) -> None:
@@ -245,10 +236,10 @@ def check_stage_order(i: int, dim: int) -> None:
         )
 
 
-def factor_stage(i: int, blk: DenseSymMatrix) -> CholeskyFactor:
-    """The factor of the Schur stage S_i; NotPositiveDefinite names S_i."""
+def factor_stage(i: int, s: np.ndarray) -> CholeskyFactor:
+    """The factor of S_i from its exactly symmetric array `s` (taken over, not kept); NotPositiveDefinite names S_i."""
     try:
-        return cholesky(blk)
+        return cholesky(DenseSymMatrix._trusted(s))
     except NotPositiveDefinite as exc:
         raise NotPositiveDefinite(f"Schur complement S_{i} is not SPD: {exc}") from exc
 
@@ -263,6 +254,11 @@ class SpectrumReport:
     cond: float
     bound_set: BoundSet
     within_bounds: bool
+
+    @property
+    def cond_exceeds_bound(self) -> bool:
+        """kappa above the closed-form bound beyond BOUND_SLACK: for the exact preconditioner, a violation."""
+        return self.cond > self.bound_set.cond_bound * (1.0 + BOUND_SLACK)
 
     def to_json(self) -> str:
         return json.dumps(

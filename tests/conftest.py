@@ -1,0 +1,25 @@
+"""Fixtures shared by the test modules."""
+
+import pytest
+
+from msp import problems, saddle
+
+
+@pytest.fixture
+def schur_stages(monkeypatch):
+    """The dense Schur stages factored by `saddle.factor_stage`, in call order.
+
+    A preconditioner keeps only the factors, so tests that check the stages
+    themselves read them here: each is the very array that was factored.
+    """
+    stages = []
+    factor_stage = saddle.factor_stage
+
+    def recording(i, s):
+        f = factor_stage(i, s)
+        stages.append(s)
+        return f
+
+    for mod in (saddle, problems):
+        monkeypatch.setattr(mod, "factor_stage", recording)
+    return stages

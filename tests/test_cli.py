@@ -194,6 +194,18 @@ class TestSpectrum:
         assert "kappa" in out
         assert "BOUND VIOLATED" not in out
 
+    @pytest.mark.parametrize("precond, code", [("exact", EXIT_VIOLATION), ("practical", EXIT_OK)])
+    def test_verdict_is_the_reports(self, capsys, monkeypatch, precond, code):
+        # the CLI reads the report's bound check; only the exact preconditioner is judged
+        monkeypatch.setattr(msp.saddle.SpectrumReport, "cond_exceeds_bound", property(lambda rep: True))
+        got, out, _ = run_cli(
+            capsys,
+            "spectrum", "--problem", "distributed_very_weak", *SMALL,
+            "--precond", precond,
+        )
+        assert got == code
+        assert ("BOUND VIOLATED" in out) == (code == EXIT_VIOLATION)
+
     def test_three_block_problem(self, capsys):
         code, out, _ = run_cli(
             capsys,

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 import scipy.sparse.linalg
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from msp import problems as pb
@@ -226,6 +226,14 @@ class TestScaleInvariance:
 class TestScipyOracle:
     @settings(max_examples=30, deadline=None)
     @given(n=st.integers(2, 6), seed=st.integers(0, 2**32 - 1))
+    # draws whose exact-Schur P is so ill-conditioned (up to 1e16) that
+    # neither solver reaches tol in the Euclidean residual
+    @example(n=3, seed=88586733)
+    @example(n=4, seed=15)
+    @example(n=4, seed=608)
+    @example(n=5, seed=96)
+    @example(n=5, seed=538)
+    @example(n=6, seed=979)
     def test_matches_scipy_minres(self, n, seed):
         # random SPSD block systems preconditioned by their exact Schur
         # complements; both solvers must land within the stopping tolerance
@@ -239,11 +247,19 @@ class TestScipyOracle:
         ours = minres_solve(sys.apply, pre.apply_inverse, b, tol=tol)
         m = scipy.sparse.linalg.LinearOperator(dense.shape, matvec=pre.apply_inverse)
         theirs, info = scipy.sparse.linalg.minres(dense, b, M=m, rtol=1e-14, maxiter=50 * sys.total_dim)
-        assert ours.converged
-        assert np.linalg.norm(b - dense @ ours.solution) <= tol * np.linalg.norm(b)
+        ours_res = np.linalg.norm(b - dense @ ours.solution) / np.linalg.norm(b)
+        theirs_res = np.linalg.norm(b - dense @ theirs) / np.linalg.norm(b)
         kappa = np.linalg.cond(dense)
         gap = np.linalg.norm(ours.solution - theirs)
-        assert gap <= 10 * tol * kappa * np.linalg.norm(theirs)
+        if theirs_res <= tol:
+            assert ours.converged
+            assert ours_res <= tol
+            assert gap <= 10 * tol * kappa * np.linalg.norm(theirs)
+        else:
+            # scipy falls short of tol too: msp must do no worse, and the
+            # solutions agree to the residual scipy reached
+            assert ours_res <= theirs_res
+            assert gap <= 10 * theirs_res * kappa * np.linalg.norm(theirs)
 
 
 class TestFiniteTermination:

@@ -241,20 +241,21 @@ class TestExactSchurSpectrum:
     @pytest.mark.parametrize("pid", pb.PROBLEM_IDS)
     @pytest.mark.parametrize("level", [2, 3])
     @pytest.mark.parametrize("alpha", [1.0, 1e-2, 1e-5])
-    def test_matches_recursion_from_scratch(self, pid, level, alpha):
+    def test_matches_recursion_from_scratch(self, pid, level, alpha, schur_stages):
         # the practical leading blocks are the exact Schur complements, so
-        # reusing them changes nothing against the dense recursion from S_1
+        # reusing their factors changes nothing against the dense recursion from S_1
         prob = build(pid, d=2, p=2, level=level, alpha=alpha)
         merged = pb.exact_schur_precond(prob)
-        scratch = exact_schur(prob.system)
-        got = scipy.linalg.block_diag(*[b.to_dense() for b in merged.blocks])
-        want = scipy.linalg.block_diag(*[b.to_dense() for b in scratch.blocks])
+        got = scipy.linalg.block_diag(*[b.to_dense() for b in prob.practical_blocks[:-1]], *schur_stages)
+        schur_stages.clear()
+        exact_schur(prob.system)
+        want = scipy.linalg.block_diag(*schur_stages)
         for s in prob.system.block_slices():
             ref = np.max(np.abs(want[s, s]))
             assert np.max(np.abs(got[s, s] - want[s, s])) <= 1e-12 * ref
+        assert merged.blocks is None
         n_lead = len(prob.practical.blocks) - 1
         for i in range(n_lead):
-            assert merged.blocks[i] is prob.practical.blocks[i]
             assert merged.factors[i] is prob.practical.factors[i]
 
     def test_level_cap_enforced(self):
@@ -278,11 +279,13 @@ def _gram_cases():
 class TestExactSchurGramForm:
     @pytest.mark.parametrize("alpha", [1.0, 1e-2, 1e-5])
     @pytest.mark.parametrize("pid, d, p, level", list(_gram_cases()))
-    def test_last_stage_matches_the_recursion(self, pid, d, p, level, alpha):
+    def test_last_stage_matches_the_recursion(self, pid, d, p, level, alpha, schur_stages):
         # S_n from the cached alpha-free pieces against the dense recursion from S_1
         prob = build(pid, d=d, p=p, level=level, alpha=alpha)
-        got = pb.exact_schur_precond(prob).blocks[-1].to_dense()
-        want = exact_schur(prob.system).blocks[-1].to_dense()
+        pb.exact_schur_precond(prob)
+        exact_schur(prob.system)
+        got, want = schur_stages[0], schur_stages[-1]
+        assert len(schur_stages) == 1 + prob.system.n
         assert np.array_equal(got, got.T)
         assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
@@ -354,6 +357,33 @@ class TestExactSchurGramForm:
         finally:
             tracemalloc.stop()
         assert peak < 3 * 8 * m * m
+
+    def test_warm_preconditioner_keeps_only_factors(self, monkeypatch):
+        # the dense S_n lives only until it is factored: the preconditioner
+        # holds its factor, one stage-sized array, and no block matrix
+        prob = build("boundary_observation", d=2, p=2, level=4, alpha=1e-2)
+        pb.exact_schur_precond(prob)
+        m = prob.system.block_dims[-1]
+        stages = []
+        factor_stage = saddle.factor_stage
+
+        def tracked(i, s):
+            stages.append(weakref.ref(s))
+            return factor_stage(i, s)
+
+        monkeypatch.setattr(pb, "factor_stage", tracked)
+        tracemalloc.start()
+        try:
+            pre = pb.exact_schur_precond(prob)
+            grown, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert grown < 1.5 * 8 * m * m
+        assert len(stages) == 1 and stages[0]() is None
+        assert pre.blocks is None
+        assert pre.block_dims == [f.dim for f in pre.factors] == [b.dim for b in prob.practical_blocks]
+        again = saddle.SchurPreconditioner(factors=pre.factors)
+        assert again.blocks is None and again.block_dims == pre.block_dims
 
     def test_refused_before_any_cache_is_built(self):
         prob = build("distributed_very_weak", d=2, p=2, level=6)

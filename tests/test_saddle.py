@@ -97,16 +97,18 @@ class TestSystem:
 
 
 class TestSchurRecursion:
-    def test_matches_brute_force(self):
+    def test_matches_brute_force(self, schur_stages):
         rng = np.random.default_rng(5)
         for n in (2, 3, 4):
             sys = sd.random_spsd_system(n, rng)
             A_d = [a.to_dense() for a in sys.A]
             B_d = [np.array(b) for b in sys.B]  # random couplings are arrays
             want = brute_force_schur(A_d, B_d)
-            got = sd.exact_schur(sys)
-            for w, g in zip(want, got.blocks):
-                assert np.allclose(g.to_dense(), w, atol=1e-9)
+            schur_stages.clear()
+            assert sd.exact_schur(sys).blocks is None
+            assert len(schur_stages) == n
+            for w, g in zip(want, schur_stages):
+                assert np.allclose(g, w, atol=1e-9)
 
     def test_dense_limit_refused_before_densifying(self, monkeypatch):
         # S_2 of order DENSE_MODE_LIMIT + 1 is refused; S_1 alone is densified
@@ -153,12 +155,12 @@ class TestSchurRecursion:
 
 
 class TestPreconditioner:
-    def test_apply_and_inverse_are_mutual(self):
+    def test_apply_and_inverse_are_mutual(self, schur_stages):
         rng = np.random.default_rng(2)
         sys = sd.random_spsd_system(3, rng)
         pre = sd.exact_schur(sys)
         x = rng.standard_normal(sys.total_dim)
-        px = np.concatenate([blk.matvec(x[s]) for blk, s in zip(pre.blocks, sys.block_slices())])
+        px = np.concatenate([stage @ x[s] for stage, s in zip(schur_stages, sys.block_slices(), strict=True)])
         assert np.allclose(pre.apply_inverse(px), x, atol=1e-9)
 
     def test_indefinite_block_rejected(self):
@@ -206,10 +208,11 @@ class TestSpectrum:
         assert sd._dense_operator(sys).tobytes() == sd.assemble_full(sys).to_dense().tobytes()
 
     @staticmethod
-    def _assert_matches_pencil_oracle(sys, pre):
-        # the dense generalized problem (A, P) with P from the preconditioner's blocks
+    def _assert_matches_pencil_oracle(sys, pre, blocks):
+        # the dense generalized problem (A, P) with P = diag(blocks), the
+        # arrays the preconditioner's factors were computed from
         a = sd.assemble_full(sys).to_dense()
-        p = scipy.linalg.block_diag(*[b.to_dense() for b in pre.blocks])
+        p = scipy.linalg.block_diag(*blocks)
         want = np.sort(scipy.linalg.eigh(a, p, eigvals_only=True))
         got = sd.spectrum(sys, pre).eigenvalues
         assert np.max(np.abs(got - want) / np.abs(want)) <= 1e-12
@@ -217,11 +220,12 @@ class TestSpectrum:
         assert np.array_equal(reduced, reduced.T)
 
     @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
-    def test_matches_pencil_oracle_on_random_systems(self, n):
+    def test_matches_pencil_oracle_on_random_systems(self, n, schur_stages):
         rng = np.random.default_rng(80 + n)
         for _ in range(3):
             for sys in (sd.random_sharp_system(n, rng), sd.random_spsd_system(n, rng)):
-                self._assert_matches_pencil_oracle(sys, sd.exact_schur(sys))
+                schur_stages.clear()
+                self._assert_matches_pencil_oracle(sys, sd.exact_schur(sys), schur_stages)
 
     def test_matches_pencil_oracle_on_split_blocks(self):
         # S_1 given as two preconditioner blocks inside one system block
@@ -234,13 +238,19 @@ class TestSpectrum:
         stages = brute_force_schur(a, b)[1:]
         pre = sd.SchurPreconditioner([SparseSymMatrix.from_dense(m) for m in (d1, d2, *stages)])
         assert pre.block_dims == [2, 3, 2, 4]
-        self._assert_matches_pencil_oracle(sys, pre)
+        self._assert_matches_pencil_oracle(sys, pre, [b.to_dense() for b in pre.blocks])
 
     @pytest.mark.parametrize("variant", ["exact", "practical"])
     @pytest.mark.parametrize("pid", problems.PROBLEM_IDS)
-    def test_matches_pencil_oracle_on_problems(self, pid, variant):
+    def test_matches_pencil_oracle_on_problems(self, pid, variant, schur_stages):
         prob = problems.build_problem(problems.ProblemConfig(pid, d=2, p=2, level=3, alpha=1e-3))
-        self._assert_matches_pencil_oracle(prob.system, problems.make_preconditioner(prob, variant))
+        pre = problems.make_preconditioner(prob, variant)
+        if variant == "exact":
+            # the practical leading blocks are S_1..S_{n-1}; S_n is the one stage factored
+            blocks = [*(b.to_dense() for b in prob.practical_blocks[:-1]), *schur_stages]
+        else:
+            blocks = [b.to_dense() for b in pre.blocks]
+        self._assert_matches_pencil_oracle(prob.system, pre, blocks)
 
     def test_no_generalized_solve_and_no_dense_preconditioner(self, monkeypatch):
         eigh = scipy.linalg.eigh
@@ -295,6 +305,16 @@ class TestSpectrum:
         pre = sd.SchurPreconditioner([SparseSymMatrix.from_dense(np.eye(4))])
         with pytest.raises(ValueError, match="orders differ"):
             sd.spectrum(sys, pre)
+
+    def test_cond_exceeds_bound_only_beyond_the_slack(self):
+        sys = dense_system([[[1.0]], [[0.0]]], [[[1.0]]])
+        rep = sd.spectrum(sys, sd.exact_schur(sys))
+        edge = rep.bound_set.cond_bound * (1.0 + sd.BOUND_SLACK)
+        assert not rep.cond_exceeds_bound
+        rep.cond = edge
+        assert not rep.cond_exceeds_bound
+        rep.cond = np.nextafter(edge, np.inf)
+        assert rep.cond_exceeds_bound
 
     def test_report_json(self):
         sys = dense_system([[[1.0]], [[0.0]]], [[[1.0]]])

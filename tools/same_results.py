@@ -19,6 +19,12 @@ Two record sets, run in one process with one BLAS thread:
   1e-5); the 2D p=2 L6 --large table; two 3D tables; the 2D L5 --lanczos
   spectra (practical and exact); `verify --n 2..6 --trials 20 --seed 101`.
   Each `kappa =` line is printed in the clear too.
+* 200 verify systems, those of `verify --n 2..6 --trials 20 --seed 101`
+  (trial t draws from `default_rng(101 + t)`, the sharp system before the
+  SPSD one): each record hashes every `exact_schur` factor's `lower()` and
+  the `spectrum` eigenvalues.
+
+The first line is the line count of the `msp` package that `--src` names.
 
 The output ends with the 1D exact verdict table (exit codes of the p=2
 spectra; 1 is BOUND VIOLATED).  `--solutions FILE.npz` also saves the
@@ -142,6 +148,21 @@ def cli_records() -> dict[tuple[str, int, str], int]:
     return verdicts
 
 
+def verify_system_records() -> None:
+    import numpy as np
+    from msp import saddle
+
+    for n in range(2, 7):
+        for t in range(20):
+            rng = np.random.default_rng(101 + t)
+            for kind, draw in (("sharp", saddle.random_sharp_system), ("spsd", saddle.random_spsd_system)):
+                sys = draw(n, rng)
+                pre = saddle.exact_schur(sys)
+                factors = _digest(*(f.lower() for f in pre.factors))
+                ev = _digest(saddle.spectrum(sys, pre).eigenvalues)
+                print(f"verify-system n={n} t={t} {kind}: factors {factors} eigenvalues {ev}")
+
+
 def print_verdicts(verdicts: dict[tuple[str, int, str], int]) -> None:
     print("1D exact spectra, p=2: exit codes (1 = BOUND VIOLATED)")
     print(f"{'problem':<24} {'level':>5} " + " ".join(f"{a:>7}" for a in ALPHAS_1D))
@@ -177,10 +198,13 @@ def main(argv=None) -> int:
     sys.path.insert(0, args.src)
     import msp
 
-    print(f"msp from {Path(msp.__file__).resolve().parent}", file=sys.stderr)
+    package = Path(msp.__file__).resolve().parent
+    print(f"msp from {package}", file=sys.stderr)
+    print(f"src/msp lines: {sum(len(f.read_text().splitlines()) for f in package.glob('*.py'))}")
     solutions: dict = {}
     run_table_records(solutions)
     verdicts = cli_records()
+    verify_system_records()
     print_verdicts(verdicts)
     if args.solutions:
         import numpy as np
