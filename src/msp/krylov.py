@@ -1,12 +1,9 @@
 """Preconditioned MINRES for symmetric indefinite systems.
 
-Standard Paige-Saunders two-term recurrence with an SPD preconditioner.
-Iteration starts from a zero guess and stops when the Euclidean residual
-norm ||b - A x_k|| drops below tol ||b||.  Two histories are recorded: the
-energy norm sqrt(r_k' P^{-1} r_k), the natural quantity of the
-preconditioned Lanczos process (equal to the Euclidean norm of the
-symmetrically preconditioned residual), and the Euclidean norm the
-stopping test compares.
+The textbook Paige-Saunders recurrence (SIAM J. Numer. Anal. 12, 1975) with
+an SPD preconditioner P, from a zero guess, in plain array expressions whose
+operation order the tests pin.  The energy norm sqrt(r' P^{-1} r) it records
+is the Euclidean norm of the symmetrically preconditioned residual.
 """
 
 from __future__ import annotations
@@ -72,10 +69,6 @@ def minres_solve(
     residual_norms holds ||b||, then per step the Euclidean norm the test
     compared (the true residual's where one was formed); and `lanczos` the
     coefficients of the preconditioned Lanczos process.
-
-    The iterates, directions and residuals are updated in place on a fixed
-    set of work arrays, with the same floating-point operations in the same
-    order as the expressions in the comments.
     """
     check_stopping(tol, maxit)
     b = np.asarray(b, dtype=np.float64)
@@ -85,7 +78,8 @@ def minres_solve(
     x = np.zeros(n)
 
     bnorm0 = float(np.linalg.norm(b))
-    r2 = b.copy()
+    r = b  # the residual; no array below is written in place
+    r1 = r2 = b.copy()  # the last two Lanczos vectors; a copy, as the preconditioner receives r2
     y = apply_prec_inv(r2)
     beta1_sq = float(r2 @ y)
     if beta1_sq < 0:
@@ -96,44 +90,21 @@ def minres_solve(
     if beta1 == 0.0:
         return SolveResult(x, 0, [0.0], True, residual_norms=norms)
 
-    oldb = 0.0
-    beta = beta1
-    dbar = 0.0
-    epsln = 0.0
-    phibar = beta1
-    cs = -1.0
-    sn = 0.0
-    anorm = 0.0
-    # work arrays, updated in place: the last three w and A w, the residual,
-    # the last two Lanczos vectors (each new one is formed in the older one's
-    # buffer; r1 is spare until the first step) and a temporary
-    w, w1, w2 = np.zeros(n), np.zeros(n), np.zeros(n)
-    aw, aw1, aw2 = np.zeros(n), np.zeros(n), np.zeros(n)
-    r = b.copy()
-    r1 = np.empty(n)
-    v = np.empty(n)
-    tmp = np.empty(n)
-    converged = False
-    breakdown_at = None
-    itn = 0
+    oldb, beta, phibar = 0.0, beta1, beta1
+    cs, sn, dbar, epsln, anorm = -1.0, 0.0, 0.0, 0.0, 0.0
+    # the last three directions w and their products A w
+    w = w1 = w2 = aw = aw1 = aw2 = np.zeros(n)
+    converged, breakdown_at = False, None
     alphas: list[float] = []
     betas: list[float] = []
 
-    while itn < maxit:
-        itn += 1
-        s = 1.0 / beta
-        np.multiply(s, y, out=v)
+    for itn in range(1, maxit + 1):
+        v = (1.0 / beta) * y
         av = apply_a(v)
-        # y = A v - (beta / oldb) r1 - (alfa / beta) r2, formed in r1's buffer
-        if itn >= 2:
-            np.multiply(beta / oldb, r1, out=tmp)
-            np.subtract(av, tmp, out=r1)
-        else:
-            r1[:] = av
-        alfa = float(v @ r1)
-        np.multiply(alfa / beta, r2, out=tmp)
-        np.subtract(r1, tmp, out=r1)
-        r1, r2 = r2, r1
+        y = av - (beta / oldb) * r1 if itn >= 2 else av
+        alfa = float(v @ y)
+        y = y - (alfa / beta) * r2
+        r1, r2 = r2, y
         y = apply_prec_inv(r2)
         oldb = beta
         beta_sq = float(r2 @ y)
@@ -158,21 +129,17 @@ def minres_solve(
         phi = cs * phibar
         phibar = sn * phibar
 
-        # w = (v - oldeps w1 - delta w2) / gamma in the oldest w's buffer, and A w alike
-        w1, w2, w = w2, w, w1
-        _next_direction(v, oldeps, w1, delta, w2, gamma, w, tmp)
-        # x = x + phi w, and below r = r - phi A w
-        np.multiply(phi, w, out=tmp)
-        np.add(x, tmp, out=x)
-
+        # A w follows the recurrence of w, so r = b - A x is updated without an operator apply
+        w1, w2 = w2, w
+        w = (v - oldeps * w1 - delta * w2) / gamma
+        aw1, aw2 = aw2, aw
+        aw = (av - oldeps * aw1 - delta * aw2) / gamma
+        x = x + phi * w
+        r = r - phi * aw
         history.append(abs(phibar))
-        aw1, aw2, aw = aw2, aw, aw1
-        _next_direction(av, oldeps, aw1, delta, aw2, gamma, aw, tmp)
-        np.multiply(phi, aw, out=tmp)
-        np.subtract(r, tmp, out=r)
         rnorm = np.linalg.norm(r)
         if rnorm <= tol * bnorm0:
-            np.subtract(b, apply_a(x), out=r)
+            r = b - apply_a(x)
             rnorm = np.linalg.norm(r)
             converged = rnorm <= tol * bnorm0
         norms.append(float(rnorm))
@@ -183,15 +150,6 @@ def minres_solve(
             break
 
     return SolveResult(x, itn, history, converged, breakdown_at, (alphas, betas), norms)
-
-
-def _next_direction(v, oldeps, w1, delta, w2, gamma, out, tmp) -> None:
-    """out = (v - oldeps w1 - delta w2) / gamma, operation for operation; out may be neither w1 nor w2."""
-    np.multiply(oldeps, w1, out=out)
-    np.subtract(v, out, out=out)
-    np.multiply(delta, w2, out=tmp)
-    np.subtract(out, tmp, out=out)
-    np.divide(out, gamma, out=out)
 
 
 def lanczos_bounds(res: SolveResult) -> tuple[float, float]:

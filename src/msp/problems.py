@@ -340,7 +340,7 @@ def exact_schur_precond(prob: AssembledProblem) -> SchurPreconditioner:
     S_3 = A_3 + alpha G for the three-block problems, and S_2 = G + Z / alpha
     for the two-block ones (Z = M_int for distributed control, N' M_d^-1 N
     for boundary control).  It is refused above the dense limit before
-    anything is densified, and the dense S_n is dropped once it is factored.
+    anything is densified, and the dense S_n is factored in its own buffer.
     """
     n, a, ops = prob.system.n, prob.config.alpha, prob.ops
     check_stage_order(n, prob.system.block_dims[-1])
@@ -352,9 +352,7 @@ def exact_schur_precond(prob: AssembledProblem) -> SchurPreconditioner:
         s, rest = np.divide(ops.normal_trace_gram, a), None
         s += ops.laplacian_gram
     if rest is not None:
-        # a canonical CSR holds each (row, col) once, so += adds each entry once
-        coo = rest.to_csr().tocoo()
-        s[coo.row, coo.col] += coo.data
+        rest.add_to(s)
     return SchurPreconditioner(factors=[*prob.lead_factors, factor_stage(n, s)])
 
 

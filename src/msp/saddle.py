@@ -177,53 +177,48 @@ class SchurPreconditioner:
 def _dense_operator(sys: BlockTridiagSystem) -> np.ndarray:
     """The full operator as an array, entry for entry `assemble_full(sys).to_dense()`.
 
-    Each block is written in its place; a sparse one is not densified first.
+    Each block is written in its place from its stored form, as `toarray`
+    would write it: a sparse one summed entry by entry in stored order.  A
+    -A_i block is subtracted from 0.0, so no zero turns into -0.0.
     """
     full = np.zeros((sys.total_dim, sys.total_dim))
     slices = sys.block_slices()
     for i, s in enumerate(slices):
-        a = sys.A[i]
-        _write_block(full[s, s], a.to_csr() if isinstance(a, SparseSymMatrix) else a.to_dense(), i % 2)
+        sys.A[i].add_to(full[s, s])
+        if i % 2:
+            np.subtract(0.0, full[s, s], out=full[s, s])
         if i > 0:
-            prev = slices[i - 1]
-            _write_block(full[s, prev], sys.B[i - 1])
-            _write_block(full[prev, s].T, sys.B[i - 1])
+            prev, b = slices[i - 1], sys.B[i - 1]
+            if scipy.sparse.issparse(b):
+                coo = b.tocoo()
+                np.add.at(full[s, prev], (coo.row, coo.col), coo.data)
+            else:
+                full[s, prev] = b
+            full[prev, s] = full[s, prev].T
     return full
-
-
-def _write_block(out: np.ndarray, m: scipy.sparse.spmatrix | np.ndarray, negate: bool = False) -> None:
-    """Write m, or 0.0 - m, into the zeros of `out`, bitwise as from `m.toarray()`.
-
-    A sparse m is summed into place entry by entry in stored order, as
-    `toarray` sums it; an array is copied.  Subtracting from the zeros
-    negates without turning a zero into -0.0.
-    """
-    if scipy.sparse.issparse(m):
-        coo = m.tocoo()
-        (np.subtract if negate else np.add).at(out, (coo.row, coo.col), coo.data)
-    elif negate:
-        np.subtract(out, m, out=out)
-    else:
-        out[...] = m
 
 
 def exact_schur(sys: BlockTridiagSystem) -> SchurPreconditioner:
     """Build the exact Schur-complement preconditioner by the dense recursion.
 
-    S_1 = A_1, S_{i+1} = A_{i+1} + B_i S_i^{-1} B_i', each stage averaged
-    with its transpose and dropped once factored.  A stage of order above
-    DENSE_MODE_LIMIT raises ValueError before it is densified; any stage
-    that fails to be SPD raises NotPositiveDefinite naming the failing index.
+    S_1 = A_1, S_{i+1} = A_{i+1} + B_i S_i^{-1} B_i' (the A_i read, not copied),
+    each stage averaged with its transpose and factored in its own buffer.  A
+    stage of order above DENSE_MODE_LIMIT raises ValueError before it is
+    densified; a stage that is not SPD raises NotPositiveDefinite naming it.
     """
     factors = []
-    for i in range(sys.n):
-        check_stage_order(i + 1, sys.block_dims[i])
-        s = sys.A[i].to_dense()
-        if i > 0:
+    for i, a in enumerate(sys.A):
+        check_stage_order(i + 1, a.dim)
+        if i == 0:
+            s = a.to_dense()
+        else:
             b = sys.B[i - 1]
             b = b.toarray() if scipy.sparse.issparse(b) else b
-            s = s + b @ solve_chol(factors[-1], b.T)
-        factors.append(factor_stage(i + 1, 0.5 * (s + s.T)))
+            s = b @ solve_chol(factors[-1], b.T)
+            a.add_to(s)
+        s += s.T
+        s *= 0.5
+        factors.append(factor_stage(i + 1, s))
     return SchurPreconditioner(factors=factors)
 
 
@@ -237,9 +232,9 @@ def check_stage_order(i: int, dim: int) -> None:
 
 
 def factor_stage(i: int, s: np.ndarray) -> CholeskyFactor:
-    """The factor of S_i from its exactly symmetric array `s` (taken over, not kept); NotPositiveDefinite names S_i."""
+    """The factor of S_i from its exactly symmetric array `s`, taken over and overwritten; NotPositiveDefinite names S_i."""
     try:
-        return cholesky(DenseSymMatrix._trusted(s))
+        return cholesky(s)
     except NotPositiveDefinite as exc:
         raise NotPositiveDefinite(f"Schur complement S_{i} is not SPD: {exc}") from exc
 

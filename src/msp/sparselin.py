@@ -88,6 +88,11 @@ class SparseSymMatrix:
     def to_dense(self) -> np.ndarray:
         return self.to_csr().toarray()
 
+    def add_to(self, out: np.ndarray) -> None:
+        """Add this matrix into the array `out` in place: each stored entry once, as the canonical CSR holds it once."""
+        coo = self.to_csr().tocoo()
+        out[coo.row, coo.col] += coo.data
+
     @classmethod
     def _trusted(cls, full: scipy.sparse.csr_matrix) -> "SparseSymMatrix":
         """Wrap an exactly symmetric canonical CSR without re-validation; explicit zeros go."""
@@ -159,6 +164,10 @@ class DenseSymMatrix:
         """A copy of the stored array."""
         return self._a.copy()
 
+    def add_to(self, out: np.ndarray) -> None:
+        """Add this matrix into the array `out` in place."""
+        out += self._a
+
 
 @dataclass
 class CholeskyFactor:
@@ -183,13 +192,12 @@ class CholeskyFactor:
 
         A dense factor is stored lower with a zeroed strict upper triangle
         (`cholesky` asks for both); a banded one (LAPACK's upper band of U,
-        with L = U') is expanded.  The stored factor is scaled by sqrt(scale)
-        before it is expanded.
+        with L = U') is expanded after scaling by sqrt(scale).  An unscaled
+        dense factor is the stored array itself: read it, do not write it.
         """
-        s = np.sqrt(self.scale)
         if self.mode == "dense":
-            return self.data[0] * s
-        band = self.data * s
+            return self.data[0] if self.scale == 1.0 else self.data[0] * np.sqrt(self.scale)
+        band = self.data * np.sqrt(self.scale)
         bw = band.shape[0] - 1
         out = np.zeros((self.dim, self.dim), order="F")
         for k in range(bw + 1):
@@ -210,7 +218,7 @@ def physical_memory_bytes() -> int | None:
         return None
 
 
-def cholesky(m: SparseSymMatrix | DenseSymMatrix) -> CholeskyFactor:
+def cholesky(m: SparseSymMatrix | DenseSymMatrix | np.ndarray) -> CholeskyFactor:
     """Factor an SPD matrix; raises NotPositiveDefinite on pivot failure.
 
     The band width is read off the nonzero entries (of a dense array, its
@@ -222,8 +230,13 @@ def cholesky(m: SparseSymMatrix | DenseSymMatrix) -> CholeskyFactor:
     bytes exceed the host's physical memory raises ValueError, and so does
     an inf or NaN entry.  LAPACK factors the band array built here, or the
     copy that `to_dense` makes (in Fortran order, which for a symmetric
-    array is its transpose), in place.
+    array is its transpose), in place: `m` is left as it is.  A bare array
+    (exactly symmetric, C-ordered float64, held by no one else: a computed
+    Schur stage) is taken over instead, and a dense factor overwrites it.
     """
+    taken = isinstance(m, np.ndarray)
+    if taken:
+        m = DenseSymMatrix._trusted(m)
     n = m.dim
     if n == 0:
         return CholeskyFactor(0, "dense", (np.zeros((0, 0)), True))
@@ -231,7 +244,7 @@ def cholesky(m: SparseSymMatrix | DenseSymMatrix) -> CholeskyFactor:
         a = m._a
         bw = next((k for k in range(n - 1, 0, -1) if a.diagonal(-k).any()), 0)
         diag_max = float(np.abs(a.diagonal()).max())
-        finite = bool(np.isfinite(a).all())
+        finite = bool(np.isfinite(a.min()) and np.isfinite(a.max()))  # no n x n flags
     else:
         coo = m.to_csr().tocoo()
         row, col, val = coo.row, coo.col, coo.data
@@ -265,7 +278,7 @@ def cholesky(m: SparseSymMatrix | DenseSymMatrix) -> CholeskyFactor:
         pivots = factor[bw]
         mode, data = "banded", factor
     else:
-        c, info = lapack.dpotrf(m.to_dense().T, lower=1, clean=1, overwrite_a=1)
+        c, info = lapack.dpotrf((m._a if taken else m.to_dense()).T, lower=1, clean=1, overwrite_a=1)
         if info > 0:
             raise NotPositiveDefinite(f"{info}-th leading minor of the array is not positive definite")
         pivots = c.diagonal()
@@ -335,10 +348,10 @@ def sym_eig_overwrite(a: np.ndarray) -> np.ndarray:
     """
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError("expected a square matrix")
-    if not np.isfinite(a).all():
-        raise ValueError("array must not contain infs or NaNs")
     if a.size == 0:
         return np.zeros(0)
+    if not (np.isfinite(a.min()) and np.isfinite(a.max())):  # no n x n flags: min and max propagate a NaN
+        raise ValueError("array must not contain infs or NaNs")
     work, iwork, _ = lapack.dsyevr_lwork(a.shape[0], lower=1)
     w, _, _, _, info = lapack.dsyevr(a, compute_v=0, lower=1, lwork=int(work), liwork=iwork, overwrite_a=1)
     if info:

@@ -9,16 +9,16 @@ from msp import problems, saddle
 def schur_stages(monkeypatch):
     """The dense Schur stages factored by `saddle.factor_stage`, in call order.
 
-    A preconditioner keeps only the factors, so tests that check the stages
-    themselves read them here: each is the very array that was factored.
+    A preconditioner keeps only the factors, and the factor overwrites its
+    stage, so tests that check the stages themselves read them here: each is
+    a copy of the array taken just before it was factored.
     """
     stages = []
     factor_stage = saddle.factor_stage
 
     def recording(i, s):
-        f = factor_stage(i, s)
-        stages.append(s)
-        return f
+        stages.append(s.copy())
+        return factor_stage(i, s)
 
     for mod in (saddle, problems):
         monkeypatch.setattr(mod, "factor_stage", recording)

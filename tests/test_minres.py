@@ -359,3 +359,79 @@ class TestLanczosBounds:
                 random_start_run(prob.system.apply, perturbed_inverse, prob.system.total_dim)
             )
             assert s_max / s_min > bounds(prob.system.n).cond_bound, prob.config
+
+
+def textbook_minres(apply_a, apply_prec_inv, b, tol, maxit):
+    """Preconditioned MINRES as Paige and Saunders write it, with msp's Euclidean stop.
+
+    The operation order is the one `minres_solve` is held to: v = (1/beta) y;
+    y = (A v - (beta/beta_old) r1) - (alpha/beta) r2; w = ((v - eps_old w1)
+    - delta w2) / gamma, A w alike; x + phi w; r - phi A w.  Returns
+    (x, energy norms, Euclidean norms, alphas, betas).
+    """
+    eps = np.finfo(float).eps
+    x = np.zeros(len(b))
+    r1 = r2 = b.copy()
+    y = apply_prec_inv(r2)
+    beta = np.sqrt(r2 @ y)
+    energy, euclid, alphas, betas = [beta], [np.linalg.norm(b)], [], []
+    oldb, phibar, cs, sn, dbar, epsln, anorm = 0.0, beta, -1.0, 0.0, 0.0, 0.0, 0.0
+    w1 = w2 = w = aw1 = aw2 = aw = np.zeros(len(b))
+    r = b
+    for itn in range(1, maxit + 1):
+        v = (1.0 / beta) * y
+        av = apply_a(v)
+        y = av - (beta / oldb) * r1 if itn > 1 else av
+        alpha = v @ y
+        y = y - (alpha / beta) * r2
+        r1, r2 = r2, y
+        y = apply_prec_inv(r2)
+        oldb, beta = beta, np.sqrt(r2 @ y)
+        anorm = max(anorm, abs(alpha), beta)
+        alphas.append(alpha)
+        betas.append(beta)
+        oldeps, delta, gbar = epsln, cs * dbar + sn * alpha, sn * dbar - cs * alpha
+        epsln, dbar = sn * beta, -cs * beta
+        gamma = max(np.sqrt(gbar**2 + beta**2), eps * anorm, np.finfo(float).tiny)
+        cs, sn = gbar / gamma, beta / gamma
+        phi, phibar = cs * phibar, sn * phibar
+        w1, w2 = w2, w
+        w = ((v - oldeps * w1) - delta * w2) / gamma
+        aw1, aw2 = aw2, aw
+        aw = ((av - oldeps * aw1) - delta * aw2) / gamma
+        x = x + phi * w
+        r = r - phi * aw
+        energy.append(abs(phibar))
+        rnorm = np.linalg.norm(r)
+        if rnorm <= tol * euclid[0]:
+            r = b - apply_a(x)
+            rnorm = np.linalg.norm(r)
+        euclid.append(rnorm)
+        if rnorm <= tol * euclid[0] or beta <= 10 * eps * anorm:
+            break
+    return x, energy, euclid, alphas, betas
+
+
+class TestTextbookOracle:
+    # bit for bit: any reordering of MINRES's arithmetic shows here first
+
+    @staticmethod
+    def _assert_same_bits(apply_a, apply_prec_inv, b):
+        res = minres_solve(apply_a, apply_prec_inv, b, tol=1e-10, maxit=300)
+        x, energy, euclid, alphas, betas = textbook_minres(apply_a, apply_prec_inv, b, 1e-10, 300)
+        assert res.converged
+        assert res.solution.tobytes() == x.tobytes()
+        assert res.residual_history == energy
+        assert res.residual_norms == euclid
+        assert res.lanczos == (alphas, betas)
+
+    def test_random_preconditioned_indefinite_system(self):
+        rng = np.random.default_rng(31)
+        g = rng.standard_normal((50, 50))
+        a = g + g.T
+        d = rng.uniform(0.5, 5.0, 50)
+        self._assert_same_bits(lambda v: a @ v, lambda r: r / d, rng.standard_normal(50))
+
+    def test_control_problem(self):
+        prob = pb.build_problem(pb.ProblemConfig("boundary_observation", d=2, p=2, level=3, alpha=1e-3))
+        self._assert_same_bits(prob.system.apply, prob.practical.apply_inverse, prob.rhs)

@@ -142,6 +142,14 @@ class TestSchurRecursion:
         with pytest.raises(NotPositiveDefinite, match=message):
             sd.exact_schur(sys)
 
+    def test_blocks_are_read_not_written(self):
+        # each stage is factored in its own buffer, never in a block of the system
+        rng = np.random.default_rng(18)
+        for sys in (sd.random_spsd_system(4, rng), sd.random_sharp_system(3, rng)):
+            before = [a.to_dense() for a in sys.A]
+            sd.exact_schur(sys)
+            assert all(np.array_equal(a.to_dense(), b) for a, b in zip(sys.A, before))
+
     def test_lu_existence(self):
         # when the recursion succeeds, the full matrix is invertible
         rng = np.random.default_rng(17)

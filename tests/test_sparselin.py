@@ -185,6 +185,23 @@ class TestCholesky:
         x = rng.standard_normal(n)
         assert np.allclose(sl.solve_chol(f, a @ x), x, atol=1e-8)
 
+    def test_bare_array_is_factored_in_its_own_buffer(self):
+        # a matrix is left as it is; a bare array is taken over, and the
+        # factor, bitwise the same, is formed in it
+        a = random_spd(9, seed=14)
+        m = sl.DenseSymMatrix(a)
+        want = sl.cholesky(m)
+        assert np.array_equal(m.to_dense(), a)
+        got = sl.cholesky(a)
+        assert got.mode == want.mode == "dense"
+        assert got.data[0].tobytes() == want.data[0].tobytes()
+        assert np.shares_memory(got.data[0], a)
+
+    def test_unscaled_dense_lower_is_the_stored_factor(self):
+        f = sl.cholesky(sl.DenseSymMatrix(random_spd(6, seed=15)))
+        assert f.lower() is f.data[0]
+        assert f.scaled(2.0).lower() is not f.data[0]
+
     def test_matrix_rhs(self):
         a = random_spd(8, seed=7)
         f = sl.cholesky(sl.SparseSymMatrix.from_dense(a))
@@ -416,6 +433,11 @@ class TestEigen:
         assert not np.array_equal(a, before)
         for bad, match in ((np.ones((3, 2), order="F"), "square"), (np.full((2, 2), np.inf, order="F"), "NaN")):
             with pytest.raises(ValueError, match=match):
+                sl.sym_eig_overwrite(bad)
+        for value in (np.nan, -np.inf):
+            bad = np.asfortranarray(np.eye(3))
+            bad[2, 1] = value
+            with pytest.raises(ValueError, match="NaN"):
                 sl.sym_eig_overwrite(bad)
 
     def test_non_square_raises_and_empty_is_empty(self):

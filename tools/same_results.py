@@ -5,7 +5,18 @@
     python3 tools/same_results.py --src /path/to/other/checkout/src > parent.txt
     diff parent.txt change.txt
 
-Two record sets, run in one process with one BLAS thread:
+or, in one step against a commit of this repository:
+
+    python3 tools/same_results.py --against HEAD
+
+`--against REF` checks REF out with `git worktree add --detach` into a
+temporary directory, runs the record sets of REF's `src` and of this
+checkout's `src` one after the other, each in its own process with one BLAS
+thread, and prints the unified diff of the two outputs.  It exits 0 when only
+the first line (the line count) differs, 1 otherwise, and 2 when git cannot
+check REF out; the worktree is removed whatever happens.
+
+Three record sets, run in one process with one BLAS thread:
 
 * 312 `run_table` records: four problems x 1D L3-L4, 2D L3, 3D L2 (twisted
   extrusion; `boundary_control` 2D only) x p 2-3 x practical/exact x six
@@ -36,11 +47,16 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import difflib
 import hashlib
 import io
 import os
+import subprocess
 import sys
+import tempfile
 from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
 
 ALPHAS_1D = ("1", "0.01", "0.001", "1e-05")
 PROBLEMS = ("distributed_very_weak", "distributed_strong", "boundary_control", "boundary_observation")
@@ -184,15 +200,43 @@ def diff_solutions(a_path: str, b_path: str) -> int:
     return 0
 
 
+def _records_of(src: Path) -> list[str]:
+    """The record lines of the msp package under `src`, from a child process (`main` sets one BLAS thread)."""
+    out = subprocess.run([sys.executable, __file__, "--src", str(src)], check=True, stdout=subprocess.PIPE, text=True)
+    return out.stdout.splitlines()
+
+
+def against(ref: str) -> int:
+    """Diff the records of commit `ref` against this checkout's; 0 when only the line count differs."""
+    with tempfile.TemporaryDirectory(prefix="same_results_") as tmp:
+        tree = Path(tmp) / "ref"
+        if subprocess.run(["git", "-C", str(ROOT), "worktree", "add", "--detach", str(tree), ref],
+                          stdout=subprocess.DEVNULL).returncode:
+            return 2  # git has said why
+        try:
+            old = _records_of(tree / "src")
+        finally:
+            subprocess.run(["git", "-C", str(ROOT), "worktree", "remove", "--force", str(tree)], check=True)
+    new = _records_of(ROOT / "src")
+    for line in difflib.unified_diff(old, new, ref, "this checkout", lineterm=""):
+        print(line)
+    same = old[1:] == new[1:]
+    print(f"{len(new)} lines; {'only the line count differs' if same else 'records differ'}", file=sys.stderr)
+    return 0 if same else 1
+
+
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    ap.add_argument("--src", default=str(Path(__file__).resolve().parent.parent / "src"),
+    ap.add_argument("--src", default=str(ROOT / "src"),
                     help="directory holding the msp package to run (default: this checkout's src)")
     ap.add_argument("--solutions", metavar="FILE.npz", help="also save the 312 solutions")
     ap.add_argument("--diff", nargs=2, metavar=("A.npz", "B.npz"), help="compare two saved solution sets and exit")
+    ap.add_argument("--against", metavar="REF", help="diff the records of git commit REF against this checkout's")
     args = ap.parse_args(argv)
     if args.diff:
         return diff_solutions(*args.diff)
+    if args.against:
+        return against(args.against)
     for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
         os.environ[var] = "1"  # before numpy is first imported
     sys.path.insert(0, args.src)
