@@ -17,11 +17,12 @@ from .problems import (
     DEFAULT_ALPHAS,
     PROBLEM_IDS,
     ProblemConfig,
+    block_dims,
     build_problem,
     make_preconditioner,
 )
 from .run import format_table, run_table
-from .saddle import DENSE_MODE_LIMIT, spectrum, verify_sharpness
+from .saddle import DENSE_MODE_LIMIT, check_stage_order, spectrum, verify_sharpness
 from .sparselin import NotPositiveDefinite, write_matrix_market
 from .krylov import lanczos_bounds, minres_solve
 
@@ -158,19 +159,21 @@ def cmd_table(args: argparse.Namespace) -> int:
 def cmd_spectrum(args: argparse.Namespace) -> int:
     level, alpha = _single_case(args)
     variant = _VARIANTS[args.precond]
-    prob = build_problem(_problem_config(args, level, alpha))
+    cfg = _problem_config(args, level, alpha)
+    dims = block_dims(cfg)  # the refusals below need no assembly
+    total = sum(dims)
+    if total > DENSE_MODE_LIMIT and not args.lanczos:
+        print(f"system dimension {total} exceeds the dense cap {DENSE_MODE_LIMIT}; rerun with --lanczos")
+        return EXIT_CONFIG
+    if variant == "exact_schur":
+        check_stage_order(len(dims), dims[-1])
+    prob = build_problem(cfg)
     n = prob.system.n
     bound = chebyshev.bounds(n).cond_bound
-    if prob.system.total_dim > DENSE_MODE_LIMIT and not args.lanczos:
-        print(
-            f"system dimension {prob.system.total_dim} exceeds the dense cap "
-            f"{DENSE_MODE_LIMIT}; rerun with --lanczos"
-        )
-        return EXIT_CONFIG
     precond = make_preconditioner(prob, variant)
     print(f"problem={args.problem} level={level} alpha={alpha:g} precond={variant}")
-    if prob.system.total_dim > DENSE_MODE_LIMIT:
-        rhs = np.random.default_rng(0).standard_normal(prob.system.total_dim)
+    if total > DENSE_MODE_LIMIT:
+        rhs = np.random.default_rng(0).standard_normal(total)
         res = minres_solve(prob.system.apply, precond.apply_inverse, rhs, tol=1e-10)
         s_max, s_min = lanczos_bounds(res)
         print(

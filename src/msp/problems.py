@@ -225,6 +225,23 @@ def get_operators(d: int, p: int, level: int, geometry: str) -> DiscreteOperator
     return DiscreteOperators(d, p, level, geometry)
 
 
+def block_dims(cfg: ProblemConfig) -> list[int]:
+    """The block orders of `cfg`'s system, read from its mesh's spaces without assembling.
+
+    With W the spline space, U its zero-trace subspace and T the trace
+    space: [W, W, U] for the three-block problems, [2W, U] for
+    `distributed_very_weak` and [W + T, U] for `boundary_control`.  An
+    unknown geometry raises here, as it does in `build_problem`.
+    """
+    ops = get_operators(cfg.d, cfg.p, cfg.level, cfg.geometry)
+    w, u = ops.space.dim, len(ops.interior)
+    if cfg.problem in ("boundary_observation", "distributed_strong"):
+        return [w, w, u]
+    if cfg.problem == "distributed_very_weak":
+        return [2 * w, u]
+    return [w + assembly.TraceSpace(ops.space).dim, u]
+
+
 @dataclass
 class AssembledProblem:
     """A built optimality system with the blocks of its practical preconditioner.
@@ -241,7 +258,6 @@ class AssembledProblem:
     rhs: np.ndarray
     practical_blocks: list[SparseSymMatrix]
     lead_factors: list[CholeskyFactor]
-    labels: tuple[str, ...]
     ops: DiscreteOperators = field(repr=False, default=None)
 
     @property
@@ -278,7 +294,7 @@ def _three_block(
     rhs = np.concatenate([np.zeros(2 * m.dim), rhs3])
     blocks = [am, m.scaled(1.0 / a), a3.add(ops.biharmonic_int, a)]
     factors = [ops.mass_factor.scaled(a), ops.mass_factor.scaled(1.0 / a)]
-    return AssembledProblem(cfg, system, rhs, blocks, factors, ("f", "w", "u"), ops)
+    return AssembledProblem(cfg, system, rhs, blocks, factors, ops)
 
 
 def _two_block(
@@ -305,7 +321,7 @@ def _two_block(
     rhs = np.concatenate([ops.rhs_l2_data, np.zeros(x.dim + nz)])
     blocks = [m, x.scaled(a), z.scaled(1.0 / a).add(ops.biharmonic_int)]
     factors = [ops.mass_factor, x_factor.scaled(a)]
-    return AssembledProblem(cfg, system, rhs, blocks, factors, ("u", "f", "w"), ops)
+    return AssembledProblem(cfg, system, rhs, blocks, factors, ops)
 
 
 def build_problem(cfg: ProblemConfig) -> AssembledProblem:
@@ -356,9 +372,12 @@ def exact_schur_precond(prob: AssembledProblem) -> SchurPreconditioner:
     return SchurPreconditioner(factors=[*prob.lead_factors, factor_stage(n, s)])
 
 
+EXACT_VARIANTS = ("exact", "exact_schur")
+
+
 def make_preconditioner(prob: AssembledProblem, variant: str) -> SchurPreconditioner:
     if variant == "practical":
         return prob.practical
-    if variant in ("exact", "exact_schur"):
+    if variant in EXACT_VARIANTS:
         return exact_schur_precond(prob)
     raise ValueError(f"unknown preconditioner variant {variant!r}")

@@ -5,8 +5,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .krylov import SolveResult, check_stopping, minres_solve
-from .problems import AssembledProblem, ProblemConfig, build_problem, make_preconditioner
-from .saddle import SchurPreconditioner
+from .problems import EXACT_VARIANTS, AssembledProblem, ProblemConfig, block_dims, build_problem, make_preconditioner
+from .saddle import SchurPreconditioner, check_stage_order
 
 
 def solve_problem(
@@ -48,14 +48,20 @@ def run_table(
 ) -> list[TableCell]:
     """Iteration counts over a levels-by-alphas grid, one problem and variant.
 
-    tol and maxit are checked before any problem is built.
+    tol and maxit, then each cell's configuration and, for the exact
+    variant, the order of its dense last Schur stage are checked in cell
+    order before any problem is built.
     """
     check_stopping(tol, maxit)
-    return [
-        _table_cell(ProblemConfig(problem, d, p, level, alpha, geometry), precond_variant, tol, maxit)
-        for level in levels
-        for alpha in alphas
-    ]
+    cfgs = []
+    for level in levels:
+        for alpha in alphas:
+            cfg = ProblemConfig(problem, d, p, level, alpha, geometry)
+            dims = block_dims(cfg)
+            if precond_variant in EXACT_VARIANTS:
+                check_stage_order(len(dims), dims[-1])
+            cfgs.append(cfg)
+    return [_table_cell(cfg, precond_variant, tol, maxit) for cfg in cfgs]
 
 
 def _table_cell(cfg: ProblemConfig, precond_variant: str, tol: float, maxit: int) -> TableCell:

@@ -10,7 +10,6 @@ from :mod:`msp.chebyshev`, including their sharpness when A_i = 0 for i >= 2.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import accumulate
@@ -177,9 +176,9 @@ class SchurPreconditioner:
 def _dense_operator(sys: BlockTridiagSystem) -> np.ndarray:
     """The full operator as an array, entry for entry `assemble_full(sys).to_dense()`.
 
-    Each block is written in its place from its stored form, as `toarray`
-    would write it: a sparse one summed entry by entry in stored order.  A
-    -A_i block is subtracted from 0.0, so no zero turns into -0.0.
+    Each A_i is added in its place from its stored form and each coupling
+    written as its dense form, its transpose by copy.  A -A_i block is
+    subtracted from 0.0, so no zero turns into -0.0.
     """
     full = np.zeros((sys.total_dim, sys.total_dim))
     slices = sys.block_slices()
@@ -189,11 +188,7 @@ def _dense_operator(sys: BlockTridiagSystem) -> np.ndarray:
             np.subtract(0.0, full[s, s], out=full[s, s])
         if i > 0:
             prev, b = slices[i - 1], sys.B[i - 1]
-            if scipy.sparse.issparse(b):
-                coo = b.tocoo()
-                np.add.at(full[s, prev], (coo.row, coo.col), coo.data)
-            else:
-                full[s, prev] = b
+            full[s, prev] = b.toarray() if scipy.sparse.issparse(b) else b
             full[prev, s] = full[s, prev].T
     return full
 
@@ -254,24 +249,6 @@ class SpectrumReport:
     def cond_exceeds_bound(self) -> bool:
         """kappa above the closed-form bound beyond BOUND_SLACK: for the exact preconditioner, a violation."""
         return self.cond > self.bound_set.cond_bound * (1.0 + BOUND_SLACK)
-
-    def to_json(self) -> str:
-        return json.dumps(
-            {
-                "n": self.bound_set.n,
-                "norm": self.norm,
-                "inv_norm": self.inv_norm,
-                "cond": self.cond,
-                "norm_bound": self.bound_set.norm_bound,
-                "inv_norm_bound": self.bound_set.inv_norm_bound,
-                "cond_bound": self.bound_set.cond_bound,
-                "within_bounds": bool(self.within_bounds),
-                "lambda_min": float(self.eigenvalues[0]),
-                "lambda_max": float(self.eigenvalues[-1]),
-                "eigenvalues": [float(v) for v in self.eigenvalues],
-            },
-            indent=2,
-        )
 
 
 # Relative slack on the closed-form bounds when a computed spectrum is judged.

@@ -15,8 +15,9 @@ one (a densified Schur stage, a random test block) as its full array.
 Producers hand over the full matrix and the public constructors check that it
 is exactly symmetric; a matrix symmetric by construction (a sum, a computed
 Schur stage, a mirrored triangle) is wrapped unchecked.  A block is factored
-in its stored order (the spline blocks are stored banded): a banded Cholesky
-when the band is narrow, a dense one otherwise.
+in its stored order (the spline blocks are stored banded): a sparse block
+gets a banded Cholesky when its band is narrow, a dense one otherwise, and a
+dense block always a dense one.
 
 Scaling is a view.  c times a matrix shares the stored CSR and keeps the
 scale c: its product is c (M x), and c M is built entry by entry only for a
@@ -89,9 +90,18 @@ class SparseSymMatrix:
         return self.to_csr().toarray()
 
     def add_to(self, out: np.ndarray) -> None:
-        """Add this matrix into the array `out` in place: each stored entry once, as the canonical CSR holds it once."""
-        coo = self.to_csr().tocoo()
-        out[coo.row, coo.col] += coo.data
+        """Add this matrix into the array `out` in place: each stored entry once, times the scale.
+
+        The stored CSR is scattered 32 rows at a time, each entry's row taken
+        from `indptr`, so no scaled CSR and no COO copy is built; c m_ij is
+        the product that `to_csr` would store.
+        """
+        b, n = self.base, self.dim
+        for lo in range(0, n, 32):
+            hi = min(lo + 32, n)
+            rows = np.repeat(np.arange(lo, hi), np.diff(b.indptr[lo : hi + 1]))
+            s = slice(b.indptr[lo], b.indptr[hi])
+            out[rows, b.indices[s]] += b.data[s] * self.scale
 
     @classmethod
     def _trusted(cls, full: scipy.sparse.csr_matrix) -> "SparseSymMatrix":
@@ -221,14 +231,14 @@ def physical_memory_bytes() -> int | None:
 def cholesky(m: SparseSymMatrix | DenseSymMatrix | np.ndarray) -> CholeskyFactor:
     """Factor an SPD matrix; raises NotPositiveDefinite on pivot failure.
 
-    The band width is read off the nonzero entries (of a dense array, its
-    outermost nonzero subdiagonal; no index arrays are built).  A
-    pivot is rejected when it is below 1e-14 times the largest initial
-    diagonal entry, which flags semidefinite blocks that LAPACK would
-    let pass with a tiny positive pivot.  Before allocating, the factor's
-    entries are estimated, (bw + 1) n banded or n^2 dense; a factor whose
-    bytes exceed the host's physical memory raises ValueError, and so does
-    an inf or NaN entry.  LAPACK factors the band array built here, or the
+    Dense storage gets a dense factor.  Sparse storage gets a banded one
+    when its band width bw, read off the stored entries, has bw + 1 < n // 2,
+    and a dense one otherwise.  A pivot is rejected when it is below 1e-14
+    times the largest initial diagonal entry, which flags semidefinite
+    blocks that LAPACK would let pass with a tiny positive pivot.  Before
+    allocating, the factor's entries are estimated, (bw + 1) n banded or
+    n^2 dense; a factor whose bytes exceed the host's physical memory raises
+    ValueError, and so does an inf or NaN entry.  LAPACK factors the band array built here, or the
     copy that `to_dense` makes (in Fortran order, which for a symmetric
     array is its transpose), in place: `m` is left as it is.  A bare array
     (exactly symmetric, C-ordered float64, held by no one else: a computed
@@ -242,7 +252,7 @@ def cholesky(m: SparseSymMatrix | DenseSymMatrix | np.ndarray) -> CholeskyFactor
         return CholeskyFactor(0, "dense", (np.zeros((0, 0)), True))
     if isinstance(m, DenseSymMatrix):
         a = m._a
-        bw = next((k for k in range(n - 1, 0, -1) if a.diagonal(-k).any()), 0)
+        bw = n - 1  # a dense factor is full
         diag_max = float(np.abs(a.diagonal()).max())
         finite = bool(np.isfinite(a.min()) and np.isfinite(a.max()))  # no n x n flags
     else:
@@ -265,13 +275,9 @@ def cholesky(m: SparseSymMatrix | DenseSymMatrix | np.ndarray) -> CholeskyFactor
 
     if banded:
         ab = np.zeros((bw + 1, n), order="F")
-        if isinstance(m, DenseSymMatrix):
-            for k in range(bw + 1):  # the k-th superdiagonal into row bw - k
-                ab[bw - k, k:] = m._a.diagonal(k)
-        else:
-            mask = row <= col
-            r, c, v = row[mask], col[mask], val[mask]
-            ab[bw + r - c, c] = v
+        mask = row <= col
+        r, c, v = row[mask], col[mask], val[mask]
+        ab[bw + r - c, c] = v
         factor, info = lapack.dpbtrf(ab, overwrite_ab=1)
         if info > 0:
             raise NotPositiveDefinite(f"{info}-th leading minor not positive definite")

@@ -11,7 +11,7 @@ import pytest
 import msp
 from msp.cli import EXIT_CONFIG, EXIT_OK, EXIT_VIOLATION, main
 from msp.krylov import minres_solve
-from msp.problems import build_problem, make_preconditioner
+from msp.problems import PROBLEM_IDS, build_problem, make_preconditioner
 
 
 def run_cli(capsys, *argv):
@@ -336,6 +336,47 @@ class TestExport:
         assert np.allclose(a1, prob.system.A[0].to_dense(), atol=1e-14)
 
 
+class TestFactorModes:
+    @pytest.fixture
+    def factors(self, monkeypatch):
+        """(storage kind, factor mode) of every `cholesky` call, in call order."""
+        from msp import problems, saddle, sparselin
+
+        calls = []
+        cholesky = sparselin.cholesky
+
+        def recording(m):
+            f = cholesky(m)
+            calls.append((type(m).__name__, f.mode))
+            return f
+
+        for mod in (sparselin, saddle, problems):
+            monkeypatch.setattr(mod, "cholesky", recording)
+        return calls
+
+    def test_schur_stages_are_factored_dense(self, capsys, factors):
+        # verify and the four certify spectra: every Schur stage arrives as
+        # a bare array and gets a dense factor
+        assert run_cli(capsys, "verify", "--n", "2..6", "--trials", "3")[0] == EXIT_OK
+        stages = 2 * 3 * sum(range(2, 7))  # two systems per trial, one stage per block
+        assert factors == [("ndarray", "dense")] * stages
+        factors.clear()
+        for problem in PROBLEM_IDS:
+            code, _, _ = run_cli(
+                capsys, "spectrum", "--problem", problem, "--precond", "exact", "--levels", "4", "--alphas", "0.01"
+            )
+            assert code == EXIT_OK
+        assert [f for f in factors if f[0] == "ndarray"] == [("ndarray", "dense")] * len(PROBLEM_IDS)
+
+    def test_practical_blocks_are_factored_banded(self, capsys, factors):
+        from msp import problems
+
+        problems.get_operators.cache_clear()  # the mass factor too
+        assert run_cli(capsys, "table", "--dim", "2", "--degree", "2", "--levels", "3")[0] == EXIT_OK
+        assert len(factors) == 1 + len(problems.DEFAULT_ALPHAS)
+        assert set(factors) == {("SparseSymMatrix", "banded")}
+
+
 class TestErrors:
     def test_unknown_geometry(self, capsys):
         code, _, err = run_cli(
@@ -395,6 +436,39 @@ class TestErrors:
         assert code == EXIT_CONFIG
         assert out == ""
         assert f"configuration error: {message}" in err
+        assert calls == []
+
+    STAGE_2197 = (
+        "configuration error: Schur complement S_3 has order 2197, above the dense limit 2000; "
+        "use the practical preconditioner\n"
+    )
+
+    @pytest.mark.parametrize(
+        "argv, out, err",
+        [
+            (["spectrum", "--precond", "exact", "--lanczos"], "", STAGE_2197),
+            (["table", "--precond", "exact", "--alphas", "1"], "", STAGE_2197),
+            (["spectrum", "--precond", "practical"], "system dimension 8947 exceeds the dense cap 2000; rerun with --lanczos\n", ""),
+        ],
+        ids=["spectrum-exact-lanczos", "table-exact", "spectrum-practical"],
+    )
+    def test_oversize_runs_refused_before_any_build(self, capsys, monkeypatch, argv, out, err):
+        # 3D p=7 L3: the block orders alone decide these refusals, so they
+        # come before assembly (which took about 30 s and 450 MB), with the
+        # output they had when they came after it
+        import msp.cli
+        import msp.run
+
+        calls = []
+
+        def counting_build_problem(cfg):
+            calls.append(cfg)
+            return build_problem(cfg)
+
+        for mod in (msp.cli, msp.run):
+            monkeypatch.setattr(mod, "build_problem", counting_build_problem)
+        got = run_cli(capsys, *argv, "--dim", "3", "--degree", "7", "--levels", "3")
+        assert got == (EXIT_CONFIG, out, err)
         assert calls == []
 
     @pytest.mark.parametrize("alpha", ["nan", "inf"])

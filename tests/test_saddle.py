@@ -324,12 +324,6 @@ class TestSpectrum:
         rep.cond = np.nextafter(edge, np.inf)
         assert rep.cond_exceeds_bound
 
-    def test_report_json(self):
-        sys = dense_system([[[1.0]], [[0.0]]], [[[1.0]]])
-        rep = sd.spectrum(sys, sd.exact_schur(sys))
-        text = rep.to_json()
-        assert "cond" in text and "eigenvalues" in text
-
 
 class TestVerifySharpness:
     @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])

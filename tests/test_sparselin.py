@@ -132,6 +132,19 @@ class TestSparseSymMatrix:
         assert got.nnz == 2
         assert got.has_canonical_format
 
+    @pytest.mark.parametrize("c", [1.0, 1e-3, 7.0])
+    def test_add_to_adds_the_scaled_matrix(self, c):
+        # 70 rows scatter in three row blocks, into a strided view; each
+        # entry lands as the product c m_ij that to_csr stores
+        a, _ = random_banded_spd(70, 4, seed=37)
+        m = sl.SparseSymMatrix.from_dense(a).scaled(c)
+        base = np.random.default_rng(38).standard_normal((140, 140))
+        out = base.copy()
+        m.add_to(out[::2, 1::2])
+        want = base.copy()
+        want[::2, 1::2] += m.to_dense()
+        assert out.tobytes() == want.tobytes()
+
 
 class TestDenseSymMatrix:
     def test_non_square_rejected(self):
@@ -266,21 +279,25 @@ class TestCholesky:
 
     @pytest.mark.parametrize("kind", ["dense", "tridiagonal"])
     def test_dense_storage_factors_like_sparse(self, kind):
-        # both storages give LAPACK the same input, so the factors agree bitwise
+        # dense storage always gets a dense factor.  A full matrix gives
+        # LAPACK the same input in both storages, so the factors agree
+        # bitwise; a tridiagonal one is factored dense where its sparse twin
+        # is banded, and the two factors solve alike
         if kind == "dense":
-            a, mode = random_spd(6, seed=16), "dense"
+            a, sparse_mode = random_spd(6, seed=16), "dense"
         else:
             n = 12
             a = 2.0 * np.eye(n) - np.eye(n, k=1) - np.eye(n, k=-1)
-            mode = "banded"
+            sparse_mode = "banded"
         got = sl.cholesky(sl.DenseSymMatrix(a))
         want = sl.cholesky(sl.SparseSymMatrix.from_dense(a))
-        assert got.mode == want.mode == mode
-        if mode == "banded":
-            assert got.data.tobytes() == want.data.tobytes()
-        else:
+        assert (got.mode, want.mode) == ("dense", sparse_mode)
+        if sparse_mode == "dense":
             assert got.data[0].tobytes() == want.data[0].tobytes()
             assert got.data[1] == want.data[1]
+        b = np.random.default_rng(16).standard_normal((a.shape[0], 3))
+        x, y = sl.solve_chol(got, b), sl.solve_chol(want, b)
+        assert np.linalg.norm(x - y) <= 1e-13 * np.linalg.norm(y)
 
     @pytest.mark.parametrize(
         "d, p, level, geometry, bandwidth",
@@ -323,7 +340,7 @@ class TestCholesky:
             m, mode = sl.SparseSymMatrix.from_dense(random_spd(7, seed=12)), "dense"
         elif kind == "tridiagonal":
             n = 12
-            m, mode = sl.DenseSymMatrix(2.0 * np.eye(n) - np.eye(n, k=1) - np.eye(n, k=-1)), "banded"
+            m, mode = sl.SparseSymMatrix.from_dense(2.0 * np.eye(n) - np.eye(n, k=1) - np.eye(n, k=-1)), "banded"
         else:
             m, mode = problems.get_operators(2, 2, 3, "annulus_2d").mass, "banded"
         f = sl.cholesky(m)
@@ -521,13 +538,16 @@ class TestInverseGram:
         g = b.T @ sl.solve_chol(f, b)
         assert sl.inverse_gram(f, b).tobytes() == (0.5 * (g + g.T)).tobytes()
 
-    def test_dense_storage_banded_factor_like_sparse(self):
-        # a narrow-band dense array is read off its diagonals into the band
+    def test_narrow_dense_storage_gets_a_dense_factor(self):
+        # a narrow-band array in dense storage is factored dense, its sparse
+        # twin banded, and the two factors give the same inverse Gram
         a, _ = random_banded_spd(30, 3, seed=35)
         got = sl.cholesky(sl.DenseSymMatrix(a))
         want = sl.cholesky(sl.SparseSymMatrix.from_dense(a))
-        assert got.mode == want.mode == "banded"
-        assert got.data.tobytes() == want.data.tobytes()
+        assert (got.mode, want.mode) == ("dense", "banded")
+        b = np.random.default_rng(36).standard_normal((30, 4))
+        g, h = sl.inverse_gram(got, b), sl.inverse_gram(want, b)
+        assert np.max(np.abs(g - h)) <= 1e-13 * np.max(np.abs(h))
 
 
 class TestMatrixMarket:

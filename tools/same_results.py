@@ -9,12 +9,11 @@ or, in one step against a commit of this repository:
 
     python3 tools/same_results.py --against HEAD
 
-`--against REF` checks REF out with `git worktree add --detach` into a
-temporary directory, runs the record sets of REF's `src` and of this
-checkout's `src` one after the other, each in its own process with one BLAS
-thread, and prints the unified diff of the two outputs.  It exits 0 when only
-the first line (the line count) differs, 1 otherwise, and 2 when git cannot
-check REF out; the worktree is removed whatever happens.
+`--against REF` unpacks REF's `src` (`git archive`) into a temporary
+directory, runs the record sets of REF's `src` and of this checkout's `src`
+one after the other, each in its own process with one BLAS thread, and prints
+the unified diff of the two outputs.  It exits 0 when only the first line
+(the line count) differs, 1 otherwise, and 2 when git cannot archive REF.
 
 Three record sets, run in one process with one BLAS thread:
 
@@ -36,6 +35,10 @@ Three record sets, run in one process with one BLAS thread:
   the `spectrum` eigenvalues.
 
 The first line is the line count of the `msp` package that `--src` names.
+Each record set ends with its factor census: how many `sparselin.cholesky`
+calls each (storage kind, factor mode) pair took, and the largest band width
+of those factors (order - 1 for a dense one), so that `--against` shows any
+factor that changes mode.
 
 The output ends with the 1D exact verdict table (exit codes of the p=2
 spectra; 1 is BOUND VIOLATED).  `--solutions FILE.npz` also saves the
@@ -53,7 +56,9 @@ import io
 import os
 import subprocess
 import sys
+import tarfile
 import tempfile
+from collections import Counter
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -81,6 +86,39 @@ def _digest(*parts) -> str:
     for part in parts:
         h.update(np.asarray(part, dtype=np.float64).tobytes() if not isinstance(part, str) else part.encode())
     return h.hexdigest()[:16]
+
+
+@contextlib.contextmanager
+def factor_census(name: str):
+    """Count the `sparselin.cholesky` calls of the enclosed run by (storage kind, factor mode); print them after it.
+
+    The wrapper is bound in every msp module that holds `cholesky`, as
+    `from .sparselin import cholesky` makes a module do.
+    """
+    from msp import sparselin
+
+    cholesky = sparselin.cholesky
+    counts, bands = Counter(), {}
+
+    def counted(m):
+        f = cholesky(m)
+        key = f"{type(m).__name__}/{f.mode}"
+        counts[key] += 1
+        band = f.data.shape[0] - 1 if f.mode == "banded" else f.dim - 1
+        bands[key] = max(bands.get(key, 0), band)
+        return f
+
+    holders = [mod for modname, mod in list(sys.modules.items())
+               if modname.partition(".")[0] == "msp" and getattr(mod, "cholesky", None) is cholesky]
+    for mod in holders:
+        mod.cholesky = counted
+    try:
+        yield
+    finally:
+        for mod in holders:
+            mod.cholesky = cholesky
+    pairs = ", ".join(f"{key} {counts[key]} (band <= {bands[key]})" for key in sorted(counts))
+    print(f"factor census {name}: {pairs}")
 
 
 def run_table_records(solutions: dict) -> None:
@@ -209,14 +247,12 @@ def _records_of(src: Path) -> list[str]:
 def against(ref: str) -> int:
     """Diff the records of commit `ref` against this checkout's; 0 when only the line count differs."""
     with tempfile.TemporaryDirectory(prefix="same_results_") as tmp:
-        tree = Path(tmp) / "ref"
-        if subprocess.run(["git", "-C", str(ROOT), "worktree", "add", "--detach", str(tree), ref],
-                          stdout=subprocess.DEVNULL).returncode:
+        archive = subprocess.run(["git", "-C", str(ROOT), "archive", ref, "src"], stdout=subprocess.PIPE)
+        if archive.returncode:
             return 2  # git has said why
-        try:
-            old = _records_of(tree / "src")
-        finally:
-            subprocess.run(["git", "-C", str(ROOT), "worktree", "remove", "--force", str(tree)], check=True)
+        with tarfile.open(fileobj=io.BytesIO(archive.stdout)) as tar:
+            tar.extractall(tmp, filter="data")
+        old = _records_of(Path(tmp) / "src")
     new = _records_of(ROOT / "src")
     for line in difflib.unified_diff(old, new, ref, "this checkout", lineterm=""):
         print(line)
@@ -246,9 +282,12 @@ def main(argv=None) -> int:
     print(f"msp from {package}", file=sys.stderr)
     print(f"src/msp lines: {sum(len(f.read_text().splitlines()) for f in package.glob('*.py'))}")
     solutions: dict = {}
-    run_table_records(solutions)
-    verdicts = cli_records()
-    verify_system_records()
+    with factor_census("run_table"):
+        run_table_records(solutions)
+    with factor_census("cli"):
+        verdicts = cli_records()
+    with factor_census("verify systems"):
+        verify_system_records()
     print_verdicts(verdicts)
     if args.solutions:
         import numpy as np
