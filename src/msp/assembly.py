@@ -12,20 +12,29 @@ Every form runs one batched kernel over chunks of elements.  A face of
 point of weight 1, so volume and face elements share one tabulation: one
 batched 1D table per axis and space.  Per chunk the kernel evaluates the
 geometry map's monomial table once over all the chunk's points; the
-Jacobian, and the Hessians when a form needs them, are that table times
-the map's coefficient matrices.  It also builds the tensor-product basis
-tables.  An assembler hands the kernel a generator of
-element blocks: per chunk it yields the blocks of each of its forms in
-turn, so the mass, Laplacian and biharmonic forms of
-`assemble_volume_forms` share the value and Laplacian tables that the
-generator holds as local variables.  The sparsity pattern of a form on a
+Jacobian, the Hessians when a form needs them, and the physical points a
+right-hand side samples its data at are that table times the map's
+coefficient matrices.  It also builds the tensor-product basis tables.  An
+assembler hands the kernel a generator of element blocks: per chunk it
+yields the blocks of each of its forms in turn, so the mass, Laplacian and
+biharmonic forms of `assemble_volume_forms` share the value and Laplacian
+tables that the generator holds as local variables.  The face forms come
+the same way from one pass over the faces, `assemble_face_forms`: each face
+is tabulated once and each chunk forms its normal-derivative and trace
+tables once, for the normal Gram, trace mass, normal coupling and
+normal-data right-hand side alike; the single-form assemblers are views of
+that pass.  The sparsity pattern of a form on a
 tensor grid of elements is the Kronecker product of per-axis 1D patterns,
 so it is built first, in CSR order; each chunk's element blocks are then
-added into the CSR data array at their precomputed places with one
-`np.bincount`, with no (row, column, value) triples and no sort.  The
+summed at their precomputed places into a zeroed buffer and added into the
+CSR data array, as one `np.bincount` would, with no (row, column, value)
+triples and no sort.  The
 number of elements in a chunk follows from a byte budget on one (elements
 x points x basis functions) table, so the working memory of the kernel is
-the pattern plus one chunk, flat as the mesh grows.
+the pattern plus one chunk, flat as the mesh grows.  A pass forms each of
+its chunk-sized tables, blocks, places and sums in scratch buffers that it
+reuses for every chunk and drops at its end, so the chunks do not hand
+their pages back to the system and fault them in again.
 
 Derivative integrands are sum-factorized (Antolin, Buffa, Calabro,
 Martinelli and Sangalli, CMAME 285, 2015).  A physical Laplacian or normal
@@ -40,8 +49,10 @@ tables a chunk holds stay in a 2 MiB L2 cache: in a sweep from 256 KiB to
 4 MiB it was the fastest, or within noise of it, at 2D p=2 level 6 and 3D
 p=3 level 3 and p=5 level 2, with a volume pass 12-30% faster than at
 4 MiB (not at 3D p=3 level 4, where each chunk's scatter spans p+1 layers
-of rows whatever its size, and larger chunks win).  Symmetric forms are averaged with their transpose on their own CSR
-arrays, so the working memory ends at one copy of each form.
+of rows whatever its size, and larger chunks win); a sweep with the reused
+scratch found 1 and 2 MiB level at 3D p=3 level 3 and 512 KiB to 1 MiB at
+2D p=2 level 6.  Symmetric forms are averaged with their transpose on their
+own CSR arrays, so the working memory ends at one copy of each form.
 """
 
 from __future__ import annotations
@@ -76,14 +87,29 @@ def _default_q(space: TensorSpace) -> int:
     return max(f.degree for f in space.factors) + 1
 
 
-def _combine(tabs: list[np.ndarray], orders: tuple[int, ...]) -> np.ndarray:
-    """Tensor-product combination of batched 1D tables; returns (n, nq, nb)."""
+# A broadcast product whose contiguous runs are shorter than this many
+# entries is formed over operands tiled to whole rows: numpy's cost per run
+# dominates short runs (3D p=3: 2.6x faster at runs of 4, 1.3x slower at 16).
+_SHORT_RUN = 8
+
+
+def _combine(tabs: list[np.ndarray], orders: tuple[int, ...], out: np.ndarray | None = None) -> np.ndarray:
+    """Tensor-product combination of batched 1D tables; returns (n, nq, nb).
+
+    Each step multiplies every entry of the table so far by every entry of
+    the next axis, over rows of m0 * m1 entries made by `np.repeat` and
+    `np.tile`: the same products as a broadcast, with longer runs.  The last
+    product is written into `out` when given; in 1D the result is a view of
+    the table.
+    """
     t = tabs[0][:, :, orders[0], :]
     for ax in range(1, len(tabs)):
         u = tabs[ax][:, :, orders[ax], :]
         n, q0, m0 = t.shape
         _, q1, m1 = u.shape
-        t = (t[:, :, None, :, None] * u[:, None, :, None, :]).reshape(n, q0 * q1, m0 * m1)
+        dest = out.reshape(n, q0, q1, m0 * m1) if out is not None and ax == len(tabs) - 1 else None
+        t = np.multiply(np.repeat(t, m1, axis=-1)[:, :, None, :], np.tile(u, m0)[:, None, :, :], out=dest)
+        t = t.reshape(n, q0 * q1, m0 * m1)
     return t
 
 
@@ -103,8 +129,13 @@ def _det_adjugate(jac: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         adj = np.stack([jac[..., 1, 1], -jac[..., 0, 1], -jac[..., 1, 0], jac[..., 0, 0]], axis=-1)
         adj = adj.reshape(jac.shape)
     else:
-        r0, r1, r2 = (jac[..., i, :] for i in range(3))
-        adj = np.stack([np.cross(r1, r2), np.cross(r2, r0), np.cross(r0, r1)], axis=-1)
+        # column k is row k+1 x row k+2, each component in np.cross's own products and order
+        j = [[jac[..., i, k] for k in range(3)] for i in range(3)]
+        cols = [
+            [a[1] * b[2] - a[2] * b[1], a[2] * b[0] - a[0] * b[2], a[0] * b[1] - a[1] * b[0]]
+            for a, b in ((j[1], j[2]), (j[2], j[0]), (j[0], j[1]))
+        ]
+        adj = np.stack([cols[k][i] for i in range(3) for k in range(3)], axis=-1).reshape(jac.shape)
     return np.einsum("...j,...j->...", jac[..., 0, :], adj[..., :, 0]), adj
 
 
@@ -146,6 +177,28 @@ def _kron(a, b):
     return indptr, indices, na * nb
 
 
+class _Scratch:
+    """Work arrays of one assembly pass, reused by each of its chunks.
+
+    `get(key, shape)` is a view of the buffer kept under `key`, grown to the
+    largest size asked for, so each chunk forms its tables in memory that an
+    earlier chunk of the pass has already touched: the allocator does not
+    hand the pages back to the system and fault them in again between
+    chunks.  The buffers go with the pass.
+    """
+
+    def __init__(self) -> None:
+        self._buffers: dict = {}
+
+    def get(self, key, shape: tuple[int, ...], dtype=np.float64) -> np.ndarray:
+        """A (shape) view of buffer `key`; "temp" is for a table that dies within the call that makes it."""
+        size = math.prod(shape)
+        buf = self._buffers.get(key)
+        if buf is None or buf.size < size:
+            buf = self._buffers[key] = np.empty(size, dtype)
+        return buf[:size].reshape(shape)
+
+
 class _Pattern:
     """CSR pattern of the forms between spaces r and c of a `_Tabulation`.
 
@@ -182,23 +235,29 @@ class _Pattern:
         """(lo, hi, places): the chunk's block entries go to data[lo:hi][places], (n, a, b).
 
         Row I's columns are ordered by the place in the row of the leading
-        axes and then by that of axis k, so the place accumulates axis by
-        axis as place * length_k + place_k.
+        axes and then by that of axis k, so the place of a pair is
+        sum_k place_k * (product of the row lengths of the axes after k).
+        It splits into a head, axis 0's term plus the start of the row, and
+        a tail, the terms of the other axes, so that the full-size sum is
+        formed once, in the pass's scratch, over runs as long as the tail's.
         """
-        place = None
-        for (rank, length), e in zip(self.axes, ch.el):
+        n = len(ch.el[0])
+        tail, scale = np.zeros((n, 1, 1), dtype=np.int64), np.ones((n, 1), dtype=np.int64)
+        for (rank, length), e in zip(self.axes[1:], ch.el[1:]):
             o, ln = rank[e], length[e]
-            if place is None:
-                place = o
-                continue
-            n, a, b = place.shape
-            place = place[:, :, None, :, None] * ln[:, None, :, None, None] + o[:, None, :, None, :]
-            place = place.reshape(n, a * o.shape[1], b * o.shape[2])
+            a, b = tail.shape[1:]
+            tail = tail[:, :, None, :, None] * ln[:, None, :, None, None] + o[:, None, :, None, :]
+            tail = tail.reshape(n, a * o.shape[1], b * o.shape[2])
+            scale = (scale[:, :, None] * ln[:, None, :]).reshape(n, -1)
         rows = ch.active(self.r)
         starts = self.indptr[rows]
         lo, hi = int(starts.min()), int(self.indptr[rows.max() + 1])
-        place += (starts - lo)[:, :, None]
-        return lo, hi, place
+        (rank, _), e = self.axes[0], ch.el[0]
+        o = rank[e]
+        head = o[:, :, None, :] * scale[:, None, :, None] + (starts - lo).reshape(n, o.shape[1], -1, 1)
+        out = ch.scratch.get("places", head.shape + (tail.shape[2],), np.int64)
+        np.add(head[..., None], tail[:, None, :, None, :], out=out)
+        return lo, hi, out.reshape(n, rows.shape[1], -1)
 
     def csr(self, data: np.ndarray) -> scipy.sparse.csr_matrix:
         """The form with values `data`; it owns copies of the index arrays, which `eliminate_zeros` compacts."""
@@ -211,14 +270,16 @@ class _Tabulation:
     `rules[j]` holds the per-element points and weights of axis j.  For each
     space s, `tables[s][j]` is the pair (first active index, basis table) of
     axis j and `dims[s]` flattens its multi-indices.  `face` is the
-    (axis, side) of a boundary face, or None for the volume.
+    (axis, side) of a boundary face, or None for the volume; `kept` are the
+    columns of a face's space-0 tables that belong to its space 2.
     """
 
-    def __init__(self, rules, tables, dims, face=None):
+    def __init__(self, rules, tables, dims, face=None, kept=None):
         self.rules = rules
         self.tables = tables
         self.dims = dims
         self.face = face
+        self.kept = kept
 
     @classmethod
     def volume(cls, spaces: list[TensorSpace], q: int, max_deriv: int) -> "_Tabulation":
@@ -231,8 +292,17 @@ class _Tabulation:
 
     @classmethod
     def face_of(cls, space: TensorSpace, axis: int, side: int, q: int, max_deriv: int) -> "_Tabulation":
-        """Face `side` of `axis`: space 0 is `space`, space 1 its trace space on the face."""
-        rules, vol, trace = [], [], []
+        """Face `side` of `axis`: space 0 is `space`, space 1 its trace space on the face.
+
+        Space 2 is `space` trimmed on the fixed axis to the max_deriv + 1
+        functions nearest the face, the `kept` columns of space 0's tables.
+        With an open knot vector the others and their derivatives up to
+        order max_deriv are exactly +0.0 there, so a Gram form of values or
+        normal derivatives on space 2 is its form on space 0 without the
+        explicit zeros.
+        """
+        rules, vol, trace, trimmed = [], [], [], []
+        cut = side * (space.factors[axis].degree - max_deriv)  # first kept function of the fixed axis
         for j, f in enumerate(space.factors):
             if j == axis:
                 rule = QuadratureRule1D(points=np.array([[float(side)]]), weights=np.ones((1, 1)))
@@ -243,12 +313,21 @@ class _Tabulation:
             tab = f.tabulate(elements, rule.points, max_deriv)
             rules.append(rule)
             vol.append(tab)
-            trace.append((np.zeros(1, dtype=np.int64), np.ones((1, 1, 1, 1))) if j == axis else tab)
+            if j == axis:
+                first, t = tab
+                trimmed.append((first + cut, t[..., cut : cut + max_deriv + 1]))
+                trace.append((np.zeros(1, dtype=np.int64), np.ones((1, 1, 1, 1))))
+            else:
+                trimmed.append(tab)
+                trace.append(tab)
         trace_dims = tuple(1 if j == axis else m for j, m in enumerate(space.dims))
-        return cls(rules, [vol, trace], [space.dims, trace_dims], face=(axis, side))
+        sizes = [t.shape[-1] for _, t in vol]
+        kept = np.arange(math.prod(sizes)).reshape(sizes)[(slice(None),) * axis + (slice(cut, cut + max_deriv + 1),)]
+        return cls(rules, [vol, trace, trimmed], [space.dims, trace_dims, space.dims], (axis, side), kept.ravel())
 
-    def chunks(self, geo: GeometryMap):
-        """Yield `_Chunk`s covering the element grid in C order."""
+    def chunks(self, geo: GeometryMap, scratch: _Scratch | None = None):
+        """Yield `_Chunk`s covering the element grid in C order, forming their tables in `scratch`."""
+        scratch = scratch or _Scratch()
         shape = [len(r.points) for r in self.rules]
         nq = math.prod(r.points.shape[1] for r in self.rules)
         nb = max(math.prod(t.shape[-1] for _, t in tabs) for tabs in self.tables)
@@ -256,7 +335,7 @@ class _Tabulation:
         total = math.prod(shape)
         for start in range(0, total, step):
             el = np.unravel_index(np.arange(start, min(start + step, total)), shape)
-            yield _Chunk(self, el, geo)
+            yield _Chunk(self, el, geo, scratch)
 
 
 class _Chunk:
@@ -266,11 +345,13 @@ class _Chunk:
     (n * nq, d), element-major; per-point arrays are (n, nq, ...).
     `dx` is the quadrature weight times |det J| in the volume and times the
     surface Jacobian on a face, where `normal` is the outward unit normal.
+    The basis and derivative tables and the element blocks are views of the
+    pass's `scratch`: each lives until a later chunk forms the same table.
     """
 
-    def __init__(self, tab: _Tabulation, el: tuple[np.ndarray, ...], geo: GeometryMap):
+    def __init__(self, tab: _Tabulation, el: tuple[np.ndarray, ...], geo: GeometryMap, scratch: _Scratch):
         n, d = len(el[0]), len(el)
-        self.geo, self.d, self.dims, self.el = geo, d, tab.dims, el
+        self.geo, self.d, self.dims, self.el, self.scratch = geo, d, tab.dims, el, scratch
         # per space, per axis: (first active index (n,), basis table (n, q, nd, m))
         self.tables = [[(first[e], t[e]) for (first, t), e in zip(tables, el)] for tables in tab.tables]
         grid = (n,) + tuple(r.points.shape[1] for r in tab.rules)
@@ -316,9 +397,18 @@ class _Chunk:
         """Derivative orders of the reference derivative along `axes`."""
         return tuple(axes.count(a) for a in range(self.d))
 
+    def mapped_points(self) -> np.ndarray:
+        """The physical points F(points), (n * nq, d), off the chunk's monomial table."""
+        return self._monomials @ self.geo._value
+
+    def _table(self, key, s: int) -> np.ndarray:
+        """The scratch buffer `key` shaped as a table of space s, (n, nq, nb)."""
+        return self.scratch.get(key, self.dx.shape + (math.prod(t.shape[-1] for _, t in self.tables[s]),))
+
     def basis(self, s: int, orders: tuple[int, ...] | None = None) -> np.ndarray:
         """Basis values (or reference derivatives of `orders`) of space s, (n, nq, nb)."""
-        return _combine([t for _, t in self.tables[s]], orders or self._orders())
+        orders = orders or self._orders()
+        return _combine([t for _, t in self.tables[s]], orders, self._table(("basis", s, orders), s))
 
     def active(self, s: int) -> np.ndarray:
         """Global indices of the active basis functions of space s, (n, nb)."""
@@ -334,28 +424,41 @@ class _Chunk:
         gref = np.stack([self.basis(s, self._orders(j)) for j in range(self.d)], axis=-1)
         return gref @ self.jinv
 
-    def derivatives(self, s: int, terms: list[tuple[np.ndarray, tuple[int, ...]]]) -> np.ndarray:
+    def derivatives(self, s: int, terms: list[tuple[np.ndarray, tuple[int, ...]]], key) -> np.ndarray:
         """sum_k c_k D^{o_k} phi of space s for fields c_k (n, nq) and orders o_k, (n, nq, nb).
 
         Sum factorization: the fields meet the 1D tables one axis at a time,
         last axis first, and the terms that share their leading orders are
         summed before the next axis.  Only one full table forms per distinct
-        order on axis 0, not one per term.
+        order on axis 0, not one per term: the first into the scratch table
+        `key`, which the others are added into.
         """
         tabs = [t for _, t in self.tables[s]]
         n, grid = len(self.dx), tuple(t.shape[1] for t in tabs)
         # per group of leading orders: (n, *grid, product of the basis sizes done)
         fields = [(orders, c.reshape((n,) + grid + (1,))) for c, orders in terms]
         for ax in reversed(range(self.d)):
-            spread = (n,) + tuple(q if j == ax else 1 for j, q in enumerate(grid)) + (-1, 1)
+            spread = (n,) + tuple(q if j == ax else 1 for j, q in enumerate(grid)) + (-1,)
             summed: dict[tuple[int, ...], np.ndarray] = {}
             for orders, f in fields:
-                x = f[..., None, :] * tabs[ax][:, :, orders[ax], :].reshape(spread)
-                x = x.reshape(f.shape[:-1] + (-1,))
-                if orders[:ax] in summed:
-                    summed[orders[:ax]] += x
+                t, run = tabs[ax][:, :, orders[ax], :], f.shape[-1]
+                shape = f.shape[:-1] + (t.shape[-1] * run,)
+                lead = orders[:ax]
+                if lead in summed:
+                    dest = self.scratch.get("temp", shape)
+                elif ax:
+                    dest = self.scratch.get((key, ax, len(summed)), shape)
                 else:
-                    summed[orders[:ax]] = x
+                    dest = self._table(key, s).reshape(shape)
+                if 1 < run < _SHORT_RUN:  # the same products over whole rows, as in `_combine`
+                    x = np.multiply(np.tile(f, t.shape[-1]), np.repeat(t, run, axis=-1).reshape(spread), out=dest)
+                else:
+                    x = np.multiply(f[..., None, :], t.reshape(spread + (1,)), out=dest.reshape(shape[:-1] + (-1, run)))
+                x = x.reshape(shape)
+                if lead in summed:
+                    summed[lead] += x
+                else:
+                    summed[lead] = x
             fields = list(summed.items())
         return fields[0][1].reshape(n, math.prod(grid), -1)
 
@@ -375,16 +478,33 @@ class _Chunk:
             for j in range(i, self.d):
                 terms.append((g[..., i, j] if i == j else 2.0 * g[..., i, j], self._orders(i, j)))
             terms.append((-v[..., i], self._orders(i)))
-        return self.derivatives(s, terms)
+        return self.derivatives(s, terms, ("laplacian", s))
 
     def normal_derivative(self, s: int) -> np.ndarray:
         """Outward normal derivative of each basis function of space s on a face."""
         v = np.einsum("nqji,nqi->nqj", self.jinv, self.normal)
-        return self.derivatives(s, [(v[..., j], self._orders(j)) for j in range(self.d)])
+        return self.derivatives(s, [(v[..., j], self._orders(j)) for j in range(self.d)], ("normal_derivative", s))
 
     def integrate(self, r: np.ndarray, c: np.ndarray) -> np.ndarray:
-        """Element blocks sum_q dx_q r_qa c_qb of (n, nq, a) and (n, nq, b) tables."""
-        return np.swapaxes(r * self.dx[..., None], 1, 2) @ c
+        """Element blocks sum_q dx_q r_qa c_qb of (n, nq, a) and (n, nq, b) tables, (n, a, b).
+
+        The blocks are the pass's block buffer, valid until the next call.
+        """
+        w = np.multiply(r, self.dx[..., None], out=self.scratch.get("temp", r.shape))
+        return np.matmul(np.swapaxes(w, 1, 2), c, out=self.scratch.get("block", (len(r), r.shape[2], c.shape[2])))
+
+
+def _scatter(data: np.ndarray, lo: int, hi: int, places: np.ndarray, block: np.ndarray, scratch: _Scratch) -> None:
+    """data[lo:hi] += the sum of the block entries at each place.
+
+    The entries are summed into zero in their order and the sums then added
+    to the data, as `np.bincount(places, block, hi - lo)` would, in a buffer
+    of the pass.
+    """
+    acc = scratch.get("sums", (hi - lo,))
+    acc.fill(0.0)
+    np.add.at(acc, places.ravel(), block.ravel())
+    data[lo:hi] += acc
 
 
 def _assemble(
@@ -400,20 +520,13 @@ def _assemble(
     """
     pattern = _Pattern(tab, r, c)
     datas = [np.zeros(pattern.nnz) for _ in range(forms)]
-    for ch in tab.chunks(geo):
+    scratch = _Scratch()
+    for ch in tab.chunks(geo, scratch):
         lo, hi, places = pattern.places(ch)
         made = blocks(ch)
         for data in datas:
-            data[lo:hi] += np.bincount(places.ravel(), weights=next(made).ravel(), minlength=hi - lo)
+            _scatter(data, lo, hi, places, next(made), scratch)
     return [pattern.csr(data) for data in datas]
-
-
-def _face_matrices(space: TensorSpace, geo: GeometryMap, q: int, max_deriv: int, r: int, c: int, blocks):
-    """The matrix of the one-form generator `blocks` on each face of `space`, in `TraceSpace` order."""
-    return [
-        _assemble(_Tabulation.face_of(space, axis, side, q, max_deriv), geo, r, c, blocks)[0]
-        for axis, side in TraceSpace(space).faces
-    ]
 
 
 def _block_diagonal(mats: list[scipy.sparse.csr_matrix]) -> scipy.sparse.csr_matrix:
@@ -424,12 +537,6 @@ def _block_diagonal(mats: list[scipy.sparse.csr_matrix]) -> scipy.sparse.csr_mat
         for m, o in zip(mats, offs)
     ]
     return scipy.sparse.vstack(shifted, format="csr")
-
-
-def _face_chunks(space: TensorSpace, geo: GeometryMap, q: int, max_deriv: int):
-    """Yield the chunks of all faces of `space`."""
-    for axis, side in TraceSpace(space).faces:
-        yield from _Tabulation.face_of(space, axis, side, q, max_deriv).chunks(geo)
 
 
 def _add_vector(out: np.ndarray, idx: np.ndarray, vals: np.ndarray) -> None:
@@ -509,7 +616,6 @@ def assemble_volume_forms(
         lap = ch.laplacian(0)
         k = ch.integrate(v, lap)
         yield np.negative(k, out=k)
-        del v, k  # the K block and the value table are not kept while B is made
         yield ch.integrate(lap, lap)
 
     m, k, b = _assemble(_Tabulation.volume([space], q or _default_q(space), 2), geo, 0, 0, blocks, 3)
@@ -551,21 +657,82 @@ class TraceSpace:
         self.dim = int(self.offsets[-1])
 
 
+# per matrix face form: (row space, column space) of the face tabulation
+_FACE_MATRICES = {"normal_gram": (2, 2), "trace_mass": (1, 1), "normal_coupling": (1, 0)}
+
+FACE_FORMS = (*_FACE_MATRICES, "rhs_normal_data")
+
+
+def assemble_face_forms(
+    space: TensorSpace,
+    geo: GeometryMap,
+    forms,
+    data_gradient: Callable[[np.ndarray], np.ndarray] | None = None,
+    q: int | None = None,
+) -> dict:
+    """The face forms named in `forms` (a subset of `FACE_FORMS`) from one pass over the faces of `space`.
+
+    Each face is tabulated once, and each chunk forms its normal-derivative
+    and trace-value tables once, for every form that reads them:
+    `normal_gram` K_d[i, j] = surface integral of dn(phi_i) dn(phi_j);
+    `trace_mass`, the L2 Gram matrix of the per-face trace space;
+    `normal_coupling` N[f, i] = surface integral of dn(phi_i) times a trace
+    basis function; `rhs_normal_data` rhs[i] = surface integral of dn(phi_i)
+    d with d = grad(g)(x) . n, where `data_gradient` maps physical points
+    (npts, d) to gradients (npts, d) of g.  A form's element blocks and
+    their sums are the same whichever forms share the pass.  The normal
+    Gram integrates over the columns of the normal-derivative table whose
+    functions need not vanish on the face (`_Tabulation.face_of`'s space 2),
+    a quarter of the block entries in 3D; the coupling keeps the explicit
+    zeros it has always stored, and the rhs is summed over the whole table.
+    """
+    if not set(forms) <= set(FACE_FORMS):
+        raise ValueError(f"unknown face forms {sorted(set(forms) - set(FACE_FORMS))}")
+    q = q or _default_q(space)
+    matrices = [name for name in _FACE_MATRICES if name in forms]
+    rhs = np.zeros(space.dim) if "rhs_normal_data" in forms else None
+    derivative = rhs is not None or "normal_gram" in forms or "normal_coupling" in forms
+    faces = {name: [] for name in matrices}
+    scratch = _Scratch()
+    for axis, side in TraceSpace(space).faces:
+        tab = _Tabulation.face_of(space, axis, side, q, int(derivative))
+        patterns = {name: _Pattern(tab, *_FACE_MATRICES[name]) for name in matrices}
+        datas = {name: np.zeros(pattern.nnz) for name, pattern in patterns.items()}
+        for ch in tab.chunks(geo, scratch):
+            nd = ch.normal_derivative(0) if derivative else None
+            kept = nd[..., tab.kept] if "normal_gram" in forms else None
+            tv = ch.basis(1) if "trace_mass" in forms or "normal_coupling" in forms else None
+            tables = {"normal_gram": (kept, kept), "trace_mass": (tv, tv), "normal_coupling": (tv, nd)}
+            for name, pattern in patterns.items():
+                lo, hi, places = pattern.places(ch)
+                _scatter(datas[name], lo, hi, places, ch.integrate(*tables[name]), scratch)
+            if rhs is not None:
+                grad = data_gradient(ch.mapped_points()).reshape(ch.normal.shape)
+                dvals = np.einsum("nqi,nqi->nq", grad, ch.normal)
+                _add_vector(rhs, ch.active(0), ch.integrate(nd, dvals[..., None]))
+        for name, pattern in patterns.items():
+            faces[name].append(pattern.csr(datas[name]))
+    out = {}
+    if "normal_gram" in faces:
+        grams = faces["normal_gram"]
+        out["normal_gram"] = _symmetric(sum(grams[1:], grams[0]))
+    if "trace_mass" in faces:
+        out["trace_mass"] = _symmetric(_block_diagonal(faces["trace_mass"]))
+    if "normal_coupling" in faces:
+        out["normal_coupling"] = scipy.sparse.vstack(faces["normal_coupling"], format="csr")
+    if rhs is not None:
+        out["rhs_normal_data"] = rhs
+    return out
+
+
 def assemble_normal_gram(space: TensorSpace, geo: GeometryMap, q: int | None = None) -> SparseSymMatrix:
     """K_d[i, j] = surface integral of dn(phi_i) dn(phi_j) over the boundary."""
-    faces = _face_matrices(
-        space, geo, q or _default_q(space), 1, 0, 0, lambda ch: (ch.integrate(v, v) for v in [ch.normal_derivative(0)])
-    )
-    return _symmetric(sum(faces[1:], faces[0]))
+    return assemble_face_forms(space, geo, ["normal_gram"], q=q)["normal_gram"]
 
 
 def assemble_trace_mass(trace: TraceSpace, geo: GeometryMap, q: int | None = None) -> SparseSymMatrix:
     """L2 Gram matrix of the per-face trace space on the mapped boundary."""
-    space = trace.volume_space
-    faces = _face_matrices(
-        space, geo, q or _default_q(space), 0, 1, 1, lambda ch: (ch.integrate(v, v) for v in [ch.basis(1)])
-    )
-    return _symmetric(_block_diagonal(faces))
+    return assemble_face_forms(trace.volume_space, geo, ["trace_mass"], q=q)["trace_mass"]
 
 
 def assemble_normal_coupling(
@@ -574,12 +741,7 @@ def assemble_normal_coupling(
     """N[f, i] = surface integral of dn(phi_i) times a trace basis function."""
     if space is not trace.volume_space:
         _check_compatible(space, trace.volume_space)
-
-    def blocks(ch: _Chunk):
-        yield ch.integrate(ch.basis(1), ch.normal_derivative(0))
-
-    faces = _face_matrices(space, geo, q or _default_q(space), 1, 1, 0, blocks)
-    return scipy.sparse.vstack(faces, format="csr")
+    return assemble_face_forms(space, geo, ["normal_coupling"], q=q)["normal_coupling"]
 
 
 def assemble_rhs_normal_data(
@@ -593,12 +755,7 @@ def assemble_rhs_normal_data(
     `data_gradient` maps physical points (npts, d) to gradients (npts, d) of
     the underlying scalar field whose normal derivative is the data.
     """
-    rhs = np.zeros(space.dim)
-    for ch in _face_chunks(space, geo, q or _default_q(space), 1):
-        grad = data_gradient(geo.value(ch.points)).reshape(ch.normal.shape)
-        dvals = np.einsum("nqi,nqi->nq", grad, ch.normal)
-        _add_vector(rhs, ch.active(0), ch.integrate(ch.normal_derivative(0), dvals[..., None]))
-    return rhs
+    return assemble_face_forms(space, geo, ["rhs_normal_data"], data_gradient, q)["rhs_normal_data"]
 
 
 def assemble_rhs_l2(
@@ -610,6 +767,6 @@ def assemble_rhs_l2(
     """rhs[i] = volume integral of phi_i f(x) |det J|."""
     rhs = np.zeros(space.dim)
     for ch in _Tabulation.volume([space], q or _default_q(space), 0).chunks(geo):
-        fvals = fn(geo.value(ch.points)).reshape(ch.dx.shape)
+        fvals = fn(ch.mapped_points()).reshape(ch.dx.shape)
         _add_vector(rhs, ch.active(0), ch.integrate(ch.basis(0), fvals[..., None]))
     return rhs

@@ -100,7 +100,8 @@ class DiscreteOperators:
     Assembled lazily and shared between alpha values and preconditioner
     variants; everything here is alpha-independent.  Only the blocks the
     builders read are kept: the full-space K, B, normal Gram and normal
-    coupling are restricted or stacked and then freed.  The dense pieces of
+    coupling are restricted or stacked and then freed.  The face forms a
+    builder reads come from one pass over the faces.  The dense pieces of
     the exact last Schur stage (`laplacian_gram`, `normal_trace_gram`) are
     built only when an exact preconditioner first asks, 8 (dim U)^2 bytes
     each.
@@ -122,6 +123,7 @@ class DiscreteOperators:
                 f"but the problem is {d}-dimensional"
             )
         self.interior = self.space.interior_indices()
+        self._faces: dict = {}
 
     def _restrict_sym(self, m: SparseSymMatrix) -> SparseSymMatrix:
         """The zero-trace block of m, wrapped unchecked: a principal submatrix of an
@@ -162,13 +164,31 @@ class DiscreteOperators:
     def biharmonic_int(self) -> SparseSymMatrix:
         return self._volume_blocks[2]
 
-    @cached_property
-    def normal_gram_int(self) -> SparseSymMatrix:
-        return self._restrict_sym(assembly.assemble_normal_gram(self.space, self.geo))
+    def _face_forms(self, *names: str) -> tuple:
+        """The face forms `names` as the builders read them; those not made yet come from one pass over the faces.
 
-    @cached_property
+        The normal Gram is kept on the zero-trace space, the normal-data rhs
+        on its rows and the normal coupling N on its columns; the full-space
+        forms are not kept.  A builder asks for all its face forms at once.
+        """
+        missing = [name for name in names if name not in self._faces]
+        if missing:
+            forms = assembly.assemble_face_forms(self.space, self.geo, missing, sine_data_gradient(self.d))
+            restrict = {
+                "normal_gram": self._restrict_sym,
+                "rhs_normal_data": lambda rhs: rhs[self.interior],
+                "normal_coupling": lambda n: n[:, self.interior],
+            }
+            self._faces.update((name, restrict.get(name, lambda f: f)(form)) for name, form in forms.items())
+        return tuple(self._faces[name] for name in names)
+
+    @property
+    def normal_gram_int(self) -> SparseSymMatrix:
+        return self._face_forms("normal_gram")[0]
+
+    @property
     def trace_mass(self) -> SparseSymMatrix:
-        return assembly.assemble_trace_mass(assembly.TraceSpace(self.space), self.geo)
+        return self._face_forms("trace_mass")[0]
 
     @cached_property
     def mass_coupling(self) -> scipy.sparse.csr_matrix:
@@ -200,20 +220,17 @@ class DiscreteOperators:
     @cached_property
     def trace_coupling(self) -> scipy.sparse.csr_matrix:
         """[K', N'] with N on zero-trace columns: the boundary-control coupling."""
-        n = assembly.assemble_normal_coupling(assembly.TraceSpace(self.space), self.space, self.geo)
-        return scipy.sparse.hstack([self.laplacian_int_t, n[:, self.interior].T.tocsr()], format="csr")
+        n = self._face_forms("normal_coupling")[0]
+        return scipy.sparse.hstack([self.laplacian_int_t, n.T.tocsr()], format="csr")
 
     @cached_property
     def trace_coupling_t(self) -> scipy.sparse.csr_matrix:
         """The transpose of `trace_coupling` as CSR."""
         return self.trace_coupling.T.tocsr()
 
-    @cached_property
+    @property
     def rhs_normal_data(self) -> np.ndarray:
-        full = assembly.assemble_rhs_normal_data(
-            self.space, self.geo, sine_data_gradient(self.d)
-        )
-        return full[self.interior]
+        return self._face_forms("rhs_normal_data")[0]
 
     @cached_property
     def rhs_l2_data(self) -> np.ndarray:
@@ -334,13 +351,14 @@ def build_problem(cfg: ProblemConfig) -> AssembledProblem:
     """
     ops = get_operators(cfg.d, cfg.p, cfg.level, cfg.geometry)
     if cfg.problem == "boundary_observation":
-        return _three_block(cfg, ops, ops.normal_gram_int, ops.rhs_normal_data)
+        return _three_block(cfg, ops, *ops._face_forms("normal_gram", "rhs_normal_data"))
     if cfg.problem == "distributed_strong":
         return _three_block(cfg, ops, ops.mass_int, ops.rhs_l2_data[ops.interior])
     if cfg.problem == "distributed_very_weak":
         return _two_block(
             cfg, ops, ops.mass, ops.mass_factor, ops.mass_coupling, ops.mass_coupling_t, ops.mass_int
         )
+    ops._face_forms("trace_mass", "normal_coupling", "normal_gram")  # from one pass over the faces
     return _two_block(
         cfg, ops, ops.trace_mass, ops.trace_mass_factor, ops.trace_coupling, ops.trace_coupling_t, ops.normal_gram_int
     )

@@ -48,9 +48,28 @@ def run_table(
 ) -> list[TableCell]:
     """Iteration counts over a levels-by-alphas grid, one problem and variant.
 
+    The whole grid is checked by `check_table` before any problem is built.
+    """
+    cfgs = check_table(problem, d, p, levels, alphas, precond_variant, geometry, tol, maxit)
+    return [_table_cell(cfg, precond_variant, tol, maxit) for cfg in cfgs]
+
+
+def check_table(
+    problem: str,
+    d: int,
+    p: int,
+    levels: list[int],
+    alphas: list[float],
+    precond_variant: str,
+    geometry: str | None,
+    tol: float = 1e-8,
+    maxit: int = 500,
+) -> list[ProblemConfig]:
+    """The cell configurations of `run_table`'s grid, in cell order; ValueError at the first it refuses.
+
     tol and maxit, then each cell's configuration and, for the exact
-    variant, the order of its dense last Schur stage are checked in cell
-    order before any problem is built.
+    variant, the order of its dense last Schur stage are checked without
+    assembling anything.
     """
     check_stopping(tol, maxit)
     cfgs = []
@@ -61,7 +80,7 @@ def run_table(
             if precond_variant in EXACT_VARIANTS:
                 check_stage_order(len(dims), dims[-1])
             cfgs.append(cfg)
-    return [_table_cell(cfg, precond_variant, tol, maxit) for cfg in cfgs]
+    return cfgs
 
 
 def _table_cell(cfg: ProblemConfig, precond_variant: str, tol: float, maxit: int) -> TableCell:

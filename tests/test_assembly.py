@@ -14,17 +14,28 @@ from msp.problems import DEFAULT_GEOMETRY, DiscreteOperators
 from msp.sparselin import SparseSymMatrix
 
 
+def face_chunks(space, geo, q, max_deriv):
+    """The chunks of all faces of `space`, face by face."""
+    for axis, side in asm.TraceSpace(space).faces:
+        yield from asm._Tabulation.face_of(space, axis, side, q, max_deriv).chunks(geo)
+
+
 def assemble_boundary_mass(space, geo, q=None):
     """Boundary mass M_d[i, j] = surface integral of phi_i phi_j over the boundary."""
-    faces = asm._face_matrices(
-        space, geo, q or asm._default_q(space), 0, 0, 0, lambda ch: (ch.integrate(v, v) for v in [ch.basis(0)])
-    )
+    q = q or asm._default_q(space)
+    faces = [
+        asm._assemble(
+            asm._Tabulation.face_of(space, axis, side, q, 0), geo, 0, 0,
+            lambda ch: (ch.integrate(v, v) for v in [ch.basis(0)]),
+        )[0]
+        for axis, side in asm.TraceSpace(space).faces
+    ]
     return asm._symmetric(sum(faces[1:], faces[0]))
 
 
 def boundary_measure(space, geo, q=8):
     """Total surface measure of the mapped boundary."""
-    return float(sum(np.sum(ch.dx) for ch in asm._face_chunks(space, geo, q, 0)))
+    return float(sum(np.sum(ch.dx) for ch in face_chunks(space, geo, q, 0)))
 
 
 def domain_measure(space, geo, q=8):
@@ -270,7 +281,12 @@ def _dense(m):
     return m.to_dense() if hasattr(m, "to_dense") else m.toarray()
 
 
-# every public assembler on one space, with tr its trace space
+def _data_gradient(x):
+    return np.cos(x) + x[:, ::-1] ** 2
+
+
+# every public assembler on one space, with tr its trace space, and each
+# form of the shared face pass that makes all face forms at once
 _FORMS = {
     "mass": lambda ts, tr, geo: asm.assemble_mass(ts, geo),
     "laplacian": lambda ts, tr, geo: asm.assemble_laplacian_strong(ts, ts, geo),
@@ -280,10 +296,14 @@ _FORMS = {
     "normal_gram": lambda ts, tr, geo: asm.assemble_normal_gram(ts, geo),
     "trace_mass": lambda ts, tr, geo: asm.assemble_trace_mass(tr, geo),
     "normal_coupling": lambda ts, tr, geo: asm.assemble_normal_coupling(tr, ts, geo),
-    "rhs_normal_data": lambda ts, tr, geo: asm.assemble_rhs_normal_data(
-        ts, geo, lambda x: np.cos(x) + x[:, ::-1] ** 2
-    ),
+    "rhs_normal_data": lambda ts, tr, geo: asm.assemble_rhs_normal_data(ts, geo, _data_gradient),
     "rhs_l2": lambda ts, tr, geo: asm.assemble_rhs_l2(ts, geo, lambda x: np.sin(3 * x[:, 0]) + x[:, -1]),
+    **{
+        f"face_pass.{name}": lambda ts, tr, geo, name=name: asm.assemble_face_forms(
+            ts, geo, asm.FACE_FORMS, _data_gradient
+        )[name]
+        for name in asm.FACE_FORMS
+    },
 }
 
 
@@ -291,6 +311,61 @@ def _all_forms(ts, geo):
     """Every public assembler on one space, as dense arrays."""
     tr = asm.TraceSpace(ts)
     return {name: _dense(build(ts, tr, geo)) for name, build in _FORMS.items()}
+
+
+class TestFacePass:
+    @pytest.mark.parametrize(
+        "d,p,level,geo_name", [(1, 2, 3, "identity"), (2, 2, 3, "annulus_2d"), (3, 3, 2, "twisted_3d")]
+    )
+    def test_shared_pass_is_bitwise_the_standalone_assemblers(self, d, p, level, geo_name):
+        # the forms that share one pass share its tables, and each still has
+        # the element blocks and sums of its own assembler
+        ts = sp.tensor_space(d, p, level)
+        geo = sp.GEOMETRIES[geo_name](d)
+        tr = asm.TraceSpace(ts)
+        for name in asm.FACE_FORMS:
+            got, want = _FORMS[f"face_pass.{name}"](ts, tr, geo), _FORMS[name](ts, tr, geo)
+            if isinstance(want, np.ndarray):
+                assert got.tobytes() == want.tobytes(), name
+            else:
+                _assert_same_csr(_csr(got), _csr(want))
+
+    @pytest.mark.parametrize(
+        "d,p,level,smoothness,geo_name",
+        [
+            (1, 2, 3, None, "identity"),
+            (1, 3, 2, 0, "identity"),
+            (2, 1, 2, None, "annulus_2d"),
+            (2, 2, 3, None, "annulus_2d"),
+            (2, 3, 2, 1, "annulus_2d"),
+            (2, 4, 2, -1, "annulus_2d"),
+            (3, 2, 2, None, "twisted_3d"),
+            (3, 3, 2, None, "twisted_3d"),
+        ],
+    )
+    def test_trimmed_gram_drops_only_zeros(self, d, p, level, smoothness, geo_name):
+        # the Gram integrates over the functions whose normal derivative need
+        # not vanish on each face; over all of them the face blocks only add
+        # explicit zeros, which the symmetric wrap drops
+        ts = sp.TensorSpace([sp.SplineSpace1D(p, level, smoothness) for _ in range(d)])
+        geo = sp.GEOMETRIES[geo_name](d)
+        faces = [
+            asm._assemble(
+                asm._Tabulation.face_of(ts, axis, side, p + 1, 1), geo, 0, 0,
+                lambda ch: (ch.integrate(v, v) for v in [ch.normal_derivative(0)]),
+            )[0]
+            for axis, side in asm.TraceSpace(ts).faces
+        ]
+        want = asm._symmetric(sum(faces[1:], faces[0])).to_csr()
+        _assert_same_csr(asm.assemble_normal_gram(ts, geo).to_csr(), want)
+
+    def test_unknown_form_refused(self):
+        with pytest.raises(ValueError, match="unknown face forms"):
+            asm.assemble_face_forms(sp.tensor_space(2, 2, 1), sp.annulus_2d(), ["boundary_mass"])
+
+
+def _csr(m):
+    return m.to_csr() if hasattr(m, "to_csr") else m
 
 
 class TestGeometryPerChunk:
@@ -321,8 +396,8 @@ class TestGeometryPerChunk:
             asm.assemble_volume_forms(ts, geo)
         else:
             _FORMS[form](ts, asm.TraceSpace(ts), geo)
-        # the right-hand sides also map each chunk's points to sample their data
-        assert len(calls) == len(chunks) * (2 if form.startswith("rhs") else 1) > 2
+        # the right-hand sides map each chunk's points to sample their data off the same table
+        assert len(calls) == len(chunks) > 2
         uses_hessians = form in ("laplacian", "biharmonic", "volume_forms")
         for ch in chunks:
             n = len(ch.dx)
@@ -637,7 +712,7 @@ class TestAxisWiseKernels:
     def test_normal_derivative(self, d, p, geo_name):
         ts = sp.tensor_space(d, p, 2 if d < 3 else 1)
         geo = sp.GEOMETRIES[geo_name](d)
-        for ch in asm._face_chunks(ts, geo, p + 1, 1):
+        for ch in face_chunks(ts, geo, p + 1, 1):
             assert _close(ch.normal_derivative(0), reference_normal_derivative(ch, 0), bitwise=d == 1)
 
     @pytest.mark.parametrize("d", [1, 2, 3])
@@ -651,6 +726,17 @@ class TestAxisWiseKernels:
         assert np.max(np.abs(det - np.linalg.det(jac)) / np.abs(np.linalg.det(jac))) <= 1e-14
         inv = np.linalg.inv(jac)
         assert np.max(np.abs(adj / det[:, None, None] - inv)) <= 1e-14 * np.max(np.abs(inv))
+
+    def test_adjugate_is_bitwise_np_cross(self):
+        # the 3D adjugate's columns are the cross products of the rows of J,
+        # written out in np.cross's own products and order
+        rng = np.random.default_rng(3)
+        for shape in [(7, 5, 3, 3), (64, 16, 3, 3), (1, 1, 3, 3)]:
+            jac = rng.standard_normal(shape) * rng.uniform(1e-3, 1e3, shape)
+            r0, r1, r2 = (jac[..., i, :] for i in range(3))
+            want = np.stack([np.cross(r1, r2), np.cross(r2, r0), np.cross(r0, r1)], axis=-1)
+            _, adj = asm._det_adjugate(jac)
+            assert adj.tobytes() == want.tobytes()
 
     def test_four_dimensional_mass(self):
         # past d = 3 the Jacobian goes through LAPACK; partition of unity gives the unit volume

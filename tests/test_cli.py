@@ -471,6 +471,27 @@ class TestErrors:
         assert got == (EXIT_CONFIG, out, err)
         assert calls == []
 
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            ["--tol", "2"],
+            ["--maxit", "0"],
+            ["--geometry", "nowhere"],
+            ["--alphas", "nan"],
+            ["--levels", "-1"],
+            ["--problem", "boundary_control", "--dim", "3"],
+            ["--precond", "exact", "--dim", "3", "--degree", "7", "--levels", "3"],
+        ],
+        ids=["tol", "maxit", "geometry", "alpha", "level", "problem-dim", "exact-stage"],
+    )
+    def test_refused_table_makes_no_residual_directory(self, capsys, tmp_path, bad):
+        dest = tmp_path / "D"
+        code, out, err = run_cli(capsys, "table", "--levels", "2", "--dump-residuals", str(dest), *bad)
+        assert code == EXIT_CONFIG
+        assert out == ""
+        assert err.startswith("configuration error: ")
+        assert not dest.exists()
+
     @pytest.mark.parametrize("alpha", ["nan", "inf"])
     def test_non_finite_alpha_rejected(self, capsys, alpha):
         code, out, err = run_cli(capsys, "table", "--levels", "2", "--alphas", alpha)

@@ -117,12 +117,19 @@ class TestDimensions:
         def volume_forms(space, geo):
             return eye(space.dim), scipy.sparse.identity(space.dim, format="csr"), eye(space.dim)
 
+        def face_forms(space, geo, names, data_gradient):
+            trace = assembly.TraceSpace(space).dim
+            made = {
+                "normal_gram": eye(space.dim),
+                "trace_mass": eye(trace),
+                "normal_coupling": scipy.sparse.csr_matrix((trace, space.dim)),
+                "rhs_normal_data": np.zeros(space.dim),
+            }
+            return {name: made[name] for name in names}
+
         stubs = {
             "assemble_volume_forms": volume_forms,
-            "assemble_normal_gram": lambda space, geo: eye(space.dim),
-            "assemble_trace_mass": lambda trace, geo: eye(trace.dim),
-            "assemble_normal_coupling": lambda trace, space, geo: scipy.sparse.csr_matrix((trace.dim, space.dim)),
-            "assemble_rhs_normal_data": lambda space, geo, fn: np.zeros(space.dim),
+            "assemble_face_forms": face_forms,
             "assemble_rhs_l2": lambda space, geo, fn: np.zeros(space.dim),
         }
         for name, stub in stubs.items():
@@ -197,9 +204,9 @@ class TestOperatorReuse:
                 assert g.dtype == w.dtype and np.array_equal(g, w)
 
     def test_cache_keeps_only_the_builders_inputs(self, monkeypatch):
-        # the full-space K, B and normal Gram are restricted and then freed;
-        # M is a builder input and stays
-        volume_forms, normal_gram = assembly.assemble_volume_forms, assembly.assemble_normal_gram
+        # the full-space K, B, normal Gram and normal coupling are restricted
+        # and then freed; M and the trace mass are builder inputs and stay
+        volume_forms, face_forms = assembly.assemble_volume_forms, assembly.assemble_face_forms
         refs = {}
 
         def keep_volume_forms(*args, **kwargs):
@@ -207,20 +214,39 @@ class TestOperatorReuse:
             refs.update(zip(("M", "K", "B"), map(weakref.ref, forms)))
             return forms
 
-        def keep_normal_gram(*args, **kwargs):
-            gram = normal_gram(*args, **kwargs)
-            refs["normal_gram"] = weakref.ref(gram)
-            return gram
+        def keep_face_forms(*args, **kwargs):
+            forms = face_forms(*args, **kwargs)
+            refs.update((name, weakref.ref(form)) for name, form in forms.items() if name != "rhs_normal_data")
+            return forms
 
         monkeypatch.setattr(assembly, "assemble_volume_forms", keep_volume_forms)
-        monkeypatch.setattr(assembly, "assemble_normal_gram", keep_normal_gram)
+        monkeypatch.setattr(assembly, "assemble_face_forms", keep_face_forms)
         pb.get_operators.cache_clear()
         probs = [build(pid, d=2, p=2, level=3, alpha=1e-3) for pid in pb.PROBLEM_IDS]
         gc.collect()
-        assert sorted(refs) == ["B", "K", "M", "normal_gram"]
+        assert sorted(refs) == ["B", "K", "M", "normal_coupling", "normal_gram", "trace_mass"]
         assert refs["M"]() is probs[0].ops.mass
-        for name in ("K", "B", "normal_gram"):
+        assert refs["trace_mass"]() is probs[0].ops.trace_mass
+        for name in ("K", "B", "normal_gram", "normal_coupling"):
             assert refs[name]() is None, f"full {name} still referenced"
+
+    @pytest.mark.parametrize("pid, d", [("boundary_observation", 2), ("boundary_observation", 3), ("boundary_control", 2)])
+    def test_each_face_tabulated_once(self, monkeypatch, pid, d):
+        # one face pass makes every face form the builder reads
+        face_of = assembly._Tabulation.face_of.__func__
+        faces = []
+
+        def counting_face_of(cls, space, axis, side, *args):
+            faces.append((axis, side))
+            return face_of(cls, space, axis, side, *args)
+
+        monkeypatch.setattr(assembly._Tabulation, "face_of", classmethod(counting_face_of))
+        pb.get_operators.cache_clear()
+        try:
+            build(pid, d=d, p=2, level=2, alpha=1e-3)
+        finally:
+            pb.get_operators.cache_clear()
+        assert sorted(faces) == [(axis, side) for axis in range(d) for side in (0, 1)]
 
     @pytest.mark.parametrize("pid", pb.PROBLEM_IDS)
     def test_mass_blocks_share_one_factor(self, pid):

@@ -44,6 +44,17 @@ The output ends with the 1D exact verdict table (exit codes of the p=2
 spectra; 1 is BOUND VIOLATED).  `--solutions FILE.npz` also saves the
 solutions of the 312 records, and `--diff A.npz B.npz` prints the largest
 relative difference between two such files.
+
+    python3 tools/same_results.py --forms --against HEAD
+
+compares the assembled forms instead, at 2D p=2 L6 (annulus_2d) and 3D p=3
+L3 (twisted_3d): M, K and B of the volume pass, the normal Gram, the trace
+mass and the normal coupling, and the L2 and normal-data right-hand sides
+of the problems' sine data.  It prints each form's largest relative
+difference, max |this - REF| / max |REF| over the stored values, or
+"pattern differs" when the CSR index arrays do not match, and exits 0 when
+every form is bitwise REF's.  `--forms-to FILE.npz` saves the forms of the
+`--src` package, which is what each side of that comparison runs.
 """
 
 from __future__ import annotations
@@ -238,6 +249,81 @@ def diff_solutions(a_path: str, b_path: str) -> int:
     return 0
 
 
+# (label, d, p, level, geometry) of the meshes `--forms` compares
+FORM_MESHES = (("2D p=2 L6", 2, 2, 6, "annulus_2d"), ("3D p=3 L3", 3, 3, 3, "twisted_3d"))
+FORM_NAMES = ("M", "K", "B", "normal_gram", "trace_mass", "normal_coupling", "rhs_l2", "rhs_normal_data")
+
+
+def save_forms(path: str) -> None:
+    """Assemble each form of FORM_NAMES on each of FORM_MESHES with the public assemblers; save them to `path`."""
+    import numpy as np
+    from msp import assembly, problems, splines
+
+    arrays = {}
+    for label, d, p, level, geometry in FORM_MESHES:
+        space, geo = splines.tensor_space(d, p, level), splines.GEOMETRIES[geometry](d)
+        trace = assembly.TraceSpace(space)
+        m, k, b = assembly.assemble_volume_forms(space, geo)
+        forms = {
+            "M": m.to_csr(),
+            "K": k,
+            "B": b.to_csr(),
+            "normal_gram": assembly.assemble_normal_gram(space, geo).to_csr(),
+            "trace_mass": assembly.assemble_trace_mass(trace, geo).to_csr(),
+            "normal_coupling": assembly.assemble_normal_coupling(trace, space, geo),
+            "rhs_l2": assembly.assemble_rhs_l2(space, geo, problems.sine_data_value(d)),
+            "rhs_normal_data": assembly.assemble_rhs_normal_data(space, geo, problems.sine_data_gradient(d)),
+        }
+        for name, form in forms.items():
+            parts = {"data": form} if isinstance(form, np.ndarray) else {
+                "data": form.data, "indices": form.indices, "indptr": form.indptr}
+            for part, a in parts.items():
+                arrays[f"{label}|{name}|{part}"] = a
+    np.savez(path, **arrays)
+
+
+def _forms_of(src: Path, path: Path) -> dict:
+    import numpy as np
+
+    subprocess.run([sys.executable, __file__, "--src", str(src), "--forms-to", str(path)], check=True)
+    with np.load(path) as f:
+        return {k: f[k] for k in f.files}
+
+
+def forms_against(ref: str) -> int:
+    """Print the largest relative difference of each form of this checkout against commit `ref`'s; 0 when all are bitwise equal."""
+    import numpy as np
+
+    with tempfile.TemporaryDirectory(prefix="same_results_") as tmp:
+        if _unpack_src(ref, tmp):
+            return 2
+        old = _forms_of(Path(tmp) / "src", Path(tmp) / "ref.npz")
+        new = _forms_of(ROOT / "src", Path(tmp) / "this.npz")
+    same = True
+    for label, *_ in FORM_MESHES:
+        for name in FORM_NAMES:
+            key = f"{label}|{name}|"
+            parts = [k[len(key):] for k in new if k.startswith(key)]
+            if any(not np.array_equal(old[key + part], new[key + part]) for part in parts if part != "data"):
+                same = False
+                print(f"{label} {name}: pattern differs")
+                continue
+            a, b = new[key + "data"], old[key + "data"]
+            rel = float(np.max(np.abs(a - b)) / np.max(np.abs(b)))
+            same = same and rel == 0.0
+            print(f"{label} {name}: {rel:.1e}" if rel else f"{label} {name}: 0.0")
+    return 0 if same else 1
+
+
+def _unpack_src(ref: str, tmp: str) -> int:
+    """Unpack the `src` of commit `ref` into `tmp`; git's exit code."""
+    archive = subprocess.run(["git", "-C", str(ROOT), "archive", ref, "src"], stdout=subprocess.PIPE)
+    if archive.returncode == 0:
+        with tarfile.open(fileobj=io.BytesIO(archive.stdout)) as tar:
+            tar.extractall(tmp, filter="data")
+    return archive.returncode
+
+
 def _records_of(src: Path) -> list[str]:
     """The record lines of the msp package under `src`, from a child process (`main` sets one BLAS thread)."""
     out = subprocess.run([sys.executable, __file__, "--src", str(src)], check=True, stdout=subprocess.PIPE, text=True)
@@ -247,11 +333,8 @@ def _records_of(src: Path) -> list[str]:
 def against(ref: str) -> int:
     """Diff the records of commit `ref` against this checkout's; 0 when only the line count differs."""
     with tempfile.TemporaryDirectory(prefix="same_results_") as tmp:
-        archive = subprocess.run(["git", "-C", str(ROOT), "archive", ref, "src"], stdout=subprocess.PIPE)
-        if archive.returncode:
+        if _unpack_src(ref, tmp):
             return 2  # git has said why
-        with tarfile.open(fileobj=io.BytesIO(archive.stdout)) as tar:
-            tar.extractall(tmp, filter="data")
         old = _records_of(Path(tmp) / "src")
     new = _records_of(ROOT / "src")
     for line in difflib.unified_diff(old, new, ref, "this checkout", lineterm=""):
@@ -268,11 +351,16 @@ def main(argv=None) -> int:
     ap.add_argument("--solutions", metavar="FILE.npz", help="also save the 312 solutions")
     ap.add_argument("--diff", nargs=2, metavar=("A.npz", "B.npz"), help="compare two saved solution sets and exit")
     ap.add_argument("--against", metavar="REF", help="diff the records of git commit REF against this checkout's")
+    ap.add_argument("--forms", action="store_true",
+                    help="with --against, compare the assembled forms instead of the records")
+    ap.add_argument("--forms-to", metavar="FILE.npz", help="save the assembled forms of the --src package and exit")
     args = ap.parse_args(argv)
     if args.diff:
         return diff_solutions(*args.diff)
+    if args.forms and not args.against:
+        ap.error("--forms needs --against REF")
     if args.against:
-        return against(args.against)
+        return forms_against(args.against) if args.forms else against(args.against)
     for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
         os.environ[var] = "1"  # before numpy is first imported
     sys.path.insert(0, args.src)
@@ -280,6 +368,9 @@ def main(argv=None) -> int:
 
     package = Path(msp.__file__).resolve().parent
     print(f"msp from {package}", file=sys.stderr)
+    if args.forms_to:
+        save_forms(args.forms_to)
+        return 0
     print(f"src/msp lines: {sum(len(f.read_text().splitlines()) for f in package.glob('*.py'))}")
     solutions: dict = {}
     with factor_census("run_table"):
