@@ -22,7 +22,7 @@ from .problems import (
     make_preconditioner,
 )
 from .run import check_table, format_table, run_table
-from .saddle import DENSE_MODE_LIMIT, check_stage_order, spectrum, verify_sharpness
+from .saddle import DENSE_MODE_LIMIT, LeadMismatch, check_stage_order, spectrum, verify_sharpness
 from .sparselin import NotPositiveDefinite, write_matrix_market
 from .krylov import lanczos_bounds, minres_solve
 
@@ -177,7 +177,11 @@ def cmd_spectrum(args: argparse.Namespace) -> int:
         )
         print(f"kappa >= {s_max / s_min:.6f}  (lower bound; bound for n={n}: {bound:.6f})")
         return EXIT_OK
-    rep = spectrum(prob.system, precond)
+    try:
+        rep = spectrum(prob.system, precond, lead=prob.lead_pattern)
+    except LeadMismatch as exc:
+        print(f"PRECONDITIONER MISMATCH: {exc}")
+        return EXIT_VIOLATION
     print(
         f"lambda in [{rep.eigenvalues.min():.6f}, {rep.eigenvalues.max():.6f}], "
         f"min|lambda| = {np.min(np.abs(rep.eigenvalues)):.6f}"

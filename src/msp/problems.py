@@ -168,16 +168,24 @@ class DiscreteOperators:
         """The face forms `names` as the builders read them; those not made yet come from one pass over the faces.
 
         The normal Gram is kept on the zero-trace space, the normal-data rhs
-        on its rows and the normal coupling N on its columns; the full-space
-        forms are not kept.  A builder asks for all its face forms at once.
+        on its rows and the normal coupling N on its columns, without the
+        zeros stored for the functions whose normal derivative vanishes on a
+        face; the full-space forms are not kept.  A builder asks for all its
+        face forms at once.
         """
         missing = [name for name in names if name not in self._faces]
         if missing:
             forms = assembly.assemble_face_forms(self.space, self.geo, missing, sine_data_gradient(self.d))
+
+            def restrict_coupling(n: scipy.sparse.csr_matrix) -> scipy.sparse.csr_matrix:
+                n = n[:, self.interior]
+                n.eliminate_zeros()
+                return n
+
             restrict = {
                 "normal_gram": self._restrict_sym,
                 "rhs_normal_data": lambda rhs: rhs[self.interior],
-                "normal_coupling": lambda n: n[:, self.interior],
+                "normal_coupling": restrict_coupling,
             }
             self._faces.update((name, restrict.get(name, lambda f: f)(form)) for name, form in forms.items())
         return tuple(self._faces[name] for name in names)
@@ -268,6 +276,9 @@ class AssembledProblem:
     Schur complements S_1..S_{n-1}.  The last block is factored when
     `practical` is first read, so an exact-Schur cell never factors it; the
     exact preconditioner takes `lead_factors` alone, without the blocks.
+    `lead_pattern` is the builder's T: with L the lead factors, blocks
+    1..n-1 of L^{-1} A L^{-T} are T ⊗ I_W up to the factors' rounding
+    (`saddle.spectrum` deflates them).
     """
 
     config: ProblemConfig
@@ -275,6 +286,7 @@ class AssembledProblem:
     rhs: np.ndarray
     practical_blocks: list[SparseSymMatrix]
     lead_factors: list[CholeskyFactor]
+    lead_pattern: np.ndarray
     ops: DiscreteOperators = field(repr=False, default=None)
 
     @property
@@ -298,6 +310,8 @@ def _three_block(
     The practical preconditioner is diag(alpha M, M / alpha, A_3 + alpha B).
     alpha M and M / alpha are views of M and of its factor, and alpha M
     shares its CSR with the coupling B_1 = M, so the apply forms M x_1 once.
+    As alpha M, M / alpha and the coupling M share M's factor, the lead
+    blocks of the preconditioned operator are [[I, I], [I, 0]].
     """
     a = cfg.alpha
     m = ops.mass
@@ -311,7 +325,7 @@ def _three_block(
     rhs = np.concatenate([np.zeros(2 * m.dim), rhs3])
     blocks = [am, m.scaled(1.0 / a), a3.add(ops.biharmonic_int, a)]
     factors = [ops.mass_factor.scaled(a), ops.mass_factor.scaled(1.0 / a)]
-    return AssembledProblem(cfg, system, rhs, blocks, factors, ops)
+    return AssembledProblem(cfg, system, rhs, blocks, factors, np.array([[1.0, 1.0], [1.0, 0.0]]), ops)
 
 
 def _two_block(
@@ -328,7 +342,8 @@ def _two_block(
     The practical preconditioner is diag(M, alpha X, Z / alpha + B); alpha X
     uses X's factor `x_factor` scaled.  diag(M, alpha X) is block-diagonal
     over two exactly symmetric canonical blocks, so it is wrapped without
-    re-validation.
+    re-validation.  Its factors are those of S_1 = A_1, so the lead block of
+    the preconditioned operator is I.
     """
     a = cfg.alpha
     m = ops.mass
@@ -338,7 +353,7 @@ def _two_block(
     rhs = np.concatenate([ops.rhs_l2_data, np.zeros(x.dim + nz)])
     blocks = [m, x.scaled(a), z.scaled(1.0 / a).add(ops.biharmonic_int)]
     factors = [ops.mass_factor, x_factor.scaled(a)]
-    return AssembledProblem(cfg, system, rhs, blocks, factors, ops)
+    return AssembledProblem(cfg, system, rhs, blocks, factors, np.ones((1, 1)), ops)
 
 
 def build_problem(cfg: ProblemConfig) -> AssembledProblem:

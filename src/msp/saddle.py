@@ -6,6 +6,14 @@ on the diagonal.  The block-diagonal preconditioner consists of the Schur
 complements S_1 = A_1, S_{i+1} = A_{i+1} + B_i S_i^{-1} B_i'.  Spectral
 analysis of the preconditioned operator certifies the closed-form bounds
 from :mod:`msp.chebyshev`, including their sharpness when A_i = 0 for i >= 2.
+
+`spectrum` solves L^{-1} A L^{-T} for the preconditioner's factors L.  Given
+the lead pattern T a problem builder declares, it deflates blocks 1..n-1,
+which are T ⊗ I_W: the eigenvalues of T come out with known multiplicity and
+the rest from an eigenproblem of order (n-1)k + m, k = min(W, m).  The
+premise is probed on random vectors and refused (LeadMismatch) when it
+fails.  Without T (`verify`'s random systems, the tests' oracle) the whole
+operator is solved dense.
 """
 
 from __future__ import annotations
@@ -16,6 +24,7 @@ from itertools import accumulate
 
 import numpy as np
 import scipy.sparse
+from scipy.linalg import solve_triangular
 from scipy.linalg.blas import dtrsm
 from scipy.linalg.lapack import dsygst
 
@@ -255,13 +264,44 @@ class SpectrumReport:
 BOUND_SLACK = 1e-10
 
 
+def _report(ev: np.ndarray, n: int) -> SpectrumReport:
+    """The report on the eigenvalues `ev` of an n-block operator: its extremes judged against the bounds."""
+    nrm = float(np.max(np.abs(ev)))
+    inv = float(1.0 / np.min(np.abs(ev)))
+    bs = bounds(n)
+    within = nrm <= bs.norm_bound * (1 + BOUND_SLACK) and inv <= bs.inv_norm_bound * (1 + BOUND_SLACK)
+    return SpectrumReport(eigenvalues=ev, norm=nrm, inv_norm=inv, cond=nrm * inv, bound_set=bs, within_bounds=within)
+
+
+class LeadMismatch(Exception):
+    """The preconditioned operator's lead blocks are not the structure declared for them."""
+
+
+# Largest relative residual of a lead-structure probe.
+LEAD_PROBE_TOL = 1e-12
+
+
+def _congruence(a: np.ndarray, li: np.ndarray, lj: np.ndarray | None = None) -> np.ndarray:
+    """L_i^{-1} a L_j^{-T}; with lj None, a is symmetric, L_j = L_i and a may serve as LAPACK's workspace.
+
+    A symmetric block comes from dsygst (lower triangle) and is mirrored, so
+    it is exactly symmetric; a coupling block from two dtrsm calls.
+    """
+    if lj is None:
+        # a is symmetric: its transpose is the Fortran-ordered operand; x' is
+        # C-ordered with x's lower triangle as its upper
+        x, _ = dsygst(a.T, li, lower=1, overwrite_a=1)
+        return mirror_upper(x.T)
+    x = dtrsm(1.0, li, a, lower=1)
+    return dtrsm(1.0, lj, x, side=1, lower=1, trans_a=1, overwrite_b=1)
+
+
 def _reduced_operator(sys: BlockTridiagSystem, precond: SchurPreconditioner) -> np.ndarray:
     """L^{-1} A L^{-T} for the preconditioner's factors L = diag(L_i), exactly symmetric.
 
     C_ij = L_i^{-1} A_ij L_j^{-T} over the preconditioner's blocks (which may
-    split a system block) for j <= i, mirrored into C_ji.  A diagonal block
-    comes from dsygst (lower triangle) and is mirrored; a coupling block
-    from two dtrsm calls.  Zero blocks of A are skipped.
+    split a system block) for j <= i, mirrored into C_ji.  Zero blocks of A
+    are skipped.
     """
     if sum(precond.block_dims) != sys.total_dim:
         raise ValueError("preconditioner and system orders differ")
@@ -272,50 +312,119 @@ def _reduced_operator(sys: BlockTridiagSystem, precond: SchurPreconditioner) -> 
             a = c[ri, rj]
             if not a.any():
                 continue
-            if ri == rj:
-                # A_ii is symmetric: its transpose is the Fortran-ordered
-                # operand; x' is C-ordered with x's lower triangle as its upper
-                x, _ = dsygst(a.T, li, lower=1, overwrite_a=1)
-                a[...] = mirror_upper(x.T)
-            else:
-                x = dtrsm(1.0, li, a, lower=1)
-                x = dtrsm(1.0, lj, x, side=1, lower=1, trans_a=1, overwrite_b=1)
-                a[...] = x
+            x = _congruence(a, li, None if ri == rj else lj)
+            a[...] = x
+            if ri != rj:
                 c[rj, ri] = x.T
             del x  # before the next block's solve allocates its own
     return c
+
+
+def _deflated_eigenvalues(sys: BlockTridiagSystem, precond: SchurPreconditioner, lead: np.ndarray) -> np.ndarray:
+    """Eigenvalues of L^{-1} A L^{-T} whose blocks 1..n-1 are T ⊗ I_W, by deflation.
+
+    `lead` is T, of order n-1; every lead system block has the order W and
+    the last preconditioner block is the last system block, of order m.
+    Only block n-1 couples to block n, through Y = L_{n-1}^{-1} B_{n-1}'
+    L_n^{-T} (W x m, over the preconditioner blocks that tile block n-1).
+    With the thin QR Y = QR (R is k x m, k = min(W, m)), the operator splits
+    into the eigenvalues of T, each W - k times, and those of the symmetric
+    [[T ⊗ I_k, e_{n-1} ⊗ R], [., C_nn]] of order (n-1)k + m, with
+    C_nn = (-1)^{n-1} L_n^{-1} A_n L_n^{-T}.  Nothing is assumed of L_n.
+    The premise is probed: LeadMismatch when it fails.
+    """
+    n, dims = sys.n, sys.block_dims
+    w, m = dims[0], dims[-1]
+    t = np.asarray(lead, dtype=np.float64)
+    if t.shape != (n - 1, n - 1) or any(d != w for d in dims[:-1]):
+        raise ValueError(f"blocks of orders {dims[:-1]} cannot be T ⊗ I_W for T of shape {t.shape}")
+    start = (n - 2) * w  # the first row of block n-1
+    lead_blocks = [(f.lower(), s) for f, s in zip(precond.factors[:-1], precond._slices[:-1])]
+    starts = [s.start for _, s in lead_blocks]
+    if sum(precond.block_dims) != sys.total_dim or precond.block_dims[-1] != m or start not in starts:
+        raise ValueError("the preconditioner's blocks do not tile the system's last two")
+    _probe_lead(sys, lead_blocks, t)
+    ln = precond.factors[-1].lower()
+    b = sys.B[-1]
+    b = b.toarray() if scipy.sparse.issparse(b) else b
+    # Y' block by block, each formed as `_reduced_operator` forms it, so it rounds as the dense path does
+    yt = np.empty((m, w))
+    for li, s in lead_blocks:
+        if s.start >= start:
+            cols = slice(s.start - start, s.stop - start)
+            yt[:, cols] = _congruence(b[:, cols], ln, li)
+    del b, lead_blocks  # before the dense eigenproblem is allocated
+    r = np.linalg.qr(yt.T, mode="r")
+    k = r.shape[0]
+    del yt
+    h = np.zeros(((n - 1) * k + m,) * 2)
+    diag = np.arange(k)
+    for (i, j), tij in np.ndenumerate(t):
+        h[i * k + diag, j * k + diag] = tij
+    h[(n - 2) * k : (n - 1) * k, (n - 1) * k :] = r
+    h[(n - 1) * k :, (n - 2) * k : (n - 1) * k] = r.T
+    ann = h[(n - 1) * k :, (n - 1) * k :]
+    sys.A[-1].add_to(ann)
+    if (n - 1) % 2:
+        np.subtract(0.0, ann, out=ann)
+    if ann.any():
+        ann[...] = _congruence(ann, ln)
+    # h is exactly symmetric: its transpose is a Fortran view of the same buffer
+    ev = np.concatenate([sym_eig_overwrite(h.T), np.repeat(np.linalg.eigvalsh(t), w - k)])
+    ev.sort()
+    return ev
+
+
+def _probe_lead(sys: BlockTridiagSystem, lead_blocks: list[tuple[np.ndarray, slice]], t: np.ndarray) -> None:
+    """Check ||C_lead z - (T ⊗ I) z|| <= LEAD_PROBE_TOL ||z|| on two random z; LeadMismatch otherwise.
+
+    C_lead z = L^{-1} A_lead L^{-T} z is formed by the lead factors'
+    triangular solves around `sys.apply` (the last block's input zero).  By
+    Weyl's theorem, taking C_lead as T ⊗ I then moves no eigenvalue by more
+    than ||C_lead - T ⊗ I||_2.
+    """
+    size = lead_blocks[-1][1].stop
+    rng = np.random.default_rng(0)
+    for _ in range(2):
+        z = rng.standard_normal(size)
+        x = np.zeros(sys.total_dim)
+        for li, s in lead_blocks:
+            x[s] = solve_triangular(li, z[s], lower=True, trans="T", check_finite=False)
+        y = sys.apply(x)
+        for li, s in lead_blocks:
+            y[s] = solve_triangular(li, y[s], lower=True, check_finite=False)
+        res = np.linalg.norm(y[:size] - (t @ z.reshape(len(t), -1)).ravel())
+        if not res <= LEAD_PROBE_TOL * np.linalg.norm(z):
+            raise LeadMismatch(
+                f"the preconditioned lead blocks are not T ⊗ I: a random probe leaves "
+                f"a relative residual {res / np.linalg.norm(z):.1e}, above {LEAD_PROBE_TOL:.0e}"
+            )
 
 
 def spectrum(
     sys: BlockTridiagSystem,
     precond: SchurPreconditioner,
     dense_limit: int = DENSE_MODE_LIMIT,
+    lead: np.ndarray | None = None,
 ) -> SpectrumReport:
-    """Dense eigenvalues of the pencil (A, L L'), checked against the bounds.
+    """Eigenvalues of the pencil (A, L L'), checked against the bounds.
 
     L = diag(L_i) holds the preconditioner's own factors, the ones MINRES
     applies (a scaled factor included).  The pencil is reduced with them to
     the standard eigenproblem of L^{-1} A L^{-T}: no dense P is formed and
-    no generalized eigensolver is called.
+    no generalized eigensolver is called.  Without `lead`, that operator is
+    formed whole and solved dense.  With `lead` = T, its blocks 1..n-1 are
+    declared to be T ⊗ I_W: this is probed, and only the order-(n-1)k + m
+    part left by deflating them is solved (`_deflated_eigenvalues`).
     """
     if sys.total_dim > dense_limit:
         raise ValueError(f"total dim {sys.total_dim} exceeds dense-mode limit {dense_limit}")
+    if lead is not None:
+        return _report(_deflated_eigenvalues(sys, precond, lead), sys.n)
     # The reduced operator is exactly symmetric, so its transpose, a Fortran
     # view of the same buffer, has the same lower triangle in LAPACK's order;
     # the eigensolver works in that buffer, not in a copy.
-    ev = sym_eig_overwrite(_reduced_operator(sys, precond).T)
-    nrm = float(np.max(np.abs(ev)))
-    inv = float(1.0 / np.min(np.abs(ev)))
-    bs = bounds(sys.n)
-    within = nrm <= bs.norm_bound * (1 + BOUND_SLACK) and inv <= bs.inv_norm_bound * (1 + BOUND_SLACK)
-    return SpectrumReport(
-        eigenvalues=ev,
-        norm=nrm,
-        inv_norm=inv,
-        cond=nrm * inv,
-        bound_set=bs,
-        within_bounds=within,
-    )
+    return _report(sym_eig_overwrite(_reduced_operator(sys, precond).T), sys.n)
 
 
 def random_sharp_system(n: int, rng: np.random.Generator, block_dim: int | None = None) -> BlockTridiagSystem:

@@ -206,6 +206,24 @@ class TestSpectrum:
         assert got == code
         assert ("BOUND VIOLATED" in out) == (code == EXIT_VIOLATION)
 
+    @pytest.mark.parametrize("problem", ["distributed_strong", "boundary_control"])
+    def test_undeclared_lead_factor_is_a_violation(self, capsys, monkeypatch, problem):
+        # the first lead factor 1% off (for a three-block problem the factor of
+        # 1.01 alpha M): the deflated spectrum refuses it and the CLI exits 1
+        import msp.cli
+
+        def broken(prob, variant):
+            pre = make_preconditioner(prob, variant)
+            return msp.saddle.SchurPreconditioner(factors=[pre.factors[0].scaled(1.01), *pre.factors[1:]])
+
+        monkeypatch.setattr(msp.cli, "make_preconditioner", broken)
+        code, out, err = run_cli(capsys, "spectrum", "--problem", problem, *SMALL, "--precond", "exact")
+        assert code == EXIT_VIOLATION
+        header, refusal = out.splitlines()
+        assert header.startswith(f"problem={problem} ")
+        assert refusal.startswith("PRECONDITIONER MISMATCH: the preconditioned lead blocks are not T ⊗ I")
+        assert err == ""
+
     def test_three_block_problem(self, capsys):
         code, out, _ = run_cli(
             capsys,

@@ -230,6 +230,19 @@ class TestOperatorReuse:
         for name in ("K", "B", "normal_gram", "normal_coupling"):
             assert refs[name]() is None, f"full {name} still referenced"
 
+    @pytest.mark.parametrize("level", [3, 4])
+    def test_normal_coupling_keeps_no_zeros(self, level):
+        # the restricted N is the face pass's N on zero-trace columns, bit for
+        # bit, less the zeros of the functions whose normal derivative vanishes
+        ops = pb.DiscreteOperators(2, 2, level, "annulus_2d")
+        kept = ops._face_forms("normal_coupling")[0]
+        full = assembly.assemble_normal_coupling(assembly.TraceSpace(ops.space), ops.space, ops.geo)[:, ops.interior]
+        assert kept.nnz < full.nnz and np.all(kept.data != 0)
+        full.eliminate_zeros()
+        for part in ("indptr", "indices", "data"):
+            assert getattr(kept, part).tobytes() == getattr(full, part).tobytes()
+        assert np.all(ops.trace_coupling.data != 0)
+
     @pytest.mark.parametrize("pid, d", [("boundary_observation", 2), ("boundary_observation", 3), ("boundary_control", 2)])
     def test_each_face_tabulated_once(self, monkeypatch, pid, d):
         # one face pass makes every face form the builder reads
@@ -285,6 +298,29 @@ class TestOperatorReuse:
         want = np.split(fresh.apply_inverse(r), edges)
         for g, w in zip(got, want):
             assert np.linalg.norm(g - w) <= 1e-12 * np.linalg.norm(w)
+
+
+class TestLeadPattern:
+    @pytest.mark.parametrize("pid, want", [
+        ("distributed_very_weak", [[1.0]]),
+        ("boundary_control", [[1.0]]),
+        ("distributed_strong", [[1.0, 1.0], [1.0, 0.0]]),
+        ("boundary_observation", [[1.0, 1.0], [1.0, 0.0]]),
+    ])
+    def test_declared_by_the_builder(self, pid, want):
+        prob = build(pid, d=2, p=2, level=2, alpha=1e-3)
+        assert prob.lead_pattern.tolist() == want
+
+    @pytest.mark.parametrize("variant", ["exact", "practical"])
+    @pytest.mark.parametrize("pid", pb.PROBLEM_IDS)
+    def test_is_the_lead_of_the_preconditioned_operator(self, pid, variant):
+        # entry for entry, against the dense L^-1 A L^-T of the preconditioner's factors
+        prob = build(pid, d=2, p=2, level=2, alpha=1e-5)
+        pre = pb.make_preconditioner(prob, variant)
+        lead = prob.total_dim - prob.system.block_dims[-1]
+        w = prob.system.block_dims[0]
+        c = saddle._reduced_operator(prob.system, pre)[:lead, :lead]
+        assert np.max(np.abs(c - np.kron(prob.lead_pattern, np.eye(w)))) <= 1e-13
 
 
 class TestExactSchurSpectrum:

@@ -10,7 +10,7 @@ import scipy.sparse
 from msp import problems
 from msp import saddle as sd
 from msp.chebyshev import bounds, pbar_roots
-from msp.sparselin import DenseSymMatrix, NotPositiveDefinite, SparseSymMatrix, gen_sym_eig
+from msp.sparselin import DenseSymMatrix, NotPositiveDefinite, SparseSymMatrix, cholesky, gen_sym_eig
 
 
 def sharp_spectrum_reference(n):
@@ -323,6 +323,96 @@ class TestSpectrum:
         assert not rep.cond_exceeds_bound
         rep.cond = np.nextafter(edge, np.inf)
         assert rep.cond_exceeds_bound
+
+
+# (problem, d, p, level) of the deflation's oracle cells; boundary_control is set up in 2D only
+DEFLATION_CASES = [
+    (pid, d, p, level)
+    for d, p, level in ((2, 2, 3), (3, 3, 2), (1, 2, 6))
+    for pid in problems.PROBLEM_IDS
+    if pid != "boundary_control" or d == 2
+]
+
+
+class TestDeflatedSpectrum:
+    @pytest.mark.parametrize("pid, d, p, level", DEFLATION_CASES)
+    def test_is_the_dense_spectrum_and_prints_the_same(self, monkeypatch, capsys, pid, d, p, level):
+        # the CLI's deflated spectrum against the dense one of the same
+        # preconditioner, and its output against a run with the dense path forced
+        from msp import cli
+
+        spectrum, reports, force_dense = sd.spectrum, [], [False]
+
+        def recording(sys, pre, lead=None):
+            assert lead is not None  # cmd_spectrum passes the builder's T
+            rep = spectrum(sys, pre, lead=None if force_dense[0] else lead)
+            reports.append(rep)
+            return rep
+
+        monkeypatch.setattr(cli, "spectrum", recording)
+        geometry = ["--geometry", "twisted_3d"] if d == 3 else []
+        for precond in ("exact", "practical"):
+            for alpha in ("1", "1e-3", "1e-7"):
+                argv = ["spectrum", "--problem", pid, "--dim", str(d), "--degree", str(p), "--levels",
+                        str(level), "--alphas", alpha, "--precond", precond, *geometry]
+                runs = []
+                for forced in (False, True):
+                    force_dense[0] = forced
+                    runs.append((cli.main(argv), capsys.readouterr()))
+                (code, cap), (dense_code, dense_cap) = runs
+                assert (code, cap.out, cap.err) == (dense_code, dense_cap.out, dense_cap.err)
+                assert "kappa = " in cap.out
+                got, want = (r.eigenvalues for r in reports[-2:])
+                assert got.shape == want.shape
+                assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+    @pytest.mark.parametrize("pid", problems.PROBLEM_IDS)
+    def test_refuses_a_lead_factor_that_is_not_declared(self, pid):
+        # the first lead factor 1% off: the dense path takes it, the deflated one refuses
+        alpha = 1e-3
+        prob = problems.build_problem(problems.ProblemConfig(pid, d=2, p=2, level=3, alpha=alpha))
+        exact = problems.exact_schur_precond(prob)
+        first = prob.lead_factors[0]
+        broken = sd.SchurPreconditioner(factors=[first.scaled(1.01), *exact.factors[1:]])
+        if prob.system.n == 3:
+            assert first.scale == alpha  # alpha M's factor: mass_factor.scaled(1.01 * alpha) above
+        assert sd.spectrum(prob.system, broken).eigenvalues.size == prob.total_dim
+        with pytest.raises(sd.LeadMismatch, match="not T ⊗ I"):
+            sd.spectrum(prob.system, broken, lead=prob.lead_pattern)
+        sd.spectrum(prob.system, exact, lead=prob.lead_pattern)
+
+    def test_refuses_a_wrong_pattern(self):
+        prob = problems.build_problem(problems.ProblemConfig("distributed_strong", d=2, p=2, level=2))
+        pre = problems.exact_schur_precond(prob)
+        with pytest.raises(sd.LeadMismatch):
+            sd.spectrum(prob.system, pre, lead=np.array([[1.0, 1.0], [1.0, 1.0]]))
+        with pytest.raises(ValueError, match="cannot be T ⊗ I_W"):
+            sd.spectrum(prob.system, pre, lead=np.ones((1, 1)))
+        w = prob.system.block_dims[0]
+        shifted = [cholesky(np.eye(w - 1)), cholesky(np.eye(w + 1)), pre.factors[-1]]
+        with pytest.raises(ValueError, match="do not tile"):
+            sd.spectrum(prob.system, sd.SchurPreconditioner(factors=shifted), lead=prob.lead_pattern)
+
+    def test_refused_over_the_dense_limit(self):
+        prob = problems.build_problem(problems.ProblemConfig("boundary_observation", d=2, p=2, level=2))
+        with pytest.raises(ValueError, match="dense-mode limit"):
+            sd.spectrum(prob.system, prob.practical, dense_limit=prob.total_dim - 1, lead=prob.lead_pattern)
+
+    def test_both_paths_report_through_one_helper(self, monkeypatch):
+        calls = []
+        report = sd._report
+
+        def counting(ev, n):
+            calls.append(ev.size)
+            return report(ev, n)
+
+        monkeypatch.setattr(sd, "_report", counting)
+        prob = problems.build_problem(problems.ProblemConfig("boundary_control", d=2, p=2, level=2))
+        dense = sd.spectrum(prob.system, prob.practical)
+        deflated = sd.spectrum(prob.system, prob.practical, lead=prob.lead_pattern)
+        assert calls == [prob.total_dim] * 2
+        assert deflated.bound_set == dense.bound_set
+        assert deflated.within_bounds == dense.within_bounds
 
 
 class TestVerifySharpness:
