@@ -45,6 +45,7 @@ def minres_solve(
     b: np.ndarray,
     tol: float = 1e-8,
     maxit: int = 500,
+    product: Callable[[np.ndarray, np.ndarray, float], np.ndarray] | None = None,
 ) -> SolveResult:
     """Solve A x = b with MINRES preconditioned by an SPD operator inverse.
 
@@ -61,10 +62,15 @@ def minres_solve(
     tol ||b||.  The residual is updated by the recurrence
     r_k = r_{k-1} - phi_k A w_k, where A w_k follows the same three-term
     recurrence as w_k from the A v_k the Lanczos step computes anyway, so
-    each iteration applies the operator once.  When the updated residual
-    passes the test, one true residual b - A x_k confirms it (Greenbaum,
-    SIAM J. Matrix Anal. Appl. 18(3), 1997); if the confirmation fails,
-    the true residual replaces the updated one and the iteration goes on.
+    each iteration forms one operator product: `apply_a(v_k)`, or, given
+    `product`, `product(v_k, r, beta)`, A v_k for v_k = P^{-1} r / beta and
+    the Lanczos vector r (`run.solve_problem` passes
+    `AssembledProblem.apply_preconditioned`; `spectrum --lanczos` does not).
+    When the updated residual passes the test, one true residual b - A x_k
+    from `apply_a` confirms it (Greenbaum, SIAM J. Matrix Anal. Appl. 18(3),
+    1997), so a wrong `product` cannot report convergence; if the
+    confirmation fails, the true residual replaces the updated one and the
+    iteration goes on.
     The reported residual_history always holds the energy-norm values;
     residual_norms holds ||b||, then per step the Euclidean norm the test
     compared (the true residual's where one was formed); and `lanczos` the
@@ -100,7 +106,7 @@ def minres_solve(
 
     for itn in range(1, maxit + 1):
         v = (1.0 / beta) * y
-        av = apply_a(v)
+        av = apply_a(v) if product is None else product(v, r2, beta)
         y = av - (beta / oldb) * r1 if itn >= 2 else av
         alfa = float(v @ y)
         y = y - (alfa / beta) * r2

@@ -20,9 +20,14 @@ def solve_problem(
     Convergence is tested on the plain Euclidean residual norm relative to
     ||b||, the protocol under which the published iteration counts for these
     optimality systems are reported; the energy-norm history is still
-    available on the returned SolveResult.
+    available on the returned SolveResult.  Each step's operator product
+    comes from `prob.apply_preconditioned`, so `precond` must have the
+    problem's lead factors (the practical and exact ones do); every
+    convergence is confirmed with `prob.system.apply`.
     """
-    return minres_solve(prob.system.apply, precond.apply_inverse, prob.rhs, tol=tol, maxit=maxit)
+    return minres_solve(
+        prob.system.apply, precond.apply_inverse, prob.rhs, tol=tol, maxit=maxit, product=prob.apply_preconditioned
+    )
 
 
 @dataclass

@@ -52,8 +52,7 @@ class BlockTridiagSystem:
     test systems) or as CSR is kept as it is; any other is stored as CSR.
     `Bt`, when given, holds the transposes B_i' (builders pass the ones
     cached with their couplings); otherwise they are built on the first
-    apply.  A block A_i that scales the very CSR stored as B_i (alpha M next
-    to the coupling M) reuses the product B_i x_i in the apply.
+    apply.
     """
 
     def __init__(
@@ -74,10 +73,6 @@ class BlockTridiagSystem:
                     f"B_{i + 1} has shape {b.shape}, expected "
                     f"({self.block_dims[i + 1]}, {self.block_dims[i]})"
                 )
-        # per block: the scale c with A_i = c B_i on one stored CSR, else None
-        self._reuse = [
-            a.scale if isinstance(a, SparseSymMatrix) and a.base is b else None for a, b in zip(A, self.B)
-        ] + [None]
         # per block: A_i x_i where A_i stores no entry (0.0 times its scale), else None
         self._empty = [0.0 * a.scale if isinstance(a, SparseSymMatrix) and not a.base.nnz else None for a in A]
         self._slices = _slices(self.block_dims)
@@ -100,29 +95,34 @@ class BlockTridiagSystem:
         """B_i', built on the first apply: CSR is faster than a transposed view per call."""
         return [b.T.tocsr() if scipy.sparse.issparse(b) else b.T for b in self.B]
 
-    def apply(self, x: np.ndarray) -> np.ndarray:
+    def apply(self, x: np.ndarray, lead: np.ndarray | None = None) -> np.ndarray:
         """The operator times x, block by block: (-1)^i A_i x_i + B_{i-1} x_{i-1} + B_i' x_{i+1}.
 
-        Each B_i x_i is formed once; where A_i = c B_i it also gives A_i x_i.
-        A block that stores no entry is not multiplied: its product is filled
-        in (and negated like any other, so a -A_i block gives -0.0).  Each
-        block of the result is formed in place in the returned array.
+        `lead`, when given, is the product of the lead blocks (rows and
+        columns 1..n-1) with x's lead part, formed by the caller: rows
+        1..n-1 then only add B_{n-1}' x_n to it, and block n's row alone is
+        multiplied in full.  A block that stores no entry is not multiplied:
+        its product is filled in (and negated like any other, so a -A_i
+        block gives -0.0).  Each block of the result is formed in place in
+        the returned array.
         """
         xs = [x[s] for s in self._slices]
-        bx = [b @ xi for b, xi in zip(self.B, xs)]
         y = np.empty(self.total_dim)
-        for i, s in enumerate(self._slices):
-            yi = y[s]
-            if self._reuse[i] is not None:
-                np.multiply(self._reuse[i], bx[i], out=yi)
-            elif self._empty[i] is not None:
+        rows = range(self.n)
+        if lead is not None:
+            y[: self._slices[-1].start] = lead
+            y[self._slices[-2]] += self._bt[-1] @ xs[-1]
+            rows = rows[-1:]
+        for i in rows:
+            yi = y[self._slices[i]]
+            if self._empty[i] is not None:
                 yi.fill(self._empty[i])
             else:
                 yi[:] = self.A[i].matvec(xs[i])
             if i % 2:
                 np.negative(yi, out=yi)
             if i > 0:
-                yi += bx[i - 1]
+                yi += self.B[i - 1] @ xs[i - 1]
             if i < self.n - 1:
                 yi += self._bt[i] @ xs[i + 1]
         return y

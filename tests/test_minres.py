@@ -1,5 +1,7 @@
 """MINRES solver behavior: convergence, monotonicity, finite termination."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 import scipy.sparse.linalg
@@ -7,6 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from msp import problems as pb
+from msp import run
 from msp import saddle as sd
 from msp.chebyshev import bounds
 from msp.krylov import lanczos_bounds, minres_solve
@@ -435,3 +438,69 @@ class TestTextbookOracle:
     def test_control_problem(self):
         prob = pb.build_problem(pb.ProblemConfig("boundary_observation", d=2, p=2, level=3, alpha=1e-3))
         self._assert_same_bits(prob.system.apply, prob.practical.apply_inverse, prob.rhs)
+
+
+PRODUCT_CASES = [
+    (pid, d, p, level)
+    for d, p, level in ((2, 2, 3), (3, 3, 2), (1, 2, 6))
+    for pid in pb.PROBLEM_IDS
+    if pid != "boundary_control" or d == 2
+]
+
+
+def product_cells(pid, d, p, level):
+    for variant in ("practical", "exact"):
+        for alpha in (1.0, 1e-3, 1e-7):
+            prob = pb.build_problem(pb.ProblemConfig(pid, d=d, p=p, level=level, alpha=alpha))
+            yield prob, pb.make_preconditioner(prob, variant)
+
+
+def wrong_product(prob, factor):
+    """`apply_preconditioned` with E built from factor * alpha (factor * T for one lead block)."""
+    if prob.system.n == 3:
+        f1, f2 = prob.lead_factors
+        wrong = dataclasses.replace(prob, lead_factors=[f1.scaled(factor), f2.scaled(1.0 / factor)])
+    else:
+        wrong = dataclasses.replace(prob, lead_pattern=factor * prob.lead_pattern)
+    return wrong.apply_preconditioned
+
+
+class TestPreconditionedProduct:
+    @pytest.mark.parametrize("pid, d, p, level", PRODUCT_CASES)
+    def test_is_the_plain_product_and_keeps_the_counts(self, pid, d, p, level):
+        for prob, pre in product_cells(pid, d, p, level):
+            r = np.random.default_rng(5).standard_normal(prob.total_dim)
+            beta = 0.7
+            v = pre.apply_inverse(r) / beta
+            want = prob.system.apply(v)
+            got = prob.apply_preconditioned(v, r, beta)
+            assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
+            plain = minres_solve(prob.system.apply, pre.apply_inverse, prob.rhs)
+            fused = minres_solve(prob.system.apply, pre.apply_inverse, prob.rhs, product=prob.apply_preconditioned)
+            assert (fused.iterations, fused.converged) == (plain.iterations, plain.converged)
+
+    def test_solve_problem_passes_it(self):
+        prob = pb.build_problem(pb.ProblemConfig("boundary_observation", d=2, p=2, level=3, alpha=1e-3))
+        got = run.solve_problem(prob, prob.practical)
+        want = minres_solve(prob.system.apply, prob.practical.apply_inverse, prob.rhs, product=prob.apply_preconditioned)
+        assert got.solution.tobytes() == want.solution.tobytes()
+        assert got.residual_norms == want.residual_norms
+
+    @pytest.mark.parametrize("factor", [1.01, 1 + 1e-6])
+    @pytest.mark.parametrize("pid, d, p, level", PRODUCT_CASES)
+    def test_a_wrong_product_never_reports_convergence(self, pid, d, p, level, factor):
+        # the updated residual follows the wrong product; the confirmation does not
+        tol = 1e-8
+        for prob, pre in product_cells(pid, d, p, level):
+            confirmations = []
+
+            def apply_a(x):
+                confirmations.append(x)
+                return prob.system.apply(x)
+
+            res = minres_solve(apply_a, pre.apply_inverse, prob.rhs, tol=tol, maxit=100,
+                               product=wrong_product(prob, factor))
+            assert confirmations  # the updated residual passed the test at least once
+            if res.converged:
+                true = np.linalg.norm(prob.rhs - prob.system.apply(res.solution))
+                assert res.residual_norms[-1] == true <= tol * np.linalg.norm(prob.rhs)
