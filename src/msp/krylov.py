@@ -46,6 +46,7 @@ def minres_solve(
     tol: float = 1e-8,
     maxit: int = 500,
     product: Callable[[np.ndarray, np.ndarray, float], np.ndarray] | None = None,
+    head: Operator | None = None,
 ) -> SolveResult:
     """Solve A x = b with MINRES preconditioned by an SPD operator inverse.
 
@@ -54,9 +55,11 @@ def minres_solve(
     Lanczos coefficient seen so far (an estimate of the preconditioned
     operator's norm, so the test does not depend on the scale of b or of
     the operator) terminates the iteration early (exact convergence or a
-    lucky breakdown) and is reported through `breakdown_at`.  A right-hand
-    side holding a NaN or an inf, or options `check_stopping` refuses,
-    raise ValueError.
+    lucky breakdown) and is reported through `breakdown_at`.  A
+    beta^2 = r' P^{-1} r that rounds below zero by no more than the square
+    of that threshold is such a breakdown (beta = 0); one further below, a
+    right-hand side holding a NaN or an inf, or options `check_stopping`
+    refuses, raise ValueError.
 
     The iteration stops on the plain residual norm ||b - A x_k|| <=
     tol ||b||.  The residual is updated by the recurrence
@@ -71,6 +74,14 @@ def minres_solve(
     1997), so a wrong `product` cannot report convergence; if the
     confirmation fails, the true residual replaces the updated one and the
     iteration goes on.
+    Given `head` as well, `head(v_k)` returns rows [0, h) of P^{-1} A v_k
+    (`run.solve_problem` passes `AssembledProblem.preconditioned_head`).
+    Those rows of the next preconditioned vector then come from
+    P^{-1} r_{k+1} = P^{-1} A v_k - (beta_k / beta_{k-1}) P^{-1} r_{k-1}
+    - (alpha_k / beta_k) P^{-1} r_k, in the order r_{k+1} is formed, and
+    `apply_prec_inv(r, h)` solves only for rows h and beyond (the rows
+    before may be left unset); the previous preconditioned vector is kept
+    for that.  Without `head` every step applies `apply_prec_inv(r)`.
     The reported residual_history always holds the energy-norm values;
     residual_norms holds ||b||, then per step the Euclidean norm the test
     compared (the true residual's where one was formed); and `lanczos` the
@@ -84,7 +95,7 @@ def minres_solve(
     x = np.zeros(n)
 
     bnorm0 = float(np.linalg.norm(b))
-    r = b  # the residual; no array below is written in place
+    r = b  # the residual; no array below is written in place but the head rows of a fresh P^{-1} r2
     r1 = r2 = b.copy()  # the last two Lanczos vectors; a copy, as the preconditioner receives r2
     y = apply_prec_inv(r2)
     beta1_sq = float(r2 @ y)
@@ -107,15 +118,27 @@ def minres_solve(
     for itn in range(1, maxit + 1):
         v = (1.0 / beta) * y
         av = apply_a(v) if product is None else product(v, r2, beta)
-        y = av - (beta / oldb) * r1 if itn >= 2 else av
-        alfa = float(v @ y)
-        y = y - (alfa / beta) * r2
-        r1, r2 = r2, y
-        y = apply_prec_inv(r2)
+        u = av - (beta / oldb) * r1 if itn >= 2 else av
+        alfa = float(v @ u)
+        u = u - (alfa / beta) * r2
+        r1, r2 = r2, u
+        if head is None:
+            y = apply_prec_inv(r2)
+        else:
+            # rows [0, h) of P^{-1} r2 follow the recurrence that formed r2; only the rest is solved
+            z = head(v)
+            h = len(z)
+            z = z - (beta / oldb) * y1[:h] if itn >= 2 else z
+            z = z - (alfa / beta) * y[:h]
+            y1, y = y, apply_prec_inv(r2, h)
+            y[:h] = z
         oldb = beta
         beta_sq = float(r2 @ y)
         if beta_sq < 0:
-            raise ValueError("preconditioner is not positive definite")
+            # r2 at noise level can round r2' P^{-1} r2 below zero: that is a breakdown, beta = 0
+            if beta_sq < -((_BREAKDOWN_RTOL * max(anorm, abs(alfa))) ** 2):
+                raise ValueError("preconditioner is not positive definite")
+            beta_sq = 0.0
         beta = np.sqrt(beta_sq)
         anorm = max(anorm, abs(alfa), beta)
         alphas.append(alfa)

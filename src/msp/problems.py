@@ -283,7 +283,9 @@ class AssembledProblem:
     s_i, so blocks 1..n-1 of A P^{-1} are E ⊗ I_W with
     E_ij = T_ij sqrt(s_i / s_j); with one, E = T.  For any P with these
     lead factors (practical or exact), `apply_preconditioned` forms A v for
-    v = P^{-1} r / beta from r on the lead blocks, with no matvec there.
+    v = P^{-1} r / beta from r on the lead blocks, with no matvec there, and
+    `preconditioned_head` gives blocks 1..n-2 of P^{-1} A v as (E' ⊗ I) v,
+    with no solve there.
     """
 
     config: ProblemConfig
@@ -323,6 +325,18 @@ class AssembledProblem:
         lead = (e @ r[: self.system.block_slices()[-1].start].reshape(len(e), -1)).ravel()
         lead /= beta
         return self.system.apply(v, lead)
+
+    def preconditioned_head(self, v: np.ndarray) -> np.ndarray:
+        """Rows of blocks 1..n-2 of P^{-1} A v, P a preconditioner whose lead factors are `lead_factors`.
+
+        No row there couples to block n, and P_lead^{-1} (E ⊗ I) P_lead =
+        E' ⊗ I, so they are (E' ⊗ I) v: v_1 + v_2 / alpha for the
+        three-block problems, no rows for the two-block ones.  MINRES takes
+        these rows of P^{-1} r from its recurrence and solves only blocks
+        n-1 and n.
+        """
+        e = self._lead_product
+        return (e.T[: len(e) - 1] @ v[: self.system.block_slices()[-1].start].reshape(len(e), -1)).ravel()
 
 
 def _zero_block(dim: int) -> SparseSymMatrix:

@@ -21,12 +21,16 @@ def solve_problem(
     ||b||, the protocol under which the published iteration counts for these
     optimality systems are reported; the energy-norm history is still
     available on the returned SolveResult.  Each step's operator product
-    comes from `prob.apply_preconditioned`, so `precond` must have the
+    comes from `prob.apply_preconditioned`, and the rows of blocks 1..n-2 of
+    its preconditioned vector from `prob.preconditioned_head`, so only the
+    last two blocks are solved (all blocks of a two-block problem, whose
+    run is that of the product alone).  `precond` must therefore have the
     problem's lead factors (the practical and exact ones do); every
     convergence is confirmed with `prob.system.apply`.
     """
     return minres_solve(
-        prob.system.apply, precond.apply_inverse, prob.rhs, tol=tol, maxit=maxit, product=prob.apply_preconditioned
+        prob.system.apply, precond.apply_inverse, prob.rhs, tol=tol, maxit=maxit,
+        product=prob.apply_preconditioned, head=prob.preconditioned_head,
     )
 
 

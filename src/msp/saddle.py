@@ -174,11 +174,17 @@ class SchurPreconditioner:
         self.block_dims = [f.dim for f in self.factors]
         self._slices = _slices(self.block_dims)
 
-    def apply_inverse(self, r: np.ndarray) -> np.ndarray:
-        """P^{-1} r, one factor solve per block slice of r's rows."""
+    def apply_inverse(self, r: np.ndarray, start: int = 0) -> np.ndarray:
+        """P^{-1} r, one factor solve per block slice of r's rows.
+
+        With `start`, only the blocks holding rows start.. are solved; the
+        rows of the blocks before are left unset (MINRES given a `head`
+        forms them itself).
+        """
         out = np.empty_like(r)
         for f, s in zip(self.factors, self._slices):
-            out[s] = solve_chol(f, r[s])
+            if s.stop > start:
+                out[s] = solve_chol(f, r[s])
         return out
 
 

@@ -226,6 +226,48 @@ class TestScaleInvariance:
         assert res.breakdown_at == 4
 
 
+def sign_flipping_after_the_first_call():
+    """P^{-1} = I on the first call, -I on every later one: r' P^{-1} r turns negative after step 1."""
+    calls = []
+
+    def apply(r):
+        calls.append(r)
+        return r if len(calls) == 1 else -r
+
+    return apply, calls
+
+
+class TestNegativeBetaSquared:
+    def test_noise_level_is_a_breakdown(self):
+        # one step on A = diag(1, 1 + 1e-15) leaves a Lanczos vector of rounding
+        # noise; with P^{-1} = -I there, beta^2 = -||r||^2 ~ -1e-31 rounds below
+        # zero within (10 eps anorm)^2 and counts as beta = 0
+        a = np.array([1.0, 1.0 + 1e-15])
+        apply, calls = sign_flipping_after_the_first_call()
+        res = minres_solve(lambda v: a * v, apply, np.ones(2), tol=1e-20)
+        r = calls[-1]
+        assert 0.0 < r @ r <= (10 * np.finfo(float).eps) ** 2
+        assert (res.iterations, res.converged, res.breakdown_at) == (1, False, 1)
+        assert res.lanczos[1] == [0.0]
+
+    def test_beyond_noise_level_raises(self):
+        apply, calls = sign_flipping_after_the_first_call()
+        with pytest.raises(ValueError, match="not positive definite"):
+            minres_solve(lambda v: np.array([1.0, 2.0]) * v, apply, np.ones(2))
+        assert len(calls) == 2
+
+    def test_negative_identity_raises_at_step_1(self):
+        calls = []
+
+        def negative(r):
+            calls.append(r)
+            return -r
+
+        with pytest.raises(ValueError, match="not positive definite"):
+            minres_solve(identity, negative, np.array([1.0, -2.0, 3.0]))
+        assert len(calls) == 1
+
+
 class TestScipyOracle:
     @settings(max_examples=30, deadline=None)
     @given(n=st.integers(2, 6), seed=st.integers(0, 2**32 - 1))
@@ -455,14 +497,12 @@ def product_cells(pid, d, p, level):
             yield prob, pb.make_preconditioner(prob, variant)
 
 
-def wrong_product(prob, factor):
-    """`apply_preconditioned` with E built from factor * alpha (factor * T for one lead block)."""
+def wrong_lead(prob, factor):
+    """`prob` with E built from factor * alpha (factor * T for one lead block), for its hooks."""
     if prob.system.n == 3:
         f1, f2 = prob.lead_factors
-        wrong = dataclasses.replace(prob, lead_factors=[f1.scaled(factor), f2.scaled(1.0 / factor)])
-    else:
-        wrong = dataclasses.replace(prob, lead_pattern=factor * prob.lead_pattern)
-    return wrong.apply_preconditioned
+        return dataclasses.replace(prob, lead_factors=[f1.scaled(factor), f2.scaled(1.0 / factor)])
+    return dataclasses.replace(prob, lead_pattern=factor * prob.lead_pattern)
 
 
 class TestPreconditionedProduct:
@@ -482,9 +522,29 @@ class TestPreconditionedProduct:
     def test_solve_problem_passes_it(self):
         prob = pb.build_problem(pb.ProblemConfig("boundary_observation", d=2, p=2, level=3, alpha=1e-3))
         got = run.solve_problem(prob, prob.practical)
-        want = minres_solve(prob.system.apply, prob.practical.apply_inverse, prob.rhs, product=prob.apply_preconditioned)
+        want = minres_solve(prob.system.apply, prob.practical.apply_inverse, prob.rhs,
+                            product=prob.apply_preconditioned, head=prob.preconditioned_head)
         assert got.solution.tobytes() == want.solution.tobytes()
         assert got.residual_norms == want.residual_norms
+
+    @pytest.mark.parametrize("pid, d, p, level", PRODUCT_CASES)
+    def test_head_is_the_preconditioned_product_and_keeps_the_counts(self, pid, d, p, level):
+        # the head rows MINRES forms are not pinned to a fresh solve: where r is
+        # at noise level they drift from it by design; the counts are pinned
+        for prob, pre in product_cells(pid, d, p, level):
+            v = np.random.default_rng(6).standard_normal(prob.total_dim)
+            want = pre.apply_inverse(prob.system.apply(v))
+            head = prob.preconditioned_head(v)
+            assert len(head) == (prob.system.block_dims[0] if prob.system.n == 3 else 0)
+            assert np.linalg.norm(head - want[: len(head)]) <= 1e-12 * np.linalg.norm(want)
+            fused = minres_solve(prob.system.apply, pre.apply_inverse, prob.rhs, product=prob.apply_preconditioned)
+            got = run.solve_problem(prob, pre)
+            assert (got.iterations, got.converged, got.breakdown_at) == (
+                fused.iterations, fused.converged, fused.breakdown_at)
+            if prob.system.n == 2:  # no head rows: every bit of the product-only run
+                assert got.solution.tobytes() == fused.solution.tobytes()
+                assert got.residual_norms == fused.residual_norms
+                assert got.lanczos == fused.lanczos
 
     @pytest.mark.parametrize("factor", [1.01, 1 + 1e-6])
     @pytest.mark.parametrize("pid, d, p, level", PRODUCT_CASES)
@@ -499,8 +559,25 @@ class TestPreconditionedProduct:
                 return prob.system.apply(x)
 
             res = minres_solve(apply_a, pre.apply_inverse, prob.rhs, tol=tol, maxit=100,
-                               product=wrong_product(prob, factor))
+                               product=wrong_lead(prob, factor).apply_preconditioned)
             assert confirmations  # the updated residual passed the test at least once
+            if res.converged:
+                true = np.linalg.norm(prob.rhs - prob.system.apply(res.solution))
+                assert res.residual_norms[-1] == true <= tol * np.linalg.norm(prob.rhs)
+
+    @pytest.mark.parametrize("factor", [1.01, 1 + 1e-6])
+    @pytest.mark.parametrize("pid, d, p, level", PRODUCT_CASES)
+    def test_a_wrong_head_never_reports_convergence(self, pid, d, p, level, factor):
+        # a wrong head breaks the preconditioner's symmetry: the run either
+        # finds r' P^{-1} r < 0 and raises, or stops only on a confirmed residual
+        tol = 1e-8
+        for prob, pre in product_cells(pid, d, p, level):
+            try:
+                res = minres_solve(prob.system.apply, pre.apply_inverse, prob.rhs, tol=tol, maxit=100,
+                                   product=prob.apply_preconditioned, head=wrong_lead(prob, factor).preconditioned_head)
+            except ValueError as exc:
+                assert prob.system.n == 3 and "not positive definite" in str(exc)
+                continue
             if res.converged:
                 true = np.linalg.norm(prob.rhs - prob.system.apply(res.solution))
                 assert res.residual_norms[-1] == true <= tol * np.linalg.norm(prob.rhs)
