@@ -22,7 +22,7 @@ from .problems import (
     make_preconditioner,
 )
 from .run import check_table, format_table, run_table
-from .saddle import DENSE_MODE_LIMIT, LeadMismatch, check_stage_order, spectrum, verify_sharpness
+from .saddle import DENSE_MODE_LIMIT, PRINTED_DECIMALS, LeadMismatch, check_stage_order, spectrum, verify_sharpness
 from .sparselin import NotPositiveDefinite, write_matrix_market
 from .krylov import lanczos_bounds, minres_solve
 
@@ -182,11 +182,13 @@ def cmd_spectrum(args: argparse.Namespace) -> int:
     except LeadMismatch as exc:
         print(f"PRECONDITIONER MISMATCH: {exc}")
         return EXIT_VIOLATION
+    # the split spectrum is taken only where its enclosure keeps these digits
+    d = PRINTED_DECIMALS
     print(
-        f"lambda in [{rep.eigenvalues.min():.6f}, {rep.eigenvalues.max():.6f}], "
-        f"min|lambda| = {np.min(np.abs(rep.eigenvalues)):.6f}"
+        f"lambda in [{rep.eigenvalues.min():.{d}f}, {rep.eigenvalues.max():.{d}f}], "
+        f"min|lambda| = {np.min(np.abs(rep.eigenvalues)):.{d}f}"
     )
-    print(f"kappa = {rep.cond:.6f}  (bound for n={n}: {bound:.6f})")
+    print(f"kappa = {rep.cond:.{d}f}  (bound for n={n}: {bound:.6f})")
     if rep.cond_exceeds_bound and variant == "exact_schur":
         print("BOUND VIOLATED")
         return EXIT_VIOLATION

@@ -10,10 +10,15 @@ from :mod:`msp.chebyshev`, including their sharpness when A_i = 0 for i >= 2.
 `spectrum` solves L^{-1} A L^{-T} for the preconditioner's factors L.  Given
 the lead pattern T a problem builder declares, it deflates blocks 1..n-1,
 which are T ⊗ I_W: the eigenvalues of T come out with known multiplicity and
-the rest from an eigenproblem of order (n-1)k + m, k = min(W, m).  The
-premise is probed on random vectors and refused (LeadMismatch) when it
-fails.  Without T (`verify`'s random systems, the tests' oracle) the whole
-operator is solved dense.
+the rest from a matrix H of order (n-1)k + m, k = min(W, m).  H is split
+along the singular vectors of its coupling into blocks of order n, one per
+singular value, with its last block C replaced by the C_0 that an exact last
+stage (or an empty A_n) gives; the measured deviation ||C - C_0||_F bounds
+how far H's eigenvalues lie from the split's (Weyl).  Where that enclosure
+cannot decide every printed digit and bound check, H is solved dense.  The
+premise T ⊗ I_W is probed on random vectors and refused (LeadMismatch) when
+it fails.  Without T (`verify`'s random systems, the tests' oracle) the
+whole operator is solved dense.
 """
 
 from __future__ import annotations
@@ -259,6 +264,8 @@ class SpectrumReport:
     cond: float
     bound_set: BoundSet
     within_bounds: bool
+    radius: float = 0.0  # half-width of the enclosure of a split spectrum; 0.0 where an eigenproblem was solved dense
+    method: str = "dense"  # "split", "deflated" (its dense fallback) or "dense" (the whole operator)
 
     @property
     def cond_exceeds_bound(self) -> bool:
@@ -285,6 +292,14 @@ class LeadMismatch(Exception):
 
 # Largest relative residual of a lead-structure probe.
 LEAD_PROBE_TOL = 1e-12
+
+# Decimals to which `cli.cmd_spectrum` prints min and max lambda, min |lambda|
+# and kappa: a split spectrum must keep each of them.
+PRINTED_DECIMALS = 6
+
+# Largest radius, relative to max |lambda|, at which a split spectrum stands
+# in for the dense one: its eigenvalues then lie this close to the dense ones.
+SPLIT_RTOL = 1e-12
 
 
 def _congruence(a: np.ndarray, li: np.ndarray, lj: np.ndarray | None = None) -> np.ndarray:
@@ -326,8 +341,10 @@ def _reduced_operator(sys: BlockTridiagSystem, precond: SchurPreconditioner) -> 
     return c
 
 
-def _deflated_eigenvalues(sys: BlockTridiagSystem, precond: SchurPreconditioner, lead: np.ndarray) -> np.ndarray:
-    """Eigenvalues of L^{-1} A L^{-T} whose blocks 1..n-1 are T ⊗ I_W, by deflation.
+def _deflated_eigenvalues(
+    sys: BlockTridiagSystem, precond: SchurPreconditioner, lead: np.ndarray
+) -> tuple[np.ndarray, float]:
+    """Eigenvalues of L^{-1} A L^{-T} whose blocks 1..n-1 are T ⊗ I_W, by deflation, and their radius.
 
     `lead` is T, of order n-1; every lead system block has the order W and
     the last preconditioner block is the last system block, of order m.
@@ -335,9 +352,13 @@ def _deflated_eigenvalues(sys: BlockTridiagSystem, precond: SchurPreconditioner,
     L_n^{-T} (W x m, over the preconditioner blocks that tile block n-1).
     With the thin QR Y = QR (R is k x m, k = min(W, m)), the operator splits
     into the eigenvalues of T, each W - k times, and those of the symmetric
-    [[T ⊗ I_k, e_{n-1} ⊗ R], [., C_nn]] of order (n-1)k + m, with
-    C_nn = (-1)^{n-1} L_n^{-1} A_n L_n^{-T}.  Nothing is assumed of L_n.
-    The premise is probed: LeadMismatch when it fails.
+    H = [[T ⊗ I_k, e_{n-1} ⊗ R], [., C]] of order (n-1)k + m, with
+    C = (-1)^{n-1} L_n^{-1} A_n L_n^{-T}.  Nothing is assumed of L_n: H's
+    eigenvalues are taken from the split of H_0, H with C replaced by C_0
+    (`_split_eigenvalues`), when its enclosure decides every printed digit
+    and verdict (`_enclosure_decides`), and from H itself, solved dense,
+    otherwise.  The radius is the enclosure's half-width, 0.0 when H was
+    solved.  The premise is probed: LeadMismatch when it fails.
     """
     n, dims = sys.n, sys.block_dims
     w, m = dims[0], dims[-1]
@@ -359,26 +380,116 @@ def _deflated_eigenvalues(sys: BlockTridiagSystem, precond: SchurPreconditioner,
         if s.start >= start:
             cols = slice(s.start - start, s.stop - start)
             yt[:, cols] = _congruence(b[:, cols], ln, li)
-    del b, lead_blocks  # before the dense eigenproblem is allocated
+    del b, lead_blocks  # before the last block's arrays are allocated
     r = np.linalg.qr(yt.T, mode="r")
     k = r.shape[0]
     del yt
+    c = np.zeros((m, m))
+    sys.A[-1].add_to(c)
+    if (n - 1) % 2:
+        np.subtract(0.0, c, out=c)
+    if c.any():
+        c = _congruence(c, ln)
+    lead_ev = np.repeat(np.linalg.eigvalsh(t), w - k)
+    ev, radius = _split_eigenvalues(t, r, c)
+    if ev is not None:
+        ev = np.sort(np.concatenate([ev, lead_ev]))
+        if _enclosure_decides(ev, radius, n):
+            return ev, radius
     h = np.zeros(((n - 1) * k + m,) * 2)
     diag = np.arange(k)
     for (i, j), tij in np.ndenumerate(t):
         h[i * k + diag, j * k + diag] = tij
     h[(n - 2) * k : (n - 1) * k, (n - 1) * k :] = r
     h[(n - 1) * k :, (n - 2) * k : (n - 1) * k] = r.T
-    ann = h[(n - 1) * k :, (n - 1) * k :]
-    sys.A[-1].add_to(ann)
-    if (n - 1) % 2:
-        np.subtract(0.0, ann, out=ann)
-    if ann.any():
-        ann[...] = _congruence(ann, ln)
+    h[(n - 1) * k :, (n - 1) * k :] = c
+    del r, c
     # h is exactly symmetric: its transpose is a Fortran view of the same buffer
-    ev = np.concatenate([sym_eig_overwrite(h.T), np.repeat(np.linalg.eigvalsh(t), w - k)])
+    ev = np.concatenate([sym_eig_overwrite(h.T), lead_ev])
     ev.sort()
-    return ev
+    return ev, 0.0
+
+
+def _split_eigenvalues(t: np.ndarray, r: np.ndarray, c: np.ndarray) -> tuple[np.ndarray | None, float]:
+    """The eigenvalues of H_0 = [[T ⊗ I_k, e_{n-1} ⊗ R], [., C_0]] and the radius of their enclosure of H's.
+
+    None in place of the eigenvalues, and ||E||_F alone, when ||E||_F
+    exceeds SPLIT_RTOL times a bound on max|λ|: then no split can stand
+    (`_enclosure_decides`), and its eigensolves are skipped.
+
+    C_0 is whichever of 0 and s(I - R'R), s = (-1)^{n-1}, lies closer to C
+    in the Frobenius norm: the second is C at an exact last stage, where
+    S_n = A_n + B_{n-1} S_{n-1}^{-1} B_{n-1}' gives C + s R'R = s I; the
+    first is C when A_n stores no entry.  Along R's singular vectors H_0
+    splits into one block [[T, σ e_{n-1}], [σ e_{n-1}', c_0(σ^2)]] of order
+    n per singular value σ of R, with c_0(g) = 0 or s(1 - g), and c_0(0)
+    once for each of the m - k directions R maps to zero.  The σ^2 are the
+    k largest eigenvalues of G = R'R.  A block's characteristic polynomial,
+    (c_0 - λ) det(T - λ) - σ^2 det(T' - λ) with T' the leading n-2 rows and
+    columns of T, depends on σ^2 alone, so G's rounding moves the
+    eigenvalues by no more than it moves σ^2.
+
+    By Weyl's theorem each eigenvalue of H lies within ||E||_2 <= ||E||_F
+    of the same-ranked one of H_0, E = C - C_0.  The radius is ||E||_F
+    plus a rounding allowance of 4 N eps max|λ|, N = (n-1)k + m the order
+    of H.  It covers the backward errors of both eigensolvers, this
+    split's and the dense one of H (LAPACK's p(N) eps ||H||), so that the
+    dense eigenvalues lie in the enclosure too, and the rounding of E as
+    formed from R and C, whose entries sum k products each (about
+    sqrt(k) u |G_ij| with random-walk error growth).
+    """
+    n, (k, m) = len(t) + 1, r.shape
+    s = (-1.0) ** (n - 1)
+    g = r.T @ r
+    deviation, stage = np.linalg.norm(c), False
+    if deviation:
+        e = g.copy()  # E = C - s(I - G)
+        e *= s
+        e += c
+        e[np.diag_indices(m)] -= s
+        closer = np.linalg.norm(e)
+        deviation, stage = min(deviation, closer), closer < deviation
+        del e
+    # max|λ| <= ||H_0||_2 <= ||T||_F + ||R||_F + ||C||_F + ||E||_F
+    if deviation > SPLIT_RTOL * (np.linalg.norm(t) + np.linalg.norm(r) + np.linalg.norm(c) + deviation):
+        return None, deviation
+    sq = np.maximum(np.linalg.eigvalsh(g)[m - k :], 0.0)  # the other m - k are R's null space
+    blocks = np.zeros((k, n, n))
+    blocks[:, : n - 1, : n - 1] = t
+    blocks[:, n - 2, n - 1] = blocks[:, n - 1, n - 2] = np.sqrt(sq)
+    blocks[:, n - 1, n - 1] = s * (1.0 - sq) if stage else 0.0
+    ev = np.concatenate([np.linalg.eigvalsh(blocks).ravel(), np.full(m - k, s if stage else 0.0)])
+    return ev, deviation + 4 * ((n - 1) * k + m) * np.finfo(np.float64).eps * np.max(np.abs(ev))
+
+
+def _enclosure_decides(ev: np.ndarray, radius: float, n: int) -> bool:
+    """Whether every eigenvalue within `radius` of the sorted `ev` prints and judges as `ev` does.
+
+    The radius must be at most SPLIT_RTOL max|λ| and below min|λ|.  Each
+    printed value (min and max λ, min|λ|, κ) must keep its
+    PRINTED_DECIMALS-place rounding over its enclosure, and the three bound
+    checks of `_report` (κ's for the exact-Schur verdict, the norm's and
+    the inverse norm's for `within_bounds`) their outcome.  Rounding is
+    monotone, so equal roundings of an enclosure's ends decide it.  κ's
+    enclosure and the inverse norm's are widened by 4 ulps for the rounding
+    of their quotients and product.
+    """
+    lo, hi = ev[0], ev[-1]
+    top, bottom = max(-lo, hi), float(np.min(np.abs(ev)))
+    if not (bottom > radius and radius <= SPLIT_RTOL * top):
+        return False
+    widen = 1.0 + 4 * np.finfo(np.float64).eps
+    kappa = ((top - radius) / (bottom + radius) / widen, (top + radius) / (bottom - radius) * widen)
+    printed = [(lo - radius, lo + radius), (hi - radius, hi + radius), (bottom - radius, bottom + radius), kappa]
+    if any(f"{a:.{PRINTED_DECIMALS}f}" != f"{b:.{PRINTED_DECIMALS}f}" for a, b in printed):
+        return False
+    bs = bounds(n)
+    judged = [
+        (kappa, bs.cond_bound),
+        ((top - radius, top + radius), bs.norm_bound),
+        ((1.0 / (bottom + radius) / widen, 1.0 / (bottom - radius) * widen), bs.inv_norm_bound),
+    ]
+    return all((a > bound * (1 + BOUND_SLACK)) == (b > bound * (1 + BOUND_SLACK)) for (a, b), bound in judged)
 
 
 def _probe_lead(sys: BlockTridiagSystem, lead_blocks: list[tuple[np.ndarray, slice]], t: np.ndarray) -> None:
@@ -421,12 +532,20 @@ def spectrum(
     no generalized eigensolver is called.  Without `lead`, that operator is
     formed whole and solved dense.  With `lead` = T, its blocks 1..n-1 are
     declared to be T ⊗ I_W: this is probed, and only the order-(n-1)k + m
-    part left by deflating them is solved (`_deflated_eigenvalues`).
+    part H left by deflating them is solved (`_deflated_eigenvalues`): by
+    one block of order n per singular value of its coupling where the
+    enclosure of H's spectrum around theirs decides every printed value and
+    bound check, dense otherwise.  The
+    report's `method` names the path ("split", "deflated" or "dense") and
+    `radius` the enclosure's half-width (0.0 on a dense path).
     """
     if sys.total_dim > dense_limit:
         raise ValueError(f"total dim {sys.total_dim} exceeds dense-mode limit {dense_limit}")
     if lead is not None:
-        return _report(_deflated_eigenvalues(sys, precond, lead), sys.n)
+        ev, radius = _deflated_eigenvalues(sys, precond, lead)
+        rep = _report(ev, sys.n)
+        rep.radius, rep.method = radius, "split" if radius else "deflated"
+        return rep
     # The reduced operator is exactly symmetric, so its transpose, a Fortran
     # view of the same buffer, has the same lower triangle in LAPACK's order;
     # the eigensolver works in that buffer, not in a copy.

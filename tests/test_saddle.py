@@ -415,6 +415,212 @@ class TestDeflatedSpectrum:
         assert deflated.within_bounds == dense.within_bounds
 
 
+# (problem, d, p, level) of the split's oracle cells; boundary_control is set up in 2D only
+SPLIT_CASES = [
+    (pid, d, p, level)
+    for d, p, level in ((1, 2, 6), (2, 2, 3), (2, 2, 4), (3, 3, 2))
+    for pid in problems.PROBLEM_IDS
+    if pid != "boundary_control" or d == 2
+]
+
+TWO_BLOCK = ("distributed_very_weak", "boundary_control")
+
+# 1D L6 cells whose exact last stage rounds too far from A_n + B S^-1 B' for
+# the split (radius 4.8e-12 to 3.9e-11): all but distributed_strong at alpha 1e-7
+SPLIT_FALLS_BACK_1D = {("distributed_strong", 1.0), ("distributed_strong", 1e-3)} | {
+    ("boundary_observation", alpha) for alpha in (1.0, 1e-3, 1e-7)
+}
+
+
+def _cli_spectrum(monkeypatch, capsys, argv):
+    """(exit code, stdout, report) of `msp spectrum argv`, then the same with the whole operator solved dense."""
+    from msp import cli
+
+    spectrum, runs, forced = sd.spectrum, [], [False]
+
+    def recording(sys, pre, lead=None):
+        rep = spectrum(sys, pre, lead=None if forced[0] else lead)
+        runs.append(rep)
+        return rep
+
+    monkeypatch.setattr(cli, "spectrum", recording)
+    out = []
+    for forced[0] in (False, True):
+        code = cli.main(argv)
+        out.append((code, capsys.readouterr().out, runs[-1]))
+    return out
+
+
+def _split_system(n, w, m, seed):
+    """A random n-block system (n = 2 or 3) whose lead blocks are T ⊗ I_w under its exact Schur factors, and T.
+
+    A_1 = M (SPD), and for n = 3 A_2 = 0 and B_1 = M, so that S_2 = M and
+    T = [[1, 1], [1, 0]]; for n = 2, T = [1].  The last block has order m,
+    an SPD A_n and a random coupling of shape (m, w).
+    """
+    rng = np.random.default_rng(seed)
+    g = rng.standard_normal((w, w))
+    mass = g @ g.T / w + np.eye(w)
+    h = rng.standard_normal((m, m))
+    last = h @ h.T / m + 0.5 * np.eye(m)
+    A = [mass, *[np.zeros((w, w))] * (n - 2), last]
+    B = [mass] * (n - 2) + [rng.standard_normal((m, w))]
+    t = np.array([[1.0, 1.0], [1.0, 0.0]]) if n == 3 else np.ones((1, 1))
+    return dense_system(A, B), t
+
+
+class TestSplitSpectrum:
+    @pytest.mark.parametrize("pid, d, p, level", SPLIT_CASES)
+    def test_split_is_the_deflated_spectrum_within_its_radius(self, monkeypatch, pid, d, p, level):
+        # every exact cell and both two-block problems' practical cells split,
+        # but for 1D cells whose stage rounds too far; each split lies within
+        # its radius and 1e-12 max|lambda| of the deflated dense eigenvalues
+        geometry = "twisted_3d" if d == 3 else None
+        variants = ("exact", "practical") if pid in TWO_BLOCK else ("exact",)
+        for alpha in (1.0, 1e-3, 1e-7):
+            cfg = problems.ProblemConfig(pid, d=d, p=p, level=level, alpha=alpha, geometry=geometry)
+            prob = problems.build_problem(cfg)
+            for variant in variants:
+                pre = problems.make_preconditioner(prob, variant)
+                rep = sd.spectrum(prob.system, pre, lead=prob.lead_pattern)
+                falls_back = d == 1 and (pid, alpha) in SPLIT_FALLS_BACK_1D
+                assert rep.method == ("deflated" if falls_back else "split"), (alpha, variant)
+                with monkeypatch.context() as forced:
+                    forced.setattr(sd, "_enclosure_decides", lambda ev, radius, n: False)
+                    dense = sd.spectrum(prob.system, pre, lead=prob.lead_pattern)
+                with monkeypatch.context() as forced:
+                    forced.setattr(sd, "SPLIT_RTOL", np.inf)
+                    forced.setattr(sd, "_enclosure_decides", lambda ev, radius, n: True)
+                    split = sd.spectrum(prob.system, pre, lead=prob.lead_pattern)
+                assert (dense.method, dense.radius, split.method) == ("deflated", 0.0, "split")
+                assert split.eigenvalues.shape == dense.eigenvalues.shape == (prob.total_dim,)
+                gap = np.max(np.abs(split.eigenvalues - dense.eigenvalues))
+                assert gap <= split.radius
+                if not falls_back:
+                    assert rep.radius == split.radius <= 1e-12 * np.max(np.abs(dense.eigenvalues))
+                    np.testing.assert_array_equal(rep.eigenvalues, split.eigenvalues)
+                else:
+                    np.testing.assert_array_equal(rep.eigenvalues, dense.eigenvalues)
+
+    def test_three_block_practical_falls_back(self):
+        # the practical last block is not the exact stage: ||E||_F is of order 1e-3 or more
+        prob = problems.build_problem(problems.ProblemConfig("boundary_observation", d=2, p=2, level=3, alpha=1e-3))
+        rep = sd.spectrum(prob.system, prob.practical, lead=prob.lead_pattern)
+        assert (rep.method, rep.radius) == ("deflated", 0.0)
+        dense = sd.spectrum(prob.system, prob.practical)
+        assert (dense.method, dense.radius) == ("dense", 0.0)
+        assert np.max(np.abs(rep.eigenvalues - dense.eigenvalues)) <= 1e-12 * dense.norm
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_fewer_coupled_directions_than_last_unknowns(self, n):
+        # k = w < m: only w singular values carry a block, the other m - w
+        # directions give C_0's eigenvalue (-1)^(n-1)
+        w, m = 4, 7
+        sys, t = _split_system(n, w, m, seed=n)
+        pre = sd.exact_schur(sys)
+        rep = sd.spectrum(sys, pre, lead=t)
+        dense = sd.spectrum(sys, pre)
+        assert rep.method == "split" and 0 < rep.radius <= 1e-12 * dense.norm
+        assert rep.eigenvalues.shape == (sys.total_dim,)
+        assert np.max(np.abs(rep.eigenvalues - dense.eigenvalues)) <= 1e-12 * dense.norm
+        s = (-1.0) ** (n - 1)
+        assert np.sum(np.abs(rep.eigenvalues - s) < 1e-12) >= m - w
+
+    def test_zero_eigenvalues_fall_back(self):
+        # A_2 = 0 with w < m under a last factor that is not the exact stage:
+        # H_0 = H has m - w zero eigenvalues, which no enclosure separates from 0
+        w, m = 3, 5
+        rng = np.random.default_rng(4)
+        b = rng.standard_normal((m, w))
+        sys = dense_system([np.eye(w), np.zeros((m, m))], [b])
+        pre = sd.SchurPreconditioner(factors=[cholesky(np.eye(w)), cholesky(b @ b.T + np.eye(m))])
+        rep = sd.spectrum(sys, pre, lead=np.ones((1, 1)))
+        assert (rep.method, rep.radius) == ("deflated", 0.0)
+        assert np.sum(np.abs(rep.eigenvalues) < 1e-14) == m - w
+
+    def test_split_allocates_no_array_of_the_deflated_order(self):
+        prob = problems.build_problem(problems.ProblemConfig("boundary_observation", d=2, p=2, level=4, alpha=1e-2))
+        pre = problems.make_preconditioner(prob, "exact")
+        k, m = prob.system.block_dims[0], prob.system.block_dims[-1]
+        tracemalloc.start()
+        try:
+            rep = sd.spectrum(prob.system, pre, lead=prob.lead_pattern)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert rep.method == "split"
+        assert peak < 8 * (2 * min(k, m) + m) ** 2
+
+    @pytest.mark.parametrize("pid", problems.PROBLEM_IDS)
+    def test_a_scaled_last_stage_prints_as_the_dense_path(self, monkeypatch, capsys, pid):
+        # the exact last factor taken of c S_n: the output and exit code are
+        # the dense path's.  In the three-block problems ||E|| grows with
+        # |c - 1| and every c != 1 falls back, exit 1 included; the two-block
+        # ones store no A_2, so H_0 = H, E = 0 and the split decides them
+        exact = problems.exact_schur_precond
+        radii = {}
+        split = sd._split_eigenvalues
+
+        def recording(t, r, c):
+            ev, radius = split(t, r, c)
+            radii[scale] = radius
+            return ev, radius
+
+        def scaled_stage(prob):
+            pre = exact(prob)
+            return sd.SchurPreconditioner(factors=[*pre.factors[:-1], pre.factors[-1].scaled(scale)])
+
+        monkeypatch.setattr(sd, "_split_eigenvalues", recording)
+        monkeypatch.setattr(problems, "exact_schur_precond", scaled_stage)
+        argv = ["spectrum", "--problem", pid, "--levels", "3", "--alphas", "1e-3", "--precond", "exact"]
+        codes = {}
+        for scale in (1.0, 1 - 1e-9, 1 + 1e-9, 1 - 1e-6, 1 + 1e-6, 0.99, 1.01):
+            (code, out, rep), (dense_code, dense_out, _) = _cli_spectrum(monkeypatch, capsys, argv)
+            assert (code, out) == (dense_code, dense_out)
+            codes[scale] = code
+            if pid in TWO_BLOCK:
+                assert rep.method == "split"  # A_2 = 0: H_0 = H whatever the factor
+            else:
+                assert rep.method == ("split" if scale == 1.0 else "deflated")
+        if pid in TWO_BLOCK:
+            assert max(radii.values()) < 1e-12
+        else:
+            for lo, hi in ((1.0, 1 + 1e-9), (1 + 1e-9, 1 + 1e-6), (1 + 1e-6, 1.01), (1 - 1e-9, 1 - 1e-6), (1 - 1e-6, 0.99)):
+                assert radii[hi] > 100 * radii[lo]
+        assert codes[1.0] == 0 and codes[1.01] == 1
+
+    @pytest.mark.parametrize("pid", ["distributed_very_weak", "boundary_observation"])
+    def test_1d_bound_violations_stand(self, monkeypatch, capsys, pid):
+        # the 1D false alarm (ROADMAP item 1) at L8, alpha 1, as with the
+        # dense path: boundary_observation's stage is off by ||E||_F = 1.3e-8,
+        # which sends it to the fallback; distributed_very_weak stores no
+        # A_2, so H_0 = H, and its kappa, 1.2e-8 above the bound, lies far
+        # outside the radius of 7e-13
+        argv = ["spectrum", "--problem", pid, "--dim", "1", "--levels", "8", "--alphas", "1", "--precond", "exact"]
+        (code, out, rep), (dense_code, dense_out, _) = _cli_spectrum(monkeypatch, capsys, argv)
+        assert (code, out) == (dense_code, dense_out)
+        assert code == 1 and out.endswith("BOUND VIOLATED\n")
+        assert rep.method == ("split" if pid == "distributed_very_weak" else "deflated")
+        if rep.method == "split":
+            assert rep.cond - rep.bound_set.cond_bound * (1 + sd.BOUND_SLACK) > 1e4 * rep.radius
+
+    def test_enclosure_decides_every_printed_digit_and_verdict(self):
+        ev, r = np.array([-0.5, 0.25, 1.0]), 1e-13
+        assert sd._enclosure_decides(ev, r, 3)
+        assert not sd._enclosure_decides(ev, 1.01 * sd.SPLIT_RTOL, 3)  # above SPLIT_RTOL max|lambda|
+        # a value on a 6-decimal boundary: min and max lambda, min |lambda|, kappa
+        for moved in ([-0.5000005, 0.25, 1.0], [-0.5, 0.2500005, 1.0], [-0.5, 0.25, 1.0000005], [-0.5, 1 / 2.5000005, 1.0]):
+            assert not sd._enclosure_decides(np.array(moved), r, 3)
+        edge = 1.0 / (bounds(3).cond_bound * (1 + sd.BOUND_SLACK))  # min|lambda| at kappa's threshold
+        assert not sd._enclosure_decides(np.array([-0.5, edge, 1.0]), 1e-13, 3)
+        assert not sd._enclosure_decides(np.array([-0.5, 1e-14, 1.0]), 1e-13, 3)
+
+    def test_report_names_its_method(self):
+        prob = problems.build_problem(problems.ProblemConfig("boundary_control", d=2, p=2, level=2))
+        dense = sd.spectrum(prob.system, prob.practical)
+        assert (dense.method, dense.radius) == ("dense", 0.0)
+
+
 class TestVerifySharpness:
     @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
     def test_passes(self, n):
