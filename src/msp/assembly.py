@@ -529,16 +529,6 @@ def _assemble(
     return [pattern.csr(data) for data in datas]
 
 
-def _block_diagonal(mats: list[scipy.sparse.csr_matrix]) -> scipy.sparse.csr_matrix:
-    """The block-diagonal matrix of CSR blocks, stacked row-wise without a sort."""
-    offs = np.cumsum([0] + [m.shape[1] for m in mats])
-    shifted = [
-        scipy.sparse.csr_matrix((m.data, m.indices + o, m.indptr), shape=(m.shape[0], offs[-1]))
-        for m, o in zip(mats, offs)
-    ]
-    return scipy.sparse.vstack(shifted, format="csr")
-
-
 def _add_vector(out: np.ndarray, idx: np.ndarray, vals: np.ndarray) -> None:
     """Add element vectors `vals` at the global indices `idx` into `out`."""
     out += np.bincount(idx.ravel(), weights=vals.ravel(), minlength=len(out))
@@ -717,7 +707,7 @@ def assemble_face_forms(
         grams = faces["normal_gram"]
         out["normal_gram"] = _symmetric(sum(grams[1:], grams[0]))
     if "trace_mass" in faces:
-        out["trace_mass"] = _symmetric(_block_diagonal(faces["trace_mass"]))
+        out["trace_mass"] = _symmetric(scipy.sparse.block_diag(faces["trace_mass"], format="csr"))
     if "normal_coupling" in faces:
         out["normal_coupling"] = scipy.sparse.vstack(faces["normal_coupling"], format="csr")
     if rhs is not None:

@@ -20,16 +20,21 @@ from dataclasses import dataclass
 import numpy as np
 
 
-def p_eval(j: int, x: float) -> float:
-    """Evaluate P_j(x) by the three-term forward recurrence."""
+def _forward(j: int, q1: float, x: float) -> float:
+    """q_j of the recurrence q_0 = 1, q_1 = `q1`, q_{i+1} = x q_i - q_{i-1}."""
     if j < 0:
         raise ValueError("degree must be >= 0")
-    pm, pc = 1.0, x
+    pm, pc = 1.0, q1
     if j == 0:
         return pm
     for _ in range(1, j):
         pm, pc = pc, x * pc - pm
     return pc
+
+
+def p_eval(j: int, x: float) -> float:
+    """Evaluate P_j(x) by the three-term forward recurrence."""
+    return _forward(j, x, x)
 
 
 def pbar_eval(j: int, x: float) -> float:
@@ -39,14 +44,7 @@ def pbar_eval(j: int, x: float) -> float:
     Pbar_{i+1} = x Pbar_i - Pbar_{i-1} is used directly; it is numerically
     stable for the O(1) arguments that occur here.
     """
-    if j < 0:
-        raise ValueError("degree must be >= 0")
-    pm, pc = 1.0, x - 1.0
-    if j == 0:
-        return pm
-    for _ in range(1, j):
-        pm, pc = pc, x * pc - pm
-    return pc
+    return _forward(j, x - 1.0, x)
 
 
 def pbar_roots(j: int) -> np.ndarray:

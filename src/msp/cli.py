@@ -21,7 +21,7 @@ from .problems import (
     build_problem,
     make_preconditioner,
 )
-from .run import check_table, format_table, run_table
+from .run import format_table, run_table
 from .saddle import DENSE_MODE_LIMIT, PRINTED_DECIMALS, LeadMismatch, check_stage_order, spectrum, verify_sharpness
 from .sparselin import NotPositiveDefinite, write_matrix_market
 from .krylov import lanczos_bounds, minres_solve
@@ -127,13 +127,12 @@ def cmd_table(args: argparse.Namespace) -> int:
         raise ValueError(f"--out {args.out!r} is a directory")
     if args.dump_residuals and os.path.exists(args.dump_residuals) and not os.path.isdir(args.dump_residuals):
         raise ValueError(f"--dump-residuals {args.dump_residuals!r} is not a directory")
-    grid = (args.problem, args.dim, args.degree, levels, alphas, _VARIANTS[args.precond], args.geometry)
-    # a refused grid leaves no residual directory behind
-    check_table(*grid, tol=args.tol, maxit=args.maxit)
+    cells = run_table(
+        args.problem, args.dim, args.degree, levels, alphas, _VARIANTS[args.precond], args.geometry,
+        tol=args.tol, maxit=args.maxit,
+    )
     if args.dump_residuals:
         os.makedirs(args.dump_residuals, exist_ok=True)
-    cells = run_table(*grid, tol=args.tol, maxit=args.maxit)
-    if args.dump_residuals:
         for c in cells:
             path = os.path.join(args.dump_residuals, f"residuals_l{c.level}_a{c.alpha:g}.csv")
             with open(path, "w") as fh:

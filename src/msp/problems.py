@@ -236,10 +236,6 @@ class DiscreteOperators:
         """The transpose of `trace_coupling` as CSR."""
         return self.trace_coupling.T.tocsr()
 
-    @property
-    def rhs_normal_data(self) -> np.ndarray:
-        return self._face_forms("rhs_normal_data")[0]
-
     @cached_property
     def rhs_l2_data(self) -> np.ndarray:
         return assembly.assemble_rhs_l2(self.space, self.geo, sine_data_value(self.d))

@@ -24,10 +24,14 @@ def solve_problem(
     comes from `prob.apply_preconditioned`, and the rows of blocks 1..n-2 of
     its preconditioned vector from `prob.preconditioned_head`, so only the
     last two blocks are solved (all blocks of a two-block problem, whose
-    run is that of the product alone).  `precond` must therefore have the
-    problem's lead factors (the practical and exact ones do); every
-    convergence is confirmed with `prob.system.apply`.
+    run is that of the product alone).  `precond` must therefore hold the
+    problem's own lead factors (the practical and exact ones do):
+    ValueError otherwise.  Every convergence is confirmed with
+    `prob.system.apply`.
     """
+    lead = precond.factors[:-1]
+    if len(lead) != len(prob.lead_factors) or any(f is not g for f, g in zip(lead, prob.lead_factors)):
+        raise ValueError("the preconditioner's lead factors are not the problem's own")
     return minres_solve(
         prob.system.apply, precond.apply_inverse, prob.rhs, tol=tol, maxit=maxit,
         product=prob.apply_preconditioned, head=prob.preconditioned_head,

@@ -78,8 +78,6 @@ class BlockTridiagSystem:
                     f"B_{i + 1} has shape {b.shape}, expected "
                     f"({self.block_dims[i + 1]}, {self.block_dims[i]})"
                 )
-        # per block: A_i x_i where A_i stores no entry (0.0 times its scale), else None
-        self._empty = [0.0 * a.scale if isinstance(a, SparseSymMatrix) and not a.base.nnz else None for a in A]
         self._slices = _slices(self.block_dims)
         if Bt is not None:
             self._bt = list(Bt)
@@ -106,9 +104,7 @@ class BlockTridiagSystem:
         `lead`, when given, is the product of the lead blocks (rows and
         columns 1..n-1) with x's lead part, formed by the caller: rows
         1..n-1 then only add B_{n-1}' x_n to it, and block n's row alone is
-        multiplied in full.  A block that stores no entry is not multiplied:
-        its product is filled in (and negated like any other, so a -A_i
-        block gives -0.0).  Each block of the result is formed in place in
+        multiplied in full.  Each block of the result is formed in place in
         the returned array.
         """
         xs = [x[s] for s in self._slices]
@@ -120,10 +116,7 @@ class BlockTridiagSystem:
             rows = rows[-1:]
         for i in rows:
             yi = y[self._slices[i]]
-            if self._empty[i] is not None:
-                yi.fill(self._empty[i])
-            else:
-                yi[:] = self.A[i].matvec(xs[i])
+            yi[:] = self.A[i].matvec(xs[i])
             if i % 2:
                 np.negative(yi, out=yi)
             if i > 0:
@@ -417,17 +410,17 @@ def _split_eigenvalues(t: np.ndarray, r: np.ndarray, c: np.ndarray) -> tuple[np.
     exceeds SPLIT_RTOL times a bound on max|λ|: then no split can stand
     (`_enclosure_decides`), and its eigensolves are skipped.
 
-    C_0 is whichever of 0 and s(I - R'R), s = (-1)^{n-1}, lies closer to C
-    in the Frobenius norm: the second is C at an exact last stage, where
-    S_n = A_n + B_{n-1} S_{n-1}^{-1} B_{n-1}' gives C + s R'R = s I; the
-    first is C when A_n stores no entry.  Along R's singular vectors H_0
-    splits into one block [[T, σ e_{n-1}], [σ e_{n-1}', c_0(σ^2)]] of order
-    n per singular value σ of R, with c_0(g) = 0 or s(1 - g), and c_0(0)
-    once for each of the m - k directions R maps to zero.  The σ^2 are the
-    k largest eigenvalues of G = R'R.  A block's characteristic polynomial,
-    (c_0 - λ) det(T - λ) - σ^2 det(T' - λ) with T' the leading n-2 rows and
-    columns of T, depends on σ^2 alone, so G's rounding moves the
-    eigenvalues by no more than it moves σ^2.
+    C_0 is 0 when C is zero, that is, when A_n stores no entry; otherwise
+    it is s(I - R'R), s = (-1)^{n-1}, which is C at an exact last stage,
+    where S_n = A_n + B_{n-1} S_{n-1}^{-1} B_{n-1}' gives C + s R'R = s I.
+    Along R's singular vectors H_0 splits into one block
+    [[T, σ e_{n-1}], [σ e_{n-1}', c_0(σ^2)]] of order n per singular value
+    σ of R, with c_0(g) = 0 or s(1 - g), and c_0(0) once for each of the
+    m - k directions R maps to zero.  The σ^2 are the k largest eigenvalues
+    of G = R'R.  A block's characteristic polynomial, (c_0 - λ) det(T - λ)
+    - σ^2 det(T' - λ) with T' the leading n-2 rows and columns of T,
+    depends on σ^2 alone, so G's rounding moves the eigenvalues by no more
+    than it moves σ^2.
 
     By Weyl's theorem each eigenvalue of H lies within ||E||_2 <= ||E||_F
     of the same-ranked one of H_0, E = C - C_0.  The radius is ||E||_F
@@ -441,14 +434,11 @@ def _split_eigenvalues(t: np.ndarray, r: np.ndarray, c: np.ndarray) -> tuple[np.
     n, (k, m) = len(t) + 1, r.shape
     s = (-1.0) ** (n - 1)
     g = r.T @ r
-    deviation, stage = np.linalg.norm(c), False
-    if deviation:
-        e = g.copy()  # E = C - s(I - G)
-        e *= s
-        e += c
+    stage, deviation = c.any(), 0.0
+    if stage:
+        e = s * g + c  # E = C - s(I - G)
         e[np.diag_indices(m)] -= s
-        closer = np.linalg.norm(e)
-        deviation, stage = min(deviation, closer), closer < deviation
+        deviation = np.linalg.norm(e)
         del e
     # max|λ| <= ||H_0||_2 <= ||T||_F + ||R||_F + ||C||_F + ||E||_F
     if deviation > SPLIT_RTOL * (np.linalg.norm(t) + np.linalg.norm(r) + np.linalg.norm(c) + deviation):

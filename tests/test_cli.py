@@ -9,9 +9,10 @@ import numpy as np
 import pytest
 
 import msp
-from msp.cli import EXIT_CONFIG, EXIT_OK, EXIT_VIOLATION, main
+from msp.cli import EXIT_CONFIG, EXIT_OK, EXIT_SOLVER, EXIT_VIOLATION, main
 from msp.krylov import minres_solve
 from msp.problems import PROBLEM_IDS, build_problem, make_preconditioner
+from msp.sparselin import NotPositiveDefinite
 
 
 def run_cli(capsys, *argv):
@@ -508,6 +509,20 @@ class TestErrors:
         assert code == EXIT_CONFIG
         assert out == ""
         assert err.startswith("configuration error: ")
+        assert not dest.exists()
+
+    def test_failed_table_makes_no_residual_directory(self, capsys, tmp_path, monkeypatch):
+        import msp.run
+
+        def fail(*args):
+            raise NotPositiveDefinite("block 1 is not SPD")
+
+        monkeypatch.setattr(msp.run, "_table_cell", fail)
+        dest = tmp_path / "D"
+        code, out, err = run_cli(capsys, "table", *SMALL, "--dump-residuals", str(dest))
+        assert code == EXIT_SOLVER
+        assert out == ""
+        assert err.startswith("solver failure: ")
         assert not dest.exists()
 
     @pytest.mark.parametrize("alpha", ["nan", "inf"])

@@ -527,6 +527,16 @@ class TestPreconditionedProduct:
         assert got.solution.tobytes() == want.solution.tobytes()
         assert got.residual_norms == want.residual_norms
 
+    def test_solve_problem_refuses_lead_factors_not_the_problems_own(self):
+        # the product takes the problem's lead factors for the preconditioner's:
+        # unchecked, this run took all 500 steps; plain MINRES converges
+        prob = pb.build_problem(pb.ProblemConfig("distributed_very_weak", d=2, p=2, level=3, alpha=1e-3))
+        first, *rest = prob.lead_factors
+        pre = sd.SchurPreconditioner(prob.practical_blocks, [first.scaled(1.01), *rest, None])
+        assert minres_solve(prob.system.apply, pre.apply_inverse, prob.rhs).converged
+        with pytest.raises(ValueError, match="lead factors are not the problem's own"):
+            run.solve_problem(prob, pre)
+
     @pytest.mark.parametrize("pid, d, p, level", PRODUCT_CASES)
     def test_head_is_the_preconditioned_product_and_keeps_the_counts(self, pid, d, p, level):
         # the head rows MINRES forms are not pinned to a fresh solve: where r is

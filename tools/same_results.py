@@ -47,7 +47,10 @@ The first line is the line count of the `msp` package that `--src` names.
 Each record set ends with its factor census: how many `sparselin.cholesky`
 calls each (storage kind, factor mode) pair took, and the largest band width
 of those factors (order - 1 for a dense one), so that `--against` shows any
-factor that changes mode.
+factor that changes mode.  The CLI record set then prints its spectrum
+census: how many of the spectra `cli` computes took each path
+(`SpectrumReport.method`: split, deflated or dense), so that `--against`
+shows any spectrum whose path moves.
 
 The output ends with the 1D exact verdict table (exit codes of the p=2
 spectra; 1 is BOUND VIOLATED).  `--solutions FILE.npz` also saves the
@@ -139,6 +142,32 @@ def factor_census(name: str):
             mod.cholesky = cholesky
     pairs = ", ".join(f"{key} {counts[key]} (band <= {bands[key]})" for key in sorted(counts))
     print(f"factor census {name}: {pairs}")
+
+
+@contextlib.contextmanager
+def spectrum_census():
+    """Count the spectra `cli` computes in the enclosed run by `SpectrumReport.method`; print them after it.
+
+    Only `cli`'s binding of `spectrum` is wrapped, so `verify`'s own spectra
+    (called inside `saddle`) are not counted.  A report without `method`
+    (an older `msp`) counts as "dense".
+    """
+    from msp import cli
+
+    spectrum = cli.spectrum
+    counts = Counter()
+
+    def counted(*args, **kwargs):
+        rep = spectrum(*args, **kwargs)
+        counts[getattr(rep, "method", "dense")] += 1
+        return rep
+
+    cli.spectrum = counted
+    try:
+        yield
+    finally:
+        cli.spectrum = spectrum
+    print("spectrum census cli: " + ", ".join(f"{key} {counts[key]}" for key in sorted(counts)))
 
 
 def run_table_records(solutions: dict) -> None:
@@ -416,7 +445,7 @@ def main(argv=None) -> int:
     solutions: dict = {}
     with factor_census("run_table"):
         run_table_records(solutions)
-    with factor_census("cli"):
+    with spectrum_census(), factor_census("cli"):
         verdicts = cli_records()
     with factor_census("verify systems"):
         verify_system_records()
