@@ -14,8 +14,10 @@ the rest from a matrix H of order (n-1)k + m, k = min(W, m).  H is split
 along the singular vectors of its coupling into blocks of order n, one per
 singular value, with its last block C replaced by the C_0 that an exact last
 stage (or an empty A_n) gives; the measured deviation ||C - C_0||_F bounds
-how far H's eigenvalues lie from the split's (Weyl).  Where that enclosure
-cannot decide every printed digit and bound check, H is solved dense.  The
+how far H's eigenvalues lie from the split's (Weyl).  The split reads the
+singular values off the Gram matrix Y'Y of the coupling Y of block n-1 to
+block n.  Where its enclosure cannot decide every printed digit and bound
+check, H, coupled by the R of the thin QR Y = QR, is solved dense.  The
 premise T ⊗ I_W is probed on random vectors and refused (LeadMismatch) when
 it fails.  Without T (`verify`'s random systems, the tests' oracle) the
 whole operator is solved dense.
@@ -161,6 +163,8 @@ class SchurPreconditioner:
         blocks: list[SparseSymMatrix | DenseSymMatrix] | None = None,
         factors: list[CholeskyFactor | None] | None = None,
     ):
+        if blocks is not None and factors is not None and len(factors) != len(blocks):
+            raise ValueError(f"{len(factors)} factors given for {len(blocks)} blocks")
         self.blocks = blocks
         self.factors = list(factors) if factors is not None else [None] * len(blocks)
         for i, f in enumerate(self.factors):
@@ -177,8 +181,10 @@ class SchurPreconditioner:
 
         With `start`, only the blocks holding rows start.. are solved; the
         rows of the blocks before are left unset (MINRES given a `head`
-        forms them itself).
+        forms them itself).  An r of another order raises ValueError.
         """
+        if len(r) != self._slices[-1].stop:
+            raise ValueError(f"r has {len(r)} rows, the preconditioner's order is {self._slices[-1].stop}")
         out = np.empty_like(r)
         for f, s in zip(self.factors, self._slices):
             if s.stop > start:
@@ -348,10 +354,11 @@ def _deflated_eigenvalues(
     H = [[T ⊗ I_k, e_{n-1} ⊗ R], [., C]] of order (n-1)k + m, with
     C = (-1)^{n-1} L_n^{-1} A_n L_n^{-T}.  Nothing is assumed of L_n: H's
     eigenvalues are taken from the split of H_0, H with C replaced by C_0
-    (`_split_eigenvalues`), when its enclosure decides every printed digit
-    and verdict (`_enclosure_decides`), and from H itself, solved dense,
-    otherwise.  The radius is the enclosure's half-width, 0.0 when H was
-    solved.  The premise is probed: LeadMismatch when it fails.
+    (`_split_eigenvalues`, which needs only Y), when its enclosure decides
+    every printed digit and verdict (`_enclosure_decides`), and from H
+    itself, solved dense, otherwise; R is formed for that H alone.  The
+    radius is the enclosure's half-width, 0.0 when H was solved.  The
+    premise is probed: LeadMismatch when it fails.
     """
     n, dims = sys.n, sys.block_dims
     w, m = dims[0], dims[-1]
@@ -374,21 +381,21 @@ def _deflated_eigenvalues(
             cols = slice(s.start - start, s.stop - start)
             yt[:, cols] = _congruence(b[:, cols], ln, li)
     del b, lead_blocks  # before the last block's arrays are allocated
-    r = np.linalg.qr(yt.T, mode="r")
-    k = r.shape[0]
-    del yt
     c = np.zeros((m, m))
     sys.A[-1].add_to(c)
     if (n - 1) % 2:
         np.subtract(0.0, c, out=c)
     if c.any():
         c = _congruence(c, ln)
+    k = min(w, m)
     lead_ev = np.repeat(np.linalg.eigvalsh(t), w - k)
-    ev, radius = _split_eigenvalues(t, r, c)
+    ev, radius = _split_eigenvalues(t, yt, c)
     if ev is not None:
         ev = np.sort(np.concatenate([ev, lead_ev]))
         if _enclosure_decides(ev, radius, n):
             return ev, radius
+    r = np.linalg.qr(yt.T, mode="r")
+    del yt
     h = np.zeros(((n - 1) * k + m,) * 2)
     diag = np.arange(k)
     for (i, j), tij in np.ndenumerate(t):
@@ -403,21 +410,23 @@ def _deflated_eigenvalues(
     return ev, 0.0
 
 
-def _split_eigenvalues(t: np.ndarray, r: np.ndarray, c: np.ndarray) -> tuple[np.ndarray | None, float]:
+def _split_eigenvalues(t: np.ndarray, yt: np.ndarray, c: np.ndarray) -> tuple[np.ndarray | None, float]:
     """The eigenvalues of H_0 = [[T ⊗ I_k, e_{n-1} ⊗ R], [., C_0]] and the radius of their enclosure of H's.
 
-    None in place of the eigenvalues, and ||E||_F alone, when ||E||_F
-    exceeds SPLIT_RTOL times a bound on max|λ|: then no split can stand
-    (`_enclosure_decides`), and its eigensolves are skipped.
+    `yt` is Y' (m x W), k = min(W, m) and Y = QR.  R is not formed: H_0's
+    blocks need only G = Y'Y, which is R'R in exact arithmetic, and
+    ||R||_F = ||Y||_F.  None in place of the eigenvalues, and ||E||_F
+    alone, when ||E||_F exceeds SPLIT_RTOL times a bound on max|λ|: then no
+    split can stand (`_enclosure_decides`), and its eigensolves are skipped.
 
     C_0 is 0 when C is zero, that is, when A_n stores no entry; otherwise
-    it is s(I - R'R), s = (-1)^{n-1}, which is C at an exact last stage,
+    it is s(I - G), s = (-1)^{n-1}, which is C at an exact last stage,
     where S_n = A_n + B_{n-1} S_{n-1}^{-1} B_{n-1}' gives C + s R'R = s I.
     Along R's singular vectors H_0 splits into one block
     [[T, σ e_{n-1}], [σ e_{n-1}', c_0(σ^2)]] of order n per singular value
     σ of R, with c_0(g) = 0 or s(1 - g), and c_0(0) once for each of the
     m - k directions R maps to zero.  The σ^2 are the k largest eigenvalues
-    of G = R'R.  A block's characteristic polynomial, (c_0 - λ) det(T - λ)
+    of G.  A block's characteristic polynomial, (c_0 - λ) det(T - λ)
     - σ^2 det(T' - λ) with T' the leading n-2 rows and columns of T,
     depends on σ^2 alone, so G's rounding moves the eigenvalues by no more
     than it moves σ^2.
@@ -427,21 +436,23 @@ def _split_eigenvalues(t: np.ndarray, r: np.ndarray, c: np.ndarray) -> tuple[np.
     plus a rounding allowance of 4 N eps max|λ|, N = (n-1)k + m the order
     of H.  It covers the backward errors of both eigensolvers, this
     split's and the dense one of H (LAPACK's p(N) eps ||H||), so that the
-    dense eigenvalues lie in the enclosure too, and the rounding of E as
-    formed from R and C, whose entries sum k products each (about
-    sqrt(k) u |G_ij| with random-walk error growth).
+    dense eigenvalues lie in the enclosure too, and the rounding of G and
+    E as formed from Y and C: G's entries sum W products each (about
+    sqrt(W) u |G_ij| with random-walk error growth, as far from the R'R
+    of H's backward-stable QR), and at 2D p=2 level 4 sqrt(W) <= 26
+    against 4 N >= 2048.
     """
-    n, (k, m) = len(t) + 1, r.shape
+    n, m, k = len(t) + 1, len(yt), min(yt.shape)
     s = (-1.0) ** (n - 1)
-    g = r.T @ r
+    g = yt @ yt.T  # one syrk: exactly symmetric
     stage, deviation = c.any(), 0.0
     if stage:
         e = s * g + c  # E = C - s(I - G)
         e[np.diag_indices(m)] -= s
         deviation = np.linalg.norm(e)
         del e
-    # max|λ| <= ||H_0||_2 <= ||T||_F + ||R||_F + ||C||_F + ||E||_F
-    if deviation > SPLIT_RTOL * (np.linalg.norm(t) + np.linalg.norm(r) + np.linalg.norm(c) + deviation):
+    # max|λ| <= ||H_0||_2 <= ||T||_F + ||R||_F + ||C||_F + ||E||_F, ||R||_F = ||Y||_F
+    if deviation > SPLIT_RTOL * (np.linalg.norm(t) + np.linalg.norm(yt) + np.linalg.norm(c) + deviation):
         return None, deviation
     sq = np.maximum(np.linalg.eigvalsh(g)[m - k :], 0.0)  # the other m - k are R's null space
     blocks = np.zeros((k, n, n))

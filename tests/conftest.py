@@ -1,6 +1,14 @@
 """Fixtures shared by the test modules."""
 
+import os
+
 import pytest
+
+# The suite's matrices are small, so a second BLAS thread only adds
+# synchronization: pin one before anything imports numpy.  An explicit
+# setting in the environment still wins.
+for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"):
+    os.environ.setdefault(var, "1")
 
 from msp import problems, saddle
 

@@ -171,6 +171,21 @@ class TestPreconditioner:
         with pytest.raises(NotPositiveDefinite):
             sd.SchurPreconditioner([SparseSymMatrix.from_dense(np.diag([1.0, -2.0]))])
 
+    def test_blocks_that_do_not_tile_the_system_are_refused(self):
+        # two factors for three blocks would make a preconditioner of order
+        # 200 for a system of order 264, whose apply leaves rows 200.. unset
+        prob = problems.build_problem(problems.ProblemConfig("distributed_very_weak", d=2, p=2, level=3, alpha=1e-3))
+        f1 = prob.lead_factors[0]
+        assert len(prob.practical_blocks) == 3 and prob.total_dim == 264
+        with pytest.raises(ValueError, match="2 factors given for 3 blocks"):
+            sd.SchurPreconditioner(prob.practical_blocks, [f1.scaled(1.01), None])
+        short = sd.SchurPreconditioner(factors=prob.lead_factors)
+        assert sum(short.block_dims) == 200
+        with pytest.raises(ValueError, match="r has 264 rows, the preconditioner's order is 200"):
+            short.apply_inverse(prob.rhs)
+        with pytest.raises(ValueError, match="r has 199 rows"):
+            short.apply_inverse(prob.rhs[:199], start=100)
+
 
 class TestSpectrum:
     def test_sharp_configuration_subset_of_root_union(self):
@@ -557,8 +572,8 @@ class TestSplitSpectrum:
         radii = {}
         split = sd._split_eigenvalues
 
-        def recording(t, r, c):
-            ev, radius = split(t, r, c)
+        def recording(*args):
+            ev, radius = split(*args)
             radii[scale] = radius
             return ev, radius
 
@@ -584,6 +599,34 @@ class TestSplitSpectrum:
             for lo, hi in ((1.0, 1 + 1e-9), (1 + 1e-9, 1 + 1e-6), (1 + 1e-6, 1.01), (1 - 1e-9, 1 - 1e-6), (1 - 1e-6, 0.99)):
                 assert radii[hi] > 100 * radii[lo]
         assert codes[1.0] == 0 and codes[1.01] == 1
+
+    @pytest.mark.parametrize("pid", problems.PROBLEM_IDS)
+    def test_split_takes_no_qr(self, monkeypatch, capsys, pid):
+        # the split reads its singular values off G = Y'Y: the thin QR of Y
+        # is taken only for the dense H, here where a last stage scaled by
+        # 0.99 sends a three-block problem to the fallback
+        qr, calls = np.linalg.qr, []
+        exact = problems.exact_schur_precond
+
+        def counted(*args, **kwargs):
+            calls.append(scale)
+            if scale == 1.0:
+                raise AssertionError("a split spectrum took a QR")
+            return qr(*args, **kwargs)
+
+        def scaled_stage(prob):
+            pre = exact(prob)
+            return sd.SchurPreconditioner(factors=[*pre.factors[:-1], pre.factors[-1].scaled(scale)])
+
+        monkeypatch.setattr(np.linalg, "qr", counted)
+        monkeypatch.setattr(problems, "exact_schur_precond", scaled_stage)
+        argv = ["spectrum", "--problem", pid, "--levels", "3", "--alphas", "1e-3", "--precond", "exact"]
+        for scale in (1.0, 0.99):
+            (code, out, rep), (dense_code, dense_out, _) = _cli_spectrum(monkeypatch, capsys, argv)
+            assert (code, out) == (dense_code, dense_out)
+            falls_back = scale != 1.0 and pid not in TWO_BLOCK  # A_2 = 0: H_0 = H whatever the factor
+            assert rep.method == ("deflated" if falls_back else "split")
+            assert calls.count(scale) == falls_back
 
     @pytest.mark.parametrize("pid", ["distributed_very_weak", "boundary_observation"])
     def test_1d_bound_violations_stand(self, monkeypatch, capsys, pid):
