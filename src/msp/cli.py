@@ -7,6 +7,7 @@ Exit codes: 0 success, 1 property violation, 2 configuration error,
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 
@@ -168,6 +169,7 @@ def cmd_spectrum(args: argparse.Namespace) -> int:
     print(f"problem={args.problem} level={level} alpha={alpha:g} precond={variant}")
     if total > DENSE_MODE_LIMIT:
         rhs = np.random.default_rng(0).standard_normal(total)
+        # the plain product, not the preconditioner's hooks, whose rounding would move the printed bounds
         res = minres_solve(prob.system.apply, precond.apply_inverse, rhs, tol=1e-10)
         s_max, s_min = lanczos_bounds(res)
         print(
@@ -177,7 +179,7 @@ def cmd_spectrum(args: argparse.Namespace) -> int:
         print(f"kappa >= {s_max / s_min:.6f}  (lower bound; bound for n={n}: {bound:.6f})")
         return EXIT_OK
     try:
-        rep = spectrum(prob.system, precond, lead=prob.lead_pattern)
+        rep = spectrum(prob.system, precond)
     except LeadMismatch as exc:
         print(f"PRECONDITIONER MISMATCH: {exc}")
         return EXIT_VIOLATION
@@ -210,7 +212,9 @@ def cmd_export(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The parser, built once: no command writes into a parsed value, so defaults may be shared."""
     ap = argparse.ArgumentParser(prog="msp", description=__doc__)
     sub = ap.add_subparsers(dest="command", required=True)
 

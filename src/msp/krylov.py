@@ -67,15 +67,15 @@ def minres_solve(
     recurrence as w_k from the A v_k the Lanczos step computes anyway, so
     each iteration forms one operator product: `apply_a(v_k)`, or, given
     `product`, `product(v_k, r, beta)`, A v_k for v_k = P^{-1} r / beta and
-    the Lanczos vector r (`run.solve_problem` passes
-    `AssembledProblem.apply_preconditioned`; `spectrum --lanczos` does not).
+    the Lanczos vector r (`run.solve_problem` passes the preconditioner's
+    `apply_preconditioned`; `spectrum --lanczos` does not).
     When the updated residual passes the test, one true residual b - A x_k
     from `apply_a` confirms it (Greenbaum, SIAM J. Matrix Anal. Appl. 18(3),
     1997), so a wrong `product` cannot report convergence; if the
     confirmation fails, the true residual replaces the updated one and the
     iteration goes on.
     Given `head` as well, `head(v_k)` returns rows [0, h) of P^{-1} A v_k
-    (`run.solve_problem` passes `AssembledProblem.preconditioned_head`).
+    (`run.solve_problem` passes the preconditioner's `preconditioned_head`).
     Those rows of the next preconditioned vector then come from
     P^{-1} r_{k+1} = P^{-1} A v_k - (beta_k / beta_{k-1}) P^{-1} r_{k-1}
     - (alpha_k / beta_k) P^{-1} r_k, in the order r_{k+1} is formed, and

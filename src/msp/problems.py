@@ -272,16 +272,9 @@ class AssembledProblem:
     Schur complements S_1..S_{n-1}.  The last block is factored when
     `practical` is first read, so an exact-Schur cell never factors it; the
     exact preconditioner takes `lead_factors` alone, without the blocks.
-    `lead_pattern` is the builder's T: with L the lead factors, blocks
-    1..n-1 of L^{-1} A L^{-T} are T ⊗ I_W up to the factors' rounding
-    (`saddle.spectrum` deflates them).  With more than one lead block, the
-    lead factors are L_i = sqrt(s_i) L_0, one base factor at the scales
-    s_i, so blocks 1..n-1 of A P^{-1} are E ⊗ I_W with
-    E_ij = T_ij sqrt(s_i / s_j); with one, E = T.  For any P with these
-    lead factors (practical or exact), `apply_preconditioned` forms A v for
-    v = P^{-1} r / beta from r on the lead blocks, with no matvec there, and
-    `preconditioned_head` gives blocks 1..n-2 of P^{-1} A v as (E' ⊗ I) v,
-    with no solve there.
+    `lead_pattern` is the builder's T (blocks 1..n-1 of L^{-1} A L^{-T} are
+    T ⊗ I_W, L the lead factors), which both preconditioners carry with the
+    system for their spectra and MINRES hooks (`SchurPreconditioner`).
     """
 
     config: ProblemConfig
@@ -298,41 +291,8 @@ class AssembledProblem:
 
     @cached_property
     def practical(self) -> SchurPreconditioner:
-        return SchurPreconditioner(self.practical_blocks, [*self.lead_factors, None])
-
-    @cached_property
-    def _lead_product(self) -> np.ndarray:
-        """E, the pattern of blocks 1..n-1 of A P^{-1}; with one lead block E = T whatever its factors."""
-        s = np.array([f.scale for f in self.lead_factors[: len(self.lead_pattern)]])
-        return self.lead_pattern * np.sqrt(np.divide.outer(s, s))
-
-    def apply_preconditioned(self, v: np.ndarray, r: np.ndarray, beta: float) -> np.ndarray:
-        """A v for v = P^{-1} r / beta, P a preconditioner whose lead factors are `lead_factors`.
-
-        The lead rows take (E ⊗ I) r / beta, and only the couplings to the
-        last block and its row are multiplied (`BlockTridiagSystem.apply`
-        with `lead`): for the three-block problems the two products with M
-        go, for the two-block ones the product with diag(M, alpha X).  The
-        lead solves count as exact, so it differs from `system.apply(v)` by
-        A times their rounding error in v: below 1e-13 relative at p <= 3,
-        2e-11 at 3D p=5 L2 and 2e-7 at 3D p=7 L1, as M's condition grows.
-        """
-        e = self._lead_product
-        lead = (e @ r[: self.system.block_slices()[-1].start].reshape(len(e), -1)).ravel()
-        lead /= beta
-        return self.system.apply(v, lead)
-
-    def preconditioned_head(self, v: np.ndarray) -> np.ndarray:
-        """Rows of blocks 1..n-2 of P^{-1} A v, P a preconditioner whose lead factors are `lead_factors`.
-
-        No row there couples to block n, and P_lead^{-1} (E ⊗ I) P_lead =
-        E' ⊗ I, so they are (E' ⊗ I) v: v_1 + v_2 / alpha for the
-        three-block problems, no rows for the two-block ones.  MINRES takes
-        these rows of P^{-1} r from its recurrence and solves only blocks
-        n-1 and n.
-        """
-        e = self._lead_product
-        return (e.T[: len(e) - 1] @ v[: self.system.block_slices()[-1].start].reshape(len(e), -1)).ravel()
+        factors = [*self.lead_factors, None]
+        return SchurPreconditioner(self.practical_blocks, factors, system=self.system, lead=self.lead_pattern)
 
 
 def _zero_block(dim: int) -> SparseSymMatrix:
@@ -440,7 +400,8 @@ def exact_schur_precond(prob: AssembledProblem) -> SchurPreconditioner:
         s += ops.laplacian_gram
     if rest is not None:
         rest.add_to(s)
-    return SchurPreconditioner(factors=[*prob.lead_factors, factor_stage(n, s)])
+    factors = [*prob.lead_factors, factor_stage(n, s)]
+    return SchurPreconditioner(factors=factors, system=prob.system, lead=prob.lead_pattern)
 
 
 EXACT_VARIANTS = ("exact", "exact_schur")

@@ -20,21 +20,17 @@ def solve_problem(
     Convergence is tested on the plain Euclidean residual norm relative to
     ||b||, the protocol under which the published iteration counts for these
     optimality systems are reported; the energy-norm history is still
-    available on the returned SolveResult.  Each step's operator product
-    comes from `prob.apply_preconditioned`, and the rows of blocks 1..n-2 of
-    its preconditioned vector from `prob.preconditioned_head`, so only the
-    last two blocks are solved (all blocks of a two-block problem, whose
-    run is that of the product alone).  `precond` must therefore hold the
-    problem's own lead factors (the practical and exact ones do):
-    ValueError otherwise.  Every convergence is confirmed with
-    `prob.system.apply`.
+    available on the returned SolveResult.  MINRES takes its two hooks from
+    `precond` (`SchurPreconditioner.apply_preconditioned` and
+    `preconditioned_head`), so only the last two blocks are solved; a
+    preconditioner without a lead pattern has none: ValueError.  Every
+    convergence is confirmed with `prob.system.apply`.
     """
-    lead = precond.factors[:-1]
-    if len(lead) != len(prob.lead_factors) or any(f is not g for f, g in zip(lead, prob.lead_factors)):
-        raise ValueError("the preconditioner's lead factors are not the problem's own")
+    if precond.lead is None:
+        raise ValueError("the preconditioner carries no lead pattern for MINRES's hooks")
     return minres_solve(
         prob.system.apply, precond.apply_inverse, prob.rhs, tol=tol, maxit=maxit,
-        product=prob.apply_preconditioned, head=prob.preconditioned_head,
+        product=precond.apply_preconditioned, head=precond.preconditioned_head,
     )
 
 

@@ -8,19 +8,12 @@ analysis of the preconditioned operator certifies the closed-form bounds
 from :mod:`msp.chebyshev`, including their sharpness when A_i = 0 for i >= 2.
 
 `spectrum` solves L^{-1} A L^{-T} for the preconditioner's factors L.  Given
-the lead pattern T a problem builder declares, it deflates blocks 1..n-1,
-which are T ⊗ I_W: the eigenvalues of T come out with known multiplicity and
-the rest from a matrix H of order (n-1)k + m, k = min(W, m).  H is split
-along the singular vectors of its coupling into blocks of order n, one per
-singular value, with its last block C replaced by the C_0 that an exact last
-stage (or an empty A_n) gives; the measured deviation ||C - C_0||_F bounds
-how far H's eigenvalues lie from the split's (Weyl).  The split reads the
-singular values off the Gram matrix Y'Y of the coupling Y of block n-1 to
-block n.  Where its enclosure cannot decide every printed digit and bound
-check, H, coupled by the R of the thin QR Y = QR, is solved dense.  The
-premise T ⊗ I_W is probed on random vectors and refused (LeadMismatch) when
-it fails.  Without T (`verify`'s random systems, the tests' oracle) the
-whole operator is solved dense.
+one that carries its builder's lead pattern T, it deflates blocks 1..n-1,
+which are T ⊗ I_W, once a probe on random vectors upholds that premise
+(LeadMismatch otherwise), and splits what is left along the singular values
+of its coupling where a Weyl enclosure decides every printed digit and bound
+check (`_deflated_eigenvalues`).  Without T (`verify`'s random systems, the
+tests' oracle) the whole operator is solved dense.
 """
 
 from __future__ import annotations
@@ -156,15 +149,27 @@ class SchurPreconditioner:
     is None, or every one when `factors` is None, is factored from `blocks`.
     `blocks` is kept as given: None when factors alone are passed (the exact
     Schur preconditioners).  Block orders come from the factors.
+
+    A builder also passes its `system` and lead pattern `lead` = T: blocks
+    1..n-1 of L^{-1} A L^{-T}, L the lead factors, are T ⊗ I_W, which
+    `spectrum` deflates.  The lead factors are L_i = sqrt(s_i) L_0 at scales
+    s_i, so blocks 1..n-1 of A P^{-1} are E ⊗ I_W, E_ij = T_ij sqrt(s_i / s_j),
+    from which the MINRES hooks skip work.  `check_system` checks shapes
+    only: `spectrum` probes T, and MINRES confirms every convergence.
     """
 
     def __init__(
         self,
         blocks: list[SparseSymMatrix | DenseSymMatrix] | None = None,
         factors: list[CholeskyFactor | None] | None = None,
+        *,
+        system: BlockTridiagSystem | None = None,
+        lead: np.ndarray | None = None,
     ):
         if blocks is not None and factors is not None and len(factors) != len(blocks):
             raise ValueError(f"{len(factors)} factors given for {len(blocks)} blocks")
+        if lead is not None and system is None:
+            raise ValueError("a lead pattern needs its system")
         self.blocks = blocks
         self.factors = list(factors) if factors is not None else [None] * len(blocks)
         for i, f in enumerate(self.factors):
@@ -175,6 +180,19 @@ class SchurPreconditioner:
                     raise NotPositiveDefinite(f"block {i + 1} is not SPD: {exc}") from exc
         self.block_dims = [f.dim for f in self.factors]
         self._slices = _slices(self.block_dims)
+        self.system, self.lead = system, lead
+        if system is not None:
+            self.check_system(system)
+
+    def check_system(self, sys: BlockTridiagSystem) -> None:
+        """ValueError unless every block of `sys` starts at a block, the last blocks are one,
+        and T, when held, has order n-1 over lead system blocks of one order W."""
+        slices = sys.block_slices()
+        if self._slices[-1] != slices[-1] or not {s.start for s in slices} <= {s.start for s in self._slices}:
+            raise ValueError(f"the preconditioner's blocks {self.block_dims} do not tile the system's {sys.block_dims}")
+        dims = sys.block_dims[:-1]
+        if self.lead is not None and (self.lead.shape != (len(dims),) * 2 or len(set(dims)) != 1):
+            raise ValueError(f"blocks of orders {dims} cannot be T ⊗ I_W for T of shape {self.lead.shape}")
 
     def apply_inverse(self, r: np.ndarray, start: int = 0) -> np.ndarray:
         """P^{-1} r, one factor solve per block slice of r's rows.
@@ -190,6 +208,36 @@ class SchurPreconditioner:
             if s.stop > start:
                 out[s] = solve_chol(f, r[s])
         return out
+
+    @cached_property
+    def _lead_product(self) -> np.ndarray:
+        """E, the pattern of blocks 1..n-1 of A P^{-1}; with one lead block E = T whatever its factors."""
+        s = np.array([f.scale for f in self.factors[: len(self.lead)]])
+        return self.lead * np.sqrt(np.divide.outer(s, s))
+
+    def apply_preconditioned(self, v: np.ndarray, r: np.ndarray, beta: float) -> np.ndarray:
+        """A v for v = P^{-1} r / beta, MINRES's `product` hook: the lead rows take (E ⊗ I) r / beta.
+
+        Only the couplings to the last block and its row are multiplied
+        (`BlockTridiagSystem.apply` with `lead`), so the products with M
+        (three-block) or diag(M, alpha X) (two-block) go.  As the lead solves
+        count as exact, it differs from `system.apply(v)` by below 1e-13
+        relative at p <= 3, 2e-11 at 3D p=5 L2 and 2e-7 at 3D p=7 L1.
+        """
+        e = self._lead_product
+        lead = (e @ r[: self._slices[-1].start].reshape(len(e), -1)).ravel()
+        lead /= beta
+        return self.system.apply(v, lead)
+
+    def preconditioned_head(self, v: np.ndarray) -> np.ndarray:
+        """Rows of blocks 1..n-2 of P^{-1} A v, MINRES's `head` hook: (E' ⊗ I) v, with no solve.
+
+        No row there couples to block n, and P_lead^{-1} (E ⊗ I) P_lead =
+        E' ⊗ I: v_1 + v_2 / alpha for the three-block problems, no rows for
+        the two-block ones.
+        """
+        e = self._lead_product
+        return (e.T[: len(e) - 1] @ v[: self._slices[-1].start].reshape(len(e), -1)).ravel()
 
 
 def _dense_operator(sys: BlockTridiagSystem) -> np.ndarray:
@@ -323,8 +371,6 @@ def _reduced_operator(sys: BlockTridiagSystem, precond: SchurPreconditioner) -> 
     split a system block) for j <= i, mirrored into C_ji.  Zero blocks of A
     are skipped.
     """
-    if sum(precond.block_dims) != sys.total_dim:
-        raise ValueError("preconditioner and system orders differ")
     c = _dense_operator(sys)
     blocks = [(f.lower(), s) for f, s in zip(precond.factors, precond._slices)]
     for i, (li, ri) in enumerate(blocks):
@@ -340,12 +386,10 @@ def _reduced_operator(sys: BlockTridiagSystem, precond: SchurPreconditioner) -> 
     return c
 
 
-def _deflated_eigenvalues(
-    sys: BlockTridiagSystem, precond: SchurPreconditioner, lead: np.ndarray
-) -> tuple[np.ndarray, float]:
+def _deflated_eigenvalues(sys: BlockTridiagSystem, precond: SchurPreconditioner) -> tuple[np.ndarray, float]:
     """Eigenvalues of L^{-1} A L^{-T} whose blocks 1..n-1 are T ⊗ I_W, by deflation, and their radius.
 
-    `lead` is T, of order n-1; every lead system block has the order W and
+    T = `precond.lead` has order n-1, each lead system block the order W, and
     the last preconditioner block is the last system block, of order m.
     Only block n-1 couples to block n, through Y = L_{n-1}^{-1} B_{n-1}'
     L_n^{-T} (W x m, over the preconditioner blocks that tile block n-1).
@@ -360,16 +404,10 @@ def _deflated_eigenvalues(
     radius is the enclosure's half-width, 0.0 when H was solved.  The
     premise is probed: LeadMismatch when it fails.
     """
-    n, dims = sys.n, sys.block_dims
-    w, m = dims[0], dims[-1]
-    t = np.asarray(lead, dtype=np.float64)
-    if t.shape != (n - 1, n - 1) or any(d != w for d in dims[:-1]):
-        raise ValueError(f"blocks of orders {dims[:-1]} cannot be T ⊗ I_W for T of shape {t.shape}")
+    n, t = sys.n, precond.lead
+    w, m = sys.block_dims[0], sys.block_dims[-1]
     start = (n - 2) * w  # the first row of block n-1
     lead_blocks = [(f.lower(), s) for f, s in zip(precond.factors[:-1], precond._slices[:-1])]
-    starts = [s.start for _, s in lead_blocks]
-    if sum(precond.block_dims) != sys.total_dim or precond.block_dims[-1] != m or start not in starts:
-        raise ValueError("the preconditioner's blocks do not tile the system's last two")
     _probe_lead(sys, lead_blocks, t)
     ln = precond.factors[-1].lower()
     b = sys.B[-1]
@@ -519,31 +557,29 @@ def _probe_lead(sys: BlockTridiagSystem, lead_blocks: list[tuple[np.ndarray, sli
             )
 
 
-def spectrum(
-    sys: BlockTridiagSystem,
-    precond: SchurPreconditioner,
-    dense_limit: int = DENSE_MODE_LIMIT,
-    lead: np.ndarray | None = None,
-) -> SpectrumReport:
+def spectrum(sys: BlockTridiagSystem, precond: SchurPreconditioner, dense_limit: int = DENSE_MODE_LIMIT) -> SpectrumReport:
     """Eigenvalues of the pencil (A, L L'), checked against the bounds.
 
     L = diag(L_i) holds the preconditioner's own factors, the ones MINRES
     applies (a scaled factor included).  The pencil is reduced with them to
     the standard eigenproblem of L^{-1} A L^{-T}: no dense P is formed and
-    no generalized eigensolver is called.  Without `lead`, that operator is
-    formed whole and solved dense.  With `lead` = T, its blocks 1..n-1 are
-    declared to be T ⊗ I_W: this is probed, and only the order-(n-1)k + m
-    part H left by deflating them is solved (`_deflated_eigenvalues`): by
-    one block of order n per singular value of its coupling where the
-    enclosure of H's spectrum around theirs decides every printed value and
-    bound check, dense otherwise.  The
-    report's `method` names the path ("split", "deflated" or "dense") and
-    `radius` the enclosure's half-width (0.0 on a dense path).
+    no generalized eigensolver is called.  `precond` must tile `sys`
+    (`SchurPreconditioner.check_system`).  Without a lead pattern on
+    `precond`, that operator is formed whole and solved dense.  With
+    `precond.lead` = T, its blocks 1..n-1 are declared to be T ⊗ I_W: this
+    is probed, and only the order-(n-1)k + m part H left by deflating them
+    is solved (`_deflated_eigenvalues`): by one block of order n per
+    singular value of its coupling where the enclosure of H's spectrum
+    around theirs decides every printed value and bound check, dense
+    otherwise.  The report's `method` names the path ("split", "deflated"
+    or "dense") and `radius` the enclosure's half-width (0.0 on a dense
+    path).
     """
     if sys.total_dim > dense_limit:
         raise ValueError(f"total dim {sys.total_dim} exceeds dense-mode limit {dense_limit}")
-    if lead is not None:
-        ev, radius = _deflated_eigenvalues(sys, precond, lead)
+    precond.check_system(sys)
+    if precond.lead is not None:
+        ev, radius = _deflated_eigenvalues(sys, precond)
         rep = _report(ev, sys.n)
         rep.radius, rep.method = radius, "split" if radius else "deflated"
         return rep

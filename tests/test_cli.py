@@ -210,12 +210,14 @@ class TestSpectrum:
     @pytest.mark.parametrize("problem", ["distributed_strong", "boundary_control"])
     def test_undeclared_lead_factor_is_a_violation(self, capsys, monkeypatch, problem):
         # the first lead factor 1% off (for a three-block problem the factor of
-        # 1.01 alpha M): the deflated spectrum refuses it and the CLI exits 1
+        # 1.01 alpha M) under the builder's T: the deflated spectrum refuses
+        # it and the CLI exits 1
         import msp.cli
 
         def broken(prob, variant):
             pre = make_preconditioner(prob, variant)
-            return msp.saddle.SchurPreconditioner(factors=[pre.factors[0].scaled(1.01), *pre.factors[1:]])
+            factors = [pre.factors[0].scaled(1.01), *pre.factors[1:]]
+            return msp.saddle.SchurPreconditioner(factors=factors, system=prob.system, lead=prob.lead_pattern)
 
         monkeypatch.setattr(msp.cli, "make_preconditioner", broken)
         code, out, err = run_cli(capsys, "spectrum", "--problem", problem, *SMALL, "--precond", "exact")
@@ -586,3 +588,21 @@ class TestOptions:
             main(argv)
         assert exc.value.code == EXIT_CONFIG
         assert "unrecognized arguments" in capsys.readouterr().err
+
+    def test_calls_share_one_parser(self, capsys, monkeypatch):
+        # the parser is built once; its defaults, such as verify's --n list,
+        # are then shared by every call, so no command may write into them
+        import argparse
+
+        parsers, parse = [], argparse.ArgumentParser.parse_args
+
+        def recording(self, *args, **kwargs):
+            parsers.append(self)
+            return parse(self, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "parse_args", recording)
+        for _ in range(2):
+            code, out, _ = run_cli(capsys, "verify", "--trials", "1")
+            assert code == EXIT_OK and "n=6" in out
+        assert len(parsers) == 2 and parsers[0] is parsers[1]
+        assert parsers[0].parse_args(["verify"]).n == [2, 3, 4, 5, 6]

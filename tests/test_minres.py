@@ -1,7 +1,5 @@
 """MINRES solver behavior: convergence, monotonicity, finite termination."""
 
-import dataclasses
-
 import numpy as np
 import pytest
 import scipy.sparse.linalg
@@ -383,7 +381,7 @@ class TestLanczosBounds:
             s_max, s_min = lanczos_bounds(
                 random_start_run(prob.system.apply, pre.apply_inverse, prob.system.total_dim)
             )
-            kappa = sd.spectrum(prob.system, pre).cond
+            kappa = sd.spectrum(prob.system, sd.SchurPreconditioner(factors=pre.factors)).cond  # the dense path
             assert 0.99 * kappa <= s_max / s_min <= kappa * (1 + 1e-10), (prob.config, variant)
             cells += 1
         assert cells == 16
@@ -497,12 +495,15 @@ def product_cells(pid, d, p, level):
             yield prob, pb.make_preconditioner(prob, variant)
 
 
-def wrong_lead(prob, factor):
-    """`prob` with E built from factor * alpha (factor * T for one lead block), for its hooks."""
+def wrong_lead(prob, pre, factor):
+    """`pre` with E built from factor * alpha (factor * T for one lead block), for its hooks."""
+    factors, lead = pre.factors, prob.lead_pattern
     if prob.system.n == 3:
-        f1, f2 = prob.lead_factors
-        return dataclasses.replace(prob, lead_factors=[f1.scaled(factor), f2.scaled(1.0 / factor)])
-    return dataclasses.replace(prob, lead_pattern=factor * prob.lead_pattern)
+        f1, f2, last = factors
+        factors = [f1.scaled(factor), f2.scaled(1.0 / factor), last]
+    else:
+        lead = factor * lead
+    return sd.SchurPreconditioner(factors=factors, system=prob.system, lead=lead)
 
 
 class TestPreconditionedProduct:
@@ -513,28 +514,29 @@ class TestPreconditionedProduct:
             beta = 0.7
             v = pre.apply_inverse(r) / beta
             want = prob.system.apply(v)
-            got = prob.apply_preconditioned(v, r, beta)
+            got = pre.apply_preconditioned(v, r, beta)
             assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
             plain = minres_solve(prob.system.apply, pre.apply_inverse, prob.rhs)
-            fused = minres_solve(prob.system.apply, pre.apply_inverse, prob.rhs, product=prob.apply_preconditioned)
+            fused = minres_solve(prob.system.apply, pre.apply_inverse, prob.rhs, product=pre.apply_preconditioned)
             assert (fused.iterations, fused.converged) == (plain.iterations, plain.converged)
 
     def test_solve_problem_passes_it(self):
         prob = pb.build_problem(pb.ProblemConfig("boundary_observation", d=2, p=2, level=3, alpha=1e-3))
         got = run.solve_problem(prob, prob.practical)
         want = minres_solve(prob.system.apply, prob.practical.apply_inverse, prob.rhs,
-                            product=prob.apply_preconditioned, head=prob.preconditioned_head)
+                            product=prob.practical.apply_preconditioned, head=prob.practical.preconditioned_head)
         assert got.solution.tobytes() == want.solution.tobytes()
         assert got.residual_norms == want.residual_norms
 
-    def test_solve_problem_refuses_lead_factors_not_the_problems_own(self):
-        # the product takes the problem's lead factors for the preconditioner's:
-        # unchecked, this run took all 500 steps; plain MINRES converges
+    def test_solve_problem_refuses_a_preconditioner_without_a_lead_pattern(self):
+        # a preconditioner without T has no hooks, so it is refused; with the
+        # hooks of the problem's own lead factors this run took all 500
+        # steps, while plain MINRES converges
         prob = pb.build_problem(pb.ProblemConfig("distributed_very_weak", d=2, p=2, level=3, alpha=1e-3))
         first, *rest = prob.lead_factors
         pre = sd.SchurPreconditioner(prob.practical_blocks, [first.scaled(1.01), *rest, None])
         assert minres_solve(prob.system.apply, pre.apply_inverse, prob.rhs).converged
-        with pytest.raises(ValueError, match="lead factors are not the problem's own"):
+        with pytest.raises(ValueError, match="carries no lead pattern"):
             run.solve_problem(prob, pre)
 
     @pytest.mark.parametrize("pid, d, p, level", PRODUCT_CASES)
@@ -544,10 +546,10 @@ class TestPreconditionedProduct:
         for prob, pre in product_cells(pid, d, p, level):
             v = np.random.default_rng(6).standard_normal(prob.total_dim)
             want = pre.apply_inverse(prob.system.apply(v))
-            head = prob.preconditioned_head(v)
+            head = pre.preconditioned_head(v)
             assert len(head) == (prob.system.block_dims[0] if prob.system.n == 3 else 0)
             assert np.linalg.norm(head - want[: len(head)]) <= 1e-12 * np.linalg.norm(want)
-            fused = minres_solve(prob.system.apply, pre.apply_inverse, prob.rhs, product=prob.apply_preconditioned)
+            fused = minres_solve(prob.system.apply, pre.apply_inverse, prob.rhs, product=pre.apply_preconditioned)
             got = run.solve_problem(prob, pre)
             assert (got.iterations, got.converged, got.breakdown_at) == (
                 fused.iterations, fused.converged, fused.breakdown_at)
@@ -569,7 +571,7 @@ class TestPreconditionedProduct:
                 return prob.system.apply(x)
 
             res = minres_solve(apply_a, pre.apply_inverse, prob.rhs, tol=tol, maxit=100,
-                               product=wrong_lead(prob, factor).apply_preconditioned)
+                               product=wrong_lead(prob, pre, factor).apply_preconditioned)
             assert confirmations  # the updated residual passed the test at least once
             if res.converged:
                 true = np.linalg.norm(prob.rhs - prob.system.apply(res.solution))
@@ -584,7 +586,7 @@ class TestPreconditionedProduct:
         for prob, pre in product_cells(pid, d, p, level):
             try:
                 res = minres_solve(prob.system.apply, pre.apply_inverse, prob.rhs, tol=tol, maxit=100,
-                                   product=prob.apply_preconditioned, head=wrong_lead(prob, factor).preconditioned_head)
+                                   product=pre.apply_preconditioned, head=wrong_lead(prob, pre, factor).preconditioned_head)
             except ValueError as exc:
                 assert prob.system.n == 3 and "not positive definite" in str(exc)
                 continue

@@ -34,6 +34,11 @@ def brute_force_schur(A_list, B_list):
     return out
 
 
+
+def bare(pre):
+    """A preconditioner of `pre`'s factors that carries no lead pattern: `spectrum` solves it dense."""
+    return sd.SchurPreconditioner(factors=pre.factors)
+
 class TestSystem:
     def test_shape_validation(self):
         a = [np.eye(2), np.zeros((3, 3))]
@@ -186,6 +191,20 @@ class TestPreconditioner:
         with pytest.raises(ValueError, match="r has 199 rows"):
             short.apply_inverse(prob.rhs[:199], start=100)
 
+    def test_a_last_block_not_the_systems_is_refused_on_construction(self):
+        # the same factors over M and alpha X alone: the last block, of order
+        # 100, is not the system's last (64), and the preconditioner is refused
+        prob = problems.build_problem(problems.ProblemConfig("distributed_very_weak", d=2, p=2, level=3, alpha=1e-3))
+        f1 = prob.lead_factors[0]
+        blocks = prob.practical_blocks[:2]
+        assert [b.dim for b in blocks] == [100, 100] and prob.system.block_dims == [200, 64]
+        sd.SchurPreconditioner(blocks, [f1.scaled(1.01), None])  # without its system, nothing to check
+        for lead in (None, prob.lead_pattern):
+            with pytest.raises(ValueError, match=r"blocks \[100, 100\] do not tile the system's \[200, 64\]"):
+                sd.SchurPreconditioner(blocks, [f1.scaled(1.01), None], system=prob.system, lead=lead)
+        with pytest.raises(ValueError, match="needs its system"):
+            sd.SchurPreconditioner(prob.practical_blocks, lead=prob.lead_pattern)
+
 
 class TestSpectrum:
     def test_sharp_configuration_subset_of_root_union(self):
@@ -297,7 +316,7 @@ class TestSpectrum:
         prob = problems.build_problem(problems.ProblemConfig("distributed_strong", d=2, p=2, level=3))
         pre = problems.make_preconditioner(prob, variant)
         want = gen_sym_eig(sd._reduced_operator(prob.system, pre))
-        assert sd.spectrum(prob.system, pre).eigenvalues.tobytes() == want.tobytes()
+        assert sd.spectrum(prob.system, bare(pre)).eigenvalues.tobytes() == want.tobytes()
         rng = np.random.default_rng(3)
         for sys in (sd.random_sharp_system(4, rng), sd.random_spsd_system(5, rng)):
             pre = sd.exact_schur(sys)
@@ -308,7 +327,7 @@ class TestSpectrum:
         # the operator, the factors' dense L and two block temporaries: no
         # second n x n array (a copy for the eigensolver) is made
         prob = problems.build_problem(problems.ProblemConfig("boundary_observation", d=2, p=2, level=4, alpha=1e-2))
-        pre = problems.make_preconditioner(prob, "exact")
+        pre = bare(problems.make_preconditioner(prob, "exact"))
         dims = pre.block_dims
         bound = 8 * (prob.total_dim**2 + sum(d * d for d in dims) + 2 * max(dims) ** 2)
         tracemalloc.start()
@@ -322,7 +341,7 @@ class TestSpectrum:
     def test_preconditioner_order_must_match(self):
         sys = dense_system([np.eye(2), np.zeros((3, 3))], [np.ones((3, 2))])
         pre = sd.SchurPreconditioner([SparseSymMatrix.from_dense(np.eye(4))])
-        with pytest.raises(ValueError, match="orders differ"):
+        with pytest.raises(ValueError, match=r"blocks \[4\] do not tile the system's \[2, 3\]"):
             sd.spectrum(sys, pre)
 
     def test_cond_exceeds_bound_only_beyond_the_slack(self):
@@ -354,9 +373,9 @@ class TestDeflatedSpectrum:
 
         spectrum, reports, force_dense = sd.spectrum, [], [False]
 
-        def recording(sys, pre, lead=None):
-            assert lead is not None  # cmd_spectrum passes the builder's T
-            rep = spectrum(sys, pre, lead=None if force_dense[0] else lead)
+        def recording(sys, pre):
+            assert pre.lead is not None  # cmd_spectrum's preconditioner carries the builder's T
+            rep = spectrum(sys, bare(pre) if force_dense[0] else pre)
             reports.append(rep)
             return rep
 
@@ -384,30 +403,37 @@ class TestDeflatedSpectrum:
         prob = problems.build_problem(problems.ProblemConfig(pid, d=2, p=2, level=3, alpha=alpha))
         exact = problems.exact_schur_precond(prob)
         first = prob.lead_factors[0]
-        broken = sd.SchurPreconditioner(factors=[first.scaled(1.01), *exact.factors[1:]])
+        factors = [first.scaled(1.01), *exact.factors[1:]]
+        broken = sd.SchurPreconditioner(factors=factors, system=prob.system, lead=prob.lead_pattern)
         if prob.system.n == 3:
             assert first.scale == alpha  # alpha M's factor: mass_factor.scaled(1.01 * alpha) above
-        assert sd.spectrum(prob.system, broken).eigenvalues.size == prob.total_dim
+        assert sd.spectrum(prob.system, bare(broken)).eigenvalues.size == prob.total_dim
         with pytest.raises(sd.LeadMismatch, match="not T ⊗ I"):
-            sd.spectrum(prob.system, broken, lead=prob.lead_pattern)
-        sd.spectrum(prob.system, exact, lead=prob.lead_pattern)
+            sd.spectrum(prob.system, broken)
+        sd.spectrum(prob.system, exact)
 
     def test_refuses_a_wrong_pattern(self):
         prob = problems.build_problem(problems.ProblemConfig("distributed_strong", d=2, p=2, level=2))
         pre = problems.exact_schur_precond(prob)
+
+        def declared(factors, lead):
+            return sd.SchurPreconditioner(factors=factors, system=prob.system, lead=lead)
+
         with pytest.raises(sd.LeadMismatch):
-            sd.spectrum(prob.system, pre, lead=np.array([[1.0, 1.0], [1.0, 1.0]]))
+            sd.spectrum(prob.system, declared(pre.factors, np.array([[1.0, 1.0], [1.0, 1.0]])))
         with pytest.raises(ValueError, match="cannot be T ⊗ I_W"):
-            sd.spectrum(prob.system, pre, lead=np.ones((1, 1)))
+            declared(pre.factors, np.ones((1, 1)))
         w = prob.system.block_dims[0]
         shifted = [cholesky(np.eye(w - 1)), cholesky(np.eye(w + 1)), pre.factors[-1]]
         with pytest.raises(ValueError, match="do not tile"):
-            sd.spectrum(prob.system, sd.SchurPreconditioner(factors=shifted), lead=prob.lead_pattern)
+            declared(shifted, prob.lead_pattern)
+        with pytest.raises(ValueError, match="do not tile"):
+            sd.spectrum(prob.system, sd.SchurPreconditioner(factors=shifted))
 
     def test_refused_over_the_dense_limit(self):
         prob = problems.build_problem(problems.ProblemConfig("boundary_observation", d=2, p=2, level=2))
         with pytest.raises(ValueError, match="dense-mode limit"):
-            sd.spectrum(prob.system, prob.practical, dense_limit=prob.total_dim - 1, lead=prob.lead_pattern)
+            sd.spectrum(prob.system, prob.practical, dense_limit=prob.total_dim - 1)
 
     def test_both_paths_report_through_one_helper(self, monkeypatch):
         calls = []
@@ -419,8 +445,8 @@ class TestDeflatedSpectrum:
 
         monkeypatch.setattr(sd, "_report", counting)
         prob = problems.build_problem(problems.ProblemConfig("boundary_control", d=2, p=2, level=2))
-        dense = sd.spectrum(prob.system, prob.practical)
-        deflated = sd.spectrum(prob.system, prob.practical, lead=prob.lead_pattern)
+        dense = sd.spectrum(prob.system, bare(prob.practical))
+        deflated = sd.spectrum(prob.system, prob.practical)
         assert calls == [prob.total_dim] * 2
         assert deflated.bound_set == dense.bound_set
         assert deflated.within_bounds == dense.within_bounds
@@ -449,8 +475,8 @@ def _cli_spectrum(monkeypatch, capsys, argv):
 
     spectrum, runs, forced = sd.spectrum, [], [False]
 
-    def recording(sys, pre, lead=None):
-        rep = spectrum(sys, pre, lead=None if forced[0] else lead)
+    def recording(sys, pre):
+        rep = spectrum(sys, bare(pre) if forced[0] else pre)
         runs.append(rep)
         return rep
 
@@ -493,16 +519,16 @@ class TestSplitSpectrum:
             prob = problems.build_problem(cfg)
             for variant in variants:
                 pre = problems.make_preconditioner(prob, variant)
-                rep = sd.spectrum(prob.system, pre, lead=prob.lead_pattern)
+                rep = sd.spectrum(prob.system, pre)
                 falls_back = d == 1 and (pid, alpha) in SPLIT_FALLS_BACK_1D
                 assert rep.method == ("deflated" if falls_back else "split"), (alpha, variant)
                 with monkeypatch.context() as forced:
                     forced.setattr(sd, "_enclosure_decides", lambda ev, radius, n: False)
-                    dense = sd.spectrum(prob.system, pre, lead=prob.lead_pattern)
+                    dense = sd.spectrum(prob.system, pre)
                 with monkeypatch.context() as forced:
                     forced.setattr(sd, "SPLIT_RTOL", np.inf)
                     forced.setattr(sd, "_enclosure_decides", lambda ev, radius, n: True)
-                    split = sd.spectrum(prob.system, pre, lead=prob.lead_pattern)
+                    split = sd.spectrum(prob.system, pre)
                 assert (dense.method, dense.radius, split.method) == ("deflated", 0.0, "split")
                 assert split.eigenvalues.shape == dense.eigenvalues.shape == (prob.total_dim,)
                 gap = np.max(np.abs(split.eigenvalues - dense.eigenvalues))
@@ -516,9 +542,9 @@ class TestSplitSpectrum:
     def test_three_block_practical_falls_back(self):
         # the practical last block is not the exact stage: ||E||_F is of order 1e-3 or more
         prob = problems.build_problem(problems.ProblemConfig("boundary_observation", d=2, p=2, level=3, alpha=1e-3))
-        rep = sd.spectrum(prob.system, prob.practical, lead=prob.lead_pattern)
+        rep = sd.spectrum(prob.system, prob.practical)
         assert (rep.method, rep.radius) == ("deflated", 0.0)
-        dense = sd.spectrum(prob.system, prob.practical)
+        dense = sd.spectrum(prob.system, bare(prob.practical))
         assert (dense.method, dense.radius) == ("dense", 0.0)
         assert np.max(np.abs(rep.eigenvalues - dense.eigenvalues)) <= 1e-12 * dense.norm
 
@@ -529,7 +555,7 @@ class TestSplitSpectrum:
         w, m = 4, 7
         sys, t = _split_system(n, w, m, seed=n)
         pre = sd.exact_schur(sys)
-        rep = sd.spectrum(sys, pre, lead=t)
+        rep = sd.spectrum(sys, sd.SchurPreconditioner(factors=pre.factors, system=sys, lead=t))
         dense = sd.spectrum(sys, pre)
         assert rep.method == "split" and 0 < rep.radius <= 1e-12 * dense.norm
         assert rep.eigenvalues.shape == (sys.total_dim,)
@@ -544,8 +570,8 @@ class TestSplitSpectrum:
         rng = np.random.default_rng(4)
         b = rng.standard_normal((m, w))
         sys = dense_system([np.eye(w), np.zeros((m, m))], [b])
-        pre = sd.SchurPreconditioner(factors=[cholesky(np.eye(w)), cholesky(b @ b.T + np.eye(m))])
-        rep = sd.spectrum(sys, pre, lead=np.ones((1, 1)))
+        factors = [cholesky(np.eye(w)), cholesky(b @ b.T + np.eye(m))]
+        rep = sd.spectrum(sys, sd.SchurPreconditioner(factors=factors, system=sys, lead=np.ones((1, 1))))
         assert (rep.method, rep.radius) == ("deflated", 0.0)
         assert np.sum(np.abs(rep.eigenvalues) < 1e-14) == m - w
 
@@ -555,7 +581,7 @@ class TestSplitSpectrum:
         k, m = prob.system.block_dims[0], prob.system.block_dims[-1]
         tracemalloc.start()
         try:
-            rep = sd.spectrum(prob.system, pre, lead=prob.lead_pattern)
+            rep = sd.spectrum(prob.system, pre)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -579,7 +605,8 @@ class TestSplitSpectrum:
 
         def scaled_stage(prob):
             pre = exact(prob)
-            return sd.SchurPreconditioner(factors=[*pre.factors[:-1], pre.factors[-1].scaled(scale)])
+            factors = [*pre.factors[:-1], pre.factors[-1].scaled(scale)]
+            return sd.SchurPreconditioner(factors=factors, system=prob.system, lead=prob.lead_pattern)
 
         monkeypatch.setattr(sd, "_split_eigenvalues", recording)
         monkeypatch.setattr(problems, "exact_schur_precond", scaled_stage)
@@ -616,7 +643,8 @@ class TestSplitSpectrum:
 
         def scaled_stage(prob):
             pre = exact(prob)
-            return sd.SchurPreconditioner(factors=[*pre.factors[:-1], pre.factors[-1].scaled(scale)])
+            factors = [*pre.factors[:-1], pre.factors[-1].scaled(scale)]
+            return sd.SchurPreconditioner(factors=factors, system=prob.system, lead=prob.lead_pattern)
 
         monkeypatch.setattr(np.linalg, "qr", counted)
         monkeypatch.setattr(problems, "exact_schur_precond", scaled_stage)
@@ -656,7 +684,7 @@ class TestSplitSpectrum:
 
     def test_report_names_its_method(self):
         prob = problems.build_problem(problems.ProblemConfig("boundary_control", d=2, p=2, level=2))
-        dense = sd.spectrum(prob.system, prob.practical)
+        dense = sd.spectrum(prob.system, bare(prob.practical))
         assert (dense.method, dense.radius) == ("dense", 0.0)
 
 
