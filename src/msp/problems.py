@@ -269,12 +269,12 @@ class AssembledProblem:
 
     `practical_blocks` are the practical preconditioner's blocks and
     `lead_factors` the factors of all but the last, which are the exact
-    Schur complements S_1..S_{n-1}.  The last block is factored when
-    `practical` is first read, so an exact-Schur cell never factors it; the
-    exact preconditioner takes `lead_factors` alone, without the blocks.
-    `lead_pattern` is the builder's T (blocks 1..n-1 of L^{-1} A L^{-T} are
-    T ⊗ I_W, L the lead factors), which both preconditioners carry with the
-    system for their spectra and MINRES hooks (`SchurPreconditioner`).
+    Schur complements S_1..S_{n-1}.  The last block, a sum view, is factored
+    from its terms when `practical` is first read, so an exact-Schur cell
+    neither builds nor factors it; the exact preconditioner takes only
+    `lead_factors`.  `lead_pattern` is the builder's T (blocks 1..n-1 of
+    L^{-1} A L^{-T} are T ⊗ I_W, L the lead factors), which both
+    preconditioners carry with the system (`SchurPreconditioner`).
     """
 
     config: ProblemConfig
@@ -296,7 +296,7 @@ class AssembledProblem:
 
 
 def _zero_block(dim: int) -> SparseSymMatrix:
-    return SparseSymMatrix(scipy.sparse.csr_matrix((dim, dim)))
+    return SparseSymMatrix._trusted(scipy.sparse.csr_matrix((dim, dim)))
 
 
 def _three_block(
@@ -304,12 +304,12 @@ def _three_block(
 ) -> AssembledProblem:
     """Unknowns (f, w, u): diagonal blocks alpha M, 0, A_3; couplings M and K'.
 
-    The practical preconditioner is diag(alpha M, M / alpha, A_3 + alpha B).
-    alpha M and M / alpha are views of M and of its factor, and alpha M
-    shares its CSR with the coupling B_1 = M.  As alpha M, M / alpha and the
-    coupling M share M's factor, the lead blocks of the preconditioned
-    operator are [[I, I], [I, 0]], and those of A P^{-1} are
-    [[I, alpha I], [I / alpha, 0]].
+    The practical preconditioner is diag(alpha M, M / alpha, A_3 + alpha B):
+    views of M, of its factor and of the sum of the cached A_3 and B, whose
+    CSR no cell builds.  alpha M shares its CSR with the coupling B_1 = M.
+    As alpha M, M / alpha and the coupling M share M's factor, the lead
+    blocks of the preconditioned operator are [[I, I], [I, 0]], and those of
+    A P^{-1} are [[I, alpha I], [I / alpha, 0]].
     """
     a = cfg.alpha
     m = ops.mass
@@ -337,11 +337,11 @@ def _two_block(
 ) -> AssembledProblem:
     """Unknowns ((u, f), w): diagonal blocks diag(M, alpha X), 0; coupling [K', Y].
 
-    The practical preconditioner is diag(M, alpha X, Z / alpha + B); alpha X
-    uses X's factor `x_factor` scaled.  diag(M, alpha X) is block-diagonal
-    over two exactly symmetric canonical blocks, so it is wrapped without
-    re-validation.  Its factors are those of S_1 = A_1, so the lead block of
-    the preconditioned operator is I.
+    The practical preconditioner is diag(M, alpha X, Z / alpha + B): alpha X
+    uses X's factor `x_factor` scaled, the last block is a sum view of the
+    cached Z and B (no cell builds its CSR), and diag(M, alpha X), over two
+    exactly symmetric canonical blocks, is wrapped unchecked.  Its factors
+    are those of S_1 = A_1, so the lead block of the preconditioned operator is I.
     """
     a = cfg.alpha
     m = ops.mass

@@ -154,8 +154,10 @@ class SchurPreconditioner:
     1..n-1 of L^{-1} A L^{-T}, L the lead factors, are T ⊗ I_W, which
     `spectrum` deflates.  The lead factors are L_i = sqrt(s_i) L_0 at scales
     s_i, so blocks 1..n-1 of A P^{-1} are E ⊗ I_W, E_ij = T_ij sqrt(s_i / s_j),
-    from which the MINRES hooks skip work.  `check_system` checks shapes
-    only: `spectrum` probes T, and MINRES confirms every convergence.
+    from which the MINRES hooks skip work (under a T of several rows, lead
+    factors not sharing one `data` array raise ValueError after the tiling
+    check).  `check_system` checks shapes only: `spectrum` probes T, and
+    MINRES confirms every convergence.
     """
 
     def __init__(
@@ -183,6 +185,8 @@ class SchurPreconditioner:
         self.system, self.lead = system, lead
         if system is not None:
             self.check_system(system)
+        if lead is not None and len(lead) > 1 and len({id(f.data) for f in self.factors[: len(lead)]}) > 1:
+            raise ValueError("the lead factors must be one stored factor at scales, from which E is read")
 
     def check_system(self, sys: BlockTridiagSystem) -> None:
         """ValueError unless every block of `sys` starts at a block, the last blocks are one,

@@ -19,13 +19,13 @@ in its stored order (the spline blocks are stored banded): a sparse block
 gets a banded Cholesky when its band is narrow, a dense one otherwise, and a
 dense block always a dense one.
 
-Scaling is a view.  c times a matrix shares the stored CSR and keeps the
-scale c: its product is c (M x), and c M is built entry by entry only for a
-caller that asks for the matrix itself (a factorization, an export, a dense
-spectrum).  The factor of c M is likewise M's own factor with the scale c:
-a solve runs on the stored factor and divides by c.  So the blocks alpha M,
-M / alpha and M of the optimal-control preconditioners hold one copy of M
-and one of its factor.
+Scaling and summing are views.  c times a matrix shares the stored CSR and
+keeps the scale c: its product is c (M x); A + beta B holds its terms.  The
+matrix itself is built only for a caller that asks for it (an export, a
+dense spectrum): a banded factor is summed from the terms' stored CSRs.  The
+factor of c M is M's own factor with the scale c: a solve runs on the stored
+factor and divides by c.  So the blocks alpha M, M / alpha and M of the
+optimal-control preconditioners hold one copy of M and one of its factor.
 """
 
 from __future__ import annotations
@@ -44,9 +44,10 @@ class NotPositiveDefinite(Exception):
 
 
 class SparseSymMatrix:
-    """Sparse symmetric matrix: `scale` times the full canonical CSR `base`."""
+    """Sparse symmetric matrix: `scale` times the full canonical CSR `base`, or a sum view of `_sum`."""
 
     scale = 1.0
+    _sum = ()
 
     def __init__(self, a):
         """Store a copy of the full matrix `a`; ValueError unless square and exactly symmetric."""
@@ -65,9 +66,14 @@ class SparseSymMatrix:
         a = np.asarray(a, dtype=np.float64)
         return cls(scipy.sparse.csr_matrix(np.triu(a) + np.triu(a, k=1).T))
 
+    @functools.cached_property
+    def base(self) -> scipy.sparse.csr_matrix:
+        """A sum view's canonical CSR, built when first read: its (matrix, coefficient) terms summed in order."""
+        return sum((beta * t.to_csr() for t, beta in self._sum[1:]), self._sum[0][0].to_csr())
+
     @property
     def dim(self) -> int:
-        return self.base.shape[0]
+        return self._sum[0][0].dim if self._sum else self.base.shape[0]
 
     def matvec(self, x: np.ndarray) -> np.ndarray:
         y = self.base @ x
@@ -118,8 +124,12 @@ class SparseSymMatrix:
         return out
 
     def add(self, other: "SparseSymMatrix", beta: float = 1.0) -> "SparseSymMatrix":
-        """This matrix plus beta `other`, without re-validation: the sum of two is exactly symmetric too."""
-        return SparseSymMatrix._trusted(self.to_csr() + beta * other.to_csr())
+        """This matrix plus beta `other`: a sum view, exactly symmetric as its terms; ValueError unless of one order."""
+        if other.dim != self.dim:
+            raise ValueError(f"cannot add a matrix of order {other.dim} to one of order {self.dim}")
+        out = SparseSymMatrix.__new__(SparseSymMatrix)
+        out._sum = (self._sum or ((self, 1.0),)) + ((other, beta),)
+        return out
 
 
 class DenseSymMatrix:
@@ -228,21 +238,40 @@ def physical_memory_bytes() -> int | None:
         return None
 
 
+def _terms(m: SparseSymMatrix):
+    """Per term of m: its CSR's upper-triangle entry numbers, their places in the CSR's band array, its band width
+    bw and entries at bw (kept on the CSR when m is a view), and the values times the scale, times the coefficient."""
+    for t, coeff in m._sum or ((m, 1.0),):
+        full = t.base
+        coords = getattr(full, "_msp_upper", None)
+        if coords is None:
+            row = np.repeat(np.arange(full.shape[0]), np.diff(full.indptr))
+            k = np.flatnonzero(row <= full.indices)
+            r, c = row[k], full.indices[k].astype(np.intp)
+            bw = int((c - r).max(initial=0))
+            coords = (k.astype(full.indices.dtype), bw * (c + 1) + r, bw, np.flatnonzero(c - r == bw))
+            if m._sum or m.scale != 1.0:
+                full._msp_upper = coords
+        yield coords, full.data[coords[0]] * t.scale * coeff
+
+
 def cholesky(m: SparseSymMatrix | DenseSymMatrix | np.ndarray) -> CholeskyFactor:
     """Factor an SPD matrix; raises NotPositiveDefinite on pivot failure.
 
     Dense storage gets a dense factor.  Sparse storage gets a banded one
-    when its band width bw, read off the stored entries, has bw + 1 < n // 2,
+    when its band width bw, read off its nonzero entries, has bw + 1 < n // 2,
     and a dense one otherwise.  A pivot is rejected when it is below 1e-14
     times the largest initial diagonal entry, which flags semidefinite
     blocks that LAPACK would let pass with a tiny positive pivot.  Before
     allocating, the factor's entries are estimated, (bw + 1) n banded or
     n^2 dense; a factor whose bytes exceed the host's physical memory raises
-    ValueError, and so does an inf or NaN entry.  LAPACK factors the band array built here, or the
-    copy that `to_dense` makes (in Fortran order, which for a symmetric
-    array is its transpose), in place: `m` is left as it is.  A bare array
-    (exactly symmetric, C-ordered float64, held by no one else: a computed
-    Schur stage) is taken over instead, and a dense factor overwrites it.
+    ValueError, and so does an inf or NaN entry.  The band is summed from the
+    terms (`_terms`), or from the CSR where their far diagonal cancels or they
+    may overflow.  LAPACK factors the band array built here, or the copy that
+    `to_dense` makes (in Fortran order, which for a symmetric array is its
+    transpose), in place: `m` is left as it is.  A bare array (exactly
+    symmetric, C-ordered float64, held by no one else: a computed Schur
+    stage) is taken over instead, and a dense factor overwrites it.
     """
     taken = isinstance(m, np.ndarray)
     if taken:
@@ -251,17 +280,16 @@ def cholesky(m: SparseSymMatrix | DenseSymMatrix | np.ndarray) -> CholeskyFactor
     if n == 0:
         return CholeskyFactor(0, "dense", (np.zeros((0, 0)), True))
     if isinstance(m, DenseSymMatrix):
-        a = m._a
         bw = n - 1  # a dense factor is full
-        diag_max = float(np.abs(a.diagonal()).max())
-        finite = bool(np.isfinite(a.min()) and np.isfinite(a.max()))  # no n x n flags
+        finite = bool(np.isfinite(m._a.min()) and np.isfinite(m._a.max()))  # no n x n flags
     else:
-        coo = m.to_csr().tocoo()
-        row, col, val = coo.row, coo.col, coo.data
-        bw = int(np.abs(row - col).max()) if row.size else 0
-        diag_max = float(np.abs(val[row == col]).max(initial=0.0))
-        finite = bool(np.isfinite(val).all())
-    pivot_floor = _PIVOT_RTOL * diag_max
+        terms = list(_terms(m))
+        bw = max(c[2] for c, _ in terms)
+        far = sum(np.bincount(pos[e] // (bw + 1), u[e], n) for (_, pos, tbw, e), u in terms if tbw == bw)
+        big = np.max([np.abs(u).max(initial=0.0) for _, u in terms])  # NaN if any is
+        if (m._sum or m.scale != 1.0) and not (far.any() and big < np.finfo(float).max / (2 * len(terms))):
+            return cholesky(SparseSymMatrix._trusted(m.to_csr()))  # the far diagonal cancels, or it may overflow
+        finite = bool(big < np.inf)
     banded = bw + 1 < n // 2
     need = 8 * ((bw + 1) * n if banded else n * n)
     have = physical_memory_bytes()
@@ -275,16 +303,19 @@ def cholesky(m: SparseSymMatrix | DenseSymMatrix | np.ndarray) -> CholeskyFactor
 
     if banded:
         ab = np.zeros((bw + 1, n), order="F")
-        mask = row <= col
-        r, c, v = row[mask], col[mask], val[mask]
-        ab[bw + r - c, c] = v
+        flat = ab.ravel(order="F")  # a view: ab is Fortran-ordered
+        for (_, pos, tbw, _), u in terms:  # a narrower term's places move to this band's columns pos // (tbw + 1)
+            flat[pos if tbw == bw else pos + (bw - tbw) * (pos // (tbw + 1) + 1)] += u
+        pivot_floor = _PIVOT_RTOL * float(np.abs(ab[bw]).max())
         factor, info = lapack.dpbtrf(ab, overwrite_ab=1)
         if info > 0:
             raise NotPositiveDefinite(f"{info}-th leading minor not positive definite")
         pivots = factor[bw]
         mode, data = "banded", factor
     else:
-        c, info = lapack.dpotrf((m._a if taken else m.to_dense()).T, lower=1, clean=1, overwrite_a=1)
+        a = m._a if taken else m.to_dense()
+        pivot_floor = _PIVOT_RTOL * float(np.abs(a.diagonal()).max())
+        c, info = lapack.dpotrf(a.T, lower=1, clean=1, overwrite_a=1)
         if info > 0:
             raise NotPositiveDefinite(f"{info}-th leading minor of the array is not positive definite")
         pivots = c.diagonal()

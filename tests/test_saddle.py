@@ -205,6 +205,20 @@ class TestPreconditioner:
         with pytest.raises(ValueError, match="needs its system"):
             sd.SchurPreconditioner(prob.practical_blocks, lead=prob.lead_pattern)
 
+    def test_lead_factors_not_one_stored_factor_are_refused(self):
+        # factored from the blocks alpha M and M / alpha, the lead factors hold
+        # two arrays at scale 1, so E would read T in place of
+        # [[1, alpha], [1 / alpha, 0]] and MINRES would run all its steps
+        prob = problems.build_problem(problems.ProblemConfig("boundary_observation", d=2, p=2, level=3, alpha=1e-3))
+        with pytest.raises(ValueError, match="one stored factor at scales"):
+            sd.SchurPreconditioner(prob.practical_blocks, system=prob.system, lead=prob.lead_pattern)
+        sd.SchurPreconditioner(prob.practical_blocks, system=prob.system)  # without T nothing reads E
+        shifted = [*prob.lead_factors[:1], cholesky(np.eye(prob.system.block_dims[1] + 1)), None]
+        with pytest.raises(ValueError, match="do not tile"):  # the tiling check comes first
+            sd.SchurPreconditioner(
+                [None, None, prob.practical_blocks[-1]], shifted, system=prob.system, lead=prob.lead_pattern
+            )
+
 
 class TestSpectrum:
     def test_sharp_configuration_subset_of_root_union(self):
@@ -555,8 +569,10 @@ class TestSplitSpectrum:
         w, m = 4, 7
         sys, t = _split_system(n, w, m, seed=n)
         pre = sd.exact_schur(sys)
-        rep = sd.spectrum(sys, sd.SchurPreconditioner(factors=pre.factors, system=sys, lead=t))
-        dense = sd.spectrum(sys, pre)
+        # S_2 = M for n = 3: the lead blocks take S_1's one factor, as a builder's do
+        factors = [pre.factors[0]] * (n - 1) + pre.factors[-1:]
+        rep = sd.spectrum(sys, sd.SchurPreconditioner(factors=factors, system=sys, lead=t))
+        dense = sd.spectrum(sys, sd.SchurPreconditioner(factors=factors))
         assert rep.method == "split" and 0 < rep.radius <= 1e-12 * dense.norm
         assert rep.eigenvalues.shape == (sys.total_dim,)
         assert np.max(np.abs(rep.eigenvalues - dense.eigenvalues)) <= 1e-12 * dense.norm

@@ -558,3 +558,117 @@ class TestMatrixMarket:
         sl.write_matrix_market(m, path)
         back = scipy.io.mmread(path)
         assert np.allclose(back.toarray(), a, atol=1e-12)
+
+
+def eager_sum(a, b, beta):
+    """A + beta B as `add` built it before the sum was a view: the scipy sum of both CSRs."""
+    full = a.to_csr() + beta * b.to_csr()
+    full.eliminate_zeros()
+    return full
+
+
+def eager_factor(full):
+    """The factor of a CSR through its COO triples and scipy's wrappers: the upper band when
+    bw + 1 < n // 2, the lower dense factor otherwise."""
+    coo = full.tocoo()
+    n, bw = full.shape[0], int(np.abs(coo.row - coo.col).max(initial=0))
+    if bw + 1 < n // 2:
+        ab = np.zeros((bw + 1, n))
+        up = coo.row <= coo.col
+        ab[bw + coo.row[up] - coo.col[up], coo.col[up]] = coo.data[up]
+        return "banded", scipy.linalg.cholesky_banded(ab)
+    return "dense", np.tril(scipy.linalg.cho_factor(full.toarray(), lower=True)[0])
+
+
+def assert_factor(f, want):
+    mode, data = want
+    assert f.mode == mode
+    assert (f.data if mode == "banded" else f.data[0]).tobytes() == data.tobytes()
+
+
+class TestSumView:
+    @pytest.mark.parametrize("pid", ["distributed_very_weak", "boundary_observation"])
+    @pytest.mark.parametrize("d, p, level, mode", [(2, 2, 3, "banded"), (3, 3, 2, "dense")])
+    def test_practical_last_block_is_the_eager_sum(self, pid, d, p, level, mode):
+        # Z / alpha + B (a scaled first term) and A_3 + alpha B: the CSR and the
+        # factor are bitwise those of the eager sum, and a banded factor builds
+        # no CSR of the view
+        ops = problems.get_operators(d, p, level, problems.DEFAULT_GEOMETRY[d])
+        for alpha in (1.0, 1e-3, 1e-7):
+            prob = problems.build_problem(problems.ProblemConfig(pid, d=d, p=p, level=level, alpha=alpha))
+            if pid == "boundary_observation":
+                want = eager_sum(ops.normal_gram_int, ops.biharmonic_int, alpha)
+            else:
+                want = eager_sum(ops.mass_int.scaled(1.0 / alpha), ops.biharmonic_int, 1.0)
+            view = prob.practical_blocks[-1]
+            assert type(view) is sl.SparseSymMatrix
+            assert_factor(sl.cholesky(view), eager_factor(want))
+            assert ("base" in vars(view)) == (mode == "dense")
+            got = view.to_csr()
+            for x, y in zip((got.data, got.indices, got.indptr), (want.data, want.indices, want.indptr)):
+                assert x.tobytes() == y.tobytes()
+
+    def test_band_edge_that_cancels_or_underflows_is_not_in_the_band(self):
+        # an entry at distance 5 of order 12 makes the band dense (5 + 1 = 12 // 2);
+        # where it cancels or underflows the factor is tridiagonal, as for the eager CSR
+        n = 12
+        tri = 4.0 * np.eye(n) - np.eye(n, k=1) - np.eye(n, k=-1)
+        edge = np.zeros((n, n))
+        edge[0, 5] = edge[5, 0] = 0.5
+        a = sl.SparseSymMatrix.from_dense(tri + edge)
+        b = sl.SparseSymMatrix.from_dense(np.eye(n) - edge)
+        t = sl.SparseSymMatrix.from_dense(tri)
+        tiny = sl.SparseSymMatrix.from_dense(tri + 1e-300 * edge)
+        cases = [(a, b, 1.0), (b, a, 1.0), (t, tiny, 1e-30), (tiny.scaled(1e-30), t, 1e-3)]
+        for x, y, beta in cases:
+            want = eager_factor(eager_sum(x, y, beta))
+            assert want[0] == "banded"
+            assert_factor(sl.cholesky(x.add(y, beta)), want)
+        want = eager_factor(tiny.scaled(1e-30).to_csr())
+        assert want[0] == "banded"
+        assert_factor(sl.cholesky(tiny.scaled(1e-30)), want)
+        assert_factor(sl.cholesky(a.add(b, 0.5)), eager_factor(eager_sum(a, b, 0.5)))  # no cancellation: dense
+
+    def test_overflow_is_refused(self):
+        # a huge coefficient overflows a term; two finite terms overflow in their sum
+        n = 12
+        a = sl.SparseSymMatrix.from_dense(4.0 * np.eye(n) - np.eye(n, k=1) - np.eye(n, k=-1))
+        big = sl.SparseSymMatrix.from_dense(1.5e308 * np.eye(n))
+        with np.errstate(over="ignore"):
+            for m in (a.add(a, 1e308), big.add(big), a.add(big).add(big)):
+                assert not np.isfinite(m.to_csr().data).all()
+                with pytest.raises(ValueError, match="infs or NaNs"):
+                    sl.cholesky(m)
+        sl.cholesky(a.add(big))
+
+    def test_orders_must_match(self):
+        a = sl.SparseSymMatrix.from_dense(np.eye(3))
+        with pytest.raises(ValueError, match="order 2 to one of order 3"):
+            a.add(sl.SparseSymMatrix.from_dense(np.eye(2)))
+
+    @pytest.mark.parametrize("variant", ["exact", "practical"])
+    def test_a_cell_builds_no_csr_of_the_last_block(self, monkeypatch, variant):
+        from msp import run
+
+        built = []
+        monkeypatch.setattr(run, "build_problem", lambda cfg: built.append(problems.build_problem(cfg)) or built[-1])
+        run.run_table("boundary_observation", 2, 2, [3], [1e-3], variant, None)
+        assert "base" not in vars(built[0].practical_blocks[-1])
+
+    @pytest.mark.parametrize("pid", ["distributed_very_weak", "boundary_observation"])
+    def test_coordinates_are_computed_once_per_stored_csr(self, pid):
+        # the last blocks of six alphas read the coordinates kept on the stored
+        # CSRs of their terms, Z (or A_3) and B, as computed for the first alpha;
+        # the mass, factored once as a plain matrix, keeps none
+        problems.get_operators.cache_clear()
+        kept = None
+        for alpha in problems.DEFAULT_ALPHAS:
+            prob = problems.build_problem(problems.ProblemConfig(pid, d=2, p=2, level=3, alpha=alpha))
+            prob.practical
+            stored = [t.base for t, _ in prob.practical_blocks[-1]._sum]
+            coords = [full._msp_upper for full in stored]
+            assert kept is None or all(a is b for a, b in zip(coords, kept, strict=True))
+            kept = coords
+        assert stored[1] is prob.ops.biharmonic_int.base
+        assert not hasattr(prob.ops.mass.base, "_msp_upper")
+        problems.get_operators.cache_clear()
