@@ -604,13 +604,14 @@ def random_sharp_system(n: int, rng: np.random.Generator, block_dim: int | None 
     # Well-conditioned random data (orthogonal couplings, eigenvalues of A_1
     # in [1/2, 2]) so attained extremal eigenvalues match the closed forms to
     # near machine precision even for larger n.
-    q, _ = np.linalg.qr(rng.standard_normal((m, m)))
-    a1 = DenseSymMatrix.from_upper(q @ np.diag(rng.uniform(0.5, 2.0, m)) @ q.T)
+    # Draw A_1's matrix, its eigenvalues, then the couplings; one stacked QR
+    # runs each matrix's own LAPACK factorization, so every bit is as from n QRs.
+    g = rng.standard_normal((m, m))
+    lam = rng.uniform(0.5, 2.0, m)
+    q, r = np.linalg.qr(np.concatenate((g[None], rng.standard_normal((n - 1, m, m)))))
+    a1 = DenseSymMatrix.from_upper(q[0] @ np.diag(lam) @ q[0].T)
     zeros = [DenseSymMatrix._trusted(np.zeros((m, m))) for _ in range(n - 1)]
-    B = []
-    for _ in range(n - 1):
-        qb, rb = np.linalg.qr(rng.standard_normal((m, m)))
-        B.append(qb * np.sign(np.diag(rb)))
+    B = list(q[1:] * np.sign(np.diagonal(r[1:], axis1=1, axis2=2))[:, None, :])
     return BlockTridiagSystem([a1] + zeros, B)
 
 

@@ -154,6 +154,11 @@ class TestBounds:
     def test_three_block_value(self):
         assert ch.bounds(3).cond_bound == pytest.approx(4.0489, abs=1e-4)
 
+    def test_refuses_fewer_than_two_blocks(self):
+        for n in (1, 0, -3):
+            with pytest.raises(ValueError, match="at least 2 blocks"):
+                ch.bounds(n)
+
 
 class TestQMatrix:
     def test_structure(self):

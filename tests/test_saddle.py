@@ -704,6 +704,41 @@ class TestSplitSpectrum:
         assert (dense.method, dense.radius) == ("dense", 0.0)
 
 
+def per_coupling_sharp_system(n, rng, block_dim=None):
+    """The sharp generator as it was before the stacked QR: one QR per matrix, the couplings drawn one by one."""
+    m = int(block_dim) if block_dim else int(rng.integers(2, 7))
+    q, _ = np.linalg.qr(rng.standard_normal((m, m)))
+    a1 = q @ np.diag(rng.uniform(0.5, 2.0, m)) @ q.T
+    B = []
+    for _ in range(n - 1):
+        qb, rb = np.linalg.qr(rng.standard_normal((m, m)))
+        B.append(qb * np.sign(np.diag(rb)))
+    return DenseSymMatrix.from_upper(a1), B
+
+
+class TestRandomSharpSystem:
+    @pytest.mark.parametrize("block_dim", [None, 3, 9])
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+    def test_stacked_qr_is_bitwise_the_per_coupling_one(self, n, block_dim):
+        for seed in range(200):
+            sys = sd.random_sharp_system(n, np.random.default_rng(seed), block_dim)
+            a1, B = per_coupling_sharp_system(n, np.random.default_rng(seed), block_dim)
+            m = a1.dim
+            assert sys.A[0].to_dense().tobytes() == a1.to_dense().tobytes()
+            for a in sys.A[1:]:
+                assert a.to_dense().tobytes() == np.zeros((m, m)).tobytes()
+            assert len(sys.B) == n - 1
+            for got, want in zip(sys.B, B):
+                assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+    def test_draws_leave_the_stream_where_the_per_coupling_ones_did(self):
+        # verify_sharpness draws the SPSD system from the same generator next
+        r1, r2 = np.random.default_rng(7), np.random.default_rng(7)
+        sd.random_sharp_system(5, r1)
+        per_coupling_sharp_system(5, r2)
+        assert r1.standard_normal(4).tobytes() == r2.standard_normal(4).tobytes()
+
+
 class TestVerifySharpness:
     @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
     def test_passes(self, n):

@@ -353,9 +353,9 @@ def forms_against(ref: str) -> int:
     return 0 if same else 1
 
 
-def _unpack_src(ref: str, tmp: str) -> int:
-    """Unpack the `src` of commit `ref` into `tmp`; git's exit code."""
-    archive = subprocess.run(["git", "-C", str(ROOT), "archive", ref, "src"], stdout=subprocess.PIPE)
+def _unpack_src(ref: str, tmp: str, trees: tuple[str, ...] = ("src",)) -> int:
+    """Unpack the `trees` of commit `ref` into `tmp`; git's exit code."""
+    archive = subprocess.run(["git", "-C", str(ROOT), "archive", ref, *trees], stdout=subprocess.PIPE)
     if archive.returncode == 0:
         with tarfile.open(fileobj=io.BytesIO(archive.stdout)) as tar:
             tar.extractall(tmp, filter="data")
