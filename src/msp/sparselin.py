@@ -31,6 +31,7 @@ optimal-control preconditioners hold one copy of M and one of its factor.
 from __future__ import annotations
 
 import functools
+import math
 import os
 from dataclasses import dataclass
 
@@ -217,12 +218,11 @@ class CholeskyFactor:
         """
         if self.mode == "dense":
             return self.data[0] if self.scale == 1.0 else self.data[0] * np.sqrt(self.scale)
-        band = self.data * np.sqrt(self.scale)
-        bw = band.shape[0] - 1
-        out = np.zeros((self.dim, self.dim), order="F")
-        for k in range(bw + 1):
-            j = np.arange(k, self.dim)
-            out[j, j - k] = band[bw - k, k:]
+        band, n = self.data * np.sqrt(self.scale), self.dim
+        k, j = np.ogrid[: band.shape[0], :n]  # L[j, j - k] = U[j - k, j], row bw - k of the band
+        on = j >= k
+        out = np.zeros((n, n), order="F")
+        out.ravel(order="F")[(j * (n + 1) - k * n)[on]] = band[::-1][on]  # a view: out is Fortran-ordered
         return out
 
 
@@ -281,7 +281,7 @@ def cholesky(m: SparseSymMatrix | DenseSymMatrix | np.ndarray) -> CholeskyFactor
         return CholeskyFactor(0, "dense", (np.zeros((0, 0)), True))
     if isinstance(m, DenseSymMatrix):
         bw = n - 1  # a dense factor is full
-        finite = bool(np.isfinite(m._a.min()) and np.isfinite(m._a.max()))  # no n x n flags
+        finite = math.isfinite(m._a.min()) and math.isfinite(m._a.max())  # no n x n flags
     else:
         terms = list(_terms(m))
         bw = max(c[2] for c, _ in terms)
@@ -310,17 +310,17 @@ def cholesky(m: SparseSymMatrix | DenseSymMatrix | np.ndarray) -> CholeskyFactor
         factor, info = lapack.dpbtrf(ab, overwrite_ab=1)
         if info > 0:
             raise NotPositiveDefinite(f"{info}-th leading minor not positive definite")
-        pivots = factor[bw]
+        smallest = factor[bw].min()
         mode, data = "banded", factor
     else:
         a = m._a if taken else m.to_dense()
-        pivot_floor = _PIVOT_RTOL * float(np.abs(a.diagonal()).max())
+        pivot_floor = _PIVOT_RTOL * max(map(abs, a.diagonal().tolist()))
         c, info = lapack.dpotrf(a.T, lower=1, clean=1, overwrite_a=1)
         if info > 0:
             raise NotPositiveDefinite(f"{info}-th leading minor of the array is not positive definite")
-        pivots = c.diagonal()
+        smallest = min(c.diagonal().tolist())
         mode, data = "dense", (c, True)
-    if (pivots**2).min() <= pivot_floor:
+    if smallest * smallest <= pivot_floor:  # the pivots are positive: the smallest square is this one
         raise NotPositiveDefinite("pivot below tolerance; matrix is semidefinite")
     return CholeskyFactor(dim=n, mode=mode, data=data)
 
@@ -387,7 +387,7 @@ def sym_eig_overwrite(a: np.ndarray) -> np.ndarray:
         raise ValueError("expected a square matrix")
     if a.size == 0:
         return np.zeros(0)
-    if not (np.isfinite(a.min()) and np.isfinite(a.max())):  # no n x n flags: min and max propagate a NaN
+    if not (math.isfinite(a.min()) and math.isfinite(a.max())):  # no n x n flags: min and max propagate a NaN
         raise ValueError("array must not contain infs or NaNs")
     work, iwork, _ = lapack.dsyevr_lwork(a.shape[0], lower=1)
     w, _, _, _, info = lapack.dsyevr(a, compute_v=0, lower=1, lwork=int(work), liwork=iwork, overwrite_a=1)

@@ -151,6 +151,21 @@ class TestSchurRecursion:
             sd.exact_schur(sys)
             assert all(np.array_equal(a.to_dense(), b) for a, b in zip(sys.A, before))
 
+    def test_stage_that_overflows_when_symmetrised_is_refused(self):
+        # S_1's entries are finite, but S_1 + S_1' is not: the factorization refuses the inf
+        sys = sd.BlockTridiagSystem([DenseSymMatrix(np.diag([1.5e308, 1.0])), DenseSymMatrix(np.eye(2))], [np.eye(2)])
+        with np.errstate(over="ignore"), pytest.raises(ValueError, match="infs or NaNs"):
+            sd.exact_schur(sys)
+
+    def test_semidefinite_stage_named(self):
+        # S_2 = diag(1, 1e-20) + diag(1, 0): LAPACK passes its pivots, the pivot floor does not
+        sys = sd.BlockTridiagSystem(
+            [DenseSymMatrix(np.eye(2)), DenseSymMatrix(np.diag([1.0, 1e-20]))], [np.diag([1.0, 0.0])]
+        )
+        message = "Schur complement S_2 is not SPD: pivot below tolerance; matrix is semidefinite"
+        with pytest.raises(NotPositiveDefinite, match=message):
+            sd.exact_schur(sys)
+
     def test_lu_existence(self):
         # when the recursion succeeds, the full matrix is invertible
         rng = np.random.default_rng(17)
@@ -378,6 +393,24 @@ DEFLATION_CASES = [
 ]
 
 
+def dense_probe_residual(sys, pre):
+    """`_probe_lead`'s larger relative residual, with the lead factors expanded and solved as dense triangles."""
+    lead, t = [(f.lower(), s) for f, s in zip(pre.factors[:-1], pre._slices[:-1])], pre.lead
+    size = lead[-1][1].stop
+    rng = np.random.default_rng(0)
+    worst = 0.0
+    for _ in range(2):
+        z = rng.standard_normal(size)
+        x = np.zeros(sys.total_dim)
+        for li, s in lead:
+            x[s] = scipy.linalg.solve_triangular(li, z[s], lower=True, trans="T")
+        y = sys.apply(x)
+        for li, s in lead:
+            y[s] = scipy.linalg.solve_triangular(li, y[s], lower=True)
+        worst = max(worst, np.linalg.norm(y[:size] - (t @ z.reshape(len(t), -1)).ravel()) / np.linalg.norm(z))
+    return worst
+
+
 class TestDeflatedSpectrum:
     @pytest.mark.parametrize("pid, d, p, level", DEFLATION_CASES)
     def test_is_the_dense_spectrum_and_prints_the_same(self, monkeypatch, capsys, pid, d, p, level):
@@ -443,6 +476,28 @@ class TestDeflatedSpectrum:
             declared(shifted, prob.lead_pattern)
         with pytest.raises(ValueError, match="do not tile"):
             sd.spectrum(prob.system, sd.SchurPreconditioner(factors=shifted))
+
+    @pytest.mark.parametrize("pid, d, p, level", [case for case in DEFLATION_CASES if case[1] > 1])
+    def test_probe_on_the_stored_factors_matches_a_dense_triangular_oracle(self, pid, d, p, level):
+        prob = problems.build_problem(problems.ProblemConfig(pid, d=d, p=p, level=level, alpha=1e-3))
+        for pre in (problems.exact_schur_precond(prob), prob.practical):
+            lead = list(zip(pre.factors[:-1], pre._slices[:-1]))
+            got = sd._probe_lead(prob.system, lead, pre.lead)
+            assert got <= sd.LEAD_PROBE_TOL
+            assert abs(got - dense_probe_residual(prob.system, pre)) <= 1e-13
+
+    @pytest.mark.parametrize("d, p, level, mode", [(2, 2, 3, "banded"), (3, 3, 2, "dense")])
+    def test_probe_solves_each_lead_factor_by_its_stored_mode(self, monkeypatch, d, p, level, mode):
+        # dtbtrs on a banded factor's band, dtrtrs on a dense factor
+        calls = []
+        for name in ("dtbtrs", "dtrtrs"):
+            routine = getattr(sd, name)
+            monkeypatch.setattr(sd, name, lambda *a, _r=routine, _n=name, **k: calls.append(_n) or _r(*a, **k))
+        prob = problems.build_problem(problems.ProblemConfig("distributed_strong", d=d, p=p, level=level))
+        pre = problems.exact_schur_precond(prob)
+        assert {f.mode for f in pre.factors[:-1]} == {mode}
+        sd._probe_lead(prob.system, list(zip(pre.factors[:-1], pre._slices[:-1])), pre.lead)
+        assert calls == [{"banded": "dtbtrs", "dense": "dtrtrs"}[mode]] * 8  # two probes, two lead blocks, two solves
 
     def test_refused_over_the_dense_limit(self):
         prob = problems.build_problem(problems.ProblemConfig("boundary_observation", d=2, p=2, level=2))
@@ -737,6 +792,71 @@ class TestRandomSharpSystem:
         sd.random_sharp_system(5, r1)
         per_coupling_sharp_system(5, r2)
         assert r1.standard_normal(4).tobytes() == r2.standard_normal(4).tobytes()
+
+
+def matrix_rank_spsd_system(n, rng):
+    """The SPSD generator as it was before the singular-value rank test: `matrix_rank` on each coupling."""
+    dims = sorted((int(rng.integers(2, 7)) for _ in range(n)), reverse=True)
+    g = rng.standard_normal((dims[0], dims[0]))
+    A = [DenseSymMatrix.from_upper(g.T @ g + 0.1 * np.eye(dims[0]))]
+    for i in range(1, n):
+        rank = int(rng.integers(0, dims[i] + 1))
+        h = rng.standard_normal((rank, dims[i]))
+        A.append(DenseSymMatrix.from_upper(h.T @ h))
+    B = []
+    for i in range(n - 1):
+        b = rng.standard_normal((dims[i + 1], dims[i]))
+        while np.linalg.matrix_rank(b) < dims[i + 1]:
+            b = rng.standard_normal((dims[i + 1], dims[i]))
+        B.append(b)
+    return A, B
+
+
+class RepeatedRowDraw:
+    """`default_rng(seed)`'s draws, except that its `target`-th `standard_normal` draw repeats its first row last."""
+
+    def __init__(self, seed, target):
+        self.rng, self.target, self.draws = np.random.default_rng(seed), target, 0
+
+    def integers(self, *args):
+        return self.rng.integers(*args)
+
+    def standard_normal(self, shape):
+        out = self.rng.standard_normal(shape)
+        self.draws += 1
+        if self.draws == self.target:
+            out[-1] = out[0]
+        return out
+
+
+def assert_same_system(sys, A, B):
+    assert len(sys.A) == len(A) and len(sys.B) == len(B)
+    for got, want in zip(sys.A, A):
+        assert got.to_dense().tobytes() == want.to_dense().tobytes()
+    for got, want in zip(sys.B, B):
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+class TestRandomSpsdSystem:
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+    def test_is_bitwise_the_matrix_rank_generator(self, n):
+        for seed in range(200):
+            r1, r2 = np.random.default_rng(seed), np.random.default_rng(seed)
+            assert_same_system(sd.random_spsd_system(n, r1), *matrix_rank_spsd_system(n, r2))
+            # verify_sharpness's next trial draws from a fresh generator, but the stream must end alike
+            assert r1.standard_normal(4).tobytes() == r2.standard_normal(4).tobytes()
+
+    @pytest.mark.parametrize("n", [2, 4])
+    def test_a_rank_deficient_coupling_is_redrawn_as_matrix_rank_redraws_it(self, n):
+        # draws: A_1's matrix, the n - 1 factors of A_2..A_n, then the first coupling
+        target = n + 1
+        for seed in range(5):
+            r1, r2 = RepeatedRowDraw(seed, target), RepeatedRowDraw(seed, target)
+            sys = sd.random_spsd_system(n, r1)
+            A, B = matrix_rank_spsd_system(n, r2)
+            assert_same_system(sys, A, B)
+            assert r1.draws == r2.draws == target + (n - 1)  # the repeated-row draw, then its one redraw
+            assert r1.rng.standard_normal(4).tobytes() == r2.rng.standard_normal(4).tobytes()
 
 
 class TestVerifySharpness:

@@ -277,6 +277,23 @@ class TestCholesky:
         with pytest.raises(ValueError, match="infs or NaNs"):
             sl.cholesky(m)
 
+    @pytest.mark.parametrize("where, value", [((1, 4), np.nan), ((4, 1), np.nan), ((2, 2), np.inf)])
+    def test_non_finite_entry_of_a_taken_array_raises(self, where, value):
+        # the whole array is checked: a NaN in one strict triangle only (dpotrf
+        # reads the upper one), or an inf on the diagonal
+        a = random_spd(6, seed=18)
+        a[where] = value
+        with pytest.raises(ValueError, match="infs or NaNs"):
+            sl.cholesky(a)
+
+    def test_taken_negative_zero_is_stored_as_positive_zero(self):
+        # dpotrf would carry a -0.0 into the factor (-0.0 / l_11); the taken array holds +0.0
+        a = np.diag([4.0, 9.0, 16.0])
+        a[0, 1] = a[1, 0] = -0.0
+        f = sl.cholesky(a)
+        assert not np.signbit(f.data[0]).any()
+        assert f.data[0].tobytes() == sl.cholesky(sl.DenseSymMatrix(np.diag([4.0, 9.0, 16.0]))).data[0].tobytes()
+
     @pytest.mark.parametrize("kind", ["dense", "tridiagonal"])
     def test_dense_storage_factors_like_sparse(self, kind):
         # dense storage always gets a dense factor.  A full matrix gives

@@ -36,11 +36,12 @@ Three record sets, run in one process with one BLAS thread:
   (four problems x 2D p=2 L3-L4 x alpha 1, 1e-2, 1e-5 x exact/practical);
   the 1D L5-L8 exact spectra (three problems x p 2-3 x alpha 1, 1e-2, 1e-3,
   1e-5); the 2D p=2 L6 --large table; two 3D tables; the 2D L5 --lanczos
-  spectra (practical and exact); `verify --n 2..6 --trials 20 --seed 101`.
-  Each `kappa =` line is printed in the clear too.
-* 200 verify systems, those of `verify --n 2..6 --trials 20 --seed 101`
-  (trial t draws from `default_rng(101 + t)`, the sharp system before the
-  SPSD one): each record hashes every `exact_schur` factor's `lower()` and
+  spectra (practical and exact); `verify --n 2..6 --trials 20` at seeds 101
+  and 3434.  Each `kappa =` line is printed in the clear too.
+* 400 verify systems, those of `verify --n 2..6 --trials 20` at seeds 101
+  and 3434 (trial t draws from `default_rng(seed + t)`, the sharp system
+  before the SPSD one), so that a generator edit is checked on two random
+  streams: each record hashes every `exact_schur` factor's `lower()` and
   the `spectrum` eigenvalues.
 
 The first line is the line count of the `msp` package that `--src` names.
@@ -87,6 +88,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 
 ALPHAS_1D = ("1", "0.01", "0.001", "1e-05")
+VERIFY_SEEDS = (101, 3434)  # the seeds of the recorded `verify` runs and their systems
 PROBLEMS = ("distributed_very_weak", "distributed_strong", "boundary_control", "boundary_observation")
 
 
@@ -247,7 +249,8 @@ def cli_records() -> dict[tuple[str, int, str], int]:
     _cli_record(["table", "--problem", "distributed_strong", "--dim", "3", "--levels", "3"])
     for precond in ("practical", "exact"):
         _cli_record(["spectrum", "--levels", "5", "--lanczos", "--precond", precond])
-    _cli_record(["verify", "--n", "2..6", "--trials", "20", "--seed", "101"])
+    for seed in VERIFY_SEEDS:
+        _cli_record(["verify", "--n", "2..6", "--trials", "20", "--seed", str(seed)])
     return verdicts
 
 
@@ -255,15 +258,16 @@ def verify_system_records() -> None:
     import numpy as np
     from msp import saddle
 
-    for n in range(2, 7):
-        for t in range(20):
-            rng = np.random.default_rng(101 + t)
-            for kind, draw in (("sharp", saddle.random_sharp_system), ("spsd", saddle.random_spsd_system)):
-                sys = draw(n, rng)
-                pre = saddle.exact_schur(sys)
-                factors = _digest(*(f.lower() for f in pre.factors))
-                ev = _digest(saddle.spectrum(sys, pre).eigenvalues)
-                print(f"verify-system n={n} t={t} {kind}: factors {factors} eigenvalues {ev}")
+    for seed in VERIFY_SEEDS:
+        for n in range(2, 7):
+            for t in range(20):
+                rng = np.random.default_rng(seed + t)
+                for kind, draw in (("sharp", saddle.random_sharp_system), ("spsd", saddle.random_spsd_system)):
+                    sys = draw(n, rng)
+                    pre = saddle.exact_schur(sys)
+                    factors = _digest(*(f.lower() for f in pre.factors))
+                    ev = _digest(saddle.spectrum(sys, pre).eigenvalues)
+                    print(f"verify-system seed={seed} n={n} t={t} {kind}: factors {factors} eigenvalues {ev}")
 
 
 def print_verdicts(verdicts: dict[tuple[str, int, str], int]) -> None:
