@@ -591,7 +591,7 @@ def assemble_biharmonic(space_u: TensorSpace, geo: GeometryMap, q: int | None = 
 
 
 def assemble_volume_forms(
-    space: TensorSpace, geo: GeometryMap, q: int | None = None
+    space: TensorSpace, geo: GeometryMap
 ) -> tuple[SparseSymMatrix, scipy.sparse.csr_matrix, SparseSymMatrix]:
     """The mass, strong Laplacian and biharmonic forms on one space from one pass.
 
@@ -608,7 +608,7 @@ def assemble_volume_forms(
         yield np.negative(k, out=k)
         yield ch.integrate(lap, lap)
 
-    m, k, b = _assemble(_Tabulation.volume([space], q or _default_q(space), 2), geo, 0, 0, blocks, 3)
+    m, k, b = _assemble(_Tabulation.volume([space], _default_q(space), 2), geo, 0, 0, blocks, 3)
     t = _transpose_map(m)  # M and B share their pattern
     return _symmetric(m, t), k, _symmetric(b, t)
 
@@ -752,11 +752,10 @@ def assemble_rhs_l2(
     space: TensorSpace,
     geo: GeometryMap,
     fn: Callable[[np.ndarray], np.ndarray],
-    q: int | None = None,
 ) -> np.ndarray:
     """rhs[i] = volume integral of phi_i f(x) |det J|."""
     rhs = np.zeros(space.dim)
-    for ch in _Tabulation.volume([space], q or _default_q(space), 0).chunks(geo):
+    for ch in _Tabulation.volume([space], _default_q(space), 0).chunks(geo):
         fvals = fn(ch.mapped_points()).reshape(ch.dx.shape)
         _add_vector(rhs, ch.active(0), ch.integrate(ch.basis(0), fvals[..., None]))
     return rhs

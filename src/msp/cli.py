@@ -21,9 +21,10 @@ from .problems import (
     block_dims,
     build_problem,
     make_preconditioner,
+    plan,
 )
 from .run import format_table, run_table
-from .saddle import DENSE_MODE_LIMIT, PRINTED_DECIMALS, LeadMismatch, check_stage_order, spectrum, verify_sharpness
+from .saddle import DENSE_MODE_LIMIT, PRINTED_DECIMALS, LeadMismatch, spectrum, verify_sharpness
 from .sparselin import NotPositiveDefinite, write_matrix_market
 from .krylov import lanczos_bounds, minres_solve
 
@@ -155,13 +156,11 @@ def cmd_spectrum(args: argparse.Namespace) -> int:
     level, alpha = _single_case(args)
     variant = _VARIANTS[args.precond]
     cfg = _problem_config(args, level, alpha)
-    dims = block_dims(cfg)  # the refusals below need no assembly
-    total = sum(dims)
+    total = sum(block_dims(cfg))  # the refusals below need no assembly
     if total > DENSE_MODE_LIMIT and not args.lanczos:
         print(f"system dimension {total} exceeds the dense cap {DENSE_MODE_LIMIT}; rerun with --lanczos")
         return EXIT_CONFIG
-    if variant == "exact_schur":
-        check_stage_order(len(dims), dims[-1])
+    plan(cfg, variant)
     prob = build_problem(cfg)
     n = prob.system.n
     bound = chebyshev.bounds(n).cond_bound
@@ -198,9 +197,11 @@ def cmd_spectrum(args: argparse.Namespace) -> int:
 
 def cmd_export(args: argparse.Namespace) -> int:
     level, alpha = _single_case(args)
+    cfg = _problem_config(args, level, alpha)
+    plan(cfg, "practical")  # a refused export makes no directory
     out = args.matrix_market
     os.makedirs(out, exist_ok=True)  # before anything is assembled
-    prob = build_problem(_problem_config(args, level, alpha))
+    prob = build_problem(cfg)
     import scipy.io
 
     for i, a in enumerate(prob.system.A, start=1):

@@ -404,12 +404,21 @@ def exact_schur_precond(prob: AssembledProblem) -> SchurPreconditioner:
     return SchurPreconditioner(factors=factors, system=prob.system, lead=prob.lead_pattern)
 
 
-EXACT_VARIANTS = ("exact", "exact_schur")
+def plan(cfg: ProblemConfig, variant: str) -> list[int]:
+    """The block orders of `cfg`'s system under `variant`: the one check a configuration passes before it is built.
+
+    An unknown geometry (`block_dims`), an unknown variant and, for the
+    exact variants, a dense last Schur stage above the dense limit raise
+    ValueError without assembling anything.
+    """
+    dims = block_dims(cfg)
+    if variant in ("exact", "exact_schur"):
+        check_stage_order(len(dims), dims[-1])
+    elif variant != "practical":
+        raise ValueError(f"unknown preconditioner variant {variant!r}")
+    return dims
 
 
 def make_preconditioner(prob: AssembledProblem, variant: str) -> SchurPreconditioner:
-    if variant == "practical":
-        return prob.practical
-    if variant in EXACT_VARIANTS:
-        return exact_schur_precond(prob)
-    raise ValueError(f"unknown preconditioner variant {variant!r}")
+    plan(prob.config, variant)
+    return prob.practical if variant == "practical" else exact_schur_precond(prob)

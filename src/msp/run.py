@@ -5,8 +5,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .krylov import SolveResult, check_stopping, minres_solve
-from .problems import EXACT_VARIANTS, AssembledProblem, ProblemConfig, block_dims, build_problem, make_preconditioner
-from .saddle import SchurPreconditioner, check_stage_order
+from .problems import AssembledProblem, ProblemConfig, build_problem, make_preconditioner, plan
+from .saddle import SchurPreconditioner
 
 
 def solve_problem(
@@ -57,39 +57,17 @@ def run_table(
 ) -> list[TableCell]:
     """Iteration counts over a levels-by-alphas grid, one problem and variant.
 
-    The whole grid is checked by `check_table` before any problem is built.
-    """
-    cfgs = check_table(problem, d, p, levels, alphas, precond_variant, geometry, tol, maxit)
-    return [_table_cell(cfg, precond_variant, tol, maxit) for cfg in cfgs]
-
-
-def check_table(
-    problem: str,
-    d: int,
-    p: int,
-    levels: list[int],
-    alphas: list[float],
-    precond_variant: str,
-    geometry: str | None,
-    tol: float = 1e-8,
-    maxit: int = 500,
-) -> list[ProblemConfig]:
-    """The cell configurations of `run_table`'s grid, in cell order; ValueError at the first it refuses.
-
-    tol and maxit, then each cell's configuration and, for the exact
-    variant, the order of its dense last Schur stage are checked without
-    assembling anything.
+    tol and maxit, then each cell's configuration and its `plan`, in cell
+    order, are checked before any problem is built.
     """
     check_stopping(tol, maxit)
     cfgs = []
     for level in levels:
         for alpha in alphas:
             cfg = ProblemConfig(problem, d, p, level, alpha, geometry)
-            dims = block_dims(cfg)
-            if precond_variant in EXACT_VARIANTS:
-                check_stage_order(len(dims), dims[-1])
+            plan(cfg, precond_variant)
             cfgs.append(cfg)
-    return cfgs
+    return [_table_cell(cfg, precond_variant, tol, maxit) for cfg in cfgs]
 
 
 def _table_cell(cfg: ProblemConfig, precond_variant: str, tol: float, maxit: int) -> TableCell:

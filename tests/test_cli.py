@@ -325,6 +325,23 @@ class TestExport:
         assert "configuration error: export takes one value of" in err
         assert not dest.exists()
 
+    @pytest.mark.parametrize(
+        "bad, message",
+        [
+            (["--problem", "boundary_control", "--dim", "3"], "boundary_control is only set up for d = 2"),
+            (["--geometry", "nowhere"], "unknown geometry 'nowhere'"),
+        ],
+        ids=["problem-dim", "geometry"],
+    )
+    def test_refused_export_makes_no_directory(self, capsys, monkeypatch, tmp_path, bad, message):
+        refuse_builds(monkeypatch)
+        dest = tmp_path / "D"
+        code, out, err = run_cli(capsys, "export", "--levels", "2", *bad, "--matrix-market", str(dest))
+        assert code == EXIT_CONFIG
+        assert out == ""
+        assert err.startswith(f"configuration error: {message}")
+        assert not dest.exists()
+
     def test_existing_file_refused_before_build(self, capsys, monkeypatch, tmp_path):
         # the export directory is made, or refused, before anything is assembled
         refuse_builds(monkeypatch)

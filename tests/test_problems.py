@@ -582,6 +582,21 @@ class TestIterationPins:
         assert all(c.converged for c in cells)
 
 
+class TestPlan:
+    def test_unknown_variant_refused_before_any_build(self, monkeypatch):
+        def fail(cfg):
+            raise AssertionError(f"built {cfg}")
+
+        monkeypatch.setattr(run, "build_problem", fail)
+        with pytest.raises(ValueError, match="^unknown preconditioner variant 'exact-schur'$"):
+            run.run_table("boundary_observation", 2, 2, [2], [1.0], "exact-schur", None)
+
+    def test_make_preconditioner_refuses_an_unknown_variant(self):
+        prob = pb.build_problem(pb.ProblemConfig("distributed_strong", d=1, level=2))
+        with pytest.raises(ValueError, match="^unknown preconditioner variant 'exact-schur'$"):
+            pb.make_preconditioner(prob, "exact-schur")
+
+
 class TestTableMemory:
     @pytest.mark.parametrize("variant", ["practical", "exact_schur"])
     def test_run_table_holds_one_cell(self, monkeypatch, variant):

@@ -18,11 +18,11 @@ the unified diff of the two outputs.  It exits 0 when only the first line
     python3 tools/same_results.py --against HEAD --rounding
 
 is for a change that moves bits at the rounding level on purpose.  It
-compares the 312 `run_table` records on their clear text only (`it=`,
-`conv=`) and every other line in full, prints how many record hashes moved
-per problem and the largest relative difference between the two sides'
-solutions (as `--solutions` and `--diff` would), and exits 0 when nothing
-but those hashes and the line count differs.
+compares the 312 `run_table` records on their clear text only (`clear`:
+`it=`, `conv=`) and every other line in full, prints how many record
+hashes moved per problem and the largest relative difference between the
+two sides' solutions (as `--solutions` and `--diff` would), and exits 0
+when nothing but those hashes and the line count differs.
 
 Three record sets, run in one process with one BLAS thread:
 
@@ -53,10 +53,15 @@ census: how many of the spectra `cli` computes took each path
 (`SpectrumReport.method`: split, deflated or dense), so that `--against`
 shows any spectrum whose path moves.
 
-The output ends with the 1D exact verdict table (exit codes of the p=2
-spectra; 1 is BOUND VIOLATED).  `--solutions FILE.npz` also saves the
+The output ends with the 1D exact verdict table: the exit codes of the 96
+1D spectra, p=2 and p=3 (1 is BOUND VIOLATED; 17 of the 96 are false
+alarms, see tests/test_records.py).  `--solutions FILE.npz` also saves the
 solutions of the 312 records, and `--diff A.npz B.npz` prints the largest
 relative difference between two such files.
+
+`clear_records()` gives the lines of tests/data/records.txt, which Tier-1
+compares: the clear text (`clear`, each line without its hash) of the 312
+`run_table` records, of the 96 1D exact spectra and of the verdict table.
 
     python3 tools/same_results.py --forms --against HEAD
 
@@ -221,7 +226,19 @@ def _spectrum_argv(problem, d, p, level, alpha, precond, geometry=None) -> list[
     return argv + (["--geometry", geometry] if geometry else [])
 
 
-def cli_records() -> dict[tuple[str, int, str], int]:
+def one_d_records() -> dict[tuple[str, int, int, str], int]:
+    """The 96 1D L5-L8 exact spectra; their exit codes by (problem, p, level, alpha)."""
+    verdicts = {}
+    for problem in (q for q in PROBLEMS if q != "boundary_control"):
+        for p in (2, 3):
+            for level in (5, 6, 7, 8):
+                for alpha in ALPHAS_1D:
+                    argv = _spectrum_argv(problem, 1, p, level, alpha, "exact")
+                    verdicts[problem, p, level, alpha] = _cli_record(argv)
+    return verdicts
+
+
+def cli_records() -> dict[tuple[str, int, int, str], int]:
     from msp import problems
 
     alphas = [f"{a:g}" for a in problems.DEFAULT_ALPHAS]
@@ -234,14 +251,7 @@ def cli_records() -> dict[tuple[str, int, str], int]:
             for alpha in ("1", "0.01", "1e-05"):
                 for precond in ("exact", "practical"):
                     _cli_record(_spectrum_argv(problem, 2, 2, level, alpha, precond))
-    verdicts = {}
-    for problem in (q for q in PROBLEMS if q != "boundary_control"):
-        for p in (2, 3):
-            for level in (5, 6, 7, 8):
-                for alpha in ALPHAS_1D:
-                    code = _cli_record(_spectrum_argv(problem, 1, p, level, alpha, "exact"))
-                    if p == 2:
-                        verdicts[problem, level, alpha] = code
+    verdicts = one_d_records()
     _cli_record(["table", "--problem", "boundary_observation", "--dim", "2", "--degree", "2",
                  "--levels", "6", "--large", "--precond", "practical"])
     _cli_record(["table", "--problem", "boundary_observation", "--dim", "3", "--degree", "3",
@@ -270,13 +280,42 @@ def verify_system_records() -> None:
                     print(f"verify-system seed={seed} n={n} t={t} {kind}: factors {factors} eigenvalues {ev}")
 
 
-def print_verdicts(verdicts: dict[tuple[str, int, str], int]) -> None:
-    print("1D exact spectra, p=2: exit codes (1 = BOUND VIOLATED)")
-    print(f"{'problem':<24} {'level':>5} " + " ".join(f"{a:>7}" for a in ALPHAS_1D))
-    for problem in dict.fromkeys(k[0] for k in verdicts):
-        for level in (5, 6, 7, 8):
-            print(f"{problem:<24} {level:>5} " + " ".join(f"{verdicts[problem, level, a]:>7}" for a in ALPHAS_1D))
+def print_verdicts(verdicts: dict[tuple[str, int, int, str], int]) -> None:
+    print("1D exact spectra, p=2 and p=3: exit codes (1 = BOUND VIOLATED)")
+    print(f"{'problem':<24} {'p':>2} {'level':>5} " + " ".join(f"{a:>7}" for a in ALPHAS_1D))
+    for problem, p, level in dict.fromkeys(k[:3] for k in verdicts):
+        codes = " ".join(f"{verdicts[problem, p, level, a]:>7}" for a in ALPHAS_1D)
+        print(f"{problem:<24} {p:>2} {level:>5} {codes}")
     print(f"violations: {sum(verdicts.values())} of {len(verdicts)}")
+
+
+def clear(line: str) -> str:
+    """A record line without its hash.
+
+    A `run_table` record keeps `it=` and `conv=`, a CLI run `exit=` and its
+    `kappa` line; any other line is its own clear text.
+    """
+    if line.startswith("record "):
+        return line.rpartition(" ")[0]
+    if line.startswith("cli "):
+        argv, _, rest = line.partition(": exit=")
+        code, _, rest = rest.partition(" ")
+        kappa = rest.partition(" ")[2]  # past the hash
+        return f"{argv}: exit={code}" + (f" {kappa}" if kappa else "")
+    return line
+
+
+def clear_records() -> list[str]:
+    """The lines of tests/data/records.txt, in the clear.
+
+    They are the 312 `run_table` records, the 96 1D exact spectra and the
+    verdict table.
+    """
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        run_table_records({})
+        print_verdicts(one_d_records())
+    return [clear(line) for line in out.getvalue().splitlines()]
 
 
 def diff_solutions(a_path: str, b_path: str) -> int:
@@ -377,9 +416,6 @@ def _records_of(src: Path, solutions: Path) -> list[str]:
 
 def _hashes_moved(old: list[str], new: list[str]) -> bool:
     """Print how many `run_table` record hashes moved per problem; True when no other part of a line differs."""
-    def clear(line: str) -> str:
-        return line.rpartition(" ")[0] if line.startswith("record ") else line
-
     moved, total = Counter(), Counter()
     for a, b in zip(old, new):
         if a.startswith("record ") and clear(a) == clear(b):
@@ -387,7 +423,9 @@ def _hashes_moved(old: list[str], new: list[str]) -> bool:
             total[problem] += 1
             moved[problem] += a != b
     print("record hashes moved: " + ", ".join(f"{p} {moved[p]} of {total[p]}" for p in total))
-    return len(old) == len(new) and all(clear(a) == clear(b) for a, b in zip(old, new))
+    return len(old) == len(new) and all(
+        a == b or a.startswith("record ") and clear(a) == clear(b) for a, b in zip(old, new)
+    )
 
 
 def against(ref: str, rounding: bool = False) -> int:
