@@ -24,7 +24,7 @@ from .problems import (
     plan,
 )
 from .run import format_table, run_table
-from .saddle import DENSE_MODE_LIMIT, PRINTED_DECIMALS, LeadMismatch, spectrum, verify_sharpness
+from .saddle import DENSE_MODE_LIMIT, LeadMismatch, spectrum, verify_sharpness
 from .sparselin import NotPositiveDefinite, write_matrix_market
 from .krylov import lanczos_bounds, minres_solve
 
@@ -162,8 +162,6 @@ def cmd_spectrum(args: argparse.Namespace) -> int:
         return EXIT_CONFIG
     plan(cfg, variant)
     prob = build_problem(cfg)
-    n = prob.system.n
-    bound = chebyshev.bounds(n).cond_bound
     precond = make_preconditioner(prob, variant)
     print(f"problem={args.problem} level={level} alpha={alpha:g} precond={variant}")
     if total > DENSE_MODE_LIMIT:
@@ -171,24 +169,19 @@ def cmd_spectrum(args: argparse.Namespace) -> int:
         # the plain product, not the preconditioner's hooks, whose rounding would move the printed bounds
         res = minres_solve(prob.system.apply, precond.apply_inverse, rhs, tol=1e-10)
         s_max, s_min = lanczos_bounds(res)
+        bs = chebyshev.bounds(prob.system.n)
         print(
             f"Ritz extremes of MINRES's Lanczos matrix ({res.iterations} steps): "
             f"max|lambda| >= {s_max:.6f}, min|lambda| <= {s_min:.6f}"
         )
-        print(f"kappa >= {s_max / s_min:.6f}  (lower bound; bound for n={n}: {bound:.6f})")
+        print(f"kappa >= {s_max / s_min:.6f}  (lower bound; bound for n={bs.n}: {bs.cond_bound:.6f})")
         return EXIT_OK
     try:
         rep = spectrum(prob.system, precond)
     except LeadMismatch as exc:
         print(f"PRECONDITIONER MISMATCH: {exc}")
         return EXIT_VIOLATION
-    # the split spectrum is taken only where its enclosure keeps these digits
-    d = PRINTED_DECIMALS
-    print(
-        f"lambda in [{rep.eigenvalues.min():.{d}f}, {rep.eigenvalues.max():.{d}f}], "
-        f"min|lambda| = {np.min(np.abs(rep.eigenvalues)):.{d}f}"
-    )
-    print(f"kappa = {rep.cond:.{d}f}  (bound for n={n}: {bound:.6f})")
+    print(*rep.lines, sep="\n")
     if rep.cond_exceeds_bound and variant == "exact_schur":
         print("BOUND VIOLATED")
         return EXIT_VIOLATION

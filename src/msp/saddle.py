@@ -314,27 +314,54 @@ class SpectrumReport:
     inv_norm: float
     cond: float
     bound_set: BoundSet
-    within_bounds: bool
     radius: float = 0.0  # half-width of the enclosure of a split spectrum; 0.0 where an eigenproblem was solved dense
     method: str = "dense"  # "split", "deflated" (its dense fallback) or "dense" (the whole operator)
 
     @property
+    def within_bounds(self) -> bool:
+        """The norm and the inverse norm within their closed-form bounds, up to BOUND_SLACK."""
+        return not any(_exceeds(self.bound_set, self.norm, self.inv_norm, self.cond)[:2])
+
+    @property
     def cond_exceeds_bound(self) -> bool:
         """kappa above the closed-form bound beyond BOUND_SLACK: for the exact preconditioner, a violation."""
-        return self.cond > self.bound_set.cond_bound * (1.0 + BOUND_SLACK)
+        return _exceeds(self.bound_set, self.norm, self.inv_norm, self.cond)[2]
+
+    @property
+    def lines(self) -> tuple[str, str]:
+        """The two lines `cli.cmd_spectrum` prints of this spectrum."""
+        ev = self.eigenvalues
+        return _lines(self.bound_set, ev.min(), ev.max(), np.min(np.abs(ev)), self.cond)
 
 
 # Relative slack on the closed-form bounds when a computed spectrum is judged.
 BOUND_SLACK = 1e-10
+
+# Decimals of min and max lambda, min |lambda| and kappa in a spectrum's
+# printed lines (`_lines`): a split spectrum must keep each of them.
+PRINTED_DECIMALS = 6
+
+
+def _exceeds(bs: BoundSet, norm: float, inv: float, cond: float) -> tuple[bool, bool, bool]:
+    """Whether the norm, the inverse norm and kappa each exceed their closed-form bound beyond BOUND_SLACK."""
+    slack = 1 + BOUND_SLACK
+    return norm > bs.norm_bound * slack, inv > bs.inv_norm_bound * slack, cond > bs.cond_bound * slack
+
+
+def _lines(bs: BoundSet, lo: float, hi: float, bottom: float, cond: float) -> tuple[str, str]:
+    """The printed lines of a spectrum: min and max lambda, min |lambda| and kappa against the bound."""
+    d = PRINTED_DECIMALS
+    return (
+        f"lambda in [{lo:.{d}f}, {hi:.{d}f}], min|lambda| = {bottom:.{d}f}",
+        f"kappa = {cond:.{d}f}  (bound for n={bs.n}: {bs.cond_bound:.6f})",
+    )
 
 
 def _report(ev: np.ndarray, n: int) -> SpectrumReport:
     """The report on the eigenvalues `ev` of an n-block operator: its extremes judged against the bounds."""
     mag = np.abs(ev)
     nrm, inv = float(mag.max()), float(1.0 / mag.min())
-    bs = bounds(n)
-    within = nrm <= bs.norm_bound * (1 + BOUND_SLACK) and inv <= bs.inv_norm_bound * (1 + BOUND_SLACK)
-    return SpectrumReport(eigenvalues=ev, norm=nrm, inv_norm=inv, cond=nrm * inv, bound_set=bs, within_bounds=within)
+    return SpectrumReport(eigenvalues=ev, norm=nrm, inv_norm=inv, cond=nrm * inv, bound_set=bounds(n))
 
 
 class LeadMismatch(Exception):
@@ -343,10 +370,6 @@ class LeadMismatch(Exception):
 
 # Largest relative residual of a lead-structure probe.
 LEAD_PROBE_TOL = 1e-12
-
-# Decimals to which `cli.cmd_spectrum` prints min and max lambda, min |lambda|
-# and kappa: a split spectrum must keep each of them.
-PRINTED_DECIMALS = 6
 
 # Largest radius, relative to max |lambda|, at which a split spectrum stands
 # in for the dense one: its eigenvalues then lie this close to the dense ones.
@@ -508,31 +531,25 @@ def _split_eigenvalues(t: np.ndarray, yt: np.ndarray, c: np.ndarray) -> tuple[np
 def _enclosure_decides(ev: np.ndarray, radius: float, n: int) -> bool:
     """Whether every eigenvalue within `radius` of the sorted `ev` prints and judges as `ev` does.
 
-    The radius must be at most SPLIT_RTOL max|λ| and below min|λ|.  Each
-    printed value (min and max λ, min|λ|, κ) must keep its
-    PRINTED_DECIMALS-place rounding over its enclosure, and the three bound
-    checks of `_report` (κ's for the exact-Schur verdict, the norm's and
-    the inverse norm's for `within_bounds`) their outcome.  Rounding is
-    monotone, so equal roundings of an enclosure's ends decide it.  κ's
-    enclosure and the inverse norm's are widened by 4 ulps for the rounding
-    of their quotients and product.
+    The radius must be at most SPLIT_RTOL max|λ| and below min|λ|.  The
+    printed lines (`_lines`) and the three bound checks (`_exceeds`) must be
+    the same at the low and the high end of each value's enclosure: each
+    printed value and each checked one is monotone in the ends, so equal
+    outcomes at both ends decide it.  κ's enclosure and the inverse norm's
+    are widened by 4 ulps for the rounding of their quotients and product.
     """
     lo, hi = ev[0], ev[-1]
     top, bottom = max(-lo, hi), float(np.min(np.abs(ev)))
     if not (bottom > radius and radius <= SPLIT_RTOL * top):
         return False
-    widen = 1.0 + 4 * np.finfo(np.float64).eps
-    kappa = ((top - radius) / (bottom + radius) / widen, (top + radius) / (bottom - radius) * widen)
-    printed = [(lo - radius, lo + radius), (hi - radius, hi + radius), (bottom - radius, bottom + radius), kappa]
-    if any(f"{a:.{PRINTED_DECIMALS}f}" != f"{b:.{PRINTED_DECIMALS}f}" for a, b in printed):
-        return False
-    bs = bounds(n)
-    judged = [
-        (kappa, bs.cond_bound),
-        ((top - radius, top + radius), bs.norm_bound),
-        ((1.0 / (bottom + radius) / widen, 1.0 / (bottom - radius) * widen), bs.inv_norm_bound),
-    ]
-    return all((a > bound * (1 + BOUND_SLACK)) == (b > bound * (1 + BOUND_SLACK)) for (a, b), bound in judged)
+    w, bs = 1.0 + 4 * np.finfo(np.float64).eps, bounds(n)
+
+    def end(r: float, widen) -> tuple:
+        """The printed lines and the bound checks at the end r (-radius or radius) of each enclosure."""
+        kappa, inv = widen((top + r) / (bottom - r)), widen(1.0 / (bottom - r))
+        return _lines(bs, lo + r, hi + r, bottom + r, kappa), _exceeds(bs, top + r, inv, kappa)
+
+    return end(-radius, lambda x: x / w) == end(radius, lambda x: x * w)
 
 
 def _triangular_solve(f: CholeskyFactor, v: np.ndarray, trans: int) -> np.ndarray:

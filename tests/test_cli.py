@@ -8,7 +8,9 @@ import sys
 import numpy as np
 import pytest
 
-import msp
+import msp.cli
+import msp.run
+import msp.saddle
 from msp.cli import EXIT_CONFIG, EXIT_OK, EXIT_SOLVER, EXIT_VIOLATION, main
 from msp.krylov import minres_solve
 from msp.problems import PROBLEM_IDS, build_problem, make_preconditioner
@@ -31,8 +33,6 @@ SEVERAL = [
 
 
 def refuse_builds(monkeypatch):
-    import msp.cli
-
     def fail(cfg):
         raise AssertionError(f"built {cfg}")
 
@@ -113,8 +113,6 @@ class TestTable:
         assert out == ""
 
     def test_dump_residuals(self, capsys, tmp_path, monkeypatch):
-        import msp.run
-
         calls = []
 
         def counting_minres(*args, **kwargs):
@@ -212,8 +210,6 @@ class TestSpectrum:
         # the first lead factor 1% off (for a three-block problem the factor of
         # 1.01 alpha M) under the builder's T: the deflated spectrum refuses
         # it and the CLI exits 1
-        import msp.cli
-
         def broken(prob, variant):
             pre = make_preconditioner(prob, variant)
             factors = [pre.factors[0].scaled(1.01), *pre.factors[1:]]
@@ -247,8 +243,6 @@ class TestSpectrum:
         assert "--lanczos" in out
 
     def test_dense_cap_checked_before_preconditioner(self, capsys, monkeypatch):
-        import msp.cli
-
         calls = []
 
         def counting_make_preconditioner(*args, **kwargs):
@@ -459,8 +453,6 @@ class TestErrors:
         ],
     )
     def test_solver_options_checked_before_any_build(self, capsys, monkeypatch, bad, message):
-        import msp.run
-
         calls = []
 
         def counting_build_problem(cfg):
@@ -494,9 +486,6 @@ class TestErrors:
         # 3D p=7 L3: the block orders alone decide these refusals, so they
         # come before assembly (which took about 30 s and 450 MB), with the
         # output they had when they came after it
-        import msp.cli
-        import msp.run
-
         calls = []
 
         def counting_build_problem(cfg):
@@ -531,8 +520,6 @@ class TestErrors:
         assert not dest.exists()
 
     def test_failed_table_makes_no_residual_directory(self, capsys, tmp_path, monkeypatch):
-        import msp.run
-
         def fail(*args):
             raise NotPositiveDefinite("block 1 is not SPD")
 

@@ -1,10 +1,14 @@
 """What msp prints and counts, held in tests/data/records.txt.
 
 The file is the clear text (`same_results.clear`: each line without its
-hash) of three parts of `tools/same_results.py`'s output: the 312
-`run_table` records (`it=`, `conv=`), the 96 1D L5-L8 exact spectra
-(`exit=` and the `kappa` line) and the 1D verdict table.  The hashes stay
-out: solution bits depend on the BLAS build, and `same_results.py
+hash) of `tools/same_results.py`'s `records` and verdict table: the 312
+`run_table` records (`it=`, `conv=`) and their factor census, then the 456
+CLI spectra (`exit=` and the `kappa` line: each of the 312 cells', the 48
+of acceptance gate 7 and the 96 1D L5-L8 exact ones) with their factor
+census and spectrum-path census, then the 1D verdict table.  Left out, for
+time (about 1.4 s together): the CLI's three tables, its two --lanczos
+spectra and its two `verify` runs, and the 400 verify systems.  The hashes
+stay out: solution bits depend on the BLAS build, and `same_results.py
 --against` keeps checking them.  A change that moves one of these lines on
 purpose rewrites the file in the same commit, with one BLAS thread:
 

@@ -6,6 +6,8 @@ import numpy as np
 import pytest
 import scipy.linalg
 import scipy.sparse
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
 from msp import problems
 from msp import saddle as sd
@@ -575,6 +577,45 @@ def _split_system(n, w, m, seed):
     return dense_system(A, B), t
 
 
+# What `enclosed_spectra` puts near a decision: a printed value of `_lines`
+# (min or max lambda, min |lambda|) near a rounding boundary of its last
+# decimal, or one of the three quantities `_exceeds` checks near its threshold.
+ENCLOSURE_TARGETS = ("none", "lo", "hi", "bottom", "kappa", "norm", "inv")
+
+
+@st.composite
+def enclosed_spectra(draw):
+    """(sorted ev, radius, n): a random spectrum, often with one value a few radii from a decision.
+
+    The radius runs from under one ulp of max|lambda| to 2^13 ulps, about
+    SPLIT_RTOL max|lambda|; at a few ulps the rounding of kappa and of the
+    inverse norm decides.  The distance from the decision is a whole or half
+    number of radii, or any number up to 4.
+    """
+    n = draw(st.integers(2, 6))
+    ev = np.array(draw(st.lists(st.floats(0.05, 2.0), min_size=2, max_size=8)))
+    ev *= np.array(draw(st.lists(st.sampled_from((-1.0, 1.0)), min_size=len(ev), max_size=len(ev))))
+    ev.sort()
+    big, small = np.argmax(np.abs(ev)), np.argmin(np.abs(ev))
+    top = abs(ev[big])
+    r = np.spacing(top) * draw(st.floats(0.5, 2.0)) * 2.0 ** draw(st.integers(0, 12))
+    c = draw(st.one_of(st.integers(-8, 8).map(lambda k: k / 2), st.floats(-4.0, 4.0)))
+    target = draw(st.sampled_from(ENCLOSURE_TARGETS))
+    slack, bs, unit = 1 + sd.BOUND_SLACK, bounds(n), 10.0**-sd.PRINTED_DECIMALS
+    boundary = lambda x: (np.floor(x / unit) + 0.5) * unit  # a rounding boundary of the last printed decimal
+    if target in ("lo", "hi"):
+        i = 0 if target == "lo" else -1
+        ev[i] = boundary(ev[i]) + c * r
+    elif target == "norm":
+        ev[big] = np.copysign(bs.norm_bound * slack + c * r, ev[big])
+    elif target != "none":
+        magnitude = {"bottom": boundary(abs(ev[small])), "kappa": top / (bs.cond_bound * slack),
+                     "inv": 1.0 / (bs.inv_norm_bound * slack)}[target]
+        ev[small] = np.copysign(magnitude + c * r, ev[small])
+    ev.sort()
+    return ev, r, n
+
+
 class TestSplitSpectrum:
     @pytest.mark.parametrize("pid, d, p, level", SPLIT_CASES)
     def test_split_is_the_deflated_spectrum_within_its_radius(self, monkeypatch, pid, d, p, level):
@@ -752,6 +793,30 @@ class TestSplitSpectrum:
         edge = 1.0 / (bounds(3).cond_bound * (1 + sd.BOUND_SLACK))  # min|lambda| at kappa's threshold
         assert not sd._enclosure_decides(np.array([-0.5, edge, 1.0]), 1e-13, 3)
         assert not sd._enclosure_decides(np.array([-0.5, 1e-14, 1.0]), 1e-13, 3)
+
+    @settings(max_examples=100, deadline=None)
+    @given(case=enclosed_spectra(), u=st.lists(st.floats(-1.0, 1.0), min_size=8, max_size=8))
+    # two spectra the enclosure must refuse, though some of its checks agree
+    # at both ends; kappa at n = 2 two ulps above its threshold, radius 2^-53: at the
+    # enclosure's low end the quotient lies one ulp above the threshold, but
+    # the report's product, top * (1 / bottom), on it
+    @example(case=(np.array([-1.0566714147823104, 0.40361256546604307]), 2.0**-53, 2), u=[0.0] * 8)
+    # min |lambda| at n = 3 on the inverse norm's threshold, which neither the
+    # printed lines nor kappa's check sees
+    @example(case=(np.array([-1.25, 0.4450418678681246, 1.5]), 2.0**-44, 3), u=[0.0] * 8)
+    def test_what_the_enclosure_decides_holds_within_it(self, case, u):
+        # the enclosure's claim, checked through `_report` and not through
+        # how `_enclosure_decides` is coded: every spectrum within the radius
+        # prints and judges as the spectrum itself
+        ev, r, n = case
+        assume(sd._enclosure_decides(ev, r, n))
+
+        def verdict(rep):
+            return rep.lines, rep.within_bounds, rep.cond_exceeds_bound
+
+        want = verdict(sd._report(ev, n))
+        for move in (-r, r, np.array(u[: len(ev)]) * r):
+            assert verdict(sd._report(ev + move, n)) == want
 
     def test_report_names_its_method(self):
         prob = problems.build_problem(problems.ProblemConfig("boundary_control", d=2, p=2, level=2))

@@ -9,7 +9,7 @@ this one): a CLI sweep of `verify`, and of `table`, `spectrum` and
 preconditioners and `--lanczos`, plus the refusals; then the three
 `perfbench` units (full size, one set-up and one unit each).  It prints,
 per module, each statement line that no run reached, the total, and the
-exit code of every run.  One BLAS thread; about 10 s on a 2-core host.
+exit code of every run.  One BLAS thread; about 4 s on a 2-core host.
 
 A statement counts as reached when a line event fires on its first line;
 docstrings are not statements.  Module-level lines run at import, which

@@ -48,10 +48,12 @@ The first line is the line count of the `msp` package that `--src` names.
 Each record set ends with its factor census: how many `sparselin.cholesky`
 calls each (storage kind, factor mode) pair took, and the largest band width
 of those factors (order - 1 for a dense one), so that `--against` shows any
-factor that changes mode.  The CLI record set then prints its spectrum
-census: how many of the spectra `cli` computes took each path
-(`SpectrumReport.method`: split, deflated or dense), so that `--against`
-shows any spectrum whose path moves.
+factor that changes mode.  The CLI runs take two censuses, one for the
+spectra (`cli_spectra`) and one for the rest (`cli_others`).  The spectra
+also end with their spectrum census: how many of the spectra `cli` computes
+took each path (`SpectrumReport.method`: split, deflated or dense), so that
+`--against` shows any spectrum whose path moves.  A census that counts no
+factor fails the run: every record set factors something.
 
 The output ends with the 1D exact verdict table: the exit codes of the 96
 1D spectra, p=2 and p=3 (1 is BOUND VIOLATED; 17 of the 96 are false
@@ -60,8 +62,9 @@ solutions of the 312 records, and `--diff A.npz B.npz` prints the largest
 relative difference between two such files.
 
 `clear_records()` gives the lines of tests/data/records.txt, which Tier-1
-compares: the clear text (`clear`, each line without its hash) of the 312
-`run_table` records, of the 96 1D exact spectra and of the verdict table.
+compares: the clear text (`clear`, each line without its hash) of `records`
+(the 312 `run_table` records, the CLI spectra and their censuses) and of
+the verdict table.
 
     python3 tools/same_results.py --forms --against HEAD
 
@@ -123,8 +126,12 @@ def factor_census(name: str):
     """Count the `sparselin.cholesky` calls of the enclosed run by (storage kind, factor mode); print them after it.
 
     The wrapper is bound in every msp module that holds `cholesky`, as
-    `from .sparselin import cholesky` makes a module do.
+    `from .sparselin import cholesky` makes a module do; `msp.cli` imports
+    them all first, so none is first imported (and left unwrapped or never
+    restored) inside the run.  Every record set factors something, so an
+    empty census means the wrapper missed the calls: RuntimeError.
     """
+    import msp.cli  # noqa: F401  (every msp module)
     from msp import sparselin
 
     cholesky = sparselin.cholesky
@@ -147,6 +154,8 @@ def factor_census(name: str):
     finally:
         for mod in holders:
             mod.cholesky = cholesky
+    if not counts:
+        raise RuntimeError(f"factor census {name}: no sparselin.cholesky call was counted")
     pairs = ", ".join(f"{key} {counts[key]} (band <= {bands[key]})" for key in sorted(counts))
     print(f"factor census {name}: {pairs}")
 
@@ -238,7 +247,8 @@ def one_d_records() -> dict[tuple[str, int, int, str], int]:
     return verdicts
 
 
-def cli_records() -> dict[tuple[str, int, int, str], int]:
+def cli_spectra() -> dict[tuple[str, int, int, str], int]:
+    """The CLI spectra: each of the 312 cells', acceptance gate 7's 48 and the 96 1D exact ones; the 1D exit codes."""
     from msp import problems
 
     alphas = [f"{a:g}" for a in problems.DEFAULT_ALPHAS]
@@ -251,7 +261,11 @@ def cli_records() -> dict[tuple[str, int, int, str], int]:
             for alpha in ("1", "0.01", "1e-05"):
                 for precond in ("exact", "practical"):
                     _cli_record(_spectrum_argv(problem, 2, 2, level, alpha, precond))
-    verdicts = one_d_records()
+    return one_d_records()
+
+
+def cli_others() -> None:
+    """The other CLI runs: three tables, the two --lanczos spectra and the two `verify` runs."""
     _cli_record(["table", "--problem", "boundary_observation", "--dim", "2", "--degree", "2",
                  "--levels", "6", "--large", "--precond", "practical"])
     _cli_record(["table", "--problem", "boundary_observation", "--dim", "3", "--degree", "3",
@@ -261,7 +275,21 @@ def cli_records() -> dict[tuple[str, int, int, str], int]:
         _cli_record(["spectrum", "--levels", "5", "--lanczos", "--precond", precond])
     for seed in VERIFY_SEEDS:
         _cli_record(["verify", "--n", "2..6", "--trials", "20", "--seed", str(seed)])
-    return verdicts
+
+
+def records(solutions: dict) -> dict[tuple[str, int, int, str], int]:
+    """The `run_table` records and the CLI spectra, each set with its censuses; the 1D exit codes.
+
+    The operator cache is emptied first, so the factor censuses count the
+    same factorizations in any process.
+    """
+    from msp import problems
+
+    problems.get_operators.cache_clear()
+    with factor_census("run_table"):
+        run_table_records(solutions)
+    with spectrum_census(), factor_census("cli spectra"):
+        return cli_spectra()
 
 
 def verify_system_records() -> None:
@@ -306,15 +334,10 @@ def clear(line: str) -> str:
 
 
 def clear_records() -> list[str]:
-    """The lines of tests/data/records.txt, in the clear.
-
-    They are the 312 `run_table` records, the 96 1D exact spectra and the
-    verdict table.
-    """
+    """The lines of tests/data/records.txt: the clear text of `records` and of the verdict table."""
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
-        run_table_records({})
-        print_verdicts(one_d_records())
+        print_verdicts(records({}))
     return [clear(line) for line in out.getvalue().splitlines()]
 
 
@@ -485,10 +508,9 @@ def main(argv=None) -> int:
         return 0
     print(f"src/msp lines: {sum(len(f.read_text().splitlines()) for f in package.glob('*.py'))}")
     solutions: dict = {}
-    with factor_census("run_table"):
-        run_table_records(solutions)
-    with spectrum_census(), factor_census("cli"):
-        verdicts = cli_records()
+    verdicts = records(solutions)
+    with factor_census("cli tables, --lanczos spectra and verify"):
+        cli_others()
     with factor_census("verify systems"):
         verify_system_records()
     print_verdicts(verdicts)
