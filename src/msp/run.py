@@ -2,11 +2,13 @@
 
 from __future__ import annotations
 
+from concurrent.futures import Executor, ThreadPoolExecutor
 from dataclasses import dataclass
 
 from .krylov import SolveResult, check_stopping, minres_solve
-from .problems import AssembledProblem, ProblemConfig, build_problem, make_preconditioner, plan
+from .problems import AssembledProblem, ProblemConfig, build_problem, last_block, make_preconditioner, plan
 from .saddle import SchurPreconditioner
+from .sparselin import cholesky_ahead
 
 
 def solve_problem(
@@ -59,6 +61,15 @@ def run_table(
 
     tol and maxit, then each cell's configuration and its `plan`, in cell
     order, are checked before any problem is built.
+
+    The cells run in order, and while MINRES solves one, the next cell of
+    the same level (same mesh, so its operators are warm) has its last
+    block factored on a worker thread: its problem and that block are
+    built on this thread, and only the LAPACK call leaves it
+    (`sparselin.cholesky_ahead`).  What building it ahead raises, and its
+    factor's own NotPositiveDefinite, surface at that cell, after the solve
+    before it, as in a sequential run.  The worker is joined before this
+    returns or raises.
     """
     check_stopping(tol, maxit)
     cfgs = []
@@ -67,18 +78,49 @@ def run_table(
             cfg = ProblemConfig(problem, d, p, level, alpha, geometry)
             plan(cfg, precond_variant)
             cfgs.append(cfg)
-    return [_table_cell(cfg, precond_variant, tol, maxit) for cfg in cfgs]
+    cells, ahead = [], None
+    with ThreadPoolExecutor(max_workers=1, thread_name_prefix="msp-factor") as pool:
+        for cfg, nxt in zip(cfgs, [*cfgs[1:], None]):
+            nxt = nxt if nxt is not None and nxt.level == cfg.level else None
+            cell, ahead = _table_cell(cfg, precond_variant, tol, maxit, ahead, nxt, pool)
+            cells.append(cell)
+    return cells
 
 
-def _table_cell(cfg: ProblemConfig, precond_variant: str, tol: float, maxit: int) -> TableCell:
-    """Build, solve and record one cell.
+def _ahead(cfg: ProblemConfig, precond_variant: str, pool: Executor):
+    """`cfg`'s problem and the function that finishes its last block's factor, whose LAPACK call runs on `pool`;
+    or the exception that building them raised, for `cfg`'s cell to raise in its turn."""
+    try:
+        prob = build_problem(cfg)
+        return prob, cholesky_ahead(last_block(prob, precond_variant), pool)
+    except Exception as exc:  # noqa: BLE001  (raised by `_table_cell`)
+        return exc
 
-    The problem, its preconditioner and the solution die with this frame, so
-    a table holds one cell's blocks and factors at a time.
+
+def _table_cell(
+    cfg: ProblemConfig,
+    precond_variant: str,
+    tol: float,
+    maxit: int,
+    ahead=None,
+    nxt: ProblemConfig | None = None,
+    pool: Executor | None = None,
+) -> tuple[TableCell, object]:
+    """Build, solve and record one cell; returns it with what `_ahead` returned for `nxt`, if given.
+
+    `ahead` is what `_ahead` returned for this cell, if anything.  The next
+    cell `nxt` is started on `pool` once this cell's preconditioner is made,
+    before its solve.  The problem, its preconditioner and the solution die
+    with this frame, so a table holds one cell's blocks and factors at a
+    time, and the next cell's problem and last factor.
     """
-    prob = build_problem(cfg)
-    res = solve_problem(prob, make_preconditioner(prob, precond_variant), tol=tol, maxit=maxit)
-    return TableCell(cfg.level, cfg.alpha, prob.total_dim, res.iterations, res.converged, res.residual_history)
+    if isinstance(ahead, Exception):
+        raise ahead
+    prob, last = ahead or (build_problem(cfg), None)
+    precond = make_preconditioner(prob, precond_variant, last)
+    ahead = None if nxt is None else _ahead(nxt, precond_variant, pool)
+    res = solve_problem(prob, precond, tol=tol, maxit=maxit)
+    return TableCell(cfg.level, cfg.alpha, prob.total_dim, res.iterations, res.converged, res.residual_history), ahead
 
 
 def format_table(cells: list[TableCell], fmt: str = "markdown") -> str:

@@ -19,6 +19,7 @@ tests' oracle) the whole operator is solved dense.
 from __future__ import annotations
 
 from bisect import bisect_right
+from collections.abc import Callable
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import accumulate
@@ -146,7 +147,9 @@ class SchurPreconditioner:
     """Block-diagonal SPD preconditioner P = diag(S_i), held as one Cholesky factor per block.
 
     `factors` (one entry per block) are used as they are; a block whose entry
-    is None, or every one when `factors` is None, is factored from `blocks`.
+    is None, or every one when `factors` is None, is factored from `blocks`,
+    and an entry that is a function (a factorization started ahead,
+    `sparselin.cholesky_ahead`) is called for its factor.
     `blocks` is kept as given: None when factors alone are passed (the exact
     Schur preconditioners).  Block orders come from the factors.
 
@@ -163,7 +166,7 @@ class SchurPreconditioner:
     def __init__(
         self,
         blocks: list[SparseSymMatrix | DenseSymMatrix] | None = None,
-        factors: list[CholeskyFactor | None] | None = None,
+        factors: list[CholeskyFactor | Callable[[], CholeskyFactor] | None] | None = None,
         *,
         system: BlockTridiagSystem | None = None,
         lead: np.ndarray | None = None,
@@ -175,9 +178,9 @@ class SchurPreconditioner:
         self.blocks = blocks
         self.factors = list(factors) if factors is not None else [None] * len(blocks)
         for i, f in enumerate(self.factors):
-            if f is None:
+            if not isinstance(f, CholeskyFactor):
                 try:
-                    self.factors[i] = cholesky(blocks[i])
+                    self.factors[i] = cholesky(blocks[i]) if f is None else f()
                 except NotPositiveDefinite as exc:
                     raise NotPositiveDefinite(f"block {i + 1} is not SPD: {exc}") from exc
         self.block_dims = [f.dim for f in self.factors]
@@ -297,10 +300,11 @@ def check_stage_order(i: int, dim: int) -> None:
         )
 
 
-def factor_stage(i: int, s: np.ndarray) -> CholeskyFactor:
-    """The factor of S_i from its exactly symmetric array `s`, taken over and overwritten; NotPositiveDefinite names S_i."""
+def factor_stage(i: int, s: np.ndarray | Callable[[], CholeskyFactor]) -> CholeskyFactor:
+    """The factor of S_i from its exactly symmetric array `s`, taken over and overwritten, or `s()` where `s` is the
+    function that finishes a factorization started ahead (`sparselin.cholesky_ahead`); NotPositiveDefinite names S_i."""
     try:
-        return cholesky(s)
+        return cholesky(s) if isinstance(s, np.ndarray) else s()
     except NotPositiveDefinite as exc:
         raise NotPositiveDefinite(f"Schur complement S_{i} is not SPD: {exc}") from exc
 
@@ -343,9 +347,9 @@ PRINTED_DECIMALS = 6
 
 
 def _exceeds(bs: BoundSet, norm: float, inv: float, cond: float) -> tuple[bool, bool, bool]:
-    """Whether the norm, the inverse norm and kappa each exceed their closed-form bound beyond BOUND_SLACK."""
+    """Whether the norm, the inverse norm and kappa each exceed their closed-form bound beyond BOUND_SLACK, as bools."""
     slack = 1 + BOUND_SLACK
-    return norm > bs.norm_bound * slack, inv > bs.inv_norm_bound * slack, cond > bs.cond_bound * slack
+    return bool(norm > bs.norm_bound * slack), bool(inv > bs.inv_norm_bound * slack), bool(cond > bs.cond_bound * slack)
 
 
 def _lines(bs: BoundSet, lo: float, hi: float, bottom: float, cond: float) -> tuple[str, str]:

@@ -1,6 +1,7 @@
 """Fixtures shared by the test modules."""
 
 import os
+import threading
 
 import pytest
 
@@ -31,3 +32,13 @@ def schur_stages(monkeypatch):
     for mod in (saddle, problems):
         monkeypatch.setattr(mod, "factor_stage", recording)
     return stages
+
+
+@pytest.fixture(autouse=True)
+def no_thread_left_running():
+    """Fail a test that leaves a non-daemon thread running: `run_table` joins its factor worker before it returns."""
+    before = set(threading.enumerate())
+    yield
+    left = [t.name for t in threading.enumerate() if t not in before and not t.daemon and t.is_alive()]
+    if left:
+        pytest.fail(f"threads left running: {left}")

@@ -31,3 +31,16 @@ def test_constant_parent_has_no_gap_ratio():
     assert s["median_gap_over_parent_iqr"] is None and s["change_better_pairs"] == 0
     one = bench_pairs.summarise([2.0], [1.0], "lower")
     assert one["parent_quartiles"] == [2.0, 2.0, 2.0] and one["change_better_pairs"] == 1
+
+
+def test_run_keeps_the_raw_medians():
+    stdout = "\n".join([
+        "environment: {}",
+        'raw medians: {"wall_s": 0.25, "cpu_s": 0.3, "setup_s": 0.4}',
+        "details: perfbench/results/x.json",
+        '{"correct": true, "attempted": 6, "failed": 0, "metrics": {"wall_norm": {"value": 80.0, "unit": "ref"}}}',
+    ])
+    run = bench_pairs.parse_run(stdout, ["wall_norm"])
+    assert run == {"wall_norm": 80.0, "attempted": 6, "failed": 0, "raw_wall_s": 0.25, "raw_cpu_s": 0.3}
+    assert bench_pairs.parse_run(stdout.split("\n", 1)[0] + "\n" + stdout.rsplit("\n", 1)[1], ["wall_norm"]) == {
+        "wall_norm": 80.0, "attempted": 6, "failed": 0}

@@ -371,19 +371,27 @@ class TestExport:
 class TestFactorModes:
     @pytest.fixture
     def factors(self, monkeypatch):
-        """(storage kind, factor mode) of every `cholesky` call, in call order."""
+        """(storage kind, factor mode) of every `cholesky` call and every factor `run_table` starts ahead, in the
+        order they are finished."""
         from msp import problems, saddle, sparselin
 
         calls = []
-        cholesky = sparselin.cholesky
+        cholesky, ahead = sparselin.cholesky, sparselin.cholesky_ahead
 
-        def recording(m):
-            f = cholesky(m)
+        def recorded(m, f):
             calls.append((type(m).__name__, f.mode))
             return f
 
+        def recording(m):
+            return recorded(m, cholesky(m))
+
+        def recording_ahead(m, pool):
+            finish = ahead(m, pool)
+            return lambda: recorded(m, finish())
+
         for mod in (sparselin, saddle, problems):
             monkeypatch.setattr(mod, "cholesky", recording)
+        monkeypatch.setattr(msp.run, "cholesky_ahead", recording_ahead)
         return calls
 
     def test_schur_stages_are_factored_dense(self, capsys, factors):
@@ -530,6 +538,34 @@ class TestErrors:
         assert out == ""
         assert err.startswith("solver failure: ")
         assert not dest.exists()
+
+    @pytest.mark.parametrize(
+        "precond, message",
+        [
+            ("practical", "block 3 is not SPD: 1-th leading minor not positive definite"),
+            ("exact", "Schur complement S_3 is not SPD: 1-th leading minor of the array is not positive definite"),
+        ],
+    )
+    def test_indefinite_cell_factored_ahead_exits_3(self, capsys, monkeypatch, precond, message):
+        # the second cell's last block is factored while the first solves; made
+        # indefinite, it fails the table as a cell factored in turn does
+        build = msp.run.build_problem
+
+        def hooked(cfg):
+            prob = build(cfg)
+            if cfg.alpha == 0.01:
+                prob.practical_blocks[-1] = prob.practical_blocks[-1].scaled(-1.0)
+                prob.system.A[-1] = prob.system.A[-1].scaled(-1e6)
+            return prob
+
+        monkeypatch.setattr(msp.run, "build_problem", hooked)
+        code, out, err = run_cli(
+            capsys, "table", "--problem", "boundary_observation", "--dim", "2", "--degree", "2",
+            "--levels", "3", "--alphas", "1", "0.01", "--precond", precond,
+        )
+        assert code == EXIT_SOLVER
+        assert out == ""
+        assert err == f"solver failure: {message}\n"
 
     @pytest.mark.parametrize("alpha", ["nan", "inf"])
     def test_non_finite_alpha_rejected(self, capsys, alpha):

@@ -1,6 +1,7 @@
 """Optimal-control optimality systems: dimensions, spectra, preconditioners."""
 
 import gc
+import threading
 import tracemalloc
 import weakref
 
@@ -599,24 +600,154 @@ class TestPlan:
 
 class TestTableMemory:
     @pytest.mark.parametrize("variant", ["practical", "exact_schur"])
-    def test_run_table_holds_one_cell(self, monkeypatch, variant):
+    def test_run_table_holds_one_cell_and_the_next(self, monkeypatch, variant):
         # each cell's problem, preconditioner and solution are dropped before
-        # the next cell is built: no earlier preconditioner is alive then
-        # (no gc.collect, so a reference cycle would fail this too)
-        refs = []
+        # the next cell's preconditioner is made.  The next cell of the same
+        # level is built (and its last block factored) while this one solves,
+        # so its build finds this cell alive, but none before it; the first
+        # cell of a level is built after the last one's is dropped (no
+        # gc.collect, so a reference cycle would fail this too)
+        refs, alive_at_build = [], []
         build, make = run.build_problem, run.make_preconditioner
 
         def checked_build(cfg):
-            assert all(r() is None for r in refs), "an earlier cell is still alive"
+            alive = [r() is not None for r in refs]
+            assert not any(alive[:-1]), "a cell before the current one is still alive"
+            alive_at_build.append(any(alive))
             return build(cfg)
 
-        def recorded_make(prob, name):
-            precond = make(prob, name)
+        def recorded_make(prob, name, last=None):
+            assert all(r() is None for r in refs), "an earlier cell is still alive"
+            precond = make(prob, name, last)
             refs.append(weakref.ref(precond))
             return precond
 
         monkeypatch.setattr(run, "build_problem", checked_build)
         monkeypatch.setattr(run, "make_preconditioner", recorded_make)
-        cells = run.run_table("boundary_observation", 2, 2, [2, 3], [1.0, 1e-3], variant, None)
-        assert len(cells) == len(refs) == 4
+        cells = run.run_table("boundary_observation", 2, 2, [2, 3], [1.0, 1e-3, 1e-5], variant, None)
+        assert len(cells) == len(refs) == 6
+        assert alive_at_build == [False, True, True] * 2
         assert all(r() is None for r in refs)
+
+
+class InjectedFault(Exception):
+    """The failure of a build that `fault_at` injects."""
+
+
+def _spoil(prob, fault):
+    """Spoil the last block of both preconditioners of a three-block problem, A_3 + alpha B and S_3 = A_3 + alpha G:
+    negate it ("indefinite": LAPACK fails) or make it infinite ("non-finite": refused before LAPACK is called)."""
+    practical_scale, exact_scale = (-1.0, -1e6) if fault == "indefinite" else (np.inf, np.inf)
+    prob.practical_blocks[-1] = prob.practical_blocks[-1].scaled(practical_scale)
+    prob.system.A[-1] = prob.system.A[-1].scaled(exact_scale)
+    return prob
+
+
+def fault_at(monkeypatch, level, alpha, fault):
+    """Make `run`'s build of the cell (level, alpha) fail or spoil its last block (`_spoil`); the cells solved."""
+    build, solve = run.build_problem, run.solve_problem
+    solved = []
+
+    def hooked_build(cfg):
+        if (cfg.level, cfg.alpha) != (level, alpha):
+            return build(cfg)
+        if fault == "build":
+            raise InjectedFault(f"build of level {level}, alpha {alpha:g}")
+        return _spoil(build(cfg), fault)
+
+    def counted_solve(prob, *args, **kwargs):
+        solved.append((prob.config.level, prob.config.alpha))
+        return solve(prob, *args, **kwargs)
+
+    monkeypatch.setattr(run, "build_problem", hooked_build)
+    monkeypatch.setattr(run, "solve_problem", counted_solve)
+    return solved
+
+
+def sequential_cells(problem, d, p, levels, alphas, variant, geometry):
+    """A table's cells and solutions, one cell after another through the public steps: the pipeline's oracle."""
+    out = []
+    for level in levels:
+        for alpha in alphas:
+            prob = pb.build_problem(pb.ProblemConfig(problem, d, p, level, alpha, geometry))
+            res = run.solve_problem(prob, pb.make_preconditioner(prob, variant))
+            out.append((level, alpha, prob.total_dim, res.iterations, res.converged, res.residual_history, res.solution))
+    return out
+
+
+class TestPipelinedTable:
+    # while a cell solves, the next cell of its level has its last block
+    # factored on a worker thread; nothing computed may move
+    @pytest.mark.parametrize(
+        "problem, d, p, levels, alphas, variant, geometry",
+        [
+            ("boundary_observation", 2, 2, [3], list(pb.DEFAULT_ALPHAS), "practical", None),
+            ("boundary_observation", 2, 2, [3], list(pb.DEFAULT_ALPHAS), "exact_schur", None),
+            ("distributed_very_weak", 2, 2, [2, 3], [1.0, 1e-3, 1e-7], "practical", None),
+            ("boundary_control", 2, 2, [2, 3], [1.0, 1e-3, 1e-7], "exact_schur", None),
+            ("distributed_strong", 3, 3, [2], [1e-2, 1e-5], "practical", "twisted_3d"),
+            ("boundary_observation", 2, 2, [3], [1e-3], "practical", None),
+        ],
+        ids=["practical", "exact", "practical-two-levels", "exact-two-levels", "3d", "one-cell"],
+    )
+    def test_cells_are_bitwise_the_sequential_ones(self, monkeypatch, problem, d, p, levels, alphas, variant, geometry):
+        want = sequential_cells(problem, d, p, levels, alphas, variant, geometry)
+        solutions, started = [], []
+        solve, ahead = run.solve_problem, run.cholesky_ahead
+
+        def capturing_solve(*args, **kwargs):
+            res = solve(*args, **kwargs)
+            solutions.append(res.solution)
+            return res
+
+        def counted_ahead(m, pool):
+            started.append(type(m).__name__)
+            return ahead(m, pool)
+
+        monkeypatch.setattr(run, "solve_problem", capturing_solve)
+        monkeypatch.setattr(run, "cholesky_ahead", counted_ahead)
+        cells = run.run_table(problem, d, p, levels, alphas, variant, geometry)
+        got = [
+            (c.level, c.alpha, c.dof, c.iterations, c.converged, c.residual_history, x)
+            for c, x in zip(cells, solutions, strict=True)
+        ]
+        assert len(got) == len(want)
+        for g, w in zip(got, want):
+            assert g[:6] == w[:6]
+            assert g[6].tobytes() == w[6].tobytes()
+        # every cell but the first of each level had its last block started ahead
+        kind = "SparseSymMatrix" if variant == "practical" else "ndarray"
+        assert started == [kind] * (len(levels) * (len(alphas) - 1))
+
+    @pytest.mark.parametrize("variant", ["practical", "exact_schur"])
+    @pytest.mark.parametrize("fault", ["indefinite", "non-finite", "build"])
+    @pytest.mark.parametrize("level, alpha", [(2, 1e-3), (2, 1.0), (3, 1.0), (3, 1e-5)])
+    def test_a_failing_cell_raises_in_its_own_turn(self, monkeypatch, variant, fault, level, alpha):
+        # a cell started ahead (alpha 1e-3 and 1e-5) fails as one built in
+        # turn (the first of its level): after the cells before it are solved,
+        # with the exception of the sequential run
+        cfg = pb.ProblemConfig("boundary_observation", d=2, p=2, level=level, alpha=alpha)
+        want = {
+            "indefinite": (NotPositiveDefinite, "block 3" if variant == "practical" else "Schur complement S_3"),
+            "non-finite": (ValueError, "array must not contain infs or NaNs"),
+            "build": (InjectedFault, f"build of level {level}, alpha {alpha:g}"),
+        }[fault]
+        if fault != "build":
+            with pytest.raises(want[0]) as sequential:
+                pb.make_preconditioner(_spoil(pb.build_problem(cfg), fault), variant)
+            assert str(sequential.value).startswith(want[1])
+            want = (want[0], str(sequential.value))
+        solved = fault_at(monkeypatch, level, alpha, fault)
+        threads = threading.active_count()
+        with pytest.raises(want[0]) as pipelined:
+            run.run_table("boundary_observation", 2, 2, [2, 3], [1.0, 1e-3, 1e-5], variant, None)
+        assert str(pipelined.value) == want[1]
+        cells = [(lv, a) for lv in (2, 3) for a in (1.0, 1e-3, 1e-5)]
+        assert solved == cells[: cells.index((level, alpha))]
+        assert threading.active_count() == threads
+
+    @pytest.mark.parametrize("alphas", [[1.0], [1.0, 1e-3, 1e-5]])
+    def test_no_thread_outlives_the_table(self, alphas):
+        threads = threading.active_count()
+        run.run_table("distributed_strong", 2, 2, [2, 3], alphas, "practical", None)
+        assert threading.active_count() == threads

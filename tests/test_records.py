@@ -2,9 +2,10 @@
 
 The file is the clear text (`same_results.clear`: each line without its
 hash) of `tools/same_results.py`'s `records` and verdict table: the 312
-`run_table` records (`it=`, `conv=`) and their factor census, then the 456
-CLI spectra (`exit=` and the `kappa` line: each of the 312 cells', the 48
-of acceptance gate 7 and the 96 1D L5-L8 exact ones) with their factor
+`run_table` records (`it=`, `conv=`) and their factor census, then the 432
+CLI spectra (`exit=` and the `kappa` line: each of the 312 cells', the 24
+of acceptance gate 7 at L4 (its 24 at L3 are cells') and the 96 1D L5-L8
+exact ones) with their factor
 census and spectrum-path census, then the 1D verdict table.  Left out, for
 time (about 1.4 s together): the CLI's three tables, its two --lanczos
 spectra and its two `verify` runs, and the 400 verify systems.  The hashes

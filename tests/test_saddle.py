@@ -385,6 +385,19 @@ class TestSpectrum:
         rep.cond = np.nextafter(edge, np.inf)
         assert rep.cond_exceeds_bound
 
+    @pytest.mark.parametrize("cond_scale", [1.0, 2.0])
+    def test_bound_checks_are_python_bools(self, cond_scale):
+        # the bounds are numpy floats; the checks are still plain bools, on
+        # either side of the bound (a JSON record or an `is True` reads them)
+        sys = dense_system([[[1.0]], [[0.0]]], [[[1.0]]])
+        rep = sd.spectrum(sys, sd.exact_schur(sys))
+        rep.cond = np.float64(rep.bound_set.cond_bound * cond_scale)
+        checks = sd._exceeds(rep.bound_set, rep.norm, rep.inv_norm, rep.cond)
+        assert [type(c) for c in checks] == [bool] * 3
+        assert type(rep.within_bounds) is bool
+        assert type(rep.cond_exceeds_bound) is bool
+        assert rep.cond_exceeds_bound is (cond_scale > 1.0)
+
 
 # (problem, d, p, level) of the deflation's oracle cells; boundary_control is set up in 2D only
 DEFLATION_CASES = [
@@ -715,8 +728,8 @@ class TestSplitSpectrum:
             radii[scale] = radius
             return ev, radius
 
-        def scaled_stage(prob):
-            pre = exact(prob)
+        def scaled_stage(prob, last=None):
+            pre = exact(prob, last)
             factors = [*pre.factors[:-1], pre.factors[-1].scaled(scale)]
             return sd.SchurPreconditioner(factors=factors, system=prob.system, lead=prob.lead_pattern)
 
@@ -753,8 +766,8 @@ class TestSplitSpectrum:
                 raise AssertionError("a split spectrum took a QR")
             return qr(*args, **kwargs)
 
-        def scaled_stage(prob):
-            pre = exact(prob)
+        def scaled_stage(prob, last=None):
+            pre = exact(prob, last)
             factors = [*pre.factors[:-1], pre.factors[-1].scaled(scale)]
             return sd.SchurPreconditioner(factors=factors, system=prob.system, lead=prob.lead_pattern)
 

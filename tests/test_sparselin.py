@@ -689,3 +689,103 @@ class TestSumView:
         assert stored[1] is prob.ops.biharmonic_int.base
         assert not hasattr(prob.ops.mass.base, "_msp_upper")
         problems.get_operators.cache_clear()
+
+
+class _Inline:
+    """An executor that records what is submitted to it and runs it at once, on the calling thread."""
+
+    def __init__(self):
+        self.submitted = []
+
+    def submit(self, fn, *args):
+        from concurrent.futures import Future
+
+        self.submitted.append(fn)
+        done = Future()
+        done.set_result(fn(*args))
+        return done
+
+
+def ahead_cases():
+    """(name, matrix factory) pairs that cover every path of `cholesky`: each factory returns a fresh input."""
+    tri = 4.0 * np.eye(12) - np.eye(12, k=1) - np.eye(12, k=-1)
+    edge = np.zeros((12, 12))
+    edge[0, 5] = edge[5, 0] = 0.5
+    banded, _ = random_banded_spd(60, 3, seed=31)
+    narrow, _ = random_banded_spd(60, 1, seed=36)
+    return [
+        ("sparse banded", lambda: sl.SparseSymMatrix.from_dense(banded)),
+        ("sparse dense", lambda: sl.SparseSymMatrix.from_dense(random_spd(7, seed=32))),
+        ("scaled banded", lambda: sl.SparseSymMatrix.from_dense(banded).scaled(1e-3)),
+        ("sum banded", lambda: sl.SparseSymMatrix.from_dense(narrow).scaled(2.0).add(sl.SparseSymMatrix.from_dense(banded), 0.5)),
+        ("sum whose edge cancels", lambda: sl.SparseSymMatrix.from_dense(tri + edge).add(sl.SparseSymMatrix.from_dense(np.eye(12) - edge))),
+        ("dense storage", lambda: sl.DenseSymMatrix(random_spd(9, seed=33))),
+        ("bare array", lambda: random_spd(9, seed=34)),
+        ("order 1", lambda: sl.DenseSymMatrix(np.array([[2.0]]))),
+        ("order 0", lambda: sl.DenseSymMatrix(np.zeros((0, 0)))),
+        ("sparse order 0", lambda: sl.SparseSymMatrix(scipy.sparse.csr_matrix((0, 0)))),
+    ]
+
+
+class TestCholeskyAhead:
+    @pytest.fixture
+    def pool(self):
+        from concurrent.futures import ThreadPoolExecutor
+
+        with ThreadPoolExecutor(max_workers=1) as pool:
+            yield pool
+
+    @pytest.mark.parametrize("name, make", ahead_cases(), ids=[c[0] for c in ahead_cases()])
+    def test_factor_is_bitwise_the_synchronous_one(self, pool, name, make):
+        want, m = sl.cholesky(make()), make()
+        kept = m.copy() if isinstance(m, np.ndarray) else m.to_dense()
+        got = sl.cholesky_ahead(m, pool)()
+        assert (got.dim, got.mode, got.scale) == (want.dim, want.mode, want.scale)
+        if got.mode == "banded":
+            assert got.data.tobytes() == want.data.tobytes() and got.data.flags.f_contiguous
+        else:
+            assert got.data[0].tobytes() == want.data[0].tobytes() and got.data[1] is want.data[1] is True
+        if isinstance(m, np.ndarray):  # taken over, as `cholesky` does
+            assert m.size == 0 or np.shares_memory(got.data[0], m)
+        else:
+            assert np.array_equal(m.to_dense(), kept)
+
+    def test_only_the_lapack_call_is_submitted(self):
+        # the array is prepared before the call is submitted, and finished after it
+        inline = _Inline()
+        for _, make in ahead_cases():
+            sl.cholesky_ahead(make(), inline)()
+        assert set(inline.submitted) == {sl._lapack_nogil}
+
+    @pytest.mark.parametrize(
+        "diagonal, sparse, message",
+        [
+            ([1.0, -1.0], True, "2-th leading minor of the array is not positive definite"),  # a dense factor
+            ([1.0] * 10 + [-1.0] + [1.0] * 9, True, "11-th leading minor not positive definite"),
+            ([1.0] * 10 + [-1.0] + [1.0] * 9, False, "11-th leading minor of the array is not positive definite"),
+            ([1.0] * 10 + [1e-20] + [1.0] * 9, True, "pivot below tolerance; matrix is semidefinite"),
+            ([1.0] * 10 + [1e-20] + [1.0] * 9, False, "pivot below tolerance; matrix is semidefinite"),
+        ],
+    )
+    def test_pivot_failures_raise_when_finished(self, pool, diagonal, sparse, message):
+        # `cholesky`'s message, raised by the function that finishes the factor
+        def make():
+            a = np.diag(diagonal)
+            return sl.SparseSymMatrix.from_dense(a) if sparse else a
+
+        with pytest.raises(sl.NotPositiveDefinite, match=f"^{message}$"):
+            sl.cholesky(make())
+        finish = sl.cholesky_ahead(make(), pool)
+        with pytest.raises(sl.NotPositiveDefinite, match=f"^{message}$"):
+            finish()
+
+    def test_checks_raise_before_anything_is_submitted(self, monkeypatch):
+        inline = _Inline()
+        a = random_spd(6, seed=35)
+        a[1, 2] = a[2, 1] = np.nan
+        with pytest.raises(ValueError, match="infs or NaNs"):
+            sl.cholesky_ahead(a, inline)
+        monkeypatch.setattr(sl, "physical_memory_bytes", lambda: 100)
+        with pytest.raises(ValueError, match="more than the 100 bytes of physical memory"):
+            sl.cholesky_ahead(sl.DenseSymMatrix(random_spd(6, seed=35)), inline)
+        assert inline.submitted == []

@@ -24,6 +24,9 @@ Per metric it also holds:
   minus the change's, signed so that a better change reads positive; null
   when that range is 0.
 
+Each run also keeps perfbench's raw median wall and CPU seconds
+(`raw_wall_s`, `raw_cpu_s`), summarised the same way under `raw_summary`.
+
 The file is rewritten after every pair, so an interrupted series keeps its
 finished pairs.  A summary table goes to standard output at the end.  Exit
 status: 0, 1 when a run fails, 2 when git cannot archive REF.
@@ -47,6 +50,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 TREES = ("src", "perfbench")
 SIDES = ("parent", "change")
+RAW = ("wall_s", "cpu_s")  # perfbench's raw medians, summarised beside the end-to-end metrics
 
 _SPEC = importlib.util.spec_from_file_location("same_results", ROOT / "tools" / "same_results.py")
 same_results = importlib.util.module_from_spec(_SPEC)
@@ -74,9 +78,23 @@ def _run(side: Path, workload: str, seed: int, seconds: float, metrics: list[str
     if proc.returncode != 0:
         print(proc.stderr, file=sys.stderr)
         return None
-    result = json.loads(proc.stdout.splitlines()[-1])
+    return parse_run(proc.stdout, metrics)
+
+
+def parse_run(stdout: str, metrics: list[str]) -> dict:
+    """A run's end-to-end metrics and operation counts, from `perfbench/run.py`'s last line, and its raw medians.
+
+    The raw medians (`RAW`, from the "raw medians:" line) are the unit's
+    seconds before normalisation, kept as `raw_wall_s` and `raw_cpu_s`: the
+    reference kernel runs on the main thread, so a change that keeps a
+    second core busy during the unit may move the reference too.
+    """
+    lines = stdout.splitlines()
+    result = json.loads(lines[-1])
     run = {m: result["metrics"][m]["value"] for m in metrics}
     run.update(attempted=result["attempted"], failed=result["failed"])
+    raw = next((json.loads(line.partition(": ")[2]) for line in lines if line.startswith("raw medians: ")), {})
+    run.update({f"raw_{k}": raw[k] for k in RAW if k in raw})
     return run
 
 
@@ -120,6 +138,11 @@ def _record(args, command: str, bench: dict, commits: dict, lines: dict, runs: d
                 m["name"]: summarise([r[m["name"]] for r in sides["parent"]],
                                      [r[m["name"]] for r in sides["change"]], m["better"])
                 for m in bench["end_to_end"]
+            },
+            "raw_summary": {
+                f"raw_{k}": summarise([r[f"raw_{k}"] for r in sides["parent"]],
+                                      [r[f"raw_{k}"] for r in sides["change"]], "lower")
+                for k in RAW if all(f"raw_{k}" in r for side in SIDES for r in sides[side])
             },
             "failed_operations": {s: sum(r["failed"] for r in sides[s]) for s in SIDES},
         }
@@ -184,7 +207,7 @@ def main(argv=None) -> int:
     record = json.loads(out.read_text())
     print(f"{'workload':10} {'metric':14} {'change/parent':>13} {'wins':>6} {'gap/IQR':>8}")
     for w, data in record["workloads"].items():
-        for m, s in data["summary"].items():
+        for m, s in {**data["summary"], **data["raw_summary"]}.items():
             gap = "null" if s["median_gap_over_parent_iqr"] is None else f"{s['median_gap_over_parent_iqr']:.2f}"
             print(f"{w:10} {m:14} {s['change_over_parent']:>13} {s['change_better_pairs']:>3}/{s['pairs']:<2} {gap:>8}")
     return 0

@@ -33,7 +33,8 @@ Three record sets, run in one process with one BLAS thread:
   float64 bytes) and prints the iteration count in the clear.
 * CLI runs (stdout, stderr and exit code hashed; exit code printed): the
   spectrum of each of the 312 cells; the 48 spectra of acceptance gate 7
-  (four problems x 2D p=2 L3-L4 x alpha 1, 1e-2, 1e-5 x exact/practical);
+  (four problems x 2D p=2 L3-L4 x alpha 1, 1e-2, 1e-5 x exact/practical),
+  of which the 24 at L3 are cells' spectra and run only as those;
   the 1D L5-L8 exact spectra (three problems x p 2-3 x alpha 1, 1e-2, 1e-3,
   1e-5); the 2D p=2 L6 --large table; two 3D tables; the 2D L5 --lanczos
   spectra (practical and exact); `verify --n 2..6 --trials 20` at seeds 101
@@ -123,37 +124,45 @@ def _digest(*parts) -> str:
 
 @contextlib.contextmanager
 def factor_census(name: str):
-    """Count the `sparselin.cholesky` calls of the enclosed run by (storage kind, factor mode); print them after it.
+    """Count the factors of the enclosed run by (storage kind, factor mode); print them after it.
 
-    The wrapper is bound in every msp module that holds `cholesky`, as
-    `from .sparselin import cholesky` makes a module do; `msp.cli` imports
-    them all first, so none is first imported (and left unwrapped or never
-    restored) inside the run.  Every record set factors something, so an
-    empty census means the wrapper missed the calls: RuntimeError.
+    A factor is a `sparselin.cholesky` call, or a `sparselin.cholesky_ahead`
+    call (a factor `run_table` starts ahead) counted as the same `cholesky`
+    call when its factor is finished, so that the pipelined factors count
+    as the sequential ones do.  The wrappers are bound in every msp module
+    that holds either function, as `from .sparselin import cholesky` makes
+    a module do; `msp.cli` imports them all first, so none is first
+    imported (and left unwrapped or never restored) inside the run.  Every
+    record set factors something, so an empty census means the wrappers
+    missed the calls: RuntimeError.
     """
     import msp.cli  # noqa: F401  (every msp module)
     from msp import sparselin
 
-    cholesky = sparselin.cholesky
+    cholesky, ahead = sparselin.cholesky, getattr(sparselin, "cholesky_ahead", None)
     counts, bands = Counter(), {}
 
-    def counted(m):
-        f = cholesky(m)
+    def count(m, f):
         key = f"{type(m).__name__}/{f.mode}"
         counts[key] += 1
         band = f.data.shape[0] - 1 if f.mode == "banded" else f.dim - 1
         bands[key] = max(bands.get(key, 0), band)
         return f
 
-    holders = [mod for modname, mod in list(sys.modules.items())
-               if modname.partition(".")[0] == "msp" and getattr(mod, "cholesky", None) is cholesky]
-    for mod in holders:
-        mod.cholesky = counted
+    def counted_ahead(m, pool):
+        finish = ahead(m, pool)
+        return lambda: count(m, finish())
+
+    wrapped = {"cholesky": (cholesky, lambda m: count(m, cholesky(m))), "cholesky_ahead": (ahead, counted_ahead)}
+    holders = [(mod, attr) for modname, mod in list(sys.modules.items()) if modname.partition(".")[0] == "msp"
+               for attr, (fn, _) in wrapped.items() if fn is not None and getattr(mod, attr, None) is fn]
+    for mod, attr in holders:
+        setattr(mod, attr, wrapped[attr][1])
     try:
         yield
     finally:
-        for mod in holders:
-            mod.cholesky = cholesky
+        for mod, attr in holders:
+            setattr(mod, attr, wrapped[attr][0])
     if not counts:
         raise RuntimeError(f"factor census {name}: no sparselin.cholesky call was counted")
     pairs = ", ".join(f"{key} {counts[key]} (band <= {bands[key]})" for key in sorted(counts))
@@ -248,19 +257,26 @@ def one_d_records() -> dict[tuple[str, int, int, str], int]:
 
 
 def cli_spectra() -> dict[tuple[str, int, int, str], int]:
-    """The CLI spectra: each of the 312 cells', acceptance gate 7's 48 and the 96 1D exact ones; the 1D exit codes."""
+    """The CLI spectra, each distinct argv once: the 312 cells', acceptance gate 7's 48 (24 of them cells') and
+    the 96 1D exact ones; the 1D exit codes."""
     from msp import problems
 
     alphas = [f"{a:g}" for a in problems.DEFAULT_ALPHAS]
-    for problem, d, p, level, geometry in _grid():
-        for precond in ("practical", "exact"):
-            for alpha in alphas:
-                _cli_record(_spectrum_argv(problem, d, p, level, alpha, precond, geometry))
-    for problem in PROBLEMS:
-        for level in (3, 4):
-            for alpha in ("1", "0.01", "1e-05"):
-                for precond in ("exact", "practical"):
-                    _cli_record(_spectrum_argv(problem, 2, 2, level, alpha, precond))
+    argvs = [
+        _spectrum_argv(problem, d, p, level, alpha, precond, geometry)
+        for problem, d, p, level, geometry in _grid()
+        for precond in ("practical", "exact")
+        for alpha in alphas
+    ]
+    argvs += [
+        _spectrum_argv(problem, 2, 2, level, alpha, precond)
+        for problem in PROBLEMS
+        for level in (3, 4)
+        for alpha in ("1", "0.01", "1e-05")
+        for precond in ("exact", "practical")
+    ]
+    for argv in dict.fromkeys(map(tuple, argvs)):  # gate 7's L3 spectra are among the cells': each runs once
+        _cli_record(list(argv))
     return one_d_records()
 
 
