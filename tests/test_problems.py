@@ -671,7 +671,9 @@ def sequential_cells(problem, d, p, levels, alphas, variant, geometry):
         for alpha in alphas:
             prob = pb.build_problem(pb.ProblemConfig(problem, d, p, level, alpha, geometry))
             res = run.solve_problem(prob, pb.make_preconditioner(prob, variant))
-            out.append((level, alpha, prob.total_dim, res.iterations, res.converged, res.residual_history, res.solution))
+            out.append(
+                (level, alpha, prob.total_dim, res.iterations, res.converged, res.residual_history, res.solution)
+            )
     return out
 
 

@@ -713,12 +713,13 @@ def ahead_cases():
     edge[0, 5] = edge[5, 0] = 0.5
     banded, _ = random_banded_spd(60, 3, seed=31)
     narrow, _ = random_banded_spd(60, 1, seed=36)
+    sparse = sl.SparseSymMatrix.from_dense
     return [
-        ("sparse banded", lambda: sl.SparseSymMatrix.from_dense(banded)),
-        ("sparse dense", lambda: sl.SparseSymMatrix.from_dense(random_spd(7, seed=32))),
-        ("scaled banded", lambda: sl.SparseSymMatrix.from_dense(banded).scaled(1e-3)),
-        ("sum banded", lambda: sl.SparseSymMatrix.from_dense(narrow).scaled(2.0).add(sl.SparseSymMatrix.from_dense(banded), 0.5)),
-        ("sum whose edge cancels", lambda: sl.SparseSymMatrix.from_dense(tri + edge).add(sl.SparseSymMatrix.from_dense(np.eye(12) - edge))),
+        ("sparse banded", lambda: sparse(banded)),
+        ("sparse dense", lambda: sparse(random_spd(7, seed=32))),
+        ("scaled banded", lambda: sparse(banded).scaled(1e-3)),
+        ("sum banded", lambda: sparse(narrow).scaled(2.0).add(sparse(banded), 0.5)),
+        ("sum whose edge cancels", lambda: sparse(tri + edge).add(sparse(np.eye(12) - edge))),
         ("dense storage", lambda: sl.DenseSymMatrix(random_spd(9, seed=33))),
         ("bare array", lambda: random_spd(9, seed=34)),
         ("order 1", lambda: sl.DenseSymMatrix(np.array([[2.0]]))),
