@@ -529,11 +529,6 @@ def _assemble(
     return [pattern.csr(data) for data in datas]
 
 
-def _add_vector(out: np.ndarray, idx: np.ndarray, vals: np.ndarray) -> None:
-    """Add element vectors `vals` at the global indices `idx` into `out`."""
-    out += np.bincount(idx.ravel(), weights=vals.ravel(), minlength=len(out))
-
-
 def _transpose_map(m: scipy.sparse.csr_matrix) -> np.ndarray | None:
     """t with m.data[t] the entries of m' in m's CSR order (m' of m's entry numbers); None if the pattern is not symmetric."""
     numbers = np.arange(m.nnz, dtype=m.indices.dtype)
@@ -699,7 +694,7 @@ def assemble_face_forms(
             if rhs is not None:
                 grad = data_gradient(ch.mapped_points()).reshape(ch.normal.shape)
                 dvals = np.einsum("nqi,nqi->nq", grad, ch.normal)
-                _add_vector(rhs, ch.active(0), ch.integrate(nd, dvals[..., None]))
+                _scatter(rhs, 0, len(rhs), ch.active(0), ch.integrate(nd, dvals[..., None]), scratch)
         for name, pattern in patterns.items():
             faces[name].append(pattern.csr(datas[name]))
     out = {}
@@ -757,5 +752,5 @@ def assemble_rhs_l2(
     rhs = np.zeros(space.dim)
     for ch in _Tabulation.volume([space], _default_q(space), 0).chunks(geo):
         fvals = fn(ch.mapped_points()).reshape(ch.dx.shape)
-        _add_vector(rhs, ch.active(0), ch.integrate(ch.basis(0), fvals[..., None]))
+        _scatter(rhs, 0, len(rhs), ch.active(0), ch.integrate(ch.basis(0), fvals[..., None]), ch.scratch)
     return rhs

@@ -25,7 +25,7 @@ from .problems import (
 )
 from .run import format_table, run_table
 from .saddle import DENSE_MODE_LIMIT, LeadMismatch, spectrum, verify_sharpness
-from .sparselin import NotPositiveDefinite, write_matrix_market
+from .sparselin import NotPositiveDefinite
 from .krylov import lanczos_bounds, minres_solve
 
 EXIT_OK = 0
@@ -115,8 +115,6 @@ def _check_scale(args: argparse.Namespace, levels: list[int]) -> None:
         raise ValueError(
             f"levels {big} exceed the desk-scale defaults for d={args.dim}; rerun with --large"
         )
-    if big and args.precond != "practical":
-        raise ValueError("--large runs support only the practical preconditioner")
 
 
 def cmd_table(args: argparse.Namespace) -> int:
@@ -196,9 +194,10 @@ def cmd_export(args: argparse.Namespace) -> int:
     os.makedirs(out, exist_ok=True)  # before anything is assembled
     prob = build_problem(cfg)
     import scipy.io
+    import scipy.sparse
 
-    for i, a in enumerate(prob.system.A, start=1):
-        write_matrix_market(a, os.path.join(out, f"A{i}.mtx"))
+    for i, a in enumerate(prob.system.A, start=1):  # the lower triangle of each symmetric block
+        scipy.io.mmwrite(os.path.join(out, f"A{i}.mtx"), scipy.sparse.tril(a.to_csr()).tocoo(), symmetry="symmetric")
     for i, b in enumerate(prob.system.B, start=1):
         scipy.io.mmwrite(os.path.join(out, f"B{i}.mtx"), b.tocoo())
     np.savetxt(os.path.join(out, "rhs.txt"), prob.rhs)

@@ -69,7 +69,9 @@ def run_table(
     (`sparselin.cholesky_ahead`).  What building it ahead raises, and its
     factor's own NotPositiveDefinite, surface at that cell, after the solve
     before it, as in a sequential run.  The worker is joined before this
-    returns or raises.
+    returns or raises.  Each cell's problem, preconditioner and solution are
+    dropped at the end of its pass, so a table holds one cell's blocks and
+    factors at a time, and the next cell's problem and last factor.
     """
     check_stopping(tol, maxit)
     cfgs = []
@@ -81,9 +83,14 @@ def run_table(
     cells, ahead = [], None
     with ThreadPoolExecutor(max_workers=1, thread_name_prefix="msp-factor") as pool:
         for cfg, nxt in zip(cfgs, [*cfgs[1:], None]):
-            nxt = nxt if nxt is not None and nxt.level == cfg.level else None
-            cell, ahead = _table_cell(cfg, precond_variant, tol, maxit, ahead, nxt, pool)
-            cells.append(cell)
+            if isinstance(ahead, Exception):
+                raise ahead
+            prob, last = ahead or (build_problem(cfg), None)
+            precond = make_preconditioner(prob, precond_variant, last)
+            ahead = _ahead(nxt, precond_variant, pool) if nxt is not None and nxt.level == cfg.level else None
+            res = solve_problem(prob, precond, tol=tol, maxit=maxit)
+            cells.append(TableCell(cfg.level, cfg.alpha, prob.total_dim, res.iterations, res.converged, res.residual_history))
+            del prob, last, precond, res
     return cells
 
 
@@ -93,34 +100,8 @@ def _ahead(cfg: ProblemConfig, precond_variant: str, pool: Executor):
     try:
         prob = build_problem(cfg)
         return prob, cholesky_ahead(last_block(prob, precond_variant), pool)
-    except Exception as exc:  # noqa: BLE001  (raised by `_table_cell`)
+    except Exception as exc:  # noqa: BLE001  (raised at its cell by `run_table`)
         return exc
-
-
-def _table_cell(
-    cfg: ProblemConfig,
-    precond_variant: str,
-    tol: float,
-    maxit: int,
-    ahead=None,
-    nxt: ProblemConfig | None = None,
-    pool: Executor | None = None,
-) -> tuple[TableCell, object]:
-    """Build, solve and record one cell; returns it with what `_ahead` returned for `nxt`, if given.
-
-    `ahead` is what `_ahead` returned for this cell, if anything.  The next
-    cell `nxt` is started on `pool` once this cell's preconditioner is made,
-    before its solve.  The problem, its preconditioner and the solution die
-    with this frame, so a table holds one cell's blocks and factors at a
-    time, and the next cell's problem and last factor.
-    """
-    if isinstance(ahead, Exception):
-        raise ahead
-    prob, last = ahead or (build_problem(cfg), None)
-    precond = make_preconditioner(prob, precond_variant, last)
-    ahead = None if nxt is None else _ahead(nxt, precond_variant, pool)
-    res = solve_problem(prob, precond, tol=tol, maxit=maxit)
-    return TableCell(cfg.level, cfg.alpha, prob.total_dim, res.iterations, res.converged, res.residual_history), ahead
 
 
 def format_table(cells: list[TableCell], fmt: str = "markdown") -> str:

@@ -611,10 +611,12 @@ def spectrum(sys: BlockTridiagSystem, precond: SchurPreconditioner, dense_limit:
     around theirs decides every printed value and bound check, dense
     otherwise.  The report's `method` names the path ("split", "deflated"
     or "dense") and `radius` the enclosure's half-width (0.0 on a dense
-    path).
+    path).  A system with an empty block is refused before any eigensolve.
     """
     if sys.total_dim > dense_limit:
         raise ValueError(f"total dim {sys.total_dim} exceeds dense-mode limit {dense_limit}")
+    if 0 in sys.block_dims:
+        raise ValueError(f"block {sys.block_dims.index(0) + 1} of the system is empty: it has no spectrum to bound")
     precond.check_system(sys)
     if precond.lead is not None:
         ev, radius = _deflated_eigenvalues(sys, precond)

@@ -479,11 +479,3 @@ def sym_eig_overwrite(a: np.ndarray) -> np.ndarray:
     if info:
         raise np.linalg.LinAlgError(f"dsyevr failed with info {info}")
     return w
-
-
-def write_matrix_market(m: SparseSymMatrix, path) -> None:
-    """Export as Matrix Market coordinate symmetric (lower-triangle entries)."""
-    import scipy.io
-
-    lower = scipy.sparse.tril(m.to_csr()).tocoo()
-    scipy.io.mmwrite(path, lower, symmetry="symmetric")

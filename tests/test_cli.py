@@ -13,7 +13,7 @@ import msp.run
 import msp.saddle
 from msp.cli import EXIT_CONFIG, EXIT_OK, EXIT_SOLVER, EXIT_VIOLATION, main
 from msp.krylov import minres_solve
-from msp.problems import PROBLEM_IDS, build_problem, make_preconditioner
+from msp.problems import PROBLEM_IDS, ProblemConfig, block_dims, build_problem, make_preconditioner
 from msp.sparselin import NotPositiveDefinite
 
 
@@ -172,14 +172,22 @@ class TestTable:
         assert code == EXIT_CONFIG
         assert "--large" in err
 
-    def test_exact_precond_beyond_dense_cap(self, capsys):
-        code, _, err = run_cli(
+    def test_exact_precond_beyond_dense_cap(self, capsys, monkeypatch):
+        # an exact --large table is refused by `plan`'s stage cap, before anything is built
+        refuse_builds(monkeypatch)
+        monkeypatch.setattr(msp.run, "build_problem", msp.cli.build_problem)
+        code, out, err = run_cli(
             capsys,
             "table", "--problem", "distributed_very_weak",
             "--dim", "2", "--levels", "6", "--alphas", "1.0",
             "--large", "--precond", "exact",
         )
         assert code == EXIT_CONFIG
+        assert out == ""
+        assert err == (
+            "configuration error: Schur complement S_2 has order 4096, above the dense limit 2000; "
+            "use the practical preconditioner\n"
+        )
 
 
 class TestSpectrum:
@@ -291,6 +299,22 @@ class TestSpectrum:
         assert code == EXIT_OK
         assert "Ritz extremes" in out
 
+    @pytest.mark.parametrize("precond", ["practical", "exact"])
+    @pytest.mark.parametrize(
+        "problem, dim", [(pid, d) for pid in PROBLEM_IDS for d in (1, 2, 3) if pid != "boundary_control" or d == 2]
+    )
+    def test_empty_last_block_refused(self, capsys, tmp_path, problem, dim, precond):
+        # at degree 1, level 0 the last space has no function: the spectrum
+        # is refused before any eigensolve, while table and export still run
+        case = ["--problem", problem, "--dim", str(dim), "--degree", "1", "--levels", "0", "--alphas", "1"]
+        code, out, err = run_cli(capsys, "spectrum", *case, "--precond", precond)
+        assert code == EXIT_CONFIG
+        assert out == f"problem={problem} level=0 alpha=1 precond={msp.cli._VARIANTS[precond]}\n"
+        last = len(block_dims(ProblemConfig(problem, dim, 1, 0, 1.0)))
+        assert err == f"configuration error: block {last} of the system is empty: it has no spectrum to bound\n"
+        assert run_cli(capsys, "table", *case, "--precond", precond)[0] == EXIT_OK
+        assert run_cli(capsys, "export", *case, "--matrix-market", str(tmp_path / "mm"))[0] == EXIT_OK
+
 
 class TestExport:
     def test_writes_blocks_and_rhs(self, capsys, tmp_path):
@@ -350,22 +374,18 @@ class TestExport:
         assert err.startswith("configuration error:")
         assert dest.read_text() == ""
 
-    def test_roundtrip_first_block(self, capsys, tmp_path):
+    @pytest.mark.parametrize("problem", ["distributed_very_weak", "boundary_observation"])
+    def test_roundtrip_every_block(self, capsys, tmp_path, problem):
+        # each diagonal block is written as its lower triangle, declared symmetric
         import scipy.io
 
-        from msp.problems import ProblemConfig, build_problem
-
         dest = tmp_path / "mm"
-        run_cli(
-            capsys,
-            "export", "--problem", "distributed_very_weak", *SMALL,
-            "--matrix-market", str(dest),
-        )
-        a1 = scipy.io.mmread(dest / "A1.mtx").toarray()
-        prob = build_problem(
-            ProblemConfig(problem="distributed_very_weak", d=2, p=2, level=2, alpha=0.1)
-        )
-        assert np.allclose(a1, prob.system.A[0].to_dense(), atol=1e-14)
+        code, _, err = run_cli(capsys, "export", "--problem", problem, *SMALL, "--matrix-market", str(dest))
+        assert code == EXIT_OK, err
+        prob = build_problem(ProblemConfig(problem=problem, d=2, p=2, level=2, alpha=0.1))
+        for i, a in enumerate(prob.system.A, start=1):
+            assert scipy.io.mminfo(dest / f"A{i}.mtx")[-1] == "symmetric"
+            assert np.allclose(scipy.io.mmread(dest / f"A{i}.mtx").toarray(), a.to_dense(), atol=1e-14)
 
 
 class TestFactorModes:
@@ -528,10 +548,10 @@ class TestErrors:
         assert not dest.exists()
 
     def test_failed_table_makes_no_residual_directory(self, capsys, tmp_path, monkeypatch):
-        def fail(*args):
+        def fail(*args, **kwargs):
             raise NotPositiveDefinite("block 1 is not SPD")
 
-        monkeypatch.setattr(msp.run, "_table_cell", fail)
+        monkeypatch.setattr(msp.run, "solve_problem", fail)
         dest = tmp_path / "D"
         code, out, err = run_cli(capsys, "table", *SMALL, "--dump-residuals", str(dest))
         assert code == EXIT_SOLVER

@@ -436,7 +436,7 @@ class TestExactSchurGramForm:
             monkeypatch.setattr(mod, "cholesky", counted)
         for pid in pb.PROBLEM_IDS:
             calls.clear()
-            run._table_cell(pb.ProblemConfig(pid, d=2, p=2, level=2, alpha=1e-3), variant, 1e-8, 500)
+            run.run_table(pid, 2, 2, [2], [1e-3], variant, None)
             assert calls == [warm.ops.laplacian_gram.shape[0]], pid
 
     def test_trace_mass_factored_once_per_mesh(self):

@@ -2,7 +2,6 @@
 
 import numpy as np
 import pytest
-import scipy.io
 import scipy.linalg
 import scipy.sparse
 
@@ -565,16 +564,6 @@ class TestInverseGram:
         b = np.random.default_rng(36).standard_normal((30, 4))
         g, h = sl.inverse_gram(got, b), sl.inverse_gram(want, b)
         assert np.max(np.abs(g - h)) <= 1e-13 * np.max(np.abs(h))
-
-
-class TestMatrixMarket:
-    def test_round_trip(self, tmp_path):
-        a = random_spd(6, seed=11)
-        m = sl.SparseSymMatrix.from_dense(a)
-        path = tmp_path / "m.mtx"
-        sl.write_matrix_market(m, path)
-        back = scipy.io.mmread(path)
-        assert np.allclose(back.toarray(), a, atol=1e-12)
 
 
 def eager_sum(a, b, beta):

@@ -3,13 +3,16 @@
 
     python3 tools/line_census.py [--root CHECKOUT]
 
-Runs, under `sys.settrace`, the production traffic of a checkout (default:
-this one): a CLI sweep of `verify`, and of `table`, `spectrum` and
-`export` for every problem at 1D p=2 L4, 2D p=2 L3 and 3D p=3 L2 with both
-preconditioners and `--lanczos`, plus the refusals; then the three
-`perfbench` units (full size, one set-up and one unit each).  It prints,
-per module, each statement line that no run reached, the total, and the
-exit code of every run.  One BLAS thread; about 4 s on a 2-core host.
+Runs, under `sys.settrace` and `threading.settrace` (so that the lines
+`run_table`'s factor worker thread runs count), the production traffic of a
+checkout (default: this one): a CLI sweep of `verify`, and of `table`,
+`spectrum` and `export` for every problem at 1D p=2 L4, 2D p=2 L3 and 3D
+p=3 L2 with both preconditioners and `--lanczos`, plus the refusals; then
+the three `perfbench` units (full size, one set-up and one unit each).  It
+prints, per module, each statement line that no run reached, the total, and
+the exit code of every run.  It exits 1 when a traffic run exits other than
+0, a refusal other than 2, or a `perfbench` unit fails an operation; 0
+otherwise.  One BLAS thread; about 6 s on a 2-core host.
 
 A statement counts as reached when a line event fires on its first line;
 docstrings are not statements.  Module-level lines run at import, which
@@ -25,6 +28,7 @@ import io
 import os
 import sys
 import tempfile
+import threading
 from collections import defaultdict
 from pathlib import Path
 
@@ -41,6 +45,7 @@ def refusals(tmp: str) -> list[list[str]]:
         ["verify", "--seed", "-1"],
         ["spectrum", "--levels", "5"],  # dense cap
         ["spectrum", "--levels", "3", "4"],
+        ["spectrum", "--degree", "1", "--levels", "0"],  # an empty last block
         ["spectrum", "--dim", "1", "--levels", "11", "--precond", "exact", "--lanczos"],  # S_2 of order 2048
         ["table", "--dim", "1", "--levels", "11", "--precond", "exact", "--alphas", "1"],
         ["table", "--levels", "6"],
@@ -59,15 +64,18 @@ def refusals(tmp: str) -> list[list[str]]:
     ]
 
 
-def traffic(tmp: str) -> list[tuple[str, object]]:
-    """Run the production traffic; returns (name, exit code or (attempted, failed)) per run."""
+def traffic(tmp: str) -> list[tuple[str, object, bool]]:
+    """Run the production traffic; returns (name, exit code or (attempted, failed), as expected) per run."""
     from msp import cli
 
-    def run(*argv: str) -> int:
-        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
-            return cli.main(list(argv))
+    codes = []
 
-    codes = [("verify", run("verify", "--n", "2..6", "--trials", "3", "--seed", "7"))]
+    def run(name: str, *argv: str, want: int = 0) -> None:
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            code = cli.main(list(argv))
+        codes.append((name, code, code == want))
+
+    run("verify", "verify", "--n", "2..6", "--trials", "3", "--seed", "7")
     for problem in PROBLEMS:
         for d, p, level, geometry in MESHES:
             if problem == "boundary_control" and d != 2:
@@ -75,21 +83,22 @@ def traffic(tmp: str) -> list[tuple[str, object]]:
             case = ["--problem", problem, "--dim", str(d), "--degree", str(p), "--levels", str(level)]
             case += ["--geometry", geometry] if geometry else []
             for precond in ("practical", "exact"):
-                codes.append(("table", run("table", *case, "--precond", precond)))
-                codes.append(("spectrum", run("spectrum", *case, "--precond", precond)))
-                codes.append(("spectrum --lanczos", run("spectrum", *case, "--precond", precond, "--lanczos")))
-            codes.append(("export", run("export", *case, "--matrix-market", os.path.join(tmp, f"{problem}{d}"))))
-    codes.append(("spectrum --lanczos past the cap", run("spectrum", "--levels", "5", "--lanczos", "--precond", "exact")))
-    codes.append(("table csv", run("table", "--levels", "2", "--format", "csv", "--out", os.path.join(tmp, "t.csv"),
-                                   "--dump-residuals", os.path.join(tmp, "residuals"))))
+                run("table", "table", *case, "--precond", precond)
+                run("spectrum", "spectrum", *case, "--precond", precond)
+                run("spectrum --lanczos", "spectrum", *case, "--precond", precond, "--lanczos")
+            run("export", "export", *case, "--matrix-market", os.path.join(tmp, f"{problem}{d}"))
+    run("spectrum --lanczos past the cap", "spectrum", "--levels", "5", "--lanczos", "--precond", "exact")
+    run("table csv", "table", "--levels", "2", "--format", "csv", "--out", os.path.join(tmp, "t.csv"),
+        "--dump-residuals", os.path.join(tmp, "residuals"))
     for argv in refusals(tmp):
-        codes.append((" ".join(argv[:1] + argv[1:4]), run(*argv)))
+        run(" ".join(argv[:4]), *argv, want=2)
     from perfbench import workloads
 
     for name, workload in workloads.WORKLOADS.items():
         w = workload("full", 101)
         w.setup()
-        codes.append((name, w.unit()))
+        attempted, failed = w.unit()
+        codes.append((name, (attempted, failed), failed == 0))
     return codes
 
 
@@ -126,12 +135,14 @@ def main(argv=None) -> int:
         return line_events if frame.f_code.co_filename.startswith(str(package)) else None
 
     sys.settrace(calls)
+    threading.settrace(calls)  # each thread started from here on, the factor worker's included
     try:
         import msp  # noqa: F401  (module-level lines run now, traced)
 
         with tempfile.TemporaryDirectory(prefix="line_census_") as tmp:
             codes = traffic(tmp)
     finally:
+        threading.settrace(None)
         sys.settrace(None)
 
     total = 0
@@ -144,8 +155,11 @@ def main(argv=None) -> int:
         for line in missed:
             print(f"{path.name}:{line}: {source[line - 1].strip()}")
     print(f"total unreached statement lines: {total}")
-    print("runs: " + "; ".join(f"{name} -> {code}" for name, code in codes))
-    return 0
+    print("runs: " + "; ".join(f"{name} -> {code}" for name, code, _ in codes))
+    unexpected = [f"{name} -> {code}" for name, code, ok in codes if not ok]
+    if unexpected:
+        print("unexpected: " + "; ".join(unexpected))
+    return 1 if unexpected else 0
 
 
 if __name__ == "__main__":
