@@ -12,7 +12,6 @@ dropping boundary basis functions.
 
 from __future__ import annotations
 
-from collections.abc import Callable
 from dataclasses import dataclass, field
 from functools import lru_cache, cached_property
 
@@ -378,21 +377,18 @@ def build_problem(cfg: ProblemConfig) -> AssembledProblem:
     )
 
 
-def last_block(prob: AssembledProblem, variant: str) -> SparseSymMatrix | np.ndarray:
-    """The block that the last factor of `variant`'s preconditioner factors.
+def exact_schur_precond(prob: AssembledProblem) -> SchurPreconditioner:
+    """Exact Schur-complement preconditioner: block factors only, the last one dense.
 
-    Practical: the sum view `practical_blocks[-1]`.  Exact: the last Schur
-    complement S_n = A_n + B_{n-1} S_{n-1}^{-1} B_{n-1}', densified into a
-    fresh array.  The leading blocks of the practical preconditioner
-    already equal the exact Schur complements for all four problems, so
-    S_n splits into alpha-free pieces cached on the mesh, with
-    G = K' M^-1 K: S_3 = A_3 + alpha G for the three-block problems, and
-    S_2 = G + Z / alpha for the two-block ones (Z = M_int for distributed
-    control, N' M_d^-1 N for boundary control).  It is refused above the
-    dense limit before anything is densified.
+    The leading blocks of the practical preconditioner already equal the
+    exact Schur complements for all four problems, so their factors are
+    reused.  The last block S_n = A_n + B_{n-1} S_{n-1}^{-1} B_{n-1}'
+    splits into alpha-free pieces cached on the mesh, with G = K' M^-1 K:
+    S_3 = A_3 + alpha G for the three-block problems, and S_2 = G + Z / alpha
+    for the two-block ones (Z = M_int for distributed control, N' M_d^-1 N
+    for boundary control).  It is refused above the dense limit before
+    anything is densified, and the dense S_n is factored in its own buffer.
     """
-    if variant == "practical":
-        return prob.practical_blocks[-1]
     n, a, ops = prob.system.n, prob.config.alpha, prob.ops
     check_stage_order(n, prob.system.block_dims[-1])
     if n == 3:
@@ -404,19 +400,7 @@ def last_block(prob: AssembledProblem, variant: str) -> SparseSymMatrix | np.nda
         s += ops.laplacian_gram
     if rest is not None:
         rest.add_to(s)
-    return s
-
-
-def exact_schur_precond(
-    prob: AssembledProblem, last: Callable[[], CholeskyFactor] | None = None
-) -> SchurPreconditioner:
-    """Exact Schur-complement preconditioner: block factors only, the last one dense.
-
-    The lead factors are reused, and the dense S_n (`last_block`) is
-    factored in its own buffer, unless `last` finishes its factor.
-    """
-    last = last_block(prob, "exact") if last is None else last
-    factors = [*prob.lead_factors, factor_stage(prob.system.n, last)]
+    factors = [*prob.lead_factors, factor_stage(n, s)]
     return SchurPreconditioner(factors=factors, system=prob.system, lead=prob.lead_pattern)
 
 
@@ -435,20 +419,7 @@ def plan(cfg: ProblemConfig, variant: str) -> list[int]:
     return dims
 
 
-def make_preconditioner(
-    prob: AssembledProblem, variant: str, last: Callable[[], CholeskyFactor] | None = None
-) -> SchurPreconditioner:
-    """`variant`'s preconditioner for `prob`, after its `plan`.
-
-    `last`, when given, is the function that finishes the factor of
-    `last_block(prob, variant)`, started ahead (`run.run_table`).  It is
-    called where that block would be factored, so a NotPositiveDefinite
-    names the block as the factorization in turn would.
-    """
+def make_preconditioner(prob: AssembledProblem, variant: str) -> SchurPreconditioner:
+    """`variant`'s preconditioner for `prob`, after its `plan`."""
     plan(prob.config, variant)
-    if variant != "practical":
-        return exact_schur_precond(prob, last)
-    if last is None:
-        return prob.practical
-    factors = [*prob.lead_factors, last]
-    return SchurPreconditioner(prob.practical_blocks, factors, system=prob.system, lead=prob.lead_pattern)
+    return prob.practical if variant == "practical" else exact_schur_precond(prob)

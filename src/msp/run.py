@@ -2,13 +2,16 @@
 
 from __future__ import annotations
 
-from concurrent.futures import Executor, ThreadPoolExecutor
+from collections import deque
+from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass
 
-from .krylov import SolveResult, check_stopping, minres_solve
-from .problems import AssembledProblem, ProblemConfig, build_problem, last_block, make_preconditioner, plan
+from .krylov import SolveResult, _minres, check_stopping, minres_solve
+from .problems import AssembledProblem, ProblemConfig, build_problem, make_preconditioner, plan
 from .saddle import SchurPreconditioner
-from .sparselin import cholesky_ahead
+
+# Cells whose MINRES runs at once in `run_table`: one per core of a two-core host.
+SOLVERS = 2
 
 
 def solve_problem(
@@ -28,12 +31,28 @@ def solve_problem(
     preconditioner without a lead pattern has none: ValueError.  Every
     convergence is confirmed with `prob.system.apply`.
     """
+    return _solve(prob, precond, tol, maxit, minres_solve)
+
+
+def _solve(prob: AssembledProblem, precond: SchurPreconditioner, tol: float, maxit: int, minres) -> SolveResult:
+    """`solve_problem` through `minres`: `krylov.minres_solve`, or `krylov._minres` on a solver thread."""
     if precond.lead is None:
         raise ValueError("the preconditioner carries no lead pattern for MINRES's hooks")
-    return minres_solve(
+    return minres(
         prob.system.apply, precond.apply_inverse, prob.rhs, tol=tol, maxit=maxit,
         product=precond.apply_preconditioned, head=precond.preconditioned_head,
     )
+
+
+def _solve_cell(cell: list, tol: float, maxit: int) -> SolveResult:
+    """A solver thread's job: `_solve` with `krylov._minres` of the (problem, preconditioner) pair in `cell`.
+
+    The pair is taken out of `cell` first, so that it dies as this returns,
+    before its future holds the result.
+    """
+    prob, precond = cell
+    cell.clear()
+    return _solve(prob, precond, tol, maxit, _minres)
 
 
 @dataclass
@@ -62,16 +81,18 @@ def run_table(
     tol and maxit, then each cell's configuration and its `plan`, in cell
     order, are checked before any problem is built.
 
-    The cells run in order, and while MINRES solves one, the next cell of
-    the same level (same mesh, so its operators are warm) has its last
-    block factored on a worker thread: its problem and that block are
-    built on this thread, and only the LAPACK call leaves it
-    (`sparselin.cholesky_ahead`).  What building it ahead raises, and its
-    factor's own NotPositiveDefinite, surface at that cell, after the solve
-    before it, as in a sequential run.  The worker is joined before this
-    returns or raises.  Each cell's problem, preconditioner and solution are
-    dropped at the end of its pass, so a table holds one cell's blocks and
-    factors at a time, and the next cell's problem and last factor.
+    SOLVERS cells solve at once.  This thread builds each cell and makes its
+    preconditioner, in cell order, and hands its MINRES to a pool of SOLVERS
+    threads; it takes the results back in cell order, and builds the next
+    cell only once fewer than SOLVERS cells are unfinished, so a table holds
+    at most SOLVERS cells' problems, factors and solutions.  MINRES runs
+    there through `krylov._minres`, whose block solves release the GIL
+    (`sparselin.solve_chol_nogil`), and nothing else does: every function
+    that builds, factors or reads a lazy operator runs on this thread.  A
+    cell's exception, from its build, its factors or its MINRES, is raised
+    in its turn, after every cell before it is taken, and a cell after one
+    that fails is not built.  The pool is joined before this returns or
+    raises.
     """
     check_stopping(tol, maxit)
     cfgs = []
@@ -80,28 +101,27 @@ def run_table(
             cfg = ProblemConfig(problem, d, p, level, alpha, geometry)
             plan(cfg, precond_variant)
             cfgs.append(cfg)
-    cells, ahead = [], None
-    with ThreadPoolExecutor(max_workers=1, thread_name_prefix="msp-factor") as pool:
-        for cfg, nxt in zip(cfgs, [*cfgs[1:], None]):
-            if isinstance(ahead, Exception):
-                raise ahead
-            prob, last = ahead or (build_problem(cfg), None)
-            precond = make_preconditioner(prob, precond_variant, last)
-            ahead = _ahead(nxt, precond_variant, pool) if nxt is not None and nxt.level == cfg.level else None
-            res = solve_problem(prob, precond, tol=tol, maxit=maxit)
-            cells.append(TableCell(cfg.level, cfg.alpha, prob.total_dim, res.iterations, res.converged, res.residual_history))
-            del prob, last, precond, res
+
+    def take(cfg: ProblemConfig, dof: int, job: Future) -> TableCell:
+        res = job.result()
+        return TableCell(cfg.level, cfg.alpha, dof, res.iterations, res.converged, res.residual_history)
+
+    cells, solving, failure = [], deque(), None
+    with ThreadPoolExecutor(max_workers=SOLVERS, thread_name_prefix="msp-minres") as pool:
+        for cfg in cfgs:
+            if len(solving) == SOLVERS:
+                cells.append(take(*solving.popleft()))
+            try:
+                prob = build_problem(cfg)
+                precond = make_preconditioner(prob, precond_variant)
+            except Exception as exc:  # noqa: BLE001  (raised below, after the cells before it)
+                failure = exc
+                break
+            solving.append((cfg, prob.total_dim, pool.submit(_solve_cell, [prob, precond], tol, maxit)))
+        cells += [take(*job) for job in solving]
+    if failure is not None:
+        raise failure
     return cells
-
-
-def _ahead(cfg: ProblemConfig, precond_variant: str, pool: Executor):
-    """`cfg`'s problem and the function that finishes its last block's factor, whose LAPACK call runs on `pool`;
-    or the exception that building them raised, for `cfg`'s cell to raise in its turn."""
-    try:
-        prob = build_problem(cfg)
-        return prob, cholesky_ahead(last_block(prob, precond_variant), pool)
-    except Exception as exc:  # noqa: BLE001  (raised at its cell by `run_table`)
-        return exc
 
 
 def format_table(cells: list[TableCell], fmt: str = "markdown") -> str:

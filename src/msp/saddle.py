@@ -19,7 +19,6 @@ tests' oracle) the whole operator is solved dense.
 from __future__ import annotations
 
 from bisect import bisect_right
-from collections.abc import Callable
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import accumulate
@@ -38,6 +37,7 @@ from .sparselin import (
     cholesky,
     mirror_upper,
     solve_chol,
+    solve_chol_nogil,
     sym_eig_overwrite,
 )
 
@@ -147,9 +147,7 @@ class SchurPreconditioner:
     """Block-diagonal SPD preconditioner P = diag(S_i), held as one Cholesky factor per block.
 
     `factors` (one entry per block) are used as they are; a block whose entry
-    is None, or every one when `factors` is None, is factored from `blocks`,
-    and an entry that is a function (a factorization started ahead,
-    `sparselin.cholesky_ahead`) is called for its factor.
+    is None, or every one when `factors` is None, is factored from `blocks`.
     `blocks` is kept as given: None when factors alone are passed (the exact
     Schur preconditioners).  Block orders come from the factors.
 
@@ -166,7 +164,7 @@ class SchurPreconditioner:
     def __init__(
         self,
         blocks: list[SparseSymMatrix | DenseSymMatrix] | None = None,
-        factors: list[CholeskyFactor | Callable[[], CholeskyFactor] | None] | None = None,
+        factors: list[CholeskyFactor | None] | None = None,
         *,
         system: BlockTridiagSystem | None = None,
         lead: np.ndarray | None = None,
@@ -178,9 +176,9 @@ class SchurPreconditioner:
         self.blocks = blocks
         self.factors = list(factors) if factors is not None else [None] * len(blocks)
         for i, f in enumerate(self.factors):
-            if not isinstance(f, CholeskyFactor):
+            if f is None:
                 try:
-                    self.factors[i] = cholesky(blocks[i]) if f is None else f()
+                    self.factors[i] = cholesky(blocks[i])
                 except NotPositiveDefinite as exc:
                     raise NotPositiveDefinite(f"block {i + 1} is not SPD: {exc}") from exc
         self.block_dims = [f.dim for f in self.factors]
@@ -202,7 +200,8 @@ class SchurPreconditioner:
             raise ValueError(f"blocks of orders {dims} cannot be T ⊗ I_W for T of shape {self.lead.shape}")
 
     def apply_inverse(self, r: np.ndarray, start: int = 0) -> np.ndarray:
-        """P^{-1} r, one factor solve per block slice of r's rows.
+        """P^{-1} r in float64, one factor solve per block slice of r's rows, each with the GIL released
+        (`solve_chol_nogil`).
 
         With `start`, only the blocks holding rows start.. are solved; the
         rows of the blocks before are left unset (MINRES given a `head`
@@ -210,17 +209,28 @@ class SchurPreconditioner:
         """
         if len(r) != self._slices[-1].stop:
             raise ValueError(f"r has {len(r)} rows, the preconditioner's order is {self._slices[-1].stop}")
-        out = np.empty_like(r)
+        out = np.empty(len(r))
         for f, s in zip(self.factors, self._slices):
             if s.stop > start:
-                out[s] = solve_chol(f, r[s])
+                out[s] = r[s]
+                solve_chol_nogil(f, out[s])
         return out
 
     @cached_property
     def _lead_product(self) -> np.ndarray:
-        """E, the pattern of blocks 1..n-1 of A P^{-1}; with one lead block E = T whatever its factors."""
+        """E, the pattern of blocks 1..n-1 of A P^{-1}; with one lead block E = T whatever its factors.
+
+        sqrt(s_i / s_j), or sqrt(s_i) / sqrt(s_j) where the quotient is not
+        a normal number: for the three-block scales alpha and 1 / alpha, the
+        quotients alpha^2 and alpha^-2 leave the normal range from alpha about
+        7e153 (and below about 1.5e-154).
+        """
         s = np.array([f.scale for f in self.factors[: len(self.lead)]])
-        return self.lead * np.sqrt(np.divide.outer(s, s))
+        with np.errstate(over="ignore"):
+            ratio = np.divide.outer(s, s)
+        root = np.sqrt(s)
+        normal = (ratio >= np.finfo(float).tiny) & (ratio <= np.finfo(float).max)
+        return self.lead * np.where(normal, np.sqrt(ratio), np.divide.outer(root, root))
 
     def apply_preconditioned(self, v: np.ndarray, r: np.ndarray, beta: float) -> np.ndarray:
         """A v for v = P^{-1} r / beta, MINRES's `product` hook: the lead rows take (E ⊗ I) r / beta.
@@ -300,11 +310,10 @@ def check_stage_order(i: int, dim: int) -> None:
         )
 
 
-def factor_stage(i: int, s: np.ndarray | Callable[[], CholeskyFactor]) -> CholeskyFactor:
-    """The factor of S_i from its exactly symmetric array `s`, taken over and overwritten, or `s()` where `s` is the
-    function that finishes a factorization started ahead (`sparselin.cholesky_ahead`); NotPositiveDefinite names S_i."""
+def factor_stage(i: int, s: np.ndarray) -> CholeskyFactor:
+    """The factor of S_i from its exactly symmetric array `s`, taken over and overwritten; NotPositiveDefinite names S_i."""
     try:
-        return cholesky(s) if isinstance(s, np.ndarray) else s()
+        return cholesky(s)
     except NotPositiveDefinite as exc:
         raise NotPositiveDefinite(f"Schur complement S_{i} is not SPD: {exc}") from exc
 

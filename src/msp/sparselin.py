@@ -7,9 +7,10 @@ Thin, contract-carrying layer over LAPACK, called directly through
 `eigh(eigvals_only=True)`): every factor, solve and eigenvalue is bitwise the
 wrappers', without their per-call argument handling.  Factorizations and
 eigenvalues keep the wrappers' finite-input check; the solves skip it, as a
-factor is finite by construction.  A factorization started ahead on another
-thread (`cholesky_ahead`) makes the same LAPACK call through scipy's
-`cython_lapack` by ctypes instead, as the wrappers hold the GIL.
+factor is finite by construction.  The vector solve that MINRES makes on
+two threads at once (`solve_chol_nogil`) calls the same LAPACK routine
+through scipy's `cython_lapack` by ctypes instead, as the wrappers hold the
+GIL.
 
 A sparse symmetric matrix is stored as its full CSR in canonical form
 (duplicates summed, column indices sorted, no explicit zeros); a small dense
@@ -36,8 +37,6 @@ import ctypes
 import functools
 import math
 import os
-from collections.abc import Callable
-from concurrent.futures import Executor
 from dataclasses import dataclass
 
 import numpy as np
@@ -230,6 +229,22 @@ class CholeskyFactor:
         out.ravel(order="F")[(j * (n + 1) - k * n)[on]] = band[::-1][on]  # a view: out is Fortran-ordered
         return out
 
+    @functools.cached_property
+    def _solve_call(self):
+        """`solve_chol_nogil`'s LAPACK call with every argument before b bound, and the reference to ldb = n.
+
+        The stored factor must be a Fortran-ordered float64 array, as its
+        pointer goes to LAPACK as it is: ValueError otherwise.
+        """
+        a = self.data if self.mode == "banded" else self.data[0]
+        if a.dtype != np.float64 or not a.flags.f_contiguous:
+            raise ValueError("LAPACK needs a Fortran-ordered float64 factor")
+        n, one = _int_ref(self.dim), _int_ref(1)
+        if self.mode == "banded":
+            kd = a.shape[0] - 1
+            return functools.partial(_DPBTRS, b"U", n, _int_ref(kd), one, a.ctypes.data, _int_ref(kd + 1)), n
+        return functools.partial(_DPOTRS, b"L" if self.data[1] else b"U", n, one, a.ctypes.data, n), n
+
 
 _PIVOT_RTOL = 1e-14
 
@@ -277,117 +292,23 @@ def cholesky(m: SparseSymMatrix | DenseSymMatrix | np.ndarray) -> CholeskyFactor
     transpose), in place: `m` is left as it is.  A bare array (exactly
     symmetric, C-ordered float64, held by no one else: a computed Schur
     stage) is taken over instead, and a dense factor overwrites it.
-
-    The work is three steps: `_prepare` (the checks and the array), the
-    LAPACK call through scipy's f2py wrapper, and `_finish` (the pivot
-    checks and the factor).  `cholesky_ahead` runs the same steps with the
-    call on another thread.
-    """
-    a, banded, pivot_floor = _prepare(m)
-    if banded:
-        return _finish(a, banded, pivot_floor, lapack.dpbtrf(a, overwrite_ab=1)[1])
-    return _finish(a, banded, pivot_floor, lapack.dpotrf(a, lower=1, clean=1, overwrite_a=1)[1])
-
-
-def cholesky_ahead(m: SparseSymMatrix | DenseSymMatrix | np.ndarray, pool: Executor) -> Callable[[], CholeskyFactor]:
-    """`cholesky(m)` with its LAPACK call on `pool`'s thread: the function that waits for it and returns the factor.
-
-    `m` is prepared on this thread, now: its checks run, raising what
-    `cholesky` raises before its LAPACK call, and its array is allocated
-    and filled.  Only the call (`_lapack_nogil`, which releases the GIL)
-    goes to `pool`.  The returned function finishes the factor on the
-    thread that calls it, raising what `cholesky` raises after its call.
-    The factor is bitwise `cholesky`'s.
-    """
-    a, banded, pivot_floor = _prepare(m)
-    done = pool.submit(_lapack_nogil, a, banded)
-    return lambda: _finish(a, banded, pivot_floor, done.result())
-
-
-def _cython_lapack(name: str, nargs: int):
-    """scipy's `cython_lapack` routine `name` as a ctypes function of a character and nargs - 1 pointers.
-
-    A ctypes call releases the GIL, which scipy's f2py wrappers hold, but
-    costs about 10 us against their 1 us: only the calls made on another
-    thread take this way.
-    """
-    capsule = cython_lapack.__pyx_capi__[name]
-    get_name = ctypes.PYFUNCTYPE(ctypes.c_char_p, ctypes.py_object)(("PyCapsule_GetName", ctypes.pythonapi))
-    get_pointer = ctypes.PYFUNCTYPE(ctypes.c_void_p, ctypes.py_object, ctypes.c_char_p)(
-        ("PyCapsule_GetPointer", ctypes.pythonapi)
-    )
-    prototype = ctypes.CFUNCTYPE(None, ctypes.c_char_p, *[ctypes.c_void_p] * (nargs - 1))
-    return prototype(get_pointer(capsule, get_name(capsule)))
-
-
-_DPBTRF, _DPOTRF, _DLASET = (_cython_lapack(*r) for r in (("dpbtrf", 6), ("dpotrf", 5), ("dlaset", 7)))
-
-
-def _ref(v: int | float):
-    """A pointer to a fresh Fortran INTEGER (an int) or DOUBLE PRECISION (a float) holding v."""
-    return ctypes.byref(ctypes.c_int(v) if isinstance(v, int) else ctypes.c_double(v))
-
-
-def _lapack_nogil(a: np.ndarray, banded: bool) -> int:
-    """`cholesky`'s LAPACK call on `_prepare`'s array through ctypes, which releases the GIL; its info.
-
-    A dense factor's strict upper triangle is then zeroed by `dlaset`, as
-    the wrapper's `clean` does.  The pointers go to LAPACK as they are, so
-    `a` must be a Fortran-ordered float64 array: ValueError otherwise.
-    Nothing here allocates an array or calls into numpy.
-    """
-    if a.dtype != np.float64 or not a.flags.f_contiguous:
-        raise ValueError("LAPACK needs a Fortran-ordered float64 array")
-    info, n = ctypes.c_int(), a.shape[1]
-    if banded:
-        kd = a.shape[0] - 1
-        _DPBTRF(b"U", _ref(n), _ref(kd), a.ctypes.data, _ref(kd + 1), ctypes.byref(info))
-    else:
-        _DPOTRF(b"L", _ref(n), a.ctypes.data, _ref(max(n, 1)), ctypes.byref(info))
-        if n > 1:  # the upper triangle with diagonal of the block right of column 0 is a's strict upper one
-            _DLASET(b"U", _ref(n - 1), _ref(n - 1), _ref(0.0), _ref(0.0), a.ctypes.data + 8 * n, _ref(n))
-    return info.value
-
-
-def _finish(a: np.ndarray, banded: bool, pivot_floor: float, info: int) -> CholeskyFactor:
-    """The factor in `a` from LAPACK's `info`, its pivots held to the floor; NotPositiveDefinite otherwise."""
-    if banded:
-        if info > 0:
-            raise NotPositiveDefinite(f"{info}-th leading minor not positive definite")
-        smallest = a[-1].min()
-        mode, data = "banded", a
-    else:
-        if info > 0:
-            raise NotPositiveDefinite(f"{info}-th leading minor of the array is not positive definite")
-        smallest = min(a.diagonal().tolist()) if a.size else math.inf
-        mode, data = "dense", (a, True)
-    if smallest * smallest <= pivot_floor:  # the pivots are positive: the smallest square is this one
-        raise NotPositiveDefinite("pivot below tolerance; matrix is semidefinite")
-    return CholeskyFactor(dim=a.shape[1], mode=mode, data=data)
-
-
-def _prepare(m: SparseSymMatrix | DenseSymMatrix | np.ndarray) -> tuple[np.ndarray, bool, float]:
-    """`cholesky`'s work before its LAPACK call: the finite and memory checks; the array LAPACK factors in place,
-    whether it is banded and the pivot floor.
-
-    The array is the upper band (bw + 1, n) in Fortran order, or the dense
-    array's transpose, which is Fortran-ordered (a symmetric array's
-    transpose is itself) and factored as its lower triangle.
     """
     taken = isinstance(m, np.ndarray)
     if taken:
         m = DenseSymMatrix._trusted(m)
     n = m.dim
+    if n == 0:
+        return CholeskyFactor(0, "dense", (np.zeros((0, 0)), True))
     if isinstance(m, DenseSymMatrix):
         bw = n - 1  # a dense factor is full
-        finite = n == 0 or math.isfinite(m._a.min()) and math.isfinite(m._a.max())  # no n x n flags
+        finite = math.isfinite(m._a.min()) and math.isfinite(m._a.max())  # no n x n flags
     else:
         terms = list(_terms(m))
         bw = max(c[2] for c, _ in terms)
         far = sum(np.bincount(pos[e] // (bw + 1), u[e], n) for (_, pos, tbw, e), u in terms if tbw == bw)
         big = np.max([np.abs(u).max(initial=0.0) for _, u in terms])  # NaN if any is
         if (m._sum or m.scale != 1.0) and not (far.any() and big < np.finfo(float).max / (2 * len(terms))):
-            return _prepare(SparseSymMatrix._trusted(m.to_csr()))  # the far diagonal cancels, or it may overflow
+            return cholesky(SparseSymMatrix._trusted(m.to_csr()))  # the far diagonal cancels, or it may overflow
         finite = bool(big < np.inf)
     banded = bw + 1 < n // 2
     need = 8 * ((bw + 1) * n if banded else n * n)
@@ -405,9 +326,23 @@ def _prepare(m: SparseSymMatrix | DenseSymMatrix | np.ndarray) -> tuple[np.ndarr
         flat = ab.ravel(order="F")  # a view: ab is Fortran-ordered
         for (_, pos, tbw, _), u in terms:  # a narrower term's places move to this band's columns pos // (tbw + 1)
             flat[pos if tbw == bw else pos + (bw - tbw) * (pos // (tbw + 1) + 1)] += u
-        return ab, True, _PIVOT_RTOL * float(np.abs(ab[bw]).max())
-    a = m._a if taken else m.to_dense()
-    return a.T, False, _PIVOT_RTOL * max(map(abs, a.diagonal().tolist())) if n else 0.0
+        pivot_floor = _PIVOT_RTOL * float(np.abs(ab[bw]).max())
+        factor, info = lapack.dpbtrf(ab, overwrite_ab=1)
+        if info > 0:
+            raise NotPositiveDefinite(f"{info}-th leading minor not positive definite")
+        smallest = factor[bw].min()
+        mode, data = "banded", factor
+    else:
+        a = m._a if taken else m.to_dense()
+        pivot_floor = _PIVOT_RTOL * max(map(abs, a.diagonal().tolist()))
+        c, info = lapack.dpotrf(a.T, lower=1, clean=1, overwrite_a=1)
+        if info > 0:
+            raise NotPositiveDefinite(f"{info}-th leading minor of the array is not positive definite")
+        smallest = min(c.diagonal().tolist())
+        mode, data = "dense", (c, True)
+    if smallest * smallest <= pivot_floor:  # the pivots are positive: the smallest square is this one
+        raise NotPositiveDefinite("pivot below tolerance; matrix is semidefinite")
+    return CholeskyFactor(dim=n, mode=mode, data=data)
 
 
 def solve_chol(f: CholeskyFactor, b: np.ndarray) -> np.ndarray:
@@ -429,6 +364,45 @@ def solve_chol(f: CholeskyFactor, b: np.ndarray) -> np.ndarray:
         x, _ = lapack.dpotrs(c, b, lower=lower)
     x /= f.scale
     return x
+
+
+def solve_chol_nogil(f: CholeskyFactor, x: np.ndarray) -> None:
+    """Overwrite the vector `x` with m^-1 x given a factor f of m, with the GIL released while LAPACK solves.
+
+    The routine and the bits are `solve_chol`'s, called through scipy's
+    `cython_lapack` by ctypes, so that two threads solve at once
+    (`run.run_table`).  The call with the factor's own arguments is built on
+    its first solve and kept with the factor.  `x` must be a writeable
+    C-contiguous float64 vector of the factor's order: ValueError otherwise.
+    """
+    if x.dtype != np.float64 or x.shape != (f.dim,) or not (x.flags.c_contiguous and x.flags.writeable):
+        raise ValueError(f"expected a writeable contiguous float64 vector of order {f.dim}")
+    if f.dim:
+        call, ldb = f._solve_call
+        call(x.ctypes.data, ldb, ctypes.byref(ctypes.c_int()))
+    x /= f.scale
+
+
+def _cython_lapack(name: str, nargs: int):
+    """scipy's `cython_lapack` routine `name` as a ctypes function of a character and nargs - 1 pointers.
+
+    A ctypes call releases the GIL, which scipy's f2py wrappers hold.
+    """
+    capsule = cython_lapack.__pyx_capi__[name]
+    get_name = ctypes.PYFUNCTYPE(ctypes.c_char_p, ctypes.py_object)(("PyCapsule_GetName", ctypes.pythonapi))
+    get_pointer = ctypes.PYFUNCTYPE(ctypes.c_void_p, ctypes.py_object, ctypes.c_char_p)(
+        ("PyCapsule_GetPointer", ctypes.pythonapi)
+    )
+    prototype = ctypes.CFUNCTYPE(None, ctypes.c_char_p, *[ctypes.c_void_p] * (nargs - 1))
+    return prototype(get_pointer(capsule, get_name(capsule)))
+
+
+_DPBTRS, _DPOTRS = _cython_lapack("dpbtrs", 9), _cython_lapack("dpotrs", 8)
+
+
+def _int_ref(v: int):
+    """A pointer to a fresh Fortran INTEGER holding v (the pointer keeps it alive)."""
+    return ctypes.byref(ctypes.c_int(v))
 
 
 def inverse_gram(f: CholeskyFactor, b) -> np.ndarray:

@@ -36,7 +36,7 @@ def schur_stages(monkeypatch):
 
 @pytest.fixture(autouse=True)
 def no_thread_left_running():
-    """Fail a test that leaves a non-daemon thread running: `run_table` joins its factor worker before it returns."""
+    """Fail a test that leaves a non-daemon thread running: `run_table` joins its solver threads before it returns."""
     before = set(threading.enumerate())
     yield
     left = [t.name for t in threading.enumerate() if t not in before and not t.daemon and t.is_alive()]

@@ -12,7 +12,7 @@ import msp.cli
 import msp.run
 import msp.saddle
 from msp.cli import EXIT_CONFIG, EXIT_OK, EXIT_SOLVER, EXIT_VIOLATION, main
-from msp.krylov import minres_solve
+from msp.krylov import _minres
 from msp.problems import PROBLEM_IDS, ProblemConfig, block_dims, build_problem, make_preconditioner
 from msp.sparselin import NotPositiveDefinite
 
@@ -117,9 +117,9 @@ class TestTable:
 
         def counting_minres(*args, **kwargs):
             calls.append(1)
-            return minres_solve(*args, **kwargs)
+            return _minres(*args, **kwargs)
 
-        monkeypatch.setattr(msp.run, "minres_solve", counting_minres)
+        monkeypatch.setattr(msp.run, "_minres", counting_minres)  # what run_table's solver threads call
         dest = tmp_path / "hist"
         code, _, _ = run_cli(
             capsys,
@@ -391,27 +391,19 @@ class TestExport:
 class TestFactorModes:
     @pytest.fixture
     def factors(self, monkeypatch):
-        """(storage kind, factor mode) of every `cholesky` call and every factor `run_table` starts ahead, in the
-        order they are finished."""
+        """(storage kind, factor mode) of every `cholesky` call, in call order."""
         from msp import problems, saddle, sparselin
 
         calls = []
-        cholesky, ahead = sparselin.cholesky, sparselin.cholesky_ahead
+        cholesky = sparselin.cholesky
 
-        def recorded(m, f):
+        def recording(m):
+            f = cholesky(m)
             calls.append((type(m).__name__, f.mode))
             return f
 
-        def recording(m):
-            return recorded(m, cholesky(m))
-
-        def recording_ahead(m, pool):
-            finish = ahead(m, pool)
-            return lambda: recorded(m, finish())
-
         for mod in (sparselin, saddle, problems):
             monkeypatch.setattr(mod, "cholesky", recording)
-        monkeypatch.setattr(msp.run, "cholesky_ahead", recording_ahead)
         return calls
 
     def test_schur_stages_are_factored_dense(self, capsys, factors):
@@ -551,7 +543,7 @@ class TestErrors:
         def fail(*args, **kwargs):
             raise NotPositiveDefinite("block 1 is not SPD")
 
-        monkeypatch.setattr(msp.run, "solve_problem", fail)
+        monkeypatch.setattr(msp.run, "_solve", fail)
         dest = tmp_path / "D"
         code, out, err = run_cli(capsys, "table", *SMALL, "--dump-residuals", str(dest))
         assert code == EXIT_SOLVER
@@ -566,9 +558,9 @@ class TestErrors:
             ("exact", "Schur complement S_3 is not SPD: 1-th leading minor of the array is not positive definite"),
         ],
     )
-    def test_indefinite_cell_factored_ahead_exits_3(self, capsys, monkeypatch, precond, message):
-        # the second cell's last block is factored while the first solves; made
-        # indefinite, it fails the table as a cell factored in turn does
+    def test_indefinite_second_cell_exits_3(self, capsys, monkeypatch, precond, message):
+        # the second cell is built and factored while the first solves; made
+        # indefinite, it fails the table as it does in a sequential run
         build = msp.run.build_problem
 
         def hooked(cfg):

@@ -593,3 +593,32 @@ class TestPreconditionedProduct:
             if res.converged:
                 true = np.linalg.norm(prob.rhs - prob.system.apply(res.solution))
                 assert res.residual_norms[-1] == true <= tol * np.linalg.norm(prob.rhs)
+
+
+class TestHugeAlpha:
+    # E = T sqrt(s_i / s_j) at the three-block scales (alpha, 1 / alpha): the
+    # quotient alpha^2 overflows from alpha about 1.3e154, where the hooks took
+    # a NaN (500 unconverged steps after a RuntimeWarning); sqrt(s_i) / sqrt(s_j)
+    # does not, and stands in only where the quotient leaves the normal range
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("variant", ["practical", "exact"])
+    @pytest.mark.parametrize(
+        "pid, practical_steps",
+        [("distributed_strong", 21), ("boundary_observation", 21), ("distributed_very_weak", 19)],
+    )
+    def test_every_huge_alpha_converges_without_a_warning(self, pid, practical_steps, variant):
+        for alpha in (1e100, 1e150, 1e155, 1e200, 1e300):
+            prob = pb.build_problem(pb.ProblemConfig(pid, d=2, p=2, level=3, alpha=alpha))
+            res = run.solve_problem(prob, pb.make_preconditioner(prob, variant))
+            assert (res.converged, res.iterations) == (True, practical_steps if variant == "practical" else 3)
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize(
+        "alpha, normal", [(1e-300, False), (1e-7, True), (1.0, True), (1e150, True), (1e155, False), (1e300, False)]
+    )
+    def test_lead_product_keeps_the_root_of_a_normal_quotient(self, alpha, normal):
+        # where alpha^2 and alpha^-2 are normal numbers, E keeps its bits
+        pre = pb.build_problem(pb.ProblemConfig("distributed_strong", d=1, p=2, level=3, alpha=alpha)).practical
+        s = np.array([alpha, 1.0 / alpha])
+        e = np.sqrt(np.divide.outer(s, s)) if normal else np.sqrt(s)[:, None] / np.sqrt(s)
+        assert pre._lead_product.tobytes() == (pre.lead * e).tobytes()

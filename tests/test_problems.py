@@ -1,6 +1,7 @@
 """Optimal-control optimality systems: dimensions, spectra, preconditioners."""
 
 import gc
+import sys
 import threading
 import tracemalloc
 import weakref
@@ -600,25 +601,24 @@ class TestPlan:
 
 class TestTableMemory:
     @pytest.mark.parametrize("variant", ["practical", "exact_schur"])
-    def test_run_table_holds_one_cell_and_the_next(self, monkeypatch, variant):
-        # each cell's problem, preconditioner and solution are dropped before
-        # the next cell's preconditioner is made.  The next cell of the same
-        # level is built (and its last block factored) while this one solves,
-        # so its build finds this cell alive, but none before it; the first
-        # cell of a level is built after the last one's is dropped (no
-        # gc.collect, so a reference cycle would fail this too)
-        refs, alive_at_build = [], []
+    def test_run_table_holds_two_cells(self, monkeypatch, variant):
+        # two cells solve at once: a cell is built and its preconditioner made
+        # while the cell before it may still solve, but every cell before that
+        # one is dropped, its problem, preconditioner and solution included
+        # (no gc.collect, so a reference cycle would fail this too)
+        refs = []
         build, make = run.build_problem, run.make_preconditioner
 
+        def check_held():
+            assert all(r() is None for r in refs[:-1]), "a cell before the previous one is still alive"
+
         def checked_build(cfg):
-            alive = [r() is not None for r in refs]
-            assert not any(alive[:-1]), "a cell before the current one is still alive"
-            alive_at_build.append(any(alive))
+            check_held()
             return build(cfg)
 
-        def recorded_make(prob, name, last=None):
-            assert all(r() is None for r in refs), "an earlier cell is still alive"
-            precond = make(prob, name, last)
+        def recorded_make(prob, name):
+            check_held()
+            precond = make(prob, name)
             refs.append(weakref.ref(precond))
             return precond
 
@@ -626,7 +626,6 @@ class TestTableMemory:
         monkeypatch.setattr(run, "make_preconditioner", recorded_make)
         cells = run.run_table("boundary_observation", 2, 2, [2, 3], [1.0, 1e-3, 1e-5], variant, None)
         assert len(cells) == len(refs) == 6
-        assert alive_at_build == [False, True, True] * 2
         assert all(r() is None for r in refs)
 
 
@@ -635,8 +634,12 @@ class InjectedFault(Exception):
 
 
 def _spoil(prob, fault):
-    """Spoil the last block of both preconditioners of a three-block problem, A_3 + alpha B and S_3 = A_3 + alpha G:
-    negate it ("indefinite": LAPACK fails) or make it infinite ("non-finite": refused before LAPACK is called)."""
+    """Spoil a three-block problem.  "indefinite" and "non-finite" spoil the last block of both preconditioners,
+    A_3 + alpha B and S_3 = A_3 + alpha G: negated (LAPACK fails) or infinite (refused before LAPACK is called);
+    "minres" puts a NaN in the right-hand side, which MINRES refuses."""
+    if fault == "minres":
+        prob.rhs[-1] = np.nan
+        return prob
     practical_scale, exact_scale = (-1.0, -1e6) if fault == "indefinite" else (np.inf, np.inf)
     prob.practical_blocks[-1] = prob.practical_blocks[-1].scaled(practical_scale)
     prob.system.A[-1] = prob.system.A[-1].scaled(exact_scale)
@@ -644,8 +647,8 @@ def _spoil(prob, fault):
 
 
 def fault_at(monkeypatch, level, alpha, fault):
-    """Make `run`'s build of the cell (level, alpha) fail or spoil its last block (`_spoil`); the cells solved."""
-    build, solve = run.build_problem, run.solve_problem
+    """Make `run`'s build of the cell (level, alpha) fail or spoil it (`_spoil`); the cells whose MINRES started."""
+    build, solve = run.build_problem, run._solve
     solved = []
 
     def hooked_build(cfg):
@@ -660,12 +663,25 @@ def fault_at(monkeypatch, level, alpha, fault):
         return solve(prob, *args, **kwargs)
 
     monkeypatch.setattr(run, "build_problem", hooked_build)
-    monkeypatch.setattr(run, "solve_problem", counted_solve)
+    monkeypatch.setattr(run, "_solve", counted_solve)
     return solved
 
 
+def table_solutions(monkeypatch):
+    """The solutions of the cells that `run.run_table` solves from here on, by (level, alpha)."""
+    solve, solutions = run._solve, {}
+
+    def capturing_solve(prob, *args, **kwargs):
+        res = solve(prob, *args, **kwargs)
+        solutions[prob.config.level, prob.config.alpha] = res.solution
+        return res
+
+    monkeypatch.setattr(run, "_solve", capturing_solve)
+    return solutions
+
+
 def sequential_cells(problem, d, p, levels, alphas, variant, geometry):
-    """A table's cells and solutions, one cell after another through the public steps: the pipeline's oracle."""
+    """A table's cells and solutions, one cell after another through the public steps: the concurrent table's oracle."""
     out = []
     for level in levels:
         for alpha in alphas:
@@ -677,9 +693,8 @@ def sequential_cells(problem, d, p, levels, alphas, variant, geometry):
     return out
 
 
-class TestPipelinedTable:
-    # while a cell solves, the next cell of its level has its last block
-    # factored on a worker thread; nothing computed may move
+class TestConcurrentTable:
+    # two cells solve at once, each on a solver thread; nothing computed may move
     @pytest.mark.parametrize(
         "problem, d, p, levels, alphas, variant, geometry",
         [
@@ -694,59 +709,66 @@ class TestPipelinedTable:
     )
     def test_cells_are_bitwise_the_sequential_ones(self, monkeypatch, problem, d, p, levels, alphas, variant, geometry):
         want = sequential_cells(problem, d, p, levels, alphas, variant, geometry)
-        solutions, started = [], []
-        solve, ahead = run.solve_problem, run.cholesky_ahead
-
-        def capturing_solve(*args, **kwargs):
-            res = solve(*args, **kwargs)
-            solutions.append(res.solution)
-            return res
-
-        def counted_ahead(m, pool):
-            started.append(type(m).__name__)
-            return ahead(m, pool)
-
-        monkeypatch.setattr(run, "solve_problem", capturing_solve)
-        monkeypatch.setattr(run, "cholesky_ahead", counted_ahead)
+        solutions = table_solutions(monkeypatch)
         cells = run.run_table(problem, d, p, levels, alphas, variant, geometry)
-        got = [
-            (c.level, c.alpha, c.dof, c.iterations, c.converged, c.residual_history, x)
-            for c, x in zip(cells, solutions, strict=True)
-        ]
-        assert len(got) == len(want)
-        for g, w in zip(got, want):
-            assert g[:6] == w[:6]
-            assert g[6].tobytes() == w[6].tobytes()
-        # every cell but the first of each level had its last block started ahead
-        kind = "SparseSymMatrix" if variant == "practical" else "ndarray"
-        assert started == [kind] * (len(levels) * (len(alphas) - 1))
+        got = [(c.level, c.alpha, c.dof, c.iterations, c.converged, c.residual_history) for c in cells]
+        assert got == [w[:6] for w in want]
+        assert len(solutions) == len(want)
+        for w in want:
+            assert solutions[w[0], w[1]].tobytes() == w[6].tobytes()
 
     @pytest.mark.parametrize("variant", ["practical", "exact_schur"])
-    @pytest.mark.parametrize("fault", ["indefinite", "non-finite", "build"])
-    @pytest.mark.parametrize("level, alpha", [(2, 1e-3), (2, 1.0), (3, 1.0), (3, 1e-5)])
+    @pytest.mark.parametrize("fault", ["indefinite", "non-finite", "build", "minres"])
+    @pytest.mark.parametrize("level, alpha", [(2, 1.0), (2, 1e-3), (3, 1.0), (3, 1e-5)])
     def test_a_failing_cell_raises_in_its_own_turn(self, monkeypatch, variant, fault, level, alpha):
-        # a cell started ahead (alpha 1e-3 and 1e-5) fails as one built in
-        # turn (the first of its level): after the cells before it are solved,
-        # with the exception of the sequential run
+        # the sequential run's exception, after the cells before it are solved;
+        # no cell after it is built, but for the one whose MINRES was started
+        # with it, before its own failure was seen
         cfg = pb.ProblemConfig("boundary_observation", d=2, p=2, level=level, alpha=alpha)
         want = {
             "indefinite": (NotPositiveDefinite, "block 3" if variant == "practical" else "Schur complement S_3"),
             "non-finite": (ValueError, "array must not contain infs or NaNs"),
             "build": (InjectedFault, f"build of level {level}, alpha {alpha:g}"),
+            "minres": (ValueError, "right-hand side holds a NaN or an inf"),
         }[fault]
         if fault != "build":
+            prob = _spoil(pb.build_problem(cfg), fault)
             with pytest.raises(want[0]) as sequential:
-                pb.make_preconditioner(_spoil(pb.build_problem(cfg), fault), variant)
+                run.solve_problem(prob, pb.make_preconditioner(prob, variant))
             assert str(sequential.value).startswith(want[1])
             want = (want[0], str(sequential.value))
         solved = fault_at(monkeypatch, level, alpha, fault)
         threads = threading.active_count()
-        with pytest.raises(want[0]) as pipelined:
+        with pytest.raises(want[0]) as concurrent:
             run.run_table("boundary_observation", 2, 2, [2, 3], [1.0, 1e-3, 1e-5], variant, None)
-        assert str(pipelined.value) == want[1]
+        assert str(concurrent.value) == want[1]
         cells = [(lv, a) for lv in (2, 3) for a in (1.0, 1e-3, 1e-5)]
-        assert solved == cells[: cells.index((level, alpha))]
+        k = cells.index((level, alpha))
+        if fault == "minres":
+            assert set(cells[: k + 1]) <= set(solved) <= set(cells[: k + 2])
+        else:
+            assert sorted(solved, key=cells.index) == cells[:k]
         assert threading.active_count() == threads
+
+    def test_shared_factors_under_more_threads_than_cores(self, monkeypatch):
+        # every cell's lead block is the mesh's one mass factor, whose cached
+        # LAPACK call the solver threads build and read at once: with four of
+        # them and a short switch interval, every cell keeps its bits
+        alphas = list(pb.DEFAULT_ALPHAS)
+        pb.get_operators.cache_clear()  # a fresh mass factor, first solved on the solver threads
+        solutions = table_solutions(monkeypatch)
+        monkeypatch.setattr(run, "SOLVERS", 4)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            cells = run.run_table("distributed_very_weak", 2, 2, [3], alphas, "practical", None)
+        finally:
+            sys.setswitchinterval(interval)
+        want = sequential_cells("distributed_very_weak", 2, 2, [3], alphas, "practical", None)
+        assert [(c.level, c.alpha, c.dof, c.iterations, c.converged, c.residual_history) for c in cells] == [
+            w[:6] for w in want
+        ]
+        assert all(solutions[w[0], w[1]].tobytes() == w[6].tobytes() for w in want)
 
     @pytest.mark.parametrize("alphas", [[1.0], [1.0, 1e-3, 1e-5]])
     def test_no_thread_outlives_the_table(self, alphas):

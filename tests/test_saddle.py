@@ -728,8 +728,8 @@ class TestSplitSpectrum:
             radii[scale] = radius
             return ev, radius
 
-        def scaled_stage(prob, last=None):
-            pre = exact(prob, last)
+        def scaled_stage(prob):
+            pre = exact(prob)
             factors = [*pre.factors[:-1], pre.factors[-1].scaled(scale)]
             return sd.SchurPreconditioner(factors=factors, system=prob.system, lead=prob.lead_pattern)
 
@@ -766,8 +766,8 @@ class TestSplitSpectrum:
                 raise AssertionError("a split spectrum took a QR")
             return qr(*args, **kwargs)
 
-        def scaled_stage(prob, last=None):
-            pre = exact(prob, last)
+        def scaled_stage(prob):
+            pre = exact(prob)
             factors = [*pre.factors[:-1], pre.factors[-1].scaled(scale)]
             return sd.SchurPreconditioner(factors=factors, system=prob.system, lead=prob.lead_pattern)
 

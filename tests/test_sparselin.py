@@ -680,22 +680,7 @@ class TestSumView:
         problems.get_operators.cache_clear()
 
 
-class _Inline:
-    """An executor that records what is submitted to it and runs it at once, on the calling thread."""
-
-    def __init__(self):
-        self.submitted = []
-
-    def submit(self, fn, *args):
-        from concurrent.futures import Future
-
-        self.submitted.append(fn)
-        done = Future()
-        done.set_result(fn(*args))
-        return done
-
-
-def ahead_cases():
+def factor_cases():
     """(name, matrix factory) pairs that cover every path of `cholesky`: each factory returns a fresh input."""
     tri = 4.0 * np.eye(12) - np.eye(12, k=1) - np.eye(12, k=-1)
     edge = np.zeros((12, 12))
@@ -717,65 +702,44 @@ def ahead_cases():
     ]
 
 
-class TestCholeskyAhead:
-    @pytest.fixture
-    def pool(self):
-        from concurrent.futures import ThreadPoolExecutor
+class TestSolveNogil:
+    @pytest.mark.parametrize("scale", [1.0, 1e-3, 7.5])
+    @pytest.mark.parametrize("name, make", factor_cases(), ids=[c[0] for c in factor_cases()])
+    def test_solve_is_bitwise_solve_chol(self, name, make, scale):
+        # banded, dense and empty factors, and views of them at a scale
+        f = sl.cholesky(make())
+        f = f if scale == 1.0 else f.scaled(scale)
+        b = np.random.default_rng(37).standard_normal(f.dim)
+        x = b.copy()
+        assert sl.solve_chol_nogil(f, x) is None
+        assert x.tobytes() == sl.solve_chol(f, b).tobytes()
 
-        with ThreadPoolExecutor(max_workers=1) as pool:
-            yield pool
-
-    @pytest.mark.parametrize("name, make", ahead_cases(), ids=[c[0] for c in ahead_cases()])
-    def test_factor_is_bitwise_the_synchronous_one(self, pool, name, make):
-        want, m = sl.cholesky(make()), make()
-        kept = m.copy() if isinstance(m, np.ndarray) else m.to_dense()
-        got = sl.cholesky_ahead(m, pool)()
-        assert (got.dim, got.mode, got.scale) == (want.dim, want.mode, want.scale)
-        if got.mode == "banded":
-            assert got.data.tobytes() == want.data.tobytes() and got.data.flags.f_contiguous
-        else:
-            assert got.data[0].tobytes() == want.data[0].tobytes() and got.data[1] is want.data[1] is True
-        if isinstance(m, np.ndarray):  # taken over, as `cholesky` does
-            assert m.size == 0 or np.shares_memory(got.data[0], m)
-        else:
-            assert np.array_equal(m.to_dense(), kept)
-
-    def test_only_the_lapack_call_is_submitted(self):
-        # the array is prepared before the call is submitted, and finished after it
-        inline = _Inline()
-        for _, make in ahead_cases():
-            sl.cholesky_ahead(make(), inline)()
-        assert set(inline.submitted) == {sl._lapack_nogil}
+    def test_solves_into_a_slice(self):
+        # a block's rows of a longer vector, as the preconditioner solves them
+        f = sl.cholesky(sl.SparseSymMatrix.from_dense(random_banded_spd(60, 3, seed=38)[0]))
+        out = np.random.default_rng(39).standard_normal(80)
+        want = np.concatenate([out[:10], sl.solve_chol(f, out[10:70]), out[70:]])
+        sl.solve_chol_nogil(f, out[10:70])
+        assert out.tobytes() == want.tobytes()
 
     @pytest.mark.parametrize(
-        "diagonal, sparse, message",
-        [
-            ([1.0, -1.0], True, "2-th leading minor of the array is not positive definite"),  # a dense factor
-            ([1.0] * 10 + [-1.0] + [1.0] * 9, True, "11-th leading minor not positive definite"),
-            ([1.0] * 10 + [-1.0] + [1.0] * 9, False, "11-th leading minor of the array is not positive definite"),
-            ([1.0] * 10 + [1e-20] + [1.0] * 9, True, "pivot below tolerance; matrix is semidefinite"),
-            ([1.0] * 10 + [1e-20] + [1.0] * 9, False, "pivot below tolerance; matrix is semidefinite"),
-        ],
+        "x",
+        [np.ones(5), np.ones(6, dtype=np.float32), np.ones(12)[::2], np.ones((6, 1))],
+        ids=["order", "dtype", "strided", "matrix"],
     )
-    def test_pivot_failures_raise_when_finished(self, pool, diagonal, sparse, message):
-        # `cholesky`'s message, raised by the function that finishes the factor
-        def make():
-            a = np.diag(diagonal)
-            return sl.SparseSymMatrix.from_dense(a) if sparse else a
+    def test_refuses_a_vector_lapack_cannot_take(self, x):
+        f = sl.cholesky(random_spd(6, seed=40))
+        with pytest.raises(ValueError, match="^expected a writeable contiguous float64 vector of order 6$"):
+            sl.solve_chol_nogil(f, x)
 
-        with pytest.raises(sl.NotPositiveDefinite, match=f"^{message}$"):
-            sl.cholesky(make())
-        finish = sl.cholesky_ahead(make(), pool)
-        with pytest.raises(sl.NotPositiveDefinite, match=f"^{message}$"):
-            finish()
+    def test_refuses_a_read_only_vector(self):
+        x = np.ones(6)
+        x.flags.writeable = False
+        with pytest.raises(ValueError, match="writeable"):
+            sl.solve_chol_nogil(sl.cholesky(random_spd(6, seed=41)), x)
 
-    def test_checks_raise_before_anything_is_submitted(self, monkeypatch):
-        inline = _Inline()
-        a = random_spd(6, seed=35)
-        a[1, 2] = a[2, 1] = np.nan
-        with pytest.raises(ValueError, match="infs or NaNs"):
-            sl.cholesky_ahead(a, inline)
-        monkeypatch.setattr(sl, "physical_memory_bytes", lambda: 100)
-        with pytest.raises(ValueError, match="more than the 100 bytes of physical memory"):
-            sl.cholesky_ahead(sl.DenseSymMatrix(random_spd(6, seed=35)), inline)
-        assert inline.submitted == []
+    def test_refuses_a_factor_not_in_fortran_order(self):
+        f = sl.cholesky(random_spd(6, seed=42))
+        c_ordered = sl.CholeskyFactor(f.dim, f.mode, (np.ascontiguousarray(f.data[0]), True))
+        with pytest.raises(ValueError, match="^LAPACK needs a Fortran-ordered float64 factor$"):
+            sl.solve_chol_nogil(c_ordered, np.ones(6))

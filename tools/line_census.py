@@ -4,7 +4,7 @@
     python3 tools/line_census.py [--root CHECKOUT]
 
 Runs, under `sys.settrace` and `threading.settrace` (so that the lines
-`run_table`'s factor worker thread runs count), the production traffic of a
+`run_table`'s solver threads run count), the production traffic of a
 checkout (default: this one): a CLI sweep of `verify`, and of `table`,
 `spectrum` and `export` for every problem at 1D p=2 L4, 2D p=2 L3 and 3D
 p=3 L2 with both preconditioners and `--lanczos`, plus the refusals; then
@@ -135,7 +135,7 @@ def main(argv=None) -> int:
         return line_events if frame.f_code.co_filename.startswith(str(package)) else None
 
     sys.settrace(calls)
-    threading.settrace(calls)  # each thread started from here on, the factor worker's included
+    threading.settrace(calls)  # each thread started from here on, the solver threads included
     try:
         import msp  # noqa: F401  (module-level lines run now, traced)
 

@@ -126,15 +126,15 @@ def _digest(*parts) -> str:
 def factor_census(name: str):
     """Count the factors of the enclosed run by (storage kind, factor mode); print them after it.
 
-    A factor is a `sparselin.cholesky` call, or a `sparselin.cholesky_ahead`
-    call (a factor `run_table` starts ahead) counted as the same `cholesky`
-    call when its factor is finished, so that the pipelined factors count
-    as the sequential ones do.  The wrappers are bound in every msp module
-    that holds either function, as `from .sparselin import cholesky` makes
-    a module do; `msp.cli` imports them all first, so none is first
-    imported (and left unwrapped or never restored) inside the run.  Every
-    record set factors something, so an empty census means the wrappers
-    missed the calls: RuntimeError.
+    A factor is a `sparselin.cholesky` call, or, in a checkout whose
+    `run_table` factored the next cell's last block ahead, a
+    `sparselin.cholesky_ahead` call counted as the same `cholesky` call when
+    its factor is finished, so that both count as the sequential ones do.
+    The wrappers are bound in every msp module that holds either function,
+    as `from .sparselin import cholesky` makes a module do; `msp.cli`
+    imports them all first, so none is first imported (and left unwrapped
+    or never restored) inside the run.  Every record set factors something,
+    so an empty census means the wrappers missed the calls: RuntimeError.
     """
     import msp.cli  # noqa: F401  (every msp module)
     from msp import sparselin
@@ -198,27 +198,33 @@ def spectrum_census():
 def run_table_records(solutions: dict) -> None:
     from msp import problems, run
 
-    captured = []
-    solve = run.solve_problem
+    # Each cell's solution, taken where its solve enters: `run._solve`, which `run_table`'s solver threads call
+    # (two cells at once, so the captures come in any order), or `run.solve_problem` in a checkout older than
+    # those threads.
+    entry = "_solve" if hasattr(run, "_solve") else "solve_problem"
+    solve, captured = getattr(run, entry), {}
 
-    def capturing_solve(*args, **kwargs):
-        res = solve(*args, **kwargs)
-        captured.append(res.solution.copy())
+    def capturing_solve(prob, *args, **kwargs):
+        res = solve(prob, *args, **kwargs)
+        captured[prob.config.level, prob.config.alpha] = res.solution.copy()
         return res
 
-    run.solve_problem = capturing_solve
+    setattr(run, entry, capturing_solve)
     try:
         for problem, d, p, level, geometry in _grid():
             for variant in ("practical", "exact_schur"):
                 captured.clear()
                 cells = run.run_table(problem, d, p, [level], list(problems.DEFAULT_ALPHAS), variant, geometry)
-                for cell, x in zip(cells, captured, strict=True):
+                if sorted(captured) != sorted((cell.level, cell.alpha) for cell in cells):
+                    raise RuntimeError(f"run_table records: the solutions captured at run.{entry} miss cells")
+                for cell in cells:
+                    x = captured[cell.level, cell.alpha]
                     key = f"{problem} d={d} p={p} L={level} {variant} alpha={cell.alpha:g}"
                     solutions[key] = x
                     h = _digest(str(cell.dof), str(cell.iterations), str(cell.converged), cell.residual_history, x)
                     print(f"record {key}: it={cell.iterations} conv={cell.converged} {h}")
     finally:
-        run.solve_problem = solve
+        setattr(run, entry, solve)
 
 
 def _cli(argv: list[str]) -> tuple[int, str, str]:
