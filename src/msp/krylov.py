@@ -94,12 +94,12 @@ def _minres(
     apply_a: Operator,
     apply_prec_inv: Operator,
     b: np.ndarray,
-    tol: float = 1e-8,
-    maxit: int = 500,
-    product: Callable[[np.ndarray, np.ndarray, float], np.ndarray] | None = None,
-    head: Operator | None = None,
+    tol: float,
+    maxit: int,
+    product: Callable[[np.ndarray, np.ndarray, float], np.ndarray] | None,
+    head: Operator | None,
 ) -> SolveResult:
-    """`minres_solve`, under a name of its own: `run.run_table`'s solver threads call this one.
+    """`minres_solve`, under a name of its own: `run._solve` calls this one, on `run_table`'s solver threads too.
 
     The benchmark's tracer rebinds `minres_solve` (and any other name bound
     to it) to a wrapper that keeps spans on one stack, which only the main

@@ -6,7 +6,7 @@ from collections import deque
 from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass
 
-from .krylov import SolveResult, _minres, check_stopping, minres_solve
+from .krylov import SolveResult, _minres, check_stopping
 from .problems import AssembledProblem, ProblemConfig, build_problem, make_preconditioner, plan
 from .saddle import SchurPreconditioner
 
@@ -31,28 +31,25 @@ def solve_problem(
     preconditioner without a lead pattern has none: ValueError.  Every
     convergence is confirmed with `prob.system.apply`.
     """
-    return _solve(prob, precond, tol, maxit, minres_solve)
+    return _solve(prob, precond, tol, maxit)
 
 
-def _solve(prob: AssembledProblem, precond: SchurPreconditioner, tol: float, maxit: int, minres) -> SolveResult:
-    """`solve_problem` through `minres`: `krylov.minres_solve`, or `krylov._minres` on a solver thread."""
+def _solve(prob: AssembledProblem, precond: SchurPreconditioner, tol: float, maxit: int) -> SolveResult:
+    """`solve_problem` through `krylov._minres`: the one chain of `solve_problem` and `run_table`'s solver threads."""
     if precond.lead is None:
         raise ValueError("the preconditioner carries no lead pattern for MINRES's hooks")
-    return minres(
-        prob.system.apply, precond.apply_inverse, prob.rhs, tol=tol, maxit=maxit,
-        product=precond.apply_preconditioned, head=precond.preconditioned_head,
+    return _minres(
+        prob.system.apply, precond.apply_inverse, prob.rhs, tol, maxit,
+        precond.apply_preconditioned, precond.preconditioned_head,
     )
 
 
 def _solve_cell(cell: list, tol: float, maxit: int) -> SolveResult:
-    """A solver thread's job: `_solve` with `krylov._minres` of the (problem, preconditioner) pair in `cell`.
-
-    The pair is taken out of `cell` first, so that it dies as this returns,
-    before its future holds the result.
-    """
+    """A solver thread's job: `_solve` of the (problem, preconditioner) pair in `cell`, taken out of `cell`
+    first, so that the pair dies as this returns, before its future holds the result."""
     prob, precond = cell
     cell.clear()
-    return _solve(prob, precond, tol, maxit, _minres)
+    return _solve(prob, precond, tol, maxit)
 
 
 @dataclass

@@ -26,7 +26,7 @@ from itertools import accumulate
 import numpy as np
 import scipy.sparse
 from scipy.linalg.blas import dtrsm
-from scipy.linalg.lapack import dsygst, dtbtrs, dtrtrs
+from scipy.linalg.lapack import dsygst
 
 from .chebyshev import BoundSet, bounds, smallest_abs_root
 from .sparselin import (
@@ -565,15 +565,6 @@ def _enclosure_decides(ev: np.ndarray, radius: float, n: int) -> bool:
     return end(-radius, lambda x: x / w) == end(radius, lambda x: x * w)
 
 
-def _triangular_solve(f: CholeskyFactor, v: np.ndarray, trans: int) -> np.ndarray:
-    """L^{-1} v (trans 0) or L^{-T} v (trans 1) for the factor L of `f`, solved on the stored band of U,
-    L = sqrt(scale) U', by dtbtrs, or on the stored dense L / sqrt(scale) by dtrtrs."""
-    banded = f.mode == "banded"
-    x, _ = dtbtrs(f.data, v, trans=("T", "N")[trans]) if banded else dtrtrs(f.data[0], v, lower=1, trans=trans)
-    x /= np.sqrt(f.scale)
-    return x
-
-
 def _probe_lead(sys: BlockTridiagSystem, lead: list[tuple[CholeskyFactor, slice]], t: np.ndarray) -> float:
     """Check ||C_lead z - (T ⊗ I) z|| <= LEAD_PROBE_TOL ||z|| on two random z; LeadMismatch otherwise,
     else the larger relative residual.
@@ -590,10 +581,10 @@ def _probe_lead(sys: BlockTridiagSystem, lead: list[tuple[CholeskyFactor, slice]
         z = rng.standard_normal(size)
         x = np.zeros(sys.total_dim)
         for f, s in lead:
-            x[s] = _triangular_solve(f, z[s], 1)
+            x[s] = f.triangular_solve(z[s], 1)
         y = sys.apply(x)
         for f, s in lead:
-            y[s] = _triangular_solve(f, y[s], 0)
+            y[s] = f.triangular_solve(y[s], 0)
         res = np.linalg.norm(y[:size] - (t @ z.reshape(len(t), -1)).ravel())
         if not res <= LEAD_PROBE_TOL * np.linalg.norm(z):
             raise LeadMismatch(

@@ -229,6 +229,16 @@ class CholeskyFactor:
         out.ravel(order="F")[(j * (n + 1) - k * n)[on]] = band[::-1][on]  # a view: out is Fortran-ordered
         return out
 
+    def triangular_solve(self, v: np.ndarray, trans: int) -> np.ndarray:
+        """L^{-1} v (trans 0) or L^{-T} v (trans 1) for the L of `lower`, solved on the stored band of U,
+        L = sqrt(scale) U', by dtbtrs, or on the stored dense L / sqrt(scale) by dtrtrs."""
+        if self.mode == "banded":
+            x, _ = lapack.dtbtrs(self.data, v, trans=("T", "N")[trans])
+        else:
+            x, _ = lapack.dtrtrs(self.data[0], v, lower=1, trans=trans)
+        x /= np.sqrt(self.scale)
+        return x
+
     @functools.cached_property
     def _solve_call(self):
         """`solve_chol_nogil`'s LAPACK call with every argument before b bound, and the reference to ldb = n.
@@ -280,8 +290,8 @@ def cholesky(m: SparseSymMatrix | DenseSymMatrix | np.ndarray) -> CholeskyFactor
 
     Dense storage gets a dense factor.  Sparse storage gets a banded one
     when its band width bw, read off its nonzero entries, has bw + 1 < n // 2,
-    and a dense one otherwise.  A pivot is rejected when it is below 1e-14
-    times the largest initial diagonal entry, which flags semidefinite
+    and a dense one otherwise.  A pivot l_ii is rejected when l_ii^2 is at
+    most 1e-14 a_ii, its own initial diagonal entry, which flags semidefinite
     blocks that LAPACK would let pass with a tiny positive pivot.  Before
     allocating, the factor's entries are estimated, (bw + 1) n banded or
     n^2 dense; a factor whose bytes exceed the host's physical memory raises
@@ -326,21 +336,21 @@ def cholesky(m: SparseSymMatrix | DenseSymMatrix | np.ndarray) -> CholeskyFactor
         flat = ab.ravel(order="F")  # a view: ab is Fortran-ordered
         for (_, pos, tbw, _), u in terms:  # a narrower term's places move to this band's columns pos // (tbw + 1)
             flat[pos if tbw == bw else pos + (bw - tbw) * (pos // (tbw + 1) + 1)] += u
-        pivot_floor = _PIVOT_RTOL * float(np.abs(ab[bw]).max())
+        diagonal = ab[bw].copy()  # LAPACK overwrites it
         factor, info = lapack.dpbtrf(ab, overwrite_ab=1)
         if info > 0:
             raise NotPositiveDefinite(f"{info}-th leading minor not positive definite")
-        smallest = factor[bw].min()
+        tiny = bool((factor[bw] * factor[bw] <= _PIVOT_RTOL * diagonal).any())
         mode, data = "banded", factor
     else:
         a = m._a if taken else m.to_dense()
-        pivot_floor = _PIVOT_RTOL * max(map(abs, a.diagonal().tolist()))
+        diagonal = a.diagonal().tolist()
         c, info = lapack.dpotrf(a.T, lower=1, clean=1, overwrite_a=1)
         if info > 0:
             raise NotPositiveDefinite(f"{info}-th leading minor of the array is not positive definite")
-        smallest = min(c.diagonal().tolist())
+        tiny = any(u * u <= _PIVOT_RTOL * d for u, d in zip(c.diagonal().tolist(), diagonal))
         mode, data = "dense", (c, True)
-    if smallest * smallest <= pivot_floor:  # the pivots are positive: the smallest square is this one
+    if tiny:
         raise NotPositiveDefinite("pivot below tolerance; matrix is semidefinite")
     return CholeskyFactor(dim=n, mode=mode, data=data)
 

@@ -1,5 +1,7 @@
 """Command-line interface: exit codes, output formats, file artifacts."""
 
+import contextlib
+import io
 import os
 import re
 import subprocess
@@ -7,6 +9,8 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import msp.cli
 import msp.run
@@ -658,3 +662,25 @@ class TestOptions:
             assert code == EXIT_OK and "n=6" in out
         assert len(parsers) == 2 and parsers[0] is parsers[1]
         assert parsers[0].parse_args(["verify"]).n == [2, 3, 4, 5, 6]
+
+
+class TestAlphaSweep:
+    # anywhere on the alpha axis, table and spectrum end in an exit code: no
+    # exception escapes and no warning is raised
+    @pytest.mark.filterwarnings("error")
+    @settings(max_examples=30, deadline=None)
+    @given(
+        command=st.sampled_from(["table", "spectrum"]),
+        problem=st.sampled_from(PROBLEM_IDS),
+        precond=st.sampled_from(["practical", "exact"]),
+        d=st.integers(1, 3),
+        p=st.integers(1, 3),
+        level=st.integers(0, 2),
+        exponent=st.floats(-300, 300),
+    )
+    def test_every_alpha_ends_in_an_exit_code(self, command, problem, precond, d, p, level, exponent):
+        argv = [command, "--problem", problem, "--precond", precond, "--dim", str(d), "--degree", str(p)]
+        argv += ["--levels", str(level), "--alphas", repr(10.0**exponent)]
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            code = main(argv)
+        assert code in (EXIT_OK, EXIT_VIOLATION, EXIT_CONFIG, EXIT_SOLVER)

@@ -622,3 +622,16 @@ class TestHugeAlpha:
         s = np.array([alpha, 1.0 / alpha])
         e = np.sqrt(np.divide.outer(s, s)) if normal else np.sqrt(s)[:, None] / np.sqrt(s)
         assert pre._lead_product.tobytes() == (pre.lead * e).tobytes()
+
+
+class TestTinyAlpha:
+    # the last blocks of the boundary problems mix alpha-scaled and unscaled
+    # rows: a pivot floor relative to the block's largest diagonal entry refused
+    # them from alpha 1e-15 down, one relative to each pivot's own entry does not
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("variant", ["practical", "exact"])
+    @pytest.mark.parametrize("pid, practical_steps", [("boundary_control", 25), ("boundary_observation", 15)])
+    def test_boundary_problems_converge_at_alpha_1e_16(self, pid, practical_steps, variant):
+        prob = pb.build_problem(pb.ProblemConfig(pid, d=2, p=2, level=3, alpha=1e-16))
+        res = run.solve_problem(prob, pb.make_preconditioner(prob, variant))
+        assert (res.converged, res.iterations) == (True, practical_steps if variant == "practical" else 3)

@@ -9,7 +9,7 @@ import scipy.sparse
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from msp import problems
+from msp import problems, sparselin
 from msp import saddle as sd
 from msp.chebyshev import bounds, pbar_roots
 from msp.sparselin import DenseSymMatrix, NotPositiveDefinite, SparseSymMatrix, cholesky, gen_sym_eig
@@ -159,14 +159,18 @@ class TestSchurRecursion:
         with np.errstate(over="ignore"), pytest.raises(ValueError, match="infs or NaNs"):
             sd.exact_schur(sys)
 
-    def test_semidefinite_stage_named(self):
-        # S_2 = diag(1, 1e-20) + diag(1, 0): LAPACK passes its pivots, the pivot floor does not
+    def test_semidefinite_stage_named(self, schur_stages):
+        # S_2 = u u' for u = (3, 0.7) is rank one, but rounding leaves LAPACK a
+        # positive second pivot, tiny against its own diagonal entry: the pivot floor refuses it
         sys = sd.BlockTridiagSystem(
-            [DenseSymMatrix(np.eye(2)), DenseSymMatrix(np.diag([1.0, 1e-20]))], [np.diag([1.0, 0.0])]
+            [DenseSymMatrix(np.eye(2)), DenseSymMatrix(np.zeros((2, 2)))], [np.array([[3.0, 0.0], [0.7, 0.0]])]
         )
         message = "Schur complement S_2 is not SPD: pivot below tolerance; matrix is semidefinite"
         with pytest.raises(NotPositiveDefinite, match=message):
             sd.exact_schur(sys)
+        s2 = schur_stages[1]
+        pivot = scipy.linalg.cholesky(s2, lower=True)[1, 1]  # LAPACK passes every pivot
+        assert 0 < pivot * pivot <= 1e-14 * s2[1, 1]
 
     def test_lu_existence(self):
         # when the recursion succeeds, the full matrix is invertible
@@ -505,9 +509,10 @@ class TestDeflatedSpectrum:
     def test_probe_solves_each_lead_factor_by_its_stored_mode(self, monkeypatch, d, p, level, mode):
         # dtbtrs on a banded factor's band, dtrtrs on a dense factor
         calls = []
-        for name in ("dtbtrs", "dtrtrs"):
-            routine = getattr(sd, name)
-            monkeypatch.setattr(sd, name, lambda *a, _r=routine, _n=name, **k: calls.append(_n) or _r(*a, **k))
+        for name in ("dtbtrs", "dtrtrs"):  # looked up on scipy's lapack module by `CholeskyFactor.triangular_solve`
+            routine = getattr(sparselin.lapack, name)
+            counted = lambda *a, _r=routine, _n=name, **k: calls.append(_n) or _r(*a, **k)  # noqa: E731
+            monkeypatch.setattr(sparselin.lapack, name, counted)
         prob = problems.build_problem(problems.ProblemConfig("distributed_strong", d=d, p=p, level=level))
         pre = problems.exact_schur_precond(prob)
         assert {f.mode for f in pre.factors[:-1]} == {mode}

@@ -259,6 +259,30 @@ class TestCholesky:
         with pytest.raises(sl.NotPositiveDefinite):
             sl.cholesky(sl.DenseSymMatrix(np.diag([1.0, 0.0, 2.0])))
 
+    @pytest.mark.parametrize("scales", [(1.0, 1.0), (1.0, 1e-20), (1e20, 1.0)])
+    @pytest.mark.parametrize("storage", ["dense", "sparse"])
+    def test_pivot_tiny_against_its_own_diagonal_raises(self, storage, scales):
+        # six rank-one blocks u u', u = (3, 0.7), at two scales: rounding leaves
+        # LAPACK a positive second pivot in each, tiny against its own diagonal entry
+        u = np.array([3.0, 0.7])
+        a = scipy.sparse.block_diag([s * np.outer(u, u) for s in scales * 3]).toarray()
+        m = sl.DenseSymMatrix(a) if storage == "dense" else sl.SparseSymMatrix(a)
+        with pytest.raises(sl.NotPositiveDefinite, match="pivot below tolerance; matrix is semidefinite"):
+            sl.cholesky(m)
+
+    @pytest.mark.parametrize("storage", ["dense", "sparse"])
+    def test_pivot_floor_follows_each_diagonal_entry(self, storage):
+        # D T D for T = tridiag(-1, 4, -1) and D = diag(1, 1e-10, 1, ...) is SPD
+        # with factor D L: each pivot is large against its own diagonal entry,
+        # though every other one is 1e-20 of the largest entry
+        n = 12
+        t = 4 * np.eye(n) - np.eye(n, k=1) - np.eye(n, k=-1)
+        d = np.tile([1.0, 1e-10], n // 2)
+        a = d[:, None] * t * d
+        f = sl.cholesky(sl.DenseSymMatrix(a) if storage == "dense" else sl.SparseSymMatrix(a))
+        assert f.mode == ("dense" if storage == "dense" else "banded")
+        assert np.allclose(f.lower(), d[:, None] * np.linalg.cholesky(t), rtol=1e-14, atol=0)
+
     @pytest.mark.parametrize("value", [np.inf, np.nan])
     @pytest.mark.parametrize("storage", ["dense", "sparse"])
     @pytest.mark.parametrize("mode", ["dense", "banded"])

@@ -7,7 +7,8 @@ Runs, under `sys.settrace` and `threading.settrace` (so that the lines
 `run_table`'s solver threads run count), the production traffic of a
 checkout (default: this one): a CLI sweep of `verify`, and of `table`,
 `spectrum` and `export` for every problem at 1D p=2 L4, 2D p=2 L3 and 3D
-p=3 L2 with both preconditioners and `--lanczos`, plus the refusals; then
+p=3 L2 with both preconditioners and `--lanczos`, two boundary-problem
+runs at alpha 1e-16 and below, plus the refusals; then
 the three `perfbench` units (full size, one set-up and one unit each).  It
 prints, per module, each statement line that no run reached, the total, and
 the exit code of every run.  It exits 1 when a traffic run exits other than
@@ -90,6 +91,11 @@ def traffic(tmp: str) -> list[tuple[str, object, bool]]:
     run("spectrum --lanczos past the cap", "spectrum", "--levels", "5", "--lanczos", "--precond", "exact")
     run("table csv", "table", "--levels", "2", "--format", "csv", "--out", os.path.join(tmp, "t.csv"),
         "--dump-residuals", os.path.join(tmp, "residuals"))
+    # the boundary problems' last blocks mix alpha-scaled and unscaled rows: each pivot meets a floor of its own
+    run("table at tiny alpha", "table", "--problem", "boundary_control", "--levels", "3",
+        "--alphas", "1e-16", "1e-100")
+    run("spectrum at tiny alpha", "spectrum", "--problem", "boundary_observation", "--levels", "3",
+        "--precond", "exact", "--alphas", "1e-16")
     for argv in refusals(tmp):
         run(" ".join(argv[:4]), *argv, want=2)
     from perfbench import workloads
